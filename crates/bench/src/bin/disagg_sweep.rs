@@ -19,48 +19,13 @@
 use std::process::ExitCode;
 
 use moentwine_bench::figs::disagg_sweep;
-use moentwine_bench::json::Value;
 
 fn main() -> ExitCode {
-    let quick = moentwine_bench::quick_from_args();
-    let threads = moentwine_bench::threads_from_args();
-    let report = disagg_sweep::run_with_threads(quick, threads);
-    report.print();
-    if let Err(e) = report.save("results") {
-        eprintln!("warning: could not save report: {e}");
-    }
-
-    // Validate the manifest as written to disk, not the in-memory tree: the
-    // gate must catch serialization problems too.
-    let path = disagg_sweep::MANIFEST_PATH;
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("disagg_sweep: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest = match Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("disagg_sweep: {path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = disagg_sweep::validate(&manifest) {
-        eprintln!(
-            "disagg_sweep: {path} violates {}: {e}",
-            disagg_sweep::SCHEMA
-        );
-        return ExitCode::FAILURE;
-    }
-    let points = manifest
-        .get("points")
-        .and_then(Value::as_array)
-        .map_or(0, <[Value]>::len);
-    eprintln!(
-        "disagg_sweep: {path} OK ({points} points, schema {})",
-        disagg_sweep::SCHEMA
-    );
-    ExitCode::SUCCESS
+    moentwine_bench::fig_main(
+        "disagg_sweep",
+        disagg_sweep::run_with_threads,
+        disagg_sweep::MANIFEST_PATH,
+        disagg_sweep::SCHEMA,
+        disagg_sweep::validate,
+    )
 }

@@ -19,48 +19,13 @@
 use std::process::ExitCode;
 
 use moentwine_bench::figs::router_compare;
-use moentwine_bench::json::Value;
 
 fn main() -> ExitCode {
-    let quick = moentwine_bench::quick_from_args();
-    let threads = moentwine_bench::threads_from_args();
-    let report = router_compare::run_with_threads(quick, threads);
-    report.print();
-    if let Err(e) = report.save("results") {
-        eprintln!("warning: could not save report: {e}");
-    }
-
-    // Validate the manifest as written to disk, not the in-memory tree:
-    // the gate must catch serialization problems too.
-    let path = router_compare::MANIFEST_PATH;
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("router_compare: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest = match Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("router_compare: {path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = router_compare::validate(&manifest) {
-        eprintln!(
-            "router_compare: {path} violates {}: {e}",
-            router_compare::SCHEMA
-        );
-        return ExitCode::FAILURE;
-    }
-    let points = manifest
-        .get("points")
-        .and_then(Value::as_array)
-        .map_or(0, <[Value]>::len);
-    eprintln!(
-        "router_compare: {path} OK ({points} points, schema {})",
-        router_compare::SCHEMA
-    );
-    ExitCode::SUCCESS
+    moentwine_bench::fig_main(
+        "router_compare",
+        router_compare::run_with_threads,
+        router_compare::MANIFEST_PATH,
+        router_compare::SCHEMA,
+        router_compare::validate,
+    )
 }

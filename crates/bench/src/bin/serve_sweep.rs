@@ -16,45 +16,13 @@
 use std::process::ExitCode;
 
 use moentwine_bench::figs::serve_sweep;
-use moentwine_bench::json::Value;
 
 fn main() -> ExitCode {
-    let quick = moentwine_bench::quick_from_args();
-    let threads = moentwine_bench::threads_from_args();
-    let report = serve_sweep::run_with_threads(quick, threads);
-    report.print();
-    if let Err(e) = report.save("results") {
-        eprintln!("warning: could not save report: {e}");
-    }
-
-    // Validate the manifest as written to disk, not the in-memory tree: the
-    // gate must catch serialization problems too.
-    let path = serve_sweep::MANIFEST_PATH;
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("serve_sweep: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest = match Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("serve_sweep: {path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = serve_sweep::validate(&manifest) {
-        eprintln!("serve_sweep: {path} violates {}: {e}", serve_sweep::SCHEMA);
-        return ExitCode::FAILURE;
-    }
-    let points = manifest
-        .get("points")
-        .and_then(Value::as_array)
-        .map_or(0, <[Value]>::len);
-    eprintln!(
-        "serve_sweep: {path} OK ({points} points, schema {})",
-        serve_sweep::SCHEMA
-    );
-    ExitCode::SUCCESS
+    moentwine_bench::fig_main(
+        "serve_sweep",
+        serve_sweep::run_with_threads,
+        serve_sweep::MANIFEST_PATH,
+        serve_sweep::SCHEMA,
+        serve_sweep::validate,
+    )
 }

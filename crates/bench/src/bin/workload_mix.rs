@@ -17,48 +17,13 @@
 use std::process::ExitCode;
 
 use moentwine_bench::figs::workload_mix;
-use moentwine_bench::json::Value;
 
 fn main() -> ExitCode {
-    let quick = moentwine_bench::quick_from_args();
-    let threads = moentwine_bench::threads_from_args();
-    let report = workload_mix::run_with_threads(quick, threads);
-    report.print();
-    if let Err(e) = report.save("results") {
-        eprintln!("warning: could not save report: {e}");
-    }
-
-    // Validate the manifest as written to disk, not the in-memory tree: the
-    // gate must catch serialization problems too.
-    let path = workload_mix::MANIFEST_PATH;
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("workload_mix: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest = match Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("workload_mix: {path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = workload_mix::validate(&manifest) {
-        eprintln!(
-            "workload_mix: {path} violates {}: {e}",
-            workload_mix::SCHEMA
-        );
-        return ExitCode::FAILURE;
-    }
-    let points = manifest
-        .get("points")
-        .and_then(Value::as_array)
-        .map_or(0, <[Value]>::len);
-    eprintln!(
-        "workload_mix: {path} OK ({points} points, schema {})",
-        workload_mix::SCHEMA
-    );
-    ExitCode::SUCCESS
+    moentwine_bench::fig_main(
+        "workload_mix",
+        workload_mix::run_with_threads,
+        workload_mix::MANIFEST_PATH,
+        workload_mix::SCHEMA,
+        workload_mix::validate,
+    )
 }

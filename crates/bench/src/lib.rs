@@ -66,3 +66,50 @@ pub fn run_binary(f: impl FnOnce(bool) -> Report) {
         eprintln!("warning: could not save report: {e}");
     }
 }
+
+/// Entry point shared by the sweep binaries (`router_compare`,
+/// `fleet_sweep`, `serve_sweep`, `disagg_sweep`, `workload_mix`): runs the
+/// figure under the `--quick` / `--threads` flags, prints the report and
+/// saves it to `results/`, then re-reads the manifest the figure wrote to
+/// `manifest_path` and checks it with `validate` against `schema`.
+/// Validating the file on disk, not the in-memory tree, lets the gate
+/// catch serialization problems too. Every failure is reported on stderr
+/// under `name` and exits non-zero (the CI smoke gate).
+pub fn fig_main(
+    name: &str,
+    run_with_threads: impl FnOnce(bool, usize) -> Report,
+    manifest_path: &str,
+    schema: &str,
+    validate: impl FnOnce(&json::Value) -> Result<(), String>,
+) -> std::process::ExitCode {
+    use std::process::ExitCode;
+    let report = run_with_threads(quick_from_args(), threads_from_args());
+    report.print();
+    if let Err(e) = report.save("results") {
+        eprintln!("warning: could not save report: {e}");
+    }
+    let text = match std::fs::read_to_string(manifest_path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("{name}: cannot read {manifest_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let manifest = match json::Value::parse(&text) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{name}: {manifest_path} is not valid JSON: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Err(e) = validate(&manifest) {
+        eprintln!("{name}: {manifest_path} violates {schema}: {e}");
+        return ExitCode::FAILURE;
+    }
+    let points = manifest
+        .get("points")
+        .and_then(json::Value::as_array)
+        .map_or(0, <[json::Value]>::len);
+    eprintln!("{name}: {manifest_path} OK ({points} points, schema {schema})");
+    ExitCode::SUCCESS
+}

@@ -9,7 +9,7 @@
 //! phase-cold links by the [`MigrationEngine`](crate::migration)).
 //!
 //! Communication is priced through the pluggable
-//! [`CongestionModel`](wsc_sim::CongestionModel) backend selected by
+//! [`CongestionModel`] backend selected by
 //! [`EngineConfig::backend`], a three-tier fidelity ladder: the default
 //! analytical congestion model (per-link volumes over precomputed routes)
 //! for production-scale sweeps, the memoizing `flow-sim-cached` tier for
@@ -305,9 +305,9 @@ pub struct InferenceEngine<'a> {
     /// Streaming accumulator ([`SummaryMode::Streaming`] only).
     streaming: Option<StreamingSummary>,
     /// Completions since the last [`Self::take_fresh_completions`] drain —
-    /// populated only in streaming [`BatchMode::External`], where the fleet
-    /// folds them into its own aggregate sketch every round. Bounded by the
-    /// drain cadence, not by total request count.
+    /// populated only in [`BatchMode::External`], under either summary
+    /// mode: the fleet drains them after every step. Bounded by the drain
+    /// cadence, not by total request count.
     fresh: Vec<RequestRecord>,
     /// All-reduce cost decomposition: `time = ser_per_byte × bytes + lat`.
     ar_ser_per_byte: f64,
@@ -765,19 +765,22 @@ impl<'a> InferenceEngine<'a> {
             scheduler.finish_iteration(self.clock);
             let mut done = scheduler.drain_completed();
             metrics.requests_completed = done.len() as u64;
+            // A fleet replica stages every completion for the fleet's
+            // drain, whatever the summary mode: hand-offs, router feedback,
+            // speculative races and the fleet sketch all read it there.
+            // Standalone engines stage nothing.
+            let staged = matches!(self.config.batch, BatchMode::External { .. });
             match self.streaming.as_mut() {
                 Some(streaming) => {
                     for record in &done {
                         streaming.observe_record(record);
                     }
-                    // In a fleet the router owns the aggregate sketch too:
-                    // stage the records for its per-round drain (sketches
-                    // don't merge). Standalone streaming engines drop them.
-                    if matches!(self.config.batch, BatchMode::External { .. }) {
-                        self.fresh.append(&mut done);
-                    }
                 }
+                None if staged => self.completed.extend_from_slice(&done),
                 None => self.completed.append(&mut done),
+            }
+            if staged {
+                self.fresh.append(&mut done);
             }
         }
         if let Some(streaming) = self.streaming.as_mut() {
@@ -877,21 +880,15 @@ impl<'a> InferenceEngine<'a> {
             .cancel_request(id)
     }
 
-    /// Removes one completion record by id — newest match first — from the
-    /// retained records ([`SummaryMode::Exact`]) or the undrained fresh
-    /// staging buffer (streaming fleets). Speculative loser copies that
-    /// finished before their group resolved are deleted through here so
-    /// fleet aggregates count each logical request once. Under
-    /// [`SummaryMode::Streaming`] the replica's own sketch has already
-    /// folded the record in; only the fleet-level aggregate excludes it.
-    pub fn remove_completed(&mut self, id: moe_workload::RequestId) -> Option<RequestRecord> {
+    /// Removes one retained completion record by id — newest match first
+    /// ([`SummaryMode::Exact`]; a no-op under [`SummaryMode::Streaming`],
+    /// which retains none). The fleet deletes speculative loser copies that
+    /// finished before their group resolved through here, so every logical
+    /// request is counted once.
+    pub(crate) fn remove_completed(&mut self, id: moe_workload::RequestId) {
         if let Some(pos) = self.completed.iter().rposition(|r| r.id == id) {
-            return Some(self.completed.remove(pos));
+            self.completed.remove(pos);
         }
-        if let Some(pos) = self.fresh.iter().rposition(|r| r.id == id) {
-            return Some(self.fresh.remove(pos));
-        }
-        None
     }
 
     /// This replica's serving load as observed by a fleet router (`None`
@@ -916,10 +913,10 @@ impl<'a> InferenceEngine<'a> {
         &self.completed
     }
 
-    /// Drains the completions staged since the last drain (streaming
-    /// [`BatchMode::External`] only; empty otherwise). The fleet calls this
-    /// every round to feed its own aggregate [`StreamingSummary`].
-    pub fn take_fresh_completions(&mut self) -> Vec<RequestRecord> {
+    /// Drains the completions staged since the last drain
+    /// ([`BatchMode::External`] only; empty otherwise). The fleet's one
+    /// completion channel: it calls this after every step it prices.
+    pub(crate) fn take_fresh_completions(&mut self) -> Vec<RequestRecord> {
         std::mem::take(&mut self.fresh)
     }
 

@@ -14,7 +14,7 @@
 //!   and (optionally) its own congestion-pricing backend.
 //! * **The router** ([`moe_workload::Router`]) dispatches every arrival to
 //!   a replica's serving queue under a pluggable
-//!   [`RouterPolicy`](moe_workload::RouterPolicy).
+//!   [`RouterPolicy`].
 //! * **The clock** advances either in lock-step rounds or on an event
 //!   heap, selected by [`FleetScheduler`]. Round-driven stepping
 //!   ([`Fleet::run`]) routes all arrivals up to the fleet clock (the
@@ -25,10 +25,12 @@
 //!   [`Fleet::step_round_with`] takes any [`ReplicaPool`] — and the result
 //!   is byte-identical to serial stepping by construction: routing is
 //!   serial at the barrier, and each engine's iteration is a pure function
-//!   of its own state. Under [`FleetScheduler::EventHeap`] the round is
-//!   executed as a heap-ordered wave — replicas step in
-//!   `(sim_time, replica index)` order — which, by the same independence
-//!   argument, is byte-identical to lock-step rounds; the goldens pin this.
+//!   of its own state. Both [`FleetScheduler`]s run round-driven runs
+//!   this way, so they agree bit for bit there; the goldens pin this.
+//!   After every step the fleet drains the replica's staged completions
+//!   through one channel: a racing speculative copy is held back, a
+//!   prefill record becomes a KV hand-off, and any other record completes
+//!   end to end.
 //! * **Time-horizon runs** ([`Fleet::run_until`]) are where the schedulers
 //!   diverge in cost: lock-step loops whole rounds until the fleet clock
 //!   reaches the horizon, pricing an idle iteration on every drained
@@ -97,11 +99,10 @@ pub enum FleetScheduler {
     /// The retained reference semantics — [`FleetScheduler::EventHeap`]
     /// must match it bit for bit in round-driven runs.
     Lockstep,
-    /// Replicas advance in next-event-time order. Round-driven runs
-    /// execute each round as a heap-ordered wave (byte-identical to
-    /// lock-step); time-horizon runs ([`Fleet::run_until`]) park idle
-    /// replicas and wake them on arrival, skipping the idle iterations
-    /// lock-step prices at every barrier.
+    /// Replicas advance in next-event-time order. Round-driven runs are
+    /// identical to lock-step; time-horizon runs ([`Fleet::run_until`])
+    /// park idle replicas and wake them on arrival, skipping the idle
+    /// iterations lock-step prices at every barrier.
     #[default]
     EventHeap,
 }
@@ -756,8 +757,9 @@ pub struct FleetSummary {
     pub handoff: FleetHandoff,
     /// Speculative-dispatch accounting (all zeros for unicast policies).
     pub speculative: FleetSpeculative,
-    /// Requests shed at the router by an [`Outcome::Discard`]
-    /// (moe_workload) policy outcome, per
+    /// Requests shed at the router by an
+    /// [`Outcome::Discard`](moe_workload::Outcome::Discard) policy
+    /// outcome, per
     /// [`RequestClass::index`](moe_workload::RequestClass) — these never
     /// reached a replica queue. Also folded into the aggregate per-class
     /// shed counts, unifying front-end load shedding with the queues'
@@ -832,10 +834,6 @@ pub struct Fleet<'a> {
     transfer_model: Option<Box<dyn CongestionModel + 'a>>,
     /// KV bytes per token across all layers (FP16), from the model config.
     kv_bytes_per_token: f64,
-    /// Per-replica cursor into `completed_requests()` for exact-summary
-    /// hand-off harvesting (streaming replicas use
-    /// `take_fresh_completions` instead).
-    handoff_cursor: Vec<usize>,
     /// Priced transfers not yet delivered to a decode queue, min-ordered
     /// by decode-side arrival.
     pending_handoffs: BinaryHeap<HandoffEvent>,
@@ -856,11 +854,6 @@ pub struct Fleet<'a> {
     spec_dispatched: u64,
     /// Speculative loser copies cancelled so far.
     spec_cancelled: u64,
-    /// Per-replica cursor into `completed_requests()` for the exact-summary
-    /// colocated feedback/speculative harvest (advanced only when the
-    /// policy consumes feedback or a speculative group is open — snapshot
-    /// unicast fleets never run the pass).
-    feedback_cursor: Vec<usize>,
     router: Router,
     generator: RequestGenerator,
     /// First generated arrival beyond the fleet clock.
@@ -877,6 +870,9 @@ pub struct Fleet<'a> {
     /// only): P² sketches don't merge, so the fleet folds every replica's
     /// fresh completions into its own accumulator as they drain.
     streaming: Option<StreamingSummary>,
+    /// End-to-end completions booked so far, fleet-wide. Prefill records
+    /// (hand-offs) and discarded speculative losers are not counted.
+    completed: u64,
 }
 
 /// A pending replica step in the event heap, ordered so that
@@ -917,6 +913,82 @@ impl PartialOrd for StepEvent {
     }
 }
 
+/// The event drive's step heap with its per-replica mirrors:
+/// `scheduled[i]` tracks heap membership, so a replica is never enqueued
+/// twice, and `epoch[i]` lazily invalidates entries orphaned by a crash or
+/// retirement.
+struct StepHeap {
+    heap: BinaryHeap<StepEvent>,
+    scheduled: Vec<bool>,
+    epoch: Vec<u64>,
+}
+
+impl StepHeap {
+    /// An empty heap over `replicas` parked replicas.
+    fn new(replicas: usize) -> Self {
+        StepHeap {
+            heap: BinaryHeap::new(),
+            scheduled: vec![false; replicas],
+            epoch: vec![0; replicas],
+        }
+    }
+
+    /// Extends the mirrors to `replicas` after a scale-up. New replicas
+    /// stay parked until the router first offers them work.
+    fn grow(&mut self, replicas: usize) {
+        self.scheduled.resize(replicas, false);
+        self.epoch.resize(replicas, 0);
+    }
+
+    /// Enqueues replica `i`'s next step at `time`.
+    fn push(&mut self, i: usize, time: f64) {
+        self.heap.push(StepEvent {
+            time,
+            replica: i,
+            epoch: self.epoch[i],
+        });
+        self.scheduled[i] = true;
+    }
+
+    /// Wakes replica `i` at `t` if it is parked: its clock jumps to `t`
+    /// (no phantom idle iterations were priced while it slept) and its
+    /// next step is enqueued. A no-op for a replica already in the heap.
+    fn wake(&mut self, i: usize, engine: &mut InferenceEngine<'_>, t: f64) {
+        if !self.scheduled[i] {
+            engine.fast_forward(t);
+            self.push(i, engine.sim_time());
+        }
+    }
+
+    /// Parks replica `i`: it has no heap entry until woken.
+    fn park(&mut self, i: usize) {
+        self.scheduled[i] = false;
+    }
+
+    /// Parks replica `i` and orphans any entry it still has in the heap.
+    fn invalidate(&mut self, i: usize) {
+        self.epoch[i] += 1;
+        self.scheduled[i] = false;
+    }
+
+    /// The earliest live step, after discarding orphaned entries.
+    fn peek(&mut self) -> Option<StepEvent> {
+        while self
+            .heap
+            .peek()
+            .is_some_and(|top| top.epoch != self.epoch[top.replica])
+        {
+            self.heap.pop();
+        }
+        self.heap.peek().copied()
+    }
+}
+
+/// Whether a replica has neither queued nor resident work.
+fn idle(snap: &ReplicaSnapshot) -> bool {
+    snap.queue_depth == 0 && snap.active == 0
+}
+
 impl<'a> Fleet<'a> {
     /// Builds a homogeneous fleet: every replica borrows the same
     /// `topo`/`table`/`layout` and gets its own engine with a seed-split
@@ -930,7 +1002,7 @@ impl<'a> Fleet<'a> {
     /// Panics if `config.replicas` is zero, the engine template's batch
     /// mode is [`BatchMode::Fixed`] (no request lifecycle to route), or the
     /// template fails [`EngineConfig::validate`] — the panic message is the
-    /// [`ConfigError`](crate::config::ConfigError)'s display text.
+    /// [`ConfigError`]'s display text.
     pub fn new(
         topo: &'a Topology,
         table: &'a RouteTable,
@@ -1095,7 +1167,6 @@ impl<'a> Fleet<'a> {
             decode_platform,
             transfer_model,
             kv_bytes_per_token,
-            handoff_cursor: vec![0; config.replicas],
             pending_handoffs: BinaryHeap::new(),
             handoff_seq: 0,
             inflight: HashMap::new(),
@@ -1105,7 +1176,6 @@ impl<'a> Fleet<'a> {
             spec_groups: BTreeMap::new(),
             spec_dispatched: 0,
             spec_cancelled: 0,
-            feedback_cursor: vec![0; config.replicas],
             router,
             generator,
             lookahead: None,
@@ -1113,6 +1183,7 @@ impl<'a> Fleet<'a> {
             rounds: 0,
             scheduler: config.scheduler,
             streaming,
+            completed: 0,
         };
         for i in 0..config.replicas {
             let engine = fleet.build_replica(i);
@@ -1199,6 +1270,18 @@ impl<'a> Fleet<'a> {
         self.pending_handoffs.len()
     }
 
+    /// Replica `i`'s serving load as the router observes it.
+    fn snapshot(&self, i: usize) -> ReplicaSnapshot {
+        self.engines[i]
+            .replica_snapshot()
+            .expect("replicas run a serving mode")
+    }
+
+    /// Every replica's snapshot, in replica order.
+    fn snapshots(&self) -> Vec<ReplicaSnapshot> {
+        (0..self.engines.len()).map(|i| self.snapshot(i)).collect()
+    }
+
     /// Replicas that may receive arrivals: admitting and prefill-capable.
     /// For a colocated fleet this is exactly the admitting set.
     fn prefill_eligible(&self) -> Vec<bool> {
@@ -1244,41 +1327,15 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Fleet-wide completions so far: the streaming sketch's count, or the
-    /// retained-record count under [`SummaryMode::Exact`].
-    fn completions_so_far(&self) -> u64 {
-        match self.streaming.as_ref() {
-            Some(streaming) => streaming.completed(),
-            // In a disaggregated fleet a prefill replica's records are
-            // hand-offs, not end-to-end completions: only decode-capable
-            // replicas count. (Streaming gets this for free — prefill
-            // records are never folded into the fleet sketch.)
-            None => self
-                .engines
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !self.disaggregated() || self.roles[*i] != ReplicaRole::Prefill)
-                .map(|(_, e)| e.completed_requests().len() as u64)
-                .sum(),
-        }
-    }
-
-    /// Applies every pending timeline event due at or before `now`,
-    /// merging the effects. `now` is the barrier clock in round-driven
-    /// runs; event-driven `run_until` applies each event at its exact
-    /// configured time instead (see [`Fleet::run_until_event_driven`]).
-    fn apply_due_events(&mut self, now: f64) -> EventEffects {
-        let mut effects = EventEffects {
-            deactivated: Vec::new(),
-            touched: Vec::new(),
-        };
+    /// Applies every pending timeline event due at or before the barrier
+    /// clock `now` (round-driven runs; event-driven `run_until` applies
+    /// each event at its exact configured time instead, see
+    /// [`Fleet::run_until_event_driven`]).
+    fn apply_due_events(&mut self, now: f64) {
         while self.pending_events.front().is_some_and(|e| e.time <= now) {
             let event = self.pending_events.pop_front().expect("peeked above");
-            let one = self.apply_event(event, now);
-            effects.deactivated.extend(one.deactivated);
-            effects.touched.extend(one.touched);
+            self.apply_event(event, now);
         }
-        effects
     }
 
     /// Applies one timeline event at simulated time `now` (≥ the event's
@@ -1289,7 +1346,7 @@ impl<'a> Fleet<'a> {
         self.chaos.marks.push(EventMark {
             label: format!("{}@{}", event.kind.name(), event.time),
             time: now,
-            completed: self.completions_so_far(),
+            completed: self.completed,
         });
         self.chaos.events_applied += 1;
         let mut effects = EventEffects {
@@ -1301,8 +1358,6 @@ impl<'a> Fleet<'a> {
                 for _ in 0..count {
                     let i = self.engines.len();
                     self.roles.push(ReplicaRole::Colocated);
-                    self.handoff_cursor.push(0);
-                    self.feedback_cursor.push(0);
                     let mut engine = self.build_replica(i);
                     engine.fast_forward(now);
                     self.engines.push(engine);
@@ -1321,10 +1376,7 @@ impl<'a> Fleet<'a> {
                 let waiting = self.strip_spec_copies(evicted, replica);
                 self.chaos.drain_rerouted += waiting.len() as u64;
                 self.reroute(waiting, replica, now, &mut effects);
-                let snap = self.engines[replica]
-                    .replica_snapshot()
-                    .expect("replicas run a serving mode");
-                if snap.active == 0 && snap.queue_depth == 0 {
+                if idle(&self.snapshot(replica)) {
                     // Nothing in flight: straight to retired.
                     self.states[replica] = ReplicaState::Retired;
                     effects.deactivated.push(replica);
@@ -1393,28 +1445,21 @@ impl<'a> Fleet<'a> {
         // evicted from a decode replica lost its transferred KV with the
         // crash, so it replays its prefill (and will hand off again under
         // the same id). Identical to the admitting set when colocated.
-        let eligible: Vec<bool> = self.prefill_eligible();
-        let mut snapshots: Vec<ReplicaSnapshot> = self
-            .engines
-            .iter()
-            .map(|e| e.replica_snapshot().expect("replicas run a serving mode"))
-            .collect();
+        let eligible = self.prefill_eligible();
+        let mut snapshots = self.snapshots();
         for mut request in requests {
             self.chaos.requeued_tokens +=
                 u64::from(request.input_len) + u64::from(request.output_len);
             request.arrival = now;
-            let choice = self.router.route_among(&request, &snapshots, &eligible);
+            let id = request.id.0;
+            let choice = self.route_unicast(request, &mut snapshots, &eligible);
             // A group's last surviving copy keeps its race open on the new
             // replica (siblings were dropped by `strip_spec_copies`).
-            if let Some(group) = self.spec_groups.get_mut(&request.id.0) {
+            if let Some(group) = self.spec_groups.get_mut(&id) {
                 if let Some(copy) = group.copies.iter_mut().find(|c| c.replica == from) {
                     copy.replica = choice;
                 }
             }
-            self.engines[choice].offer_request(request);
-            snapshots[choice] = self.engines[choice]
-                .replica_snapshot()
-                .expect("replicas run a serving mode");
             effects.touched.push(choice);
         }
     }
@@ -1462,70 +1507,90 @@ impl<'a> Fleet<'a> {
     /// colocated fleet there are no hand-offs and the arrival mask is the
     /// admitting set — byte-identical to the pre-role router loop.
     fn route_arrivals(&mut self) {
-        let eligible: Vec<bool> = self.prefill_eligible();
-        let decode_eligible: Vec<bool> = if self.disaggregated() {
-            self.decode_eligible()
-        } else {
-            Vec::new()
-        };
-        let mut snapshots: Vec<ReplicaSnapshot> = self
-            .engines
-            .iter()
-            .map(|e| e.replica_snapshot().expect("replicas run a serving mode"))
-            .collect();
+        let eligible = self.prefill_eligible();
+        let decode_eligible = self.decode_eligible();
+        let mut snapshots = self.snapshots();
         // Bound the pull (as `BatchScheduler::pull_arrivals` does) so an
         // extreme configured rate cannot stall a round; the overflow stays
         // in the generator and drains over subsequent rounds.
         for _ in 0..moe_workload::MAX_ARRIVALS_PER_PULL {
-            if self.lookahead.is_none() {
-                // A `None` means a finite source (trace replay) ran dry;
-                // no further arrival events, but hand-offs still deliver.
-                self.lookahead = self.generator.next_request();
+            let arrival_time = self.next_arrival_time();
+            let handoff_time = self.next_handoff_time();
+            if arrival_time.min(handoff_time) > self.clock {
+                break;
             }
-            let arrival_time = self.lookahead.as_ref().map_or(f64::INFINITY, |r| r.arrival);
-            let handoff_time = self
-                .pending_handoffs
-                .peek()
-                .map_or(f64::INFINITY, |h| h.arrival);
             if handoff_time <= arrival_time {
-                if handoff_time > self.clock {
-                    break;
-                }
                 let handoff = self.pending_handoffs.pop().expect("peeked above");
-                let choice =
-                    self.router
-                        .route_among(&handoff.request, &snapshots, &decode_eligible);
-                self.engines[choice].offer_request(handoff.request);
-                snapshots[choice] = self.engines[choice]
-                    .replica_snapshot()
-                    .expect("replicas run a serving mode");
+                self.route_unicast(handoff.request, &mut snapshots, &decode_eligible);
             } else {
-                if arrival_time > self.clock {
-                    break;
-                }
                 let request = self.lookahead.take().expect("peeked above");
-                match self.router.route_decision(&request, &snapshots, &eligible) {
-                    Decision::Unicast(choice) => {
-                        self.engines[choice].offer_request(request);
-                        snapshots[choice] = self.engines[choice]
-                            .replica_snapshot()
-                            .expect("replicas run a serving mode");
-                    }
-                    Decision::Speculative(targets) => {
-                        self.open_spec_group(&request, &targets);
-                        for &t in &targets {
-                            self.engines[t].offer_request(request.clone());
-                            snapshots[t] = self.engines[t]
-                                .replica_snapshot()
-                                .expect("replicas run a serving mode");
-                        }
-                    }
-                    // Shed at the front end: the request reaches no
-                    // replica (the router counted it per class).
-                    Decision::Shed => {}
-                }
+                self.dispatch_arrival(request, &mut snapshots, &eligible);
             }
         }
+    }
+
+    /// Time of the next fresh arrival, pulling it into the lookahead if
+    /// needed. Infinite once a finite source (trace replay) has run dry:
+    /// no further arrival events, but hand-offs still deliver.
+    fn next_arrival_time(&mut self) -> f64 {
+        if self.lookahead.is_none() {
+            self.lookahead = self.generator.next_request();
+        }
+        self.lookahead.as_ref().map_or(f64::INFINITY, |r| r.arrival)
+    }
+
+    /// Decode-side arrival time of the earliest pending KV hand-off.
+    fn next_handoff_time(&self) -> f64 {
+        self.pending_handoffs
+            .peek()
+            .map_or(f64::INFINITY, |h| h.arrival)
+    }
+
+    /// Offers `request` to replica `i` and refreshes its entry in
+    /// `snapshots`, so the router observes each offer it makes: load-aware
+    /// policies see their own decisions within a burst.
+    fn offer(&mut self, i: usize, request: Request, snapshots: &mut [ReplicaSnapshot]) {
+        self.engines[i].offer_request(request);
+        snapshots[i] = self.snapshot(i);
+    }
+
+    /// Routes one request to a single replica among `eligible` and offers
+    /// it there: KV hand-offs (over the decode-capable mask) and re-routed
+    /// evictions (over the prefill-capable one). Returns the replica.
+    fn route_unicast(
+        &mut self,
+        request: Request,
+        snapshots: &mut [ReplicaSnapshot],
+        eligible: &[bool],
+    ) -> usize {
+        let choice = self.router.route_among(&request, snapshots, eligible);
+        self.offer(choice, request, snapshots);
+        choice
+    }
+
+    /// Routes one fresh arrival among the prefill-capable `eligible`
+    /// replicas, opens a speculative group for a multicast decision, and
+    /// offers a copy to each target. Returns the targets: none when the
+    /// router sheds the request at the front end (it counts the shed per
+    /// class).
+    fn dispatch_arrival(
+        &mut self,
+        request: Request,
+        snapshots: &mut [ReplicaSnapshot],
+        eligible: &[bool],
+    ) -> Vec<usize> {
+        let targets = match self.router.route_decision(&request, snapshots, eligible) {
+            Decision::Unicast(choice) => vec![choice],
+            Decision::Speculative(targets) => {
+                self.open_spec_group(&request, &targets);
+                targets
+            }
+            Decision::Shed => Vec::new(),
+        };
+        for &t in &targets {
+            self.offer(t, request.clone(), snapshots);
+        }
+        targets
     }
 
     /// Opens the first-token race for a speculatively multicast request.
@@ -1552,13 +1617,9 @@ impl<'a> Fleet<'a> {
 
     /// One synchronization round: route arrivals up to the fleet clock,
     /// advance every replica by one iteration on `pool`, then resynchronize
-    /// the fleet clock. Output is identical for every [`ReplicaPool`].
-    ///
-    /// Under [`FleetScheduler::EventHeap`] the jobs are submitted as a
-    /// heap-ordered wave — `(sim_time, replica index)` order — instead of
-    /// replica order. Replicas are independent within a round, so the wave
-    /// is byte-identical to lock-step for any pool; the fleet goldens pin
-    /// this equivalence.
+    /// the fleet clock. Output is identical for every [`ReplicaPool`] and
+    /// both [`FleetScheduler`]s: replicas are independent within a round,
+    /// so job order cannot change a number (the fleet goldens pin this).
     pub fn step_round_with(&mut self, pool: &dyn ReplicaPool) {
         self.route_arrivals();
         // Timeline events fire at the first barrier whose clock reached
@@ -1567,31 +1628,25 @@ impl<'a> Fleet<'a> {
         // round's arrivals (all ≤ the clock), keeping every per-replica
         // offer stream in arrival order.
         self.apply_due_events(self.clock);
-        let steppable: Vec<usize> = (0..self.engines.len())
-            .filter(|&i| self.states[i].steppable())
-            .collect();
-        let mut order = steppable;
-        if self.scheduler == FleetScheduler::EventHeap {
-            order.sort_by(|&a, &b| {
-                self.engines[a]
-                    .sim_time()
-                    .total_cmp(&self.engines[b].sim_time())
-                    .then(a.cmp(&b))
-            });
-        }
-        let mut slots: Vec<Option<&mut InferenceEngine<'a>>> =
-            self.engines.iter_mut().map(Some).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = order
-            .into_iter()
-            .map(|i| {
-                let engine = slots[i].take().expect("each replica steps once");
+        let states = &self.states;
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = self
+            .engines
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| states[*i].steppable())
+            .map(|(_, engine)| {
                 Box::new(move || {
                     engine.step();
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
         pool.run(jobs);
-        self.drain_fresh_completions();
+        // Harvest in replica order, so router feedback and the fleet
+        // sketch see a deterministic record order for any pool.
+        for i in 0..self.engines.len() {
+            self.harvest(i);
+        }
+        self.resolve_spec_groups();
         self.retire_empty_drainers();
         // The clock ignores retired/failed replicas: their frozen engine
         // clocks no longer gate routing. Timeline validation guarantees at
@@ -1604,23 +1659,13 @@ impl<'a> Fleet<'a> {
     }
 
     /// Retires draining replicas that have run dry: they price no further
-    /// iterations and leave the fleet-clock computation. Returns the
-    /// replicas retired by this call.
-    fn retire_empty_drainers(&mut self) -> Vec<usize> {
-        let mut retired = Vec::new();
+    /// iterations and leave the fleet-clock computation.
+    fn retire_empty_drainers(&mut self) {
         for i in 0..self.engines.len() {
-            if self.states[i] != ReplicaState::Draining {
-                continue;
-            }
-            let snap = self.engines[i]
-                .replica_snapshot()
-                .expect("replicas run a serving mode");
-            if snap.queue_depth == 0 && snap.active == 0 {
+            if self.states[i] == ReplicaState::Draining && idle(&self.snapshot(i)) {
                 self.states[i] = ReplicaState::Retired;
-                retired.push(i);
             }
         }
-        retired
     }
 
     /// Runs `rounds` synchronization rounds serially.
@@ -1635,54 +1680,15 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Folds every replica's freshly-staged completions into the fleet's
-    /// aggregate streaming summary (no-op under [`SummaryMode::Exact`]).
-    /// Always in replica order, so the aggregate sketch is deterministic
-    /// for any [`ReplicaPool`]. In a disaggregated fleet this is also the
-    /// hand-off boundary: prefill completions become priced KV transfers,
-    /// decode completions close their matching hand-off (and the harvest
-    /// runs under exact summaries too, via per-replica record cursors).
-    fn drain_fresh_completions(&mut self) {
-        if self.disaggregated() {
-            for i in 0..self.engines.len() {
-                self.harvest_replica(i);
-            }
-        } else {
-            for i in 0..self.engines.len() {
-                self.harvest_colocated(i);
-            }
-        }
-        self.resolve_spec_groups();
-    }
-
-    /// Colocated-fleet completion harvest for one replica. Streaming
-    /// fleets drain the staged records into the fleet sketch as before;
-    /// exact fleets additionally advance a record cursor when — and only
-    /// when — the policy consumes feedback or a speculative race is open,
-    /// so snapshot unicast fleets never pay for the pass. A record whose
-    /// request is still racing is stashed on its speculative copy instead
-    /// of observed: the resolution decides which copy counts.
-    fn harvest_colocated(&mut self, i: usize) {
-        if self.streaming.is_some() {
-            for record in self.engines[i].take_fresh_completions() {
-                if self.stash_spec_record(i, &record) {
-                    continue;
-                }
-                self.streaming
-                    .as_mut()
-                    .expect("checked above")
-                    .observe_record(&record);
-                self.router.observe_completion(i, &record);
-            }
-        } else if self.router.wants_feedback() || !self.spec_groups.is_empty() {
-            let done = self.engines[i].completed_requests();
-            let fresh: Vec<RequestRecord> = done[self.feedback_cursor[i]..].to_vec();
-            self.feedback_cursor[i] = done.len();
-            for record in fresh {
-                if self.stash_spec_record(i, &record) {
-                    continue;
-                }
-                self.router.observe_completion(i, &record);
+    /// Drains replica `i`'s staged completions: the fleet's one
+    /// completion channel, run after every priced step. A record whose
+    /// request is still racing speculatively is stashed on its copy (the
+    /// race resolution decides which copy counts); every other record is
+    /// booked by [`Fleet::book_record`].
+    fn harvest(&mut self, i: usize) {
+        for record in self.engines[i].take_fresh_completions() {
+            if !self.stash_spec_record(i, &record) {
+                self.book_record(i, &record);
             }
         }
     }
@@ -1774,7 +1780,7 @@ impl<'a> Fleet<'a> {
         for (idx, copy) in group.copies.into_iter().enumerate() {
             if idx == winner_idx {
                 if let Some(record) = copy.done {
-                    self.deliver_winner(copy.replica, &record);
+                    self.book_record(copy.replica, &record);
                 }
                 // A mid-flight winner needs nothing here: its group is
                 // closed, so its eventual record flows through the normal
@@ -1785,21 +1791,9 @@ impl<'a> Fleet<'a> {
                 Some(record) => {
                     // The loser finished before the race settled (both
                     // copies completing in one round): discard its record
-                    // so the logical request counts once. Exact-mode
-                    // engines still retain it — delete and rewind the
-                    // harvest cursor past the removal.
-                    if self.streaming.is_none()
-                        && self.engines[copy.replica]
-                            .remove_completed(record.id)
-                            .is_some()
-                    {
-                        let cursor = if self.disaggregated() {
-                            &mut self.handoff_cursor[copy.replica]
-                        } else {
-                            &mut self.feedback_cursor[copy.replica]
-                        };
-                        *cursor = cursor.saturating_sub(1);
-                    }
+                    // so the logical request counts once, including the
+                    // copy an exact-mode engine retains.
+                    self.engines[copy.replica].remove_completed(record.id);
                     self.spec_cancelled += 1;
                 }
                 None => {
@@ -1816,57 +1810,23 @@ impl<'a> Fleet<'a> {
         changed
     }
 
-    /// Routes a settled race's winning record where a non-speculative
-    /// completion on that replica would have gone: a KV hand-off from the
-    /// prefill tier, an end-to-end completion everywhere else.
-    fn deliver_winner(&mut self, replica: usize, record: &RequestRecord) {
-        if self.disaggregated() && self.roles[replica] == ReplicaRole::Prefill {
+    /// Books one completion that is not (or no longer) racing. On a
+    /// prefill replica the record becomes a KV hand-off: the transfer of
+    /// `kv_bytes_per_token_all_layers × prefill tokens` is priced through
+    /// the congestion model, and the request is re-queued for the decode
+    /// tier at `prefill finish + transfer time` (delivered by
+    /// `route_arrivals` / the event loop in global time order). Everywhere
+    /// else it is an end-to-end completion.
+    fn book_record(&mut self, replica: usize, record: &RequestRecord) {
+        if self.roles[replica] == ReplicaRole::Prefill {
             self.emit_handoff(record);
         } else {
             self.complete_end_to_end(replica, record);
         }
     }
 
-    /// Role-aware completion harvest for one replica of a disaggregated
-    /// fleet. A prefill replica's finished records each become a KV
-    /// hand-off: the transfer of
-    /// `kv_bytes_per_token_all_layers × prefill tokens` is priced through
-    /// the congestion model, and the request is re-queued for the decode
-    /// tier at `prefill finish + transfer time` (delivered by
-    /// `route_arrivals` / the event loop in global time order). Every
-    /// other replica's records are end-to-end completions: folded into
-    /// the fleet streaming sketch and matched back to their in-flight
-    /// hand-off for latency accounting.
-    fn harvest_replica(&mut self, i: usize) {
-        let records: Vec<RequestRecord> = if self.streaming.is_some() {
-            self.engines[i].take_fresh_completions()
-        } else {
-            let done = self.engines[i].completed_requests();
-            let fresh = done[self.handoff_cursor[i]..].to_vec();
-            self.handoff_cursor[i] = done.len();
-            fresh
-        };
-        if records.is_empty() {
-            return;
-        }
-        let prefill = self.roles[i] == ReplicaRole::Prefill;
-        for r in records {
-            // A record whose request is still racing speculatively is
-            // held back: the race resolution hands the winner to
-            // `emit_handoff` / `complete_end_to_end` itself.
-            if self.stash_spec_record(i, &r) {
-                continue;
-            }
-            if prefill {
-                self.emit_handoff(&r);
-            } else {
-                self.complete_end_to_end(i, &r);
-            }
-        }
-    }
-
     /// Turns one finished prefill record into a priced KV hand-off toward
-    /// the decode tier (see [`Fleet::harvest_replica`]).
+    /// the decode tier (see [`Fleet::book_record`]).
     fn emit_handoff(&mut self, r: &RequestRecord) {
         let bytes = self.kv_bytes_per_token * f64::from(r.prefill_scheduled);
         let transfer = self.price_transfer(bytes);
@@ -1897,11 +1857,12 @@ impl<'a> Fleet<'a> {
         });
     }
 
-    /// Books one end-to-end completion on replica `i`: folds it into the
-    /// fleet streaming sketch, closes its in-flight hand-off (if any), and
-    /// feeds the router's latency feedback (a no-op for snapshot
+    /// Books one end-to-end completion on replica `i`: counts it, folds it
+    /// into the fleet streaming sketch, closes its in-flight hand-off (if
+    /// any), and feeds the router's latency feedback (a no-op for snapshot
     /// policies).
     fn complete_end_to_end(&mut self, i: usize, r: &RequestRecord) {
+        self.completed += 1;
         if let Some(streaming) = self.streaming.as_mut() {
             streaming.observe_record(r);
         }
@@ -1974,62 +1935,28 @@ impl<'a> Fleet<'a> {
     /// replica's epoch, lazily invalidating its heap entries; scale-ups
     /// extend the loop-local mirrors in place.
     fn run_until_event_driven(&mut self, horizon: f64) {
-        let mut snapshots: Vec<ReplicaSnapshot> = self
-            .engines
-            .iter()
-            .map(|e| e.replica_snapshot().expect("replicas run a serving mode"))
-            .collect();
-        let mut eligible: Vec<bool> = self.prefill_eligible();
-        let mut eligible_decode: Vec<bool> = self.decode_eligible();
+        let mut snapshots = self.snapshots();
+        let mut eligible = self.prefill_eligible();
+        let mut eligible_decode = self.decode_eligible();
         // Rebuild the step heap from scratch: any steppable replica with
         // work pending steps next at its own clock; the rest are parked.
-        // `scheduled[i]` mirrors heap membership so a replica is never
-        // enqueued twice.
-        let mut heap: BinaryHeap<StepEvent> = BinaryHeap::new();
-        let mut scheduled = vec![false; self.engines.len()];
-        let mut epoch: Vec<u64> = vec![0; self.engines.len()];
+        let mut steps = StepHeap::new(self.engines.len());
         for (i, snap) in snapshots.iter().enumerate() {
-            if self.states[i].steppable() && (snap.queue_depth > 0 || snap.active > 0) {
-                heap.push(StepEvent {
-                    time: self.engines[i].sim_time(),
-                    replica: i,
-                    epoch: 0,
-                });
-                scheduled[i] = true;
+            if self.states[i].steppable() && !idle(snap) {
+                steps.push(i, self.engines[i].sim_time());
             }
         }
         loop {
-            // Discard heap entries orphaned by a crash or retirement.
-            while heap
-                .peek()
-                .is_some_and(|top| top.epoch != epoch[top.replica])
-            {
-                heap.pop();
-            }
             // One arrival is outstanding at a time (the lookahead), so
             // the next event is min(timeline, hand-off, lookahead, heap
             // top) — timeline first, then hand-off delivery, then
             // arrival, then step on time ties (the router-before-replica
-            // contract).
-            let arrival_time = match &self.lookahead {
-                Some(r) => r.arrival,
-                // An exhausted finite source (trace replay) stops producing
-                // arrival events; steps and timeline events still fire.
-                None => match self.generator.next_request() {
-                    Some(r) => {
-                        let t = r.arrival;
-                        self.lookahead = Some(r);
-                        t
-                    }
-                    None => f64::INFINITY,
-                },
-            };
-            let handoff_time = self
-                .pending_handoffs
-                .peek()
-                .map_or(f64::INFINITY, |h| h.arrival);
-            let step = heap.peek().copied();
-            let step_time = step.map_or(f64::INFINITY, |s| s.time);
+            // contract). An exhausted finite source (trace replay) stops
+            // producing arrival events; steps and timeline events still
+            // fire.
+            let arrival_time = self.next_arrival_time();
+            let handoff_time = self.next_handoff_time();
+            let step_time = steps.peek().map_or(f64::INFINITY, |s| s.time);
             let timeline_time = self
                 .pending_events
                 .front()
@@ -2044,137 +1971,57 @@ impl<'a> Fleet<'a> {
             if timeline_time <= event_time {
                 let event = self.pending_events.pop_front().expect("peeked above");
                 let effects = self.apply_event(event, event.time);
-                // Scale-up: extend the loop-local mirrors. New replicas are
-                // idle (parked) until the router first offers them work.
+                // Scale-up: extend the loop-local mirrors.
                 for i in snapshots.len()..self.engines.len() {
-                    snapshots.push(
-                        self.engines[i]
-                            .replica_snapshot()
-                            .expect("replicas run a serving mode"),
-                    );
-                    scheduled.push(false);
-                    epoch.push(0);
+                    snapshots.push(self.snapshot(i));
                 }
-                eligible.clear();
-                eligible.extend(
-                    self.states
-                        .iter()
-                        .zip(&self.roles)
-                        .map(|(s, r)| s.admits() && r.prefill_capable()),
-                );
-                eligible_decode.clear();
-                eligible_decode.extend(
-                    self.states
-                        .iter()
-                        .zip(&self.roles)
-                        .map(|(s, r)| s.admits() && r.decode_capable()),
-                );
+                steps.grow(self.engines.len());
+                eligible = self.prefill_eligible();
+                eligible_decode = self.decode_eligible();
                 for &i in &effects.deactivated {
-                    epoch[i] += 1;
-                    scheduled[i] = false;
-                    snapshots[i] = self.engines[i]
-                        .replica_snapshot()
-                        .expect("replicas run a serving mode");
+                    steps.invalidate(i);
+                    snapshots[i] = self.snapshot(i);
                 }
                 for &i in &effects.touched {
-                    snapshots[i] = self.engines[i]
-                        .replica_snapshot()
-                        .expect("replicas run a serving mode");
-                    if !scheduled[i] && self.states[i].steppable() {
-                        // Wake a parked replica that just received
-                        // re-routed work.
-                        self.engines[i].fast_forward(event.time);
-                        heap.push(StepEvent {
-                            time: self.engines[i].sim_time(),
-                            replica: i,
-                            epoch: epoch[i],
-                        });
-                        scheduled[i] = true;
+                    snapshots[i] = self.snapshot(i);
+                    // Wake a parked replica that just received re-routed
+                    // work.
+                    if self.states[i].steppable() {
+                        steps.wake(i, &mut self.engines[i], event.time);
                     }
                 }
             } else if handoff_time <= event_time {
                 // Deliver a priced KV transfer to the decode tier at its
-                // arrival instant, exactly like an arrival (wake a parked
-                // target, refresh its snapshot) but over the
+                // arrival instant, exactly like an arrival but over the
                 // decode-capable mask.
                 let handoff = self.pending_handoffs.pop().expect("peeked above");
-                let choice =
-                    self.router
-                        .route_among(&handoff.request, &snapshots, &eligible_decode);
-                self.engines[choice].offer_request(handoff.request);
-                if !scheduled[choice] {
-                    self.engines[choice].fast_forward(event_time);
-                    heap.push(StepEvent {
-                        time: self.engines[choice].sim_time(),
-                        replica: choice,
-                        epoch: epoch[choice],
-                    });
-                    scheduled[choice] = true;
-                }
-                snapshots[choice] = self.engines[choice]
-                    .replica_snapshot()
-                    .expect("replicas run a serving mode");
+                let choice = self.route_unicast(handoff.request, &mut snapshots, &eligible_decode);
+                steps.wake(choice, &mut self.engines[choice], event_time);
             } else if arrival_time <= step_time {
                 let request = self.lookahead.take().expect("peeked above");
-                let targets: Vec<usize> =
-                    match self.router.route_decision(&request, &snapshots, &eligible) {
-                        Decision::Unicast(choice) => vec![choice],
-                        Decision::Speculative(targets) => {
-                            self.open_spec_group(&request, &targets);
-                            targets
-                        }
-                        // Shed at the front end: no replica is touched or
-                        // woken.
-                        Decision::Shed => Vec::new(),
-                    };
-                for &choice in &targets {
-                    self.engines[choice].offer_request(request.clone());
-                    if !scheduled[choice] {
-                        // Wake a parked replica at the arrival instant: no
-                        // phantom idle iterations were priced while it
-                        // slept.
-                        self.engines[choice].fast_forward(event_time);
-                        heap.push(StepEvent {
-                            time: self.engines[choice].sim_time(),
-                            replica: choice,
-                            epoch: epoch[choice],
-                        });
-                        scheduled[choice] = true;
-                    }
-                    snapshots[choice] = self.engines[choice]
-                        .replica_snapshot()
-                        .expect("replicas run a serving mode");
+                for t in self.dispatch_arrival(request, &mut snapshots, &eligible) {
+                    steps.wake(t, &mut self.engines[t], event_time);
                 }
             } else {
-                let StepEvent { replica, .. } = heap.pop().expect("peeked above");
+                let replica = steps.heap.pop().expect("peeked above").replica;
                 self.engines[replica].step();
                 self.rounds += 1;
-                let snap = self.engines[replica]
-                    .replica_snapshot()
-                    .expect("replicas run a serving mode");
-                if snap.queue_depth > 0 || snap.active > 0 {
-                    heap.push(StepEvent {
-                        time: self.engines[replica].sim_time(),
-                        replica,
-                        epoch: epoch[replica],
-                    });
+                snapshots[replica] = self.snapshot(replica);
+                if !idle(&snapshots[replica]) {
+                    steps.push(replica, self.engines[replica].sim_time());
+                } else if self.states[replica] == ReplicaState::Draining {
+                    // A drainer running dry retires on the spot.
+                    self.states[replica] = ReplicaState::Retired;
+                    steps.invalidate(replica);
                 } else {
-                    scheduled[replica] = false;
-                    if self.states[replica] == ReplicaState::Draining {
-                        // A drainer running dry retires on the spot.
-                        self.states[replica] = ReplicaState::Retired;
-                        epoch[replica] += 1;
-                    }
+                    steps.park(replica);
                 }
-                snapshots[replica] = snap;
-                if self.drain_fresh_completions_for(replica) {
+                // Only the stepped replica can have staged completions.
+                self.harvest(replica);
+                if self.resolve_spec_groups() {
                     // A speculative cancellation touched other replicas'
                     // queues: refresh the whole snapshot mirror.
-                    for (i, s) in snapshots.iter_mut().enumerate() {
-                        *s = self.engines[i]
-                            .replica_snapshot()
-                            .expect("replicas run a serving mode");
-                    }
+                    snapshots = self.snapshots();
                 }
             }
         }
@@ -2182,19 +2029,6 @@ impl<'a> Fleet<'a> {
         // horizon has been processed: the covered span is exactly the
         // horizon.
         self.clock = self.clock.max(horizon);
-    }
-
-    /// Per-replica variant of [`Fleet::drain_fresh_completions`] for the
-    /// event loop (only the stepped replica can have staged completions).
-    /// Returns whether a speculative resolution changed some *other*
-    /// replica's queue state (the caller's snapshot mirror is stale).
-    fn drain_fresh_completions_for(&mut self, replica: usize) -> bool {
-        if self.disaggregated() {
-            self.harvest_replica(replica);
-        } else {
-            self.harvest_colocated(replica);
-        }
-        self.resolve_spec_groups()
     }
 
     /// Memory proxy: request records and iteration-history entries
@@ -2265,9 +2099,7 @@ impl<'a> Fleet<'a> {
                     .engines
                     .iter()
                     .enumerate()
-                    .filter(|(i, _)| {
-                        !self.disaggregated() || self.roles[*i] != ReplicaRole::Prefill
-                    })
+                    .filter(|(i, _)| self.roles[*i] != ReplicaRole::Prefill)
                     .flat_map(|(_, e)| e.completed_requests().iter().cloned())
                     .collect();
                 let mut aggregate = ServingSummary::from_records_with_workload(
@@ -2384,7 +2216,7 @@ impl<'a> Fleet<'a> {
                 prev_label,
                 prev_t,
                 self.clock,
-                self.completions_so_far() - prev_completed,
+                self.completed - prev_completed,
             ));
         }
         FleetAvailability {
@@ -3458,21 +3290,53 @@ mod tests {
         let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
             .unwrap()
             .plan();
-        let run = |summary_mode: SummaryMode| {
-            let mut config = disagg_config(83, 2.0e4);
-            config.engine = config.engine.with_summary(summary_mode);
-            let mut fleet = Fleet::new(&topo, &table, &plan, config);
-            fleet.run(400);
-            fleet.summary()
-        };
-        let exact = run(SummaryMode::Exact);
-        let streaming = run(SummaryMode::Streaming);
-        assert!(exact.handoff.kv_transfers > 0);
-        // Same trajectory: identical hand-off accounting and end-to-end
-        // completion counts under both summary modes.
-        assert_eq!(streaming.handoff, exact.handoff);
-        assert_eq!(streaming.aggregate.completed, exact.aggregate.completed);
-        assert_eq!(streaming.routed, exact.routed);
+        // A snapshot, a feedback, and a speculative policy, each on a
+        // colocated fleet and on a 2-prefill + 2-decode fleet: every path
+        // through the completion channel (feedback, races, hand-offs).
+        let policies = [
+            RouterPolicy::LeastQueueDepth,
+            RouterPolicy::EwmaLatency,
+            RouterPolicy::Speculative { k: 2 },
+        ];
+        for policy in policies {
+            for disaggregated in [false, true] {
+                let run = |summary_mode: SummaryMode| {
+                    let mut config = disagg_config(83, 2.0e4);
+                    config.policy = policy;
+                    if !disaggregated {
+                        config.roles.clear();
+                    }
+                    config.engine = config.engine.with_summary(summary_mode);
+                    let mut fleet = Fleet::new(&topo, &table, &plan, config);
+                    fleet.run(400);
+                    fleet.summary()
+                };
+                let exact = run(SummaryMode::Exact);
+                let streaming = run(SummaryMode::Streaming);
+                let case = format!("{} disaggregated={disaggregated}", policy.name());
+                assert!(exact.aggregate.completed > 0, "{case}");
+                assert_eq!(exact.handoff.kv_transfers > 0, disaggregated, "{case}");
+                if let RouterPolicy::Speculative { .. } = policy {
+                    assert!(exact.speculative.groups_dispatched > 0, "{case}");
+                }
+                // Same trajectory: identical hand-off, completion, routing
+                // and speculative accounting under both summary modes.
+                assert_eq!(streaming.handoff, exact.handoff, "{case}");
+                assert_eq!(
+                    streaming.aggregate.completed, exact.aggregate.completed,
+                    "{case}"
+                );
+                assert_eq!(streaming.routed, exact.routed, "{case}");
+                assert_eq!(streaming.speculative, exact.speculative, "{case}");
+                if disaggregated {
+                    // Each record an exact prefill replica retains is one
+                    // hand-off: a race's finished loser copy is deleted.
+                    let prefill_records: usize =
+                        exact.per_replica[..2].iter().map(|s| s.completed).sum();
+                    assert_eq!(prefill_records as u64, exact.handoff.kv_transfers, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -378,17 +378,12 @@ impl Router {
         self.discarded
     }
 
-    /// Whether the policy consumes completion feedback — fleets skip the
-    /// per-round record harvest entirely when it does not, keeping the
-    /// snapshot-policy drive byte-identical to the pre-feedback router.
-    pub fn wants_feedback(&self) -> bool {
-        self.policy.wants_feedback()
-    }
-
     /// Feeds one completed request back to the policy. A no-op unless
-    /// [`Router::wants_feedback`]; callers must deliver records in a
-    /// deterministic order (the fleet: replica order at each round-driven
-    /// synchronization point, causal order under the event drive).
+    /// [`RoutePolicy::wants_feedback`], keeping the snapshot-policy drive
+    /// byte-identical to the pre-feedback router. Callers must deliver
+    /// records in a deterministic order (the fleet: replica order at each
+    /// round-driven synchronization point, causal order under the event
+    /// drive).
     pub fn observe_completion(&mut self, replica: usize, record: &RequestRecord) {
         if self.policy.wants_feedback() {
             self.policy

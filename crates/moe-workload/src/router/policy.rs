@@ -122,9 +122,9 @@ pub trait RoutePolicy: std::fmt::Debug + Send {
     /// scheduler drives.
     fn observe(&mut self, _replica: usize, _feedback: &LatencyFeedback) {}
 
-    /// Whether the fleet should harvest completion records into
-    /// [`RoutePolicy::observe`]. Snapshot policies return false so their
-    /// drive stays byte-identical to the pre-feedback router.
+    /// Whether completion records should reach [`RoutePolicy::observe`].
+    /// Snapshot policies return false so their drive stays byte-identical
+    /// to the pre-feedback router.
     fn wants_feedback(&self) -> bool {
         false
     }

@@ -1,7 +1,7 @@
 //! Batch schedulers: prefill-only, decode-only, and hybrid serving.
 //!
 //! [`BatchScheduler`] couples a [`RequestGenerator`] arrival stream to the
-//! request-level [`ServingQueue`](crate::serving::ServingQueue): arrivals up
+//! request-level [`ServingQueue`]: arrivals up
 //! to the current simulated time are offered to the queue, which composes
 //! each iteration's [`BatchSpec`] with per-request token attribution and
 //! tracks every request's lifecycle (see `crate::serving`).
@@ -29,7 +29,7 @@ pub enum SchedulingMode {
 impl SchedulingMode {
     /// KV tokens `request` must reserve against a serving queue's budget
     /// under this discipline — the single definition of the admission
-    /// footprint, shared by [`ServingQueue`](crate::serving::ServingQueue)
+    /// footprint, shared by [`ServingQueue`]
     /// admission and router-side reject prediction
     /// ([`ReplicaSnapshot`](crate::router::ReplicaSnapshot)). The prefill
     /// tier hands the sequence off at first token, so it only ever holds

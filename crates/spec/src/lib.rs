@@ -13,7 +13,7 @@
 //!   mode), an optional [`FleetSpec`] (replicas behind a router), and an
 //!   optional [`SweepSpec`] (axes to expand into a grid of scenarios).
 //! * Everything validates through the single
-//!   [`ConfigError`](moentwine_core::ConfigError) enum — no `assert!`
+//!   [`ConfigError`] enum — no `assert!`
 //!   panics deep inside constructors.
 //! * The tree round-trips losslessly through JSON (schema
 //!   [`SCHEMA`], `moentwine/scenario/v1`): [`ScenarioSpec::to_json`] /

@@ -6,7 +6,7 @@
 //! (see `EngineConfig::backend` in `moentwine-core` and DESIGN.md §5).
 //! Three tiers form the fidelity ladder:
 //!
-//! * [`AnalyticModel`](crate::AnalyticModel) — the closed-form bottleneck
+//! * [`AnalyticModel`] — the closed-form bottleneck
 //!   estimator; `O(flows × hops)`, exact for phase-synchronous
 //!   single-bottleneck schedules, conservative otherwise.
 //! * [`CachedBackend`] over [`FlowSimBackend`] (the `flow-sim-cached` knob)

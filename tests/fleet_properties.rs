@@ -378,7 +378,7 @@ proptest! {
     ///
     /// The ledger must balance under both scheduler drives, any legal
     /// `ReplicaPool` interleaving, and both summary modes (the Exact path
-    /// surgically removes loser records and rewinds feedback cursors).
+    /// also deletes a finished loser's retained record).
     /// Pool interleavings can never change results within a drive; the
     /// two drives resolve races at different sync points and are each
     /// internally deterministic, but are not required to agree with each

@@ -1,9 +1,10 @@
 //! Fleet event-scheduler and streaming-summary contracts (DESIGN.md §10):
 //!
-//! * **Round-driven equivalence** — under `run(rounds)` the event-heap
-//!   scheduler executes each round as a heap-ordered wave over independent
-//!   replicas, so its `FleetSummary` is bit-identical to the lock-step
-//!   reference for every policy, rate, seed, and replica-pool interleaving.
+//! * **Round-driven equivalence** — under `run(rounds)` both schedulers
+//!   step every replica once per round; replicas are independent between
+//!   barriers, so the event-heap `FleetSummary` is bit-identical to the
+//!   lock-step reference for every policy, rate, seed, and replica-pool
+//!   interleaving.
 //! * **Streaming error bounds** — P² percentile sketches track the exact
 //!   oracle within documented rank windows: p50 inside the exact
 //!   [p35, p65], p95 inside [p85, p100], p99 inside [p90, p100], and
