@@ -30,8 +30,12 @@ fn small_model() -> ModelConfig {
 /// The pinned scenario: a 4×4 wafer serving a bursty mixed workload in
 /// hybrid mode with the non-invasive balancer — every subsystem the serving
 /// loop touches (admission, chunked prefill, clock, trigger, migration) is
-/// on the trace.
-fn run_scenario(backend: CongestionBackend) -> (RunSummary, ServingSummary) {
+/// on the trace. `comm_layer_stride` prices the all-to-all on every `k`-th
+/// layer only; the stride-1 scenario is the one the spec file encodes.
+fn run_scenario(
+    backend: CongestionBackend,
+    comm_layer_stride: usize,
+) -> (RunSummary, ServingSummary) {
     let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
     let table = RouteTable::build(&topo);
     let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
@@ -50,6 +54,7 @@ fn run_scenario(backend: CongestionBackend) -> (RunSummary, ServingSummary) {
             iteration_period: 0.02,
         });
     config.kv_hbm_fraction = 1.0e-3;
+    config.comm_layer_stride = comm_layer_stride;
     let mut engine = InferenceEngine::new(&topo, &table, &plan, config);
     let run = engine.run(400);
     (run, engine.serving_summary())
@@ -123,7 +128,7 @@ fn snapshot(run: &RunSummary, serving: &ServingSummary) -> Vec<(String, f64)> {
 }
 
 fn check_golden(backend: CongestionBackend) {
-    let (run, serving) = run_scenario(backend);
+    let (run, serving) = run_scenario(backend, 1);
     moentwine_bench::golden::check_or_bless(
         &golden_dir().join(format!("{}.json", backend.name())),
         &snapshot(&run, &serving),
@@ -147,6 +152,20 @@ fn golden_trace_flow_sim_cached() {
     check_golden(CongestionBackend::FlowSimCached);
 }
 
+/// The layer-stride path: the tiny model's 4 sparse layers at stride 3 price
+/// the all-to-all on layers 0 and 3, and layers 1–2 reuse layer 0's times
+/// while still computing their own device loads.
+#[test]
+fn golden_trace_flow_sim_cached_stride3() {
+    let (run, serving) = run_scenario(CongestionBackend::FlowSimCached, 3);
+    moentwine_bench::golden::check_or_bless(
+        &golden_dir().join("flow-sim-cached_stride3.json"),
+        &snapshot(&run, &serving),
+        "backend flow-sim-cached, comm_layer_stride 3",
+        "GOLDEN_BLESS=1 cargo test --test golden_trace",
+    );
+}
+
 /// The declarative spec layer reproduces the hand-constructed golden
 /// scenario **bit for bit**: `examples/scenarios/single_wafer_serving.json`
 /// encodes exactly the pinned scenario above, and its spec-driven run is
@@ -162,7 +181,7 @@ fn golden_scenario_via_spec_file_matches_hand_construction() {
     let outcome = spec.build().expect("build").run().expect("run");
     let (run, serving) = outcome.as_engine().expect("engine scenario");
 
-    let (hand_run, hand_serving) = run_scenario(CongestionBackend::Analytic);
+    let (hand_run, hand_serving) = run_scenario(CongestionBackend::Analytic, 1);
     assert_eq!(
         *run, hand_run,
         "spec-driven RunSummary must match hand-built"
@@ -185,8 +204,8 @@ fn golden_scenario_via_spec_file_matches_hand_construction() {
 /// cross-toolchain tolerance used against the files).
 #[test]
 fn golden_scenario_is_deterministic_in_process() {
-    let (r1, s1) = run_scenario(CongestionBackend::Analytic);
-    let (r2, s2) = run_scenario(CongestionBackend::Analytic);
+    let (r1, s1) = run_scenario(CongestionBackend::Analytic, 1);
+    let (r2, s2) = run_scenario(CongestionBackend::Analytic, 1);
     assert_eq!(
         moentwine_bench::golden::fields_to_json(&snapshot(&r1, &s1)).pretty(),
         moentwine_bench::golden::fields_to_json(&snapshot(&r2, &s2)).pretty()
