@@ -312,25 +312,8 @@ impl<'a> A2aModel<'a> {
         placement: &ExpertPlacement,
         token_bytes: f64,
     ) -> Vec<(DeviceId, DeviceId, f64)> {
-        assert_eq!(
-            gating.num_groups(),
-            self.num_groups,
-            "gating groups must match layout groups"
-        );
         let num_devices = self.topo.num_devices();
-        let mut volume = vec![0.0f64; self.num_groups * num_devices];
-        for (g, counts) in gating.counts.iter().enumerate() {
-            for (e, &c) in counts.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                let replicas = placement.replicas(e);
-                let share = 1.0 / replicas.len() as f64;
-                for &d in replicas {
-                    volume[g * num_devices + d.index()] += c as f64 * share * token_bytes;
-                }
-            }
-        }
+        let (volume, _, _) = self.volumes_and_loads(gating, placement, Some(token_bytes));
         let mut transfers = Vec::new();
         for g in 0..self.num_groups {
             for d in 0..num_devices {
@@ -350,9 +333,8 @@ impl<'a> A2aModel<'a> {
     }
 
     /// Prices one layer's dispatch and combine with the fast analytical
-    /// backend. Equivalent to [`A2aModel::estimate_with`] over an
-    /// [`AnalyticModel`]; kept as the hot-path spelling the engine's default
-    /// configuration uses.
+    /// backend: shorthand for [`A2aModel::estimate_with`] over an
+    /// [`AnalyticModel`].
     ///
     /// # Panics
     ///
@@ -409,14 +391,13 @@ impl<'a> A2aModel<'a> {
         token_bytes: f64,
         tokens_per_group: u32,
     ) -> A2aEstimate {
-        assert_eq!(
-            gating.num_groups(),
-            self.num_groups,
-            "gating groups must match layout groups"
-        );
         let group_bytes_cap = tokens_per_group as f64 * token_bytes;
-        let (volume, device_tokens, device_active) =
-            self.volumes_and_loads(gating, placement, token_bytes, group_bytes_cap);
+        let (mut volume, device_tokens, device_active) =
+            self.volumes_and_loads(gating, placement, Some(token_bytes));
+        // Per-device dedup cap.
+        for v in &mut volume {
+            *v = v.min(group_bytes_cap);
+        }
         let (dispatch_pairs, combine_pairs) = self.transfer_pairs(&volume, group_bytes_cap);
         A2aEstimate {
             dispatch: backend.price_pairs(self.table, &dispatch_pairs),
@@ -426,17 +407,44 @@ impl<'a> A2aModel<'a> {
         }
     }
 
-    /// Step 1 of pricing: per-(group, device) dispatch volumes (dedup-capped)
-    /// and the per-device token/active-expert loads the compute model needs.
+    /// The per-device token and active-expert loads of one layer: the
+    /// [`A2aEstimate::device_tokens`] and
+    /// [`A2aEstimate::device_active_experts`] that
+    /// [`A2aModel::estimate_with`] would return, without building transfer
+    /// lists or calling a backend. The engine uses it on the layers whose
+    /// all-to-all time it does not price (`comm_layer_stride > 1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gating group count does not match the layout.
+    pub(crate) fn device_loads(
+        &self,
+        gating: &LayerGating,
+        placement: &ExpertPlacement,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let (_, device_tokens, device_active) = self.volumes_and_loads(gating, placement, None);
+        (device_tokens, device_active)
+    }
+
+    /// Step 1 of pricing: expands a gating outcome over `placement` into
+    /// per-device token and active-expert loads and, given `token_bytes`,
+    /// the uncapped per-(group, device) dispatch volumes (empty otherwise).
     fn volumes_and_loads(
         &self,
         gating: &LayerGating,
         placement: &ExpertPlacement,
-        token_bytes: f64,
-        group_bytes_cap: f64,
+        token_bytes: Option<f64>,
     ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        assert_eq!(
+            gating.num_groups(),
+            self.num_groups,
+            "gating groups must match layout groups"
+        );
         let num_devices = self.topo.num_devices();
-        let mut volume = vec![0.0f64; self.num_groups * num_devices];
+        let mut volume = match token_bytes {
+            Some(_) => vec![0.0f64; self.num_groups * num_devices],
+            None => Vec::new(),
+        };
         let mut device_tokens = vec![0.0f64; num_devices];
         let mut device_active = vec![0.0f64; num_devices];
         let mut expert_total = vec![0u64; placement.num_experts()];
@@ -449,7 +457,9 @@ impl<'a> A2aModel<'a> {
                 let replicas = placement.replicas(e);
                 let share = 1.0 / replicas.len() as f64;
                 for &d in replicas {
-                    volume[g * num_devices + d.index()] += c as f64 * share * token_bytes;
+                    if let Some(token_bytes) = token_bytes {
+                        volume[g * num_devices + d.index()] += c as f64 * share * token_bytes;
+                    }
                     device_tokens[d.index()] += c as f64 * share;
                 }
             }
@@ -460,10 +470,6 @@ impl<'a> A2aModel<'a> {
                     device_active[d.index()] += 1.0;
                 }
             }
-        }
-        // Per-device dedup cap.
-        for v in &mut volume {
-            *v = v.min(group_bytes_cap);
         }
         (volume, device_tokens, device_active)
     }

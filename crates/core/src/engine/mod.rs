@@ -133,8 +133,9 @@ pub struct EngineConfig {
     pub max_actions_per_layer: usize,
     /// Master seed.
     pub seed: u64,
-    /// Estimate the all-to-all on every `k`-th layer, reusing between
-    /// (1 = every layer).
+    /// Price the all-to-all on every `k`-th layer only (1 = every layer).
+    /// The layers between reuse the last priced dispatch and combine times:
+    /// they compute their own device loads but never call the backend.
     pub comm_layer_stride: usize,
     /// Micro-batches for communication/compute overlap (PipeMoE-style).
     pub pipeline_microbatches: usize,
@@ -604,29 +605,32 @@ impl<'a> InferenceEngine<'a> {
             metrics.kv_tokens_in_use = kv_tokens_in_use;
         }
         let mut per_layer_loads: Vec<Vec<f64>> = Vec::with_capacity(num_layers);
-        let mut cached_comm: Option<(f64, f64)> = None;
+        // Every layer loads its devices from its own gating; only stride
+        // layers price the all-to-all, and the layers between reuse the last
+        // priced `(dispatch, combine)` times. Layer 0 is always a stride layer.
+        let mut cached_comm = (0.0, 0.0);
         for (l, gating) in trace.layers.iter().enumerate() {
-            let est = self.a2a.estimate_with(
-                self.backend.as_ref(),
-                gating,
-                &self.placements[l],
-                token_bytes,
-                tokens_per_group,
-            );
-            let (dispatch_t, combine_t) = if l % config.comm_layer_stride == 0 {
-                let t = (est.dispatch.total_time, est.combine.total_time);
-                cached_comm = Some(t);
-                t
+            let (device_tokens, device_active) = if l % config.comm_layer_stride == 0 {
+                let est = self.a2a.estimate_with(
+                    self.backend.as_ref(),
+                    gating,
+                    &self.placements[l],
+                    token_bytes,
+                    tokens_per_group,
+                );
+                cached_comm = (est.dispatch.total_time, est.combine.total_time);
+                (est.device_tokens, est.device_active_experts)
             } else {
-                cached_comm.unwrap_or((est.dispatch.total_time, est.combine.total_time))
+                self.a2a.device_loads(gating, &self.placements[l])
             };
+            let (dispatch_t, combine_t) = cached_comm;
 
             // Expert compute: slowest device.
             let mut moe_comp: f64 = 0.0;
             for d in 0..self.topo.num_devices() {
                 let t = config
                     .cost
-                    .moe_device_time(model, est.device_tokens[d], est.device_active_experts[d])
+                    .moe_device_time(model, device_tokens[d], device_active[d])
                     .total();
                 moe_comp = moe_comp.max(t);
             }
@@ -652,8 +656,8 @@ impl<'a> InferenceEngine<'a> {
             metrics.moe_compute += moe_comp;
             metrics.iteration_time += attn_phase + moe_phase;
 
-            let max = est.device_tokens.iter().copied().fold(0.0, f64::max);
-            let mean = est.device_tokens.iter().sum::<f64>() / est.device_tokens.len() as f64;
+            let max = device_tokens.iter().copied().fold(0.0, f64::max);
+            let mean = device_tokens.iter().sum::<f64>() / device_tokens.len() as f64;
             metrics.max_device_tokens += max / num_layers as f64;
             metrics.avg_device_tokens += mean / num_layers as f64;
             metrics.load_ratio += if mean > 0.0 { max / mean } else { 1.0 } / num_layers as f64;
@@ -1107,6 +1111,50 @@ mod tests {
         assert_eq!(des.mean_iteration_time, cached.mean_iteration_time);
         assert_eq!(des.mean_all_to_all, cached.mean_all_to_all);
         assert_eq!(des.mean_all_reduce, cached.mean_all_reduce);
+    }
+
+    #[test]
+    fn layer_stride_changes_pricing_but_never_loads() {
+        // Gating and placements do not depend on the stride (fixed batches,
+        // no balancing), so every layer's loads — and everything derived
+        // from them — must be bit-equal across strides, while the layers
+        // between stride layers reuse the priced all-to-all times.
+        let (topo, table, plan) = fixture();
+        let run = |stride: usize| {
+            let mut config = EngineConfig::new(small_model()).with_seed(11);
+            config.comm_layer_stride = stride;
+            let mut engine = InferenceEngine::new(&topo, &table, &plan, config);
+            engine.run(12);
+            engine.history
+        };
+        let loads = |m: &IterationMetrics| {
+            (
+                m.max_device_tokens.to_bits(),
+                m.avg_device_tokens.to_bits(),
+                m.load_ratio.to_bits(),
+                m.moe_compute.to_bits(),
+            )
+        };
+        let every_layer = run(1);
+        for stride in 2..=5 {
+            let strided = run(stride);
+            assert_eq!(strided.len(), every_layer.len());
+            for (a, b) in every_layer.iter().zip(&strided) {
+                assert_eq!(
+                    loads(a),
+                    loads(b),
+                    "stride {stride}, iteration {}",
+                    a.iteration
+                );
+            }
+            assert!(
+                every_layer
+                    .iter()
+                    .zip(&strided)
+                    .any(|(a, b)| a.dispatch != b.dispatch),
+                "stride {stride} should reuse priced times on some layer"
+            );
+        }
     }
 
     #[test]

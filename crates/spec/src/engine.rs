@@ -160,7 +160,8 @@ pub struct EngineSpec {
     pub slots_per_device: usize,
     /// Cap on replications per layer per balancing event.
     pub max_actions_per_layer: usize,
-    /// Estimate the all-to-all on every `k`-th layer.
+    /// Price the all-to-all on every `k`-th layer only; the layers between
+    /// reuse its times and compute their own device loads.
     pub comm_layer_stride: usize,
     /// Micro-batches for communication/compute overlap.
     pub pipeline_microbatches: usize,
