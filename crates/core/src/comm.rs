@@ -262,6 +262,27 @@ impl A2aEstimate {
 /// [`CongestionModel::price_pairs`].
 type PairList = Vec<(DeviceId, DeviceId, f64)>;
 
+/// One layer's expansion of a gating outcome, in buffers reused across
+/// layers and steps: [`A2aModel::fill_layer`] overwrites every field, so a
+/// caller that keeps one scratch expands layers without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct LayerScratch {
+    /// `[group * D + device]` dispatch bytes, dedup-capped (pricing only).
+    volume: Vec<f64>,
+    /// Expected token load per device (replica shares applied).
+    pub(crate) device_tokens: Vec<f64>,
+    /// Resident experts with non-zero load per device.
+    pub(crate) device_active: Vec<f64>,
+    /// Tokens routed to each expert across all groups.
+    pub(crate) expert_totals: Vec<u64>,
+    /// Dispatch transfers (pricing only).
+    pub(crate) dispatch: PairList,
+    /// Combine transfers: the dispatch pairs reversed (pricing only).
+    pub(crate) combine: PairList,
+    /// Per-node destination buckets of the node-aggregated expansion.
+    per_node: Vec<Vec<usize>>,
+}
+
 /// Analytical all-to-all model with precomputed token-source tables.
 ///
 /// Construction resolves, for every `(group, destination)` pair, where the
@@ -312,24 +333,12 @@ impl<'a> A2aModel<'a> {
         placement: &ExpertPlacement,
         token_bytes: f64,
     ) -> Vec<(DeviceId, DeviceId, f64)> {
-        let num_devices = self.topo.num_devices();
-        let (volume, _, _) = self.volumes_and_loads(gating, placement, Some(token_bytes));
-        let mut transfers = Vec::new();
+        let mut scratch = LayerScratch::default();
+        self.expand(gating, placement, Some(token_bytes), &mut scratch);
         for g in 0..self.num_groups {
-            for d in 0..num_devices {
-                let bytes = volume[g * num_devices + d];
-                if bytes <= 0.0 {
-                    continue;
-                }
-                let dst = DeviceId(d as u32);
-                for source in &self.sources[g * num_devices + d] {
-                    if source.device != dst {
-                        transfers.push((source.device, dst, bytes * source.fraction));
-                    }
-                }
-            }
+            self.flat_pairs(g, &mut scratch);
         }
-        transfers
+        scratch.dispatch
     }
 
     /// Prices one layer's dispatch and combine with the fast analytical
@@ -391,69 +400,90 @@ impl<'a> A2aModel<'a> {
         token_bytes: f64,
         tokens_per_group: u32,
     ) -> A2aEstimate {
-        let group_bytes_cap = tokens_per_group as f64 * token_bytes;
-        let (mut volume, device_tokens, device_active) =
-            self.volumes_and_loads(gating, placement, Some(token_bytes));
-        // Per-device dedup cap.
-        for v in &mut volume {
-            *v = v.min(group_bytes_cap);
-        }
-        let (dispatch_pairs, combine_pairs) = self.transfer_pairs(&volume, group_bytes_cap);
+        let mut scratch = LayerScratch::default();
+        self.fill_layer(
+            gating,
+            placement,
+            Some((token_bytes, tokens_per_group)),
+            &mut scratch,
+        );
         A2aEstimate {
-            dispatch: backend.price_pairs(self.table, &dispatch_pairs),
-            combine: backend.price_pairs(self.table, &combine_pairs),
-            device_tokens,
-            device_active_experts: device_active,
+            dispatch: backend.price_pairs(self.table, &scratch.dispatch),
+            combine: backend.price_pairs(self.table, &scratch.combine),
+            device_tokens: scratch.device_tokens,
+            device_active_experts: scratch.device_active,
         }
     }
 
-    /// The per-device token and active-expert loads of one layer: the
-    /// [`A2aEstimate::device_tokens`] and
-    /// [`A2aEstimate::device_active_experts`] that
-    /// [`A2aModel::estimate_with`] would return, without building transfer
-    /// lists or calling a backend. The engine uses it on the layers whose
-    /// all-to-all time it does not price (`comm_layer_stride > 1`).
+    /// Expands one layer's gating outcome over `placement` into `scratch`:
+    /// the per-device loads and per-expert totals always, and, given
+    /// `pricing = Some((token_bytes, tokens_per_group))`, the dispatch and
+    /// combine transfer lists [`A2aModel::estimate_with`] prices. With
+    /// `None` the transfer lists are left empty; the engine passes `None`
+    /// on the layers whose all-to-all it does not price
+    /// (`comm_layer_stride > 1`).
     ///
     /// # Panics
     ///
     /// Panics if the gating group count does not match the layout.
-    pub(crate) fn device_loads(
+    pub(crate) fn fill_layer(
         &self,
         gating: &LayerGating,
         placement: &ExpertPlacement,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let (_, device_tokens, device_active) = self.volumes_and_loads(gating, placement, None);
-        (device_tokens, device_active)
+        pricing: Option<(f64, u32)>,
+        scratch: &mut LayerScratch,
+    ) {
+        self.expand(gating, placement, pricing.map(|(b, _)| b), scratch);
+        scratch.dispatch.clear();
+        scratch.combine.clear();
+        let Some((token_bytes, tokens_per_group)) = pricing else {
+            return;
+        };
+        let group_bytes_cap = tokens_per_group as f64 * token_bytes;
+        // Per-device dedup cap.
+        for v in &mut scratch.volume {
+            *v = v.min(group_bytes_cap);
+        }
+        self.transfer_pairs(group_bytes_cap, scratch);
     }
 
     /// Step 1 of pricing: expands a gating outcome over `placement` into
-    /// per-device token and active-expert loads and, given `token_bytes`,
-    /// the uncapped per-(group, device) dispatch volumes (empty otherwise).
-    fn volumes_and_loads(
+    /// per-device token and active-expert loads, per-expert totals and,
+    /// given `token_bytes`, the uncapped per-(group, device) dispatch
+    /// volumes (left empty otherwise).
+    fn expand(
         &self,
         gating: &LayerGating,
         placement: &ExpertPlacement,
         token_bytes: Option<f64>,
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        scratch: &mut LayerScratch,
+    ) {
         assert_eq!(
             gating.num_groups(),
             self.num_groups,
             "gating groups must match layout groups"
         );
         let num_devices = self.topo.num_devices();
-        let mut volume = match token_bytes {
-            Some(_) => vec![0.0f64; self.num_groups * num_devices],
-            None => Vec::new(),
-        };
-        let mut device_tokens = vec![0.0f64; num_devices];
-        let mut device_active = vec![0.0f64; num_devices];
-        let mut expert_total = vec![0u64; placement.num_experts()];
+        let LayerScratch {
+            volume,
+            device_tokens,
+            device_active,
+            expert_totals,
+            ..
+        } = scratch;
+        reset(
+            volume,
+            token_bytes.map_or(0, |_| self.num_groups * num_devices),
+        );
+        reset(device_tokens, num_devices);
+        reset(device_active, num_devices);
+        reset(expert_totals, placement.num_experts());
         for (g, counts) in gating.counts.iter().enumerate() {
             for (e, &c) in counts.iter().enumerate() {
                 if c == 0 {
                     continue;
                 }
-                expert_total[e] += c as u64;
+                expert_totals[e] += c as u64;
                 let replicas = placement.replicas(e);
                 let share = 1.0 / replicas.len() as f64;
                 for &d in replicas {
@@ -464,53 +494,52 @@ impl<'a> A2aModel<'a> {
                 }
             }
         }
-        for (e, &total) in expert_total.iter().enumerate() {
+        for (e, &total) in expert_totals.iter().enumerate() {
             if total > 0 {
                 for &d in placement.replicas(e) {
                     device_active[d.index()] += 1.0;
                 }
             }
         }
-        (volume, device_tokens, device_active)
     }
 
-    /// Step 2 of pricing: expands per-(group, device) volumes into the
+    /// Step 2 of pricing: expands the per-(group, device) volumes into the
     /// explicit dispatch and combine transfer lists through the source
     /// table, applying node aggregation on hierarchical fabrics.
-    fn transfer_pairs(&self, volume: &[f64], group_bytes_cap: f64) -> (PairList, PairList) {
-        let num_devices = self.topo.num_devices();
-        let mut dispatch = Vec::new();
-        let mut combine = Vec::new();
+    fn transfer_pairs(&self, group_bytes_cap: f64, scratch: &mut LayerScratch) {
         for g in 0..self.num_groups {
-            let group_volume = &volume[g * num_devices..(g + 1) * num_devices];
             match &self.nodes {
-                Some(nodes) => self.hierarchical_pairs(
-                    g,
-                    group_volume,
-                    nodes,
-                    group_bytes_cap,
-                    &mut dispatch,
-                    &mut combine,
-                ),
-                None => {
-                    for (d, &bytes) in group_volume.iter().enumerate() {
-                        if bytes <= 0.0 {
-                            continue;
-                        }
-                        let dst = DeviceId(d as u32);
-                        for source in &self.sources[g * num_devices + d] {
-                            if source.device == dst {
-                                continue;
-                            }
-                            let part = bytes * source.fraction;
-                            dispatch.push((source.device, dst, part));
-                            combine.push((dst, source.device, part));
-                        }
-                    }
-                }
+                Some(nodes) => self.hierarchical_pairs(g, nodes, group_bytes_cap, scratch),
+                None => self.flat_pairs(g, scratch),
             }
         }
-        (dispatch, combine)
+    }
+
+    /// Direct transfer expansion for one group: every source of every
+    /// loaded destination sends its fraction of the group's volume there.
+    fn flat_pairs(&self, g: usize, scratch: &mut LayerScratch) {
+        let num_devices = self.topo.num_devices();
+        let LayerScratch {
+            volume,
+            dispatch,
+            combine,
+            ..
+        } = scratch;
+        let group_volume = &volume[g * num_devices..(g + 1) * num_devices];
+        for (d, &bytes) in group_volume.iter().enumerate() {
+            if bytes <= 0.0 {
+                continue;
+            }
+            let dst = DeviceId(d as u32);
+            for source in &self.sources[g * num_devices + d] {
+                if source.device == dst {
+                    continue;
+                }
+                let part = bytes * source.fraction;
+                dispatch.push((source.device, dst, part));
+                combine.push((dst, source.device, part));
+            }
+        }
     }
 
     /// Node-aggregated transfer expansion for one group on a hierarchical
@@ -518,18 +547,27 @@ impl<'a> A2aModel<'a> {
     fn hierarchical_pairs(
         &self,
         g: usize,
-        volume: &[f64],
         nodes: &[u16],
         group_bytes_cap: f64,
-        dispatch: &mut PairList,
-        combine: &mut PairList,
+        scratch: &mut LayerScratch,
     ) {
         let num_devices = self.topo.num_devices();
+        let LayerScratch {
+            volume,
+            dispatch,
+            combine,
+            per_node,
+            ..
+        } = scratch;
+        let volume = &volume[g * num_devices..(g + 1) * num_devices];
         // The cluster source table always has a single nearest source.
         let source_of = |d: usize| self.sources[g * num_devices + d][0].device;
         // Partition destinations by node.
         let max_node = nodes.iter().copied().max().unwrap_or(0) as usize;
-        let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); max_node + 1];
+        per_node.resize_with(max_node + 1, Vec::new);
+        for bucket in per_node.iter_mut() {
+            bucket.clear();
+        }
         for (d, &bytes) in volume.iter().enumerate() {
             if bytes > 0.0 {
                 per_node[nodes[d] as usize].push(d);
@@ -567,6 +605,12 @@ impl<'a> A2aModel<'a> {
             }
         }
     }
+}
+
+/// Clears `v` and refills it with `len` zeros, keeping its allocation.
+fn reset<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    v.clear();
+    v.resize(len, T::default());
 }
 
 #[cfg(test)]

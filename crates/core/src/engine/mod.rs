@@ -27,8 +27,8 @@ pub use sketch::{P2Quantile, StreamingSummary, SummaryMode};
 
 use moe_model::{CostModel, InferencePhase, ModelConfig, Precision};
 use moe_workload::{
-    BatchScheduler, ClassPolicy, ClassSpec, RequestClass, RequestGenerator, RequestRecord,
-    SchedulingMode, TraceGenerator, WorkloadMix, WorkloadProfile,
+    BatchScheduler, ClassPolicy, ClassSpec, IterationTrace, RequestClass, RequestGenerator,
+    RequestRecord, SchedulingMode, TraceGenerator, WorkloadMix, WorkloadProfile,
 };
 use serde::{Deserialize, Serialize};
 use wsc_sim::{CongestionBackend, CongestionModel};
@@ -38,7 +38,7 @@ use crate::balancer::{
     cumulative_imbalance, BalanceAction, BalanceContext, Balancer, BalancerKind, GreedyBalancer,
     TopologyAwareBalancer, Trigger,
 };
-use crate::comm::{A2aModel, ParallelLayout};
+use crate::comm::{A2aModel, LayerScratch, ParallelLayout};
 use crate::config::ConfigError;
 use crate::migration::{enqueue_replications, invasive_stall, MigrationEngine, MigrationPhase};
 use crate::placement::ExpertPlacement;
@@ -289,6 +289,11 @@ pub struct InferenceEngine<'a> {
     backend: Box<dyn CongestionModel + 'a>,
     a2a: A2aModel<'a>,
     trace: TraceGenerator,
+    /// The current step's gating outcomes, overwritten in place each step.
+    gating: IterationTrace,
+    /// One layer's loads and transfer lists, reused across layers and
+    /// steps.
+    scratch: LayerScratch,
     scheduler: Option<BatchScheduler>,
     placements: Vec<ExpertPlacement>,
     /// `[layer][expert]` smoothed historical loads.
@@ -485,6 +490,12 @@ impl<'a> InferenceEngine<'a> {
             backend,
             a2a,
             trace,
+            gating: IterationTrace {
+                iteration: 0,
+                weights: Vec::new(),
+                layers: Vec::new(),
+            },
+            scratch: LayerScratch::default(),
             scheduler,
             placements,
             loads: vec![vec![0.0; num_experts]; num_layers],
@@ -581,7 +592,7 @@ impl<'a> InferenceEngine<'a> {
             }
         };
         self.trace.set_tokens_per_group(tokens_per_group);
-        let trace = self.trace.next_iteration();
+        self.trace.next_iteration_into(&mut self.gating);
 
         // 2. Attention phase costs (identical across layers).
         let attn =
@@ -604,26 +615,35 @@ impl<'a> InferenceEngine<'a> {
             metrics.active_requests = active_requests;
             metrics.kv_tokens_in_use = kv_tokens_in_use;
         }
-        let mut per_layer_loads: Vec<Vec<f64>> = Vec::with_capacity(num_layers);
+        // The Eq. 2 trigger's per-layer device loads (balanced runs only).
+        let balanced = self.balancer.is_some();
+        let mut per_layer_loads: Vec<Vec<f64>> =
+            Vec::with_capacity(if balanced { num_layers } else { 0 });
         // Every layer loads its devices from its own gating; only stride
         // layers price the all-to-all, and the layers between reuse the last
         // priced `(dispatch, combine)` times. Layer 0 is always a stride layer.
         let mut cached_comm = (0.0, 0.0);
-        for (l, gating) in trace.layers.iter().enumerate() {
-            let (device_tokens, device_active) = if l % config.comm_layer_stride == 0 {
-                let est = self.a2a.estimate_with(
-                    self.backend.as_ref(),
+        for (l, gating) in self.gating.layers.iter().enumerate() {
+            if l % config.comm_layer_stride == 0 {
+                self.a2a.fill_layer(
                     gating,
                     &self.placements[l],
-                    token_bytes,
-                    tokens_per_group,
+                    Some((token_bytes, tokens_per_group)),
+                    &mut self.scratch,
                 );
-                cached_comm = (est.dispatch.total_time, est.combine.total_time);
-                (est.device_tokens, est.device_active_experts)
+                cached_comm = (
+                    self.backend
+                        .price_pairs_time(self.table, &self.scratch.dispatch),
+                    self.backend
+                        .price_pairs_time(self.table, &self.scratch.combine),
+                );
             } else {
-                self.a2a.device_loads(gating, &self.placements[l])
-            };
+                self.a2a
+                    .fill_layer(gating, &self.placements[l], None, &mut self.scratch);
+            }
             let (dispatch_t, combine_t) = cached_comm;
+            let device_tokens = &self.scratch.device_tokens;
+            let device_active = &self.scratch.device_active;
 
             // Expert compute: slowest device.
             let mut moe_comp: f64 = 0.0;
@@ -636,7 +656,7 @@ impl<'a> InferenceEngine<'a> {
             }
             // Shared experts run where the tokens live.
             if model.num_shared_experts > 0 {
-                let local_tokens = trace.layers[l].total_selections() as f64
+                let local_tokens = gating.total_selections() as f64
                     / model.experts_per_token as f64
                     / self.topo.num_devices() as f64;
                 moe_comp += config
@@ -681,12 +701,13 @@ impl<'a> InferenceEngine<'a> {
             }
 
             // Historical loads (EMA).
-            let totals = gating.expert_totals();
             let ema = config.load_ema;
-            for (slot, &t) in self.loads[l].iter_mut().zip(&totals) {
+            for (slot, &t) in self.loads[l].iter_mut().zip(&self.scratch.expert_totals) {
                 *slot = (1.0 - ema) * *slot + ema * t as f64;
             }
-            per_layer_loads.push(self.placements[l].device_loads(&self.loads[l]));
+            if balanced {
+                per_layer_loads.push(self.placements[l].device_loads(&self.loads[l]));
+            }
         }
 
         // 4. Balancing trigger (Eq. 2) and execution.

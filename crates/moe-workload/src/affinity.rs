@@ -119,21 +119,40 @@ impl AffinityModel {
     /// normalised internally; zero-total weights produce a uniform
     /// distribution.
     pub fn mixed_distribution(&self, layer: usize, weights: &[(Scenario, f64)]) -> Vec<f64> {
+        let mut mixed = Vec::new();
+        self.mixed_distribution_into(layer, weights, &mut mixed);
+        mixed
+    }
+
+    /// [`AffinityModel::mixed_distribution`] written into `out`, reusing its
+    /// allocation. `out` is overwritten with exactly `num_experts` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range and the weights have positive
+    /// total.
+    pub fn mixed_distribution_into(
+        &self,
+        layer: usize,
+        weights: &[(Scenario, f64)],
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
         let total: f64 = weights.iter().map(|(_, w)| w.max(0.0)).sum();
         if total <= 0.0 {
-            return vec![1.0 / self.num_experts as f64; self.num_experts];
+            out.resize(self.num_experts, 1.0 / self.num_experts as f64);
+            return;
         }
-        let mut mixed = vec![0.0; self.num_experts];
+        out.resize(self.num_experts, 0.0);
         for &(scenario, w) in weights {
             let w = w.max(0.0) / total;
             if w == 0.0 {
                 continue;
             }
-            for (m, p) in mixed.iter_mut().zip(self.distribution(layer, scenario)) {
+            for (m, p) in out.iter_mut().zip(self.distribution(layer, scenario)) {
                 *m += w * p;
             }
         }
-        mixed
     }
 
     /// A perfectly uniform distribution (the "balanced gating" ablation of
@@ -207,5 +226,31 @@ mod tests {
         let d = m.mixed_distribution(0, &[]);
         assert!(d.iter().all(|&p| (p - 0.1).abs() < 1e-12));
         assert_eq!(m.uniform(), d);
+    }
+
+    #[test]
+    fn mixed_distribution_into_matches_allocating_form() {
+        let m = AffinityModel::new(3, 24, 8);
+        let mixes: [&[(Scenario, f64)]; 5] = [
+            &[(Scenario::Math, 1.0)],
+            &[(Scenario::Chat, 1.0), (Scenario::Privacy, 1.0)],
+            &[
+                (Scenario::Coding, 0.3),
+                (Scenario::Math, -2.0),
+                (Scenario::Chat, 0.7),
+            ],
+            &[(Scenario::Chat, 0.0)],
+            &[],
+        ];
+        // One reused buffer, dirtied by every previous call.
+        let mut out = vec![f64::NAN; 50];
+        for layer in 0..3 {
+            for weights in mixes {
+                m.mixed_distribution_into(layer, weights, &mut out);
+                let expect = m.mixed_distribution(layer, weights);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&expect), "layer {layer} {weights:?}");
+            }
+        }
     }
 }

@@ -8,9 +8,11 @@ use rand::Rng;
 /// Counts are drawn from the multinomial distribution over `tokens × top_k`
 /// selections (via the conditional-binomial decomposition) and then repaired
 /// so that no expert exceeds `tokens` — the top-k-without-replacement
-/// constraint. The repair step redistributes the overflow to the remaining
-/// experts proportionally, which only triggers for extremely skewed
-/// distributions.
+/// constraint. The repair step hands the overflow out one selection at a
+/// time, round-robin over the experts with spare capacity in
+/// descending-probability order (ties by index). It triggers whenever one
+/// expert draws more selections than there are tokens: under strongly
+/// skewed distributions, or when a batch has only a few tokens.
 ///
 /// Returns a vector of length `dist.len()` summing to `tokens * top_k`.
 ///
@@ -36,16 +38,37 @@ pub fn sample_gating_counts<R: Rng>(
     tokens: u32,
     top_k: u32,
 ) -> Vec<u32> {
+    let mut counts = vec![0u32; dist.len()];
+    sample_gating_counts_into(rng, dist, tokens, top_k, &mut counts, &mut Vec::new());
+    counts
+}
+
+/// [`sample_gating_counts`] written into `counts` (one slot per expert),
+/// with `order` as reusable scratch for the cap repair, so a caller that
+/// keeps both buffers samples without allocating.
+///
+/// # Panics
+///
+/// As [`sample_gating_counts`]; also if `counts.len() != dist.len()`.
+pub(crate) fn sample_gating_counts_into<R: Rng>(
+    rng: &mut R,
+    dist: &[f64],
+    tokens: u32,
+    top_k: u32,
+    counts: &mut [u32],
+    order: &mut Vec<usize>,
+) {
     assert!(
         (top_k as usize) <= dist.len(),
         "top_k={} exceeds expert count {}",
         top_k,
         dist.len()
     );
+    assert_eq!(counts.len(), dist.len(), "one count slot per expert");
     let total_p: f64 = dist.iter().sum();
     assert!(total_p > 0.0, "distribution must have positive mass");
 
-    let mut counts = vec![0u32; dist.len()];
+    counts.fill(0);
     let mut remaining_trials = tokens as u64 * top_k as u64;
     let mut remaining_mass = total_p;
     for (e, &p) in dist.iter().enumerate() {
@@ -81,11 +104,12 @@ pub fn sample_gating_counts<R: Rng>(
     if overflow > 0 {
         // Round-robin the overflow into experts with spare capacity,
         // preferring higher-probability ones (stable order).
-        let mut order: Vec<usize> = (0..dist.len()).collect();
+        order.clear();
+        order.extend(0..dist.len());
         order.sort_by(|&a, &b| dist[b].partial_cmp(&dist[a]).unwrap().then(a.cmp(&b)));
         'outer: loop {
             let mut progressed = false;
-            for &e in &order {
+            for &e in order.iter() {
                 if overflow == 0 {
                     break 'outer;
                 }
@@ -100,7 +124,6 @@ pub fn sample_gating_counts<R: Rng>(
             }
         }
     }
-    counts
 }
 
 /// Samples from Binomial(n, p) — exact Bernoulli summation for small `n`,

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use moe_model::ModelConfig;
 
 use crate::affinity::AffinityModel;
-use crate::gating::sample_gating_counts;
+use crate::gating::sample_gating_counts_into;
 use crate::scenario::Scenario;
 
 /// How scenario weights evolve over the lifetime of a trace.
@@ -36,7 +36,10 @@ impl WorkloadMix {
         }
     }
 
-    /// Scenario weights at `iteration` (normalised to sum to 1).
+    /// Scenario weights at `iteration`. `Fixed` yields weight 1 and
+    /// `Cycling` weights sum to 1; `Blend` weights are returned as given,
+    /// unnormalised. Consumers that need a distribution (e.g.
+    /// [`AffinityModel::mixed_distribution`]) normalise them themselves.
     pub fn weights(&self, iteration: u64) -> Vec<(Scenario, f64)> {
         match self {
             WorkloadMix::Fixed(s) => vec![(*s, 1.0)],
@@ -122,6 +125,14 @@ pub struct TraceGenerator {
     rng: rand::rngs::StdRng,
     iteration: u64,
     uniform: bool,
+    /// Sampling distributions cached across iterations: one mixed
+    /// distribution per layer, or a single uniform one under uniform
+    /// gating.
+    dists: Vec<Vec<f64>>,
+    /// The weights `dists` were mixed for (`None` until first use).
+    dist_weights: Option<Vec<(Scenario, f64)>>,
+    /// Scratch for the sampler's cap repair.
+    order: Vec<usize>,
 }
 
 impl TraceGenerator {
@@ -153,6 +164,9 @@ impl TraceGenerator {
             rng: rand::rngs::StdRng::seed_from_u64(seed.wrapping_mul(0xA24B_AED4_963E_E407)),
             iteration: 0,
             uniform: false,
+            dists: Vec::new(),
+            dist_weights: None,
+            order: Vec::new(),
         }
     }
 
@@ -185,32 +199,78 @@ impl TraceGenerator {
 
     /// Generates the next iteration's gating trace.
     pub fn next_iteration(&mut self) -> IterationTrace {
-        let weights = self.mix.weights(self.iteration);
-        let uniform_dist = self.uniform.then(|| self.affinity.uniform());
-        let mut layers = Vec::with_capacity(self.affinity.num_layers());
-        for layer in 0..self.affinity.num_layers() {
-            let mixed;
-            let dist: &[f64] = match &uniform_dist {
-                Some(u) => u,
-                None => {
-                    mixed = self.affinity.mixed_distribution(layer, &weights);
-                    &mixed
-                }
-            };
-            let counts = (0..self.num_groups)
-                .map(|_| {
-                    sample_gating_counts(&mut self.rng, dist, self.tokens_per_group, self.top_k)
-                })
-                .collect();
-            layers.push(LayerGating { counts });
-        }
-        let trace = IterationTrace {
-            iteration: self.iteration,
-            weights,
-            layers,
+        let mut trace = IterationTrace {
+            iteration: 0,
+            weights: Vec::new(),
+            layers: Vec::new(),
         };
-        self.iteration += 1;
+        self.next_iteration_into(&mut trace);
         trace
+    }
+
+    /// Generates the next iteration's gating trace into `trace`, reusing
+    /// its per-layer and per-group count vectors. Draws exactly what
+    /// [`TraceGenerator::next_iteration`] draws, so the two are
+    /// interchangeable call for call.
+    ///
+    /// The per-layer mixed distributions are cached and recomputed only
+    /// when the mix weights change (every iteration for
+    /// [`WorkloadMix::Cycling`], once for `Fixed` and `Blend`), so a caller
+    /// reusing one trace samples without allocating per layer.
+    pub fn next_iteration_into(&mut self, trace: &mut IterationTrace) {
+        let weights = self.mix.weights(self.iteration);
+        self.refresh_dists(&weights);
+        let num_layers = self.affinity.num_layers();
+        let num_experts = self.affinity.num_experts();
+        trace
+            .layers
+            .resize_with(num_layers, || LayerGating { counts: Vec::new() });
+        for (layer, gating) in trace.layers.iter_mut().enumerate() {
+            let dist = &self.dists[if self.uniform { 0 } else { layer }];
+            gating.counts.resize_with(self.num_groups, Vec::new);
+            for counts in &mut gating.counts {
+                counts.resize(num_experts, 0);
+                sample_gating_counts_into(
+                    &mut self.rng,
+                    dist,
+                    self.tokens_per_group,
+                    self.top_k,
+                    counts,
+                    &mut self.order,
+                );
+            }
+        }
+        trace.iteration = self.iteration;
+        trace.weights = weights;
+        self.iteration += 1;
+    }
+
+    /// Brings the cached sampling distributions up to date for `weights`.
+    fn refresh_dists(&mut self, weights: &[(Scenario, f64)]) {
+        if self.uniform {
+            if self.dists.is_empty() {
+                self.dists.push(self.affinity.uniform());
+            }
+            return;
+        }
+        // Bitwise, so the cache never hides a change `==` would miss.
+        let unchanged = self.dist_weights.as_deref().is_some_and(|cached| {
+            cached.len() == weights.len()
+                && cached
+                    .iter()
+                    .zip(weights)
+                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+        });
+        if unchanged {
+            return;
+        }
+        self.dists.resize_with(self.affinity.num_layers(), Vec::new);
+        for (layer, dist) in self.dists.iter_mut().enumerate() {
+            self.affinity.mixed_distribution_into(layer, weights, dist);
+        }
+        let cached = self.dist_weights.get_or_insert_with(Vec::new);
+        cached.clear();
+        cached.extend_from_slice(weights);
     }
 }
 
@@ -296,6 +356,75 @@ mod tests {
         let mean = totals.iter().sum::<u64>() as f64 / totals.len() as f64;
         for &t in &totals {
             assert!((t as f64 - mean).abs() < 0.35 * mean, "{t} vs {mean}");
+        }
+    }
+
+    /// The generator loop without the distribution cache: every layer's
+    /// distribution is mixed afresh and every count vector is new.
+    fn uncached_iteration(gen: &mut TraceGenerator) -> IterationTrace {
+        let weights = gen.mix.weights(gen.iteration);
+        let layers = (0..gen.affinity.num_layers())
+            .map(|layer| {
+                let dist = if gen.uniform {
+                    gen.affinity.uniform()
+                } else {
+                    gen.affinity.mixed_distribution(layer, &weights)
+                };
+                let counts = (0..gen.num_groups)
+                    .map(|_| {
+                        crate::sample_gating_counts(
+                            &mut gen.rng,
+                            &dist,
+                            gen.tokens_per_group,
+                            gen.top_k,
+                        )
+                    })
+                    .collect();
+                LayerGating { counts }
+            })
+            .collect();
+        let trace = IterationTrace {
+            iteration: gen.iteration,
+            weights,
+            layers,
+        };
+        gen.iteration += 1;
+        trace
+    }
+
+    #[test]
+    fn next_iteration_into_matches_uncached_generation() {
+        let mixes = [
+            WorkloadMix::Fixed(Scenario::Coding),
+            WorkloadMix::Blend(vec![(Scenario::Chat, 1.0), (Scenario::Privacy, 1.0)]),
+            WorkloadMix::mixed(7.0),
+        ];
+        for uniform in [false, true] {
+            for mix in &mixes {
+                let mk = || {
+                    let gen = TraceGenerator::new(&config(), mix.clone(), 3, 16, 21);
+                    if uniform {
+                        gen.with_uniform_gating()
+                    } else {
+                        gen
+                    }
+                };
+                let (mut reference, mut fresh, mut reused) = (mk(), mk(), mk());
+                let mut buffer = reused.next_iteration();
+                fresh.next_iteration();
+                uncached_iteration(&mut reference);
+                // Token counts from 1 (cap repair on most layers) to 64.
+                for (i, tokens) in [1, 64, 3, 1, 17, 2, 64, 5].into_iter().enumerate() {
+                    for gen in [&mut reference, &mut fresh, &mut reused] {
+                        gen.set_tokens_per_group(tokens);
+                    }
+                    reused.next_iteration_into(&mut buffer);
+                    let expect = uncached_iteration(&mut reference);
+                    let case = format!("{mix:?} uniform={uniform} call {i}");
+                    assert_eq!(buffer, expect, "{case}: reused buffer");
+                    assert_eq!(fresh.next_iteration(), expect, "{case}: fresh trace");
+                }
+            }
         }
     }
 

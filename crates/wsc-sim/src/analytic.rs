@@ -1,5 +1,7 @@
 //! Closed-form congestion estimation.
 
+use std::cell::RefCell;
+
 use serde::{Deserialize, Serialize};
 use wsc_topology::{DeviceId, Route, RouteTable, Topology};
 
@@ -72,12 +74,24 @@ impl AnalyticEstimate {
 #[derive(Debug)]
 pub struct AnalyticModel<'a> {
     topo: &'a Topology,
+    /// Reused buffers of [`AnalyticModel::pairs_total_time`].
+    scratch: RefCell<LinkScratch>,
+}
+
+/// Per-link volumes (all zero between calls) and the links a call touched.
+#[derive(Debug, Default)]
+struct LinkScratch {
+    volume: Vec<f64>,
+    touched: Vec<usize>,
 }
 
 impl<'a> AnalyticModel<'a> {
     /// Creates a model over `topo`.
     pub fn new(topo: &'a Topology) -> Self {
-        AnalyticModel { topo }
+        AnalyticModel {
+            topo,
+            scratch: RefCell::default(),
+        }
     }
 
     /// The topology being modelled.
@@ -147,6 +161,45 @@ impl<'a> AnalyticModel<'a> {
             .fold(0.0, f64::max);
         est.total_time = est.serialization_time + est.latency_time;
         est
+    }
+
+    /// The `total_time` of [`AnalyticModel::estimate_pairs`], bit for bit,
+    /// without building an estimate: link volumes accumulate in a reused
+    /// buffer and the bottleneck fold visits only the links the pairs touch
+    /// (an untouched link adds exactly 0 to a max that starts at 0).
+    pub(crate) fn pairs_total_time(
+        &self,
+        table: &RouteTable,
+        pairs: &[(DeviceId, DeviceId, f64)],
+    ) -> f64 {
+        let mut scratch = self.scratch.borrow_mut();
+        let LinkScratch { volume, touched } = &mut *scratch;
+        volume.resize(self.topo.num_links(), 0.0);
+        let mut latency_time = 0.0_f64;
+        for &(src, dst, bytes) in pairs {
+            if bytes <= 0.0 {
+                continue;
+            }
+            let route = table.route(src, dst);
+            let mut lat = 0.0;
+            for &l in route.links() {
+                let v = &mut volume[l.index()];
+                if *v == 0.0 {
+                    touched.push(l.index());
+                }
+                *v += bytes;
+                lat += self.topo.link(l).latency;
+            }
+            latency_time = latency_time.max(lat);
+        }
+        let links = self.topo.links();
+        let mut serialization_time = 0.0_f64;
+        for &l in touched.iter() {
+            serialization_time = serialization_time.max(volume[l] / links[l].bandwidth);
+            volume[l] = 0.0;
+        }
+        touched.clear();
+        serialization_time + latency_time
     }
 
     /// Estimates a phased schedule: phases are sequential, so their

@@ -155,6 +155,13 @@ pub trait CongestionModel: Send {
         pairs: &[(DeviceId, DeviceId, f64)],
     ) -> AnalyticEstimate;
 
+    /// The `total_time` of [`CongestionModel::price_pairs`], bit for bit.
+    /// Callers that need only the time use this so a backend can skip
+    /// building the full estimate; the default prices the full estimate.
+    fn price_pairs_time(&self, table: &RouteTable, pairs: &[(DeviceId, DeviceId, f64)]) -> f64 {
+        self.price_pairs(table, pairs).total_time
+    }
+
     /// Prices a phased schedule; phases are barrier-separated, so their
     /// estimates compose sequentially.
     fn price_schedule(&self, schedule: &FlowSchedule) -> AnalyticEstimate {
@@ -204,6 +211,10 @@ impl CongestionModel for AnalyticModel<'_> {
         pairs: &[(DeviceId, DeviceId, f64)],
     ) -> AnalyticEstimate {
         self.estimate_pairs(table, pairs.iter().copied())
+    }
+
+    fn price_pairs_time(&self, table: &RouteTable, pairs: &[(DeviceId, DeviceId, f64)]) -> f64 {
+        self.pairs_total_time(table, pairs)
     }
 
     fn price_schedule(&self, schedule: &FlowSchedule) -> AnalyticEstimate {

@@ -341,4 +341,51 @@ proptest! {
             .fold(0.0, f64::max);
         prop_assert!(after <= before * (1.0 + 1e-9), "{after} > {before}");
     }
+
+    /// `price_pairs_time` is bit-identical to `price_pairs(..).total_time`
+    /// on every fidelity tier, on mesh and cluster fabrics, for pair lists
+    /// with zero-byte, negative-byte and duplicate entries. Each model
+    /// instance prices several lists in a row, so scratch state left over
+    /// from one call would show in the next.
+    #[test]
+    fn price_pairs_time_matches_price_pairs(seed in 0u64..1000) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9A1E);
+        let topo = if seed % 2 == 0 {
+            Mesh::new(4, PlatformParams::dojo_like()).build()
+        } else {
+            DgxCluster::new(2, PlatformParams::dgx_b200()).build()
+        };
+        let table = RouteTable::build(&topo);
+        let n = topo.num_devices() as u32;
+        for backend in CongestionBackend::all() {
+            let model = backend.build(&topo);
+            for round in 0..4 {
+                let mut pairs: Vec<(DeviceId, DeviceId, f64)> = Vec::new();
+                for _ in 0..rng.gen_range(0usize..24) {
+                    let pair = match rng.gen_range(0u32..8) {
+                        0 if !pairs.is_empty() => pairs[rng.gen_range(0..pairs.len())],
+                        kind => {
+                            let src = rng.gen_range(0..n);
+                            let dst = (src + rng.gen_range(1..n)) % n;
+                            let bytes = match kind {
+                                1 => 0.0,
+                                2 => -rng.gen_range(1.0f64..1.0e6),
+                                _ => rng.gen_range(1.0..5.0e7),
+                            };
+                            (DeviceId(src), DeviceId(dst), bytes)
+                        }
+                    };
+                    pairs.push(pair);
+                }
+                let time = model.price_pairs_time(&table, &pairs);
+                let full = model.price_pairs(&table, &pairs).total_time;
+                prop_assert_eq!(
+                    time.to_bits(),
+                    full.to_bits(),
+                    "{backend} round {round}: {time} vs {full}"
+                );
+            }
+        }
+    }
 }
