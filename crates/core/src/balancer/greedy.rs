@@ -2,7 +2,7 @@
 
 use wsc_topology::DeviceId;
 
-use super::{device_heats, stale_replicas, BalanceAction, BalanceContext, Balancer};
+use super::{BalanceAction, BalanceContext, Balancer, PlanScratch};
 
 /// Greedy balancing as done by EPLB and FasterMoE-style systems: repeatedly
 /// replicate the globally hottest per-replica expert onto the globally
@@ -34,6 +34,7 @@ use super::{device_heats, stale_replicas, BalanceAction, BalanceContext, Balance
 pub struct GreedyBalancer {
     max_actions_per_layer: usize,
     release_threshold: f64,
+    scratch: PlanScratch,
 }
 
 impl GreedyBalancer {
@@ -43,6 +44,7 @@ impl GreedyBalancer {
         GreedyBalancer {
             max_actions_per_layer,
             release_threshold: 0.05,
+            scratch: PlanScratch::default(),
         }
     }
 
@@ -56,23 +58,11 @@ impl GreedyBalancer {
 
 impl Balancer for GreedyBalancer {
     fn plan_layer(&mut self, ctx: &BalanceContext<'_>) -> Vec<BalanceAction> {
-        let mut actions = stale_replicas(
-            ctx.placement,
-            ctx.expert_loads,
-            ctx.layer,
-            self.release_threshold,
-        );
-        let mut placement = ctx.placement.clone();
-        for a in &actions {
-            if let BalanceAction::Release { expert, device, .. } = *a {
-                placement.remove_replica(expert, device);
-            }
-        }
-
+        let (mut actions, placement, heats) = self.scratch.begin(ctx, self.release_threshold);
         for _ in 0..self.max_actions_per_layer {
-            let heats = device_heats(&placement, ctx.expert_loads);
+            placement.device_loads_into(ctx.expert_loads, heats);
             // Globally hottest per-replica expert.
-            let Some((expert, share)) = (0..placement.num_experts())
+            let Some((expert, _)) = (0..placement.num_experts())
                 .map(|e| (e, ctx.expert_loads[e] / placement.num_replicas(e) as f64))
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             else {
@@ -92,7 +82,6 @@ impl Balancer for GreedyBalancer {
                 break;
             }
             let source = placement.primary_device(expert);
-            let _ = share;
             placement
                 .add_replica(expert, target)
                 .expect("target validated");

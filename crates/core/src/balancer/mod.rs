@@ -130,23 +130,59 @@ impl std::str::FromStr for BalancerKind {
     }
 }
 
-/// Shared helper: per-device heat (`Σ Load_e / Num_e`, Algorithm 1 line 1)
-/// given a tentative placement.
-pub(crate) fn device_heats(placement: &ExpertPlacement, expert_loads: &[f64]) -> Vec<f64> {
-    placement.device_loads(expert_loads)
+/// Planning state a balancer keeps across [`Balancer::plan_layer`] calls,
+/// so that a plan allocates only the actions it returns: the tentative
+/// placement the plan mutates, refilled from the context with
+/// `clone_from`, and its per-device heats (`Σ Load_e / Num_e`, Algorithm 1
+/// line 1).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PlanScratch {
+    placement: Option<ExpertPlacement>,
+    heats: Vec<f64>,
 }
 
-/// Shared helper: release shadow replicas that no longer pull their weight.
-/// A replica is stale when its per-replica share is below `threshold ×` the
-/// mean device load — this keeps slots available as the scenario mixture
-/// drifts (paper §V-B: "continuous fine-tuning of slot assignments").
-pub(crate) fn stale_replicas(
+impl PlanScratch {
+    /// Opens a plan for `ctx`: returns the releases of its stale replicas
+    /// (see [`stale_replicas`]), the tentative placement with those
+    /// releases applied, and a heat buffer with one slot per device.
+    pub(crate) fn begin(
+        &mut self,
+        ctx: &BalanceContext<'_>,
+        release_threshold: f64,
+    ) -> (Vec<BalanceAction>, &mut ExpertPlacement, &mut [f64]) {
+        self.heats.resize(ctx.placement.num_devices(), 0.0);
+        ctx.placement
+            .device_loads_into(ctx.expert_loads, &mut self.heats);
+        let actions = stale_replicas(
+            ctx.placement,
+            ctx.expert_loads,
+            &self.heats,
+            ctx.layer,
+            release_threshold,
+        );
+        let placement = self.placement.get_or_insert_with(|| ctx.placement.clone());
+        placement.clone_from(ctx.placement);
+        for a in &actions {
+            if let BalanceAction::Release { expert, device, .. } = *a {
+                placement.remove_replica(expert, device);
+            }
+        }
+        (actions, placement, &mut self.heats)
+    }
+}
+
+/// Releases of the shadow replicas that no longer pull their weight, given
+/// the placement's device `heats`. A replica is stale when its per-replica
+/// share is below `threshold ×` the mean device heat — this keeps slots
+/// available as the scenario mixture drifts (paper §V-B: "continuous
+/// fine-tuning of slot assignments").
+fn stale_replicas(
     placement: &ExpertPlacement,
     expert_loads: &[f64],
+    heats: &[f64],
     layer: usize,
     threshold: f64,
 ) -> Vec<BalanceAction> {
-    let heats = device_heats(placement, expert_loads);
     let mean = heats.iter().sum::<f64>() / heats.len() as f64;
     if mean <= 0.0 {
         return Vec::new();
@@ -184,7 +220,7 @@ mod tests {
         p.add_replica(0, DeviceId(2)).unwrap();
         // Expert 0 has negligible load → its replica on device 2 is stale.
         let loads = [0.01, 10.0, 10.0, 10.0];
-        let actions = stale_replicas(&p, &loads, 0, 0.1);
+        let actions = stale_replicas(&p, &loads, &p.device_loads(&loads), 0, 0.1);
         assert_eq!(
             actions,
             vec![BalanceAction::Release {
@@ -195,6 +231,6 @@ mod tests {
         );
         // A busy replica is kept.
         let busy = [40.0, 10.0, 10.0, 10.0];
-        assert!(stale_replicas(&p, &busy, 0, 0.1).is_empty());
+        assert!(stale_replicas(&p, &busy, &p.device_loads(&busy), 0, 0.1).is_empty());
     }
 }

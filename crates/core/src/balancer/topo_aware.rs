@@ -2,7 +2,7 @@
 
 use wsc_topology::DeviceId;
 
-use super::{device_heats, stale_replicas, BalanceAction, BalanceContext, Balancer};
+use super::{BalanceAction, BalanceContext, Balancer, PlanScratch};
 
 /// Algorithm 1 of the paper:
 ///
@@ -41,6 +41,7 @@ use super::{device_heats, stale_replicas, BalanceAction, BalanceContext, Balance
 pub struct TopologyAwareBalancer {
     max_actions_per_layer: usize,
     release_threshold: f64,
+    scratch: PlanScratch,
 }
 
 impl TopologyAwareBalancer {
@@ -50,6 +51,7 @@ impl TopologyAwareBalancer {
         TopologyAwareBalancer {
             max_actions_per_layer,
             release_threshold: 0.05,
+            scratch: PlanScratch::default(),
         }
     }
 
@@ -62,21 +64,9 @@ impl TopologyAwareBalancer {
 
 impl Balancer for TopologyAwareBalancer {
     fn plan_layer(&mut self, ctx: &BalanceContext<'_>) -> Vec<BalanceAction> {
-        let mut actions = stale_replicas(
-            ctx.placement,
-            ctx.expert_loads,
-            ctx.layer,
-            self.release_threshold,
-        );
-        let mut placement = ctx.placement.clone();
-        for a in &actions {
-            if let BalanceAction::Release { expert, device, .. } = *a {
-                placement.remove_replica(expert, device);
-            }
-        }
-
+        let (mut actions, placement, heats) = self.scratch.begin(ctx, self.release_threshold);
         for _ in 0..self.max_actions_per_layer {
-            let heats = device_heats(&placement, ctx.expert_loads);
+            placement.device_loads_into(ctx.expert_loads, heats);
             // Line 3: hottest device.
             let hottest = (0..placement.num_devices())
                 .map(|d| DeviceId(d as u32))
@@ -84,9 +74,10 @@ impl Balancer for TopologyAwareBalancer {
                 .expect("at least one device");
             // Line 4: its most popular per-replica expert.
             let Some((src_e, src_share)) = placement
-                .device_experts(hottest)
-                .into_iter()
-                .map(|e| (e, ctx.expert_loads[e] / placement.num_replicas(e) as f64))
+                .primary_experts(hottest)
+                .iter()
+                .chain(placement.shadow_experts(hottest))
+                .map(|&e| (e, ctx.expert_loads[e] / placement.num_replicas(e) as f64))
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             else {
                 break;
@@ -100,23 +91,19 @@ impl Balancer for TopologyAwareBalancer {
             // current maximum after hosting this expert" (§V-C), with the
             // post-replication share Load/(Num+1).
             let new_share = ctx.expert_loads[src_e] / (placement.num_replicas(src_e) + 1) as f64;
-            let cold: Vec<DeviceId> = (0..placement.num_devices())
+            // Line 7: its topologically nearest member; line 6: break if
+            // the set is empty.
+            let Some(target) = (0..placement.num_devices())
                 .map(|d| DeviceId(d as u32))
                 .filter(|&d| {
                     heats[d.index()] + new_share < heats[hottest.index()]
                         && placement.has_free_slot(d)
                         && !placement.hosts(d, src_e)
                 })
-                .collect();
-            // Line 6: break if empty.
-            if cold.is_empty() {
-                break;
-            }
-            // Line 7: topologically nearest cold device.
-            let target = cold
-                .into_iter()
                 .min_by_key(|&d| (ctx.table.hops(source, d), d))
-                .expect("non-empty cold set");
+            else {
+                break;
+            };
             // Lines 8–9: copy and update.
             placement
                 .add_replica(src_e, target)

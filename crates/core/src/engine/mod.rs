@@ -298,6 +298,10 @@ pub struct InferenceEngine<'a> {
     placements: Vec<ExpertPlacement>,
     /// `[layer][expert]` smoothed historical loads.
     loads: Vec<Vec<f64>>,
+    /// The Eq. 2 trigger's per-layer device loads, one run of
+    /// `num_devices` per layer, overwritten each step (empty without a
+    /// balancer).
+    layer_device_loads: Vec<f64>,
     balancer: Option<Box<dyn Balancer>>,
     invasive: bool,
     migration: MigrationEngine,
@@ -499,6 +503,11 @@ impl<'a> InferenceEngine<'a> {
             scheduler,
             placements,
             loads: vec![vec![0.0; num_experts]; num_layers],
+            layer_device_loads: if balancer.is_some() {
+                vec![0.0; num_layers * topo.num_devices()]
+            } else {
+                Vec::new()
+            },
             balancer,
             invasive,
             migration,
@@ -615,10 +624,7 @@ impl<'a> InferenceEngine<'a> {
             metrics.active_requests = active_requests;
             metrics.kv_tokens_in_use = kv_tokens_in_use;
         }
-        // The Eq. 2 trigger's per-layer device loads (balanced runs only).
-        let balanced = self.balancer.is_some();
-        let mut per_layer_loads: Vec<Vec<f64>> =
-            Vec::with_capacity(if balanced { num_layers } else { 0 });
+        let num_devices = self.topo.num_devices();
         // Every layer loads its devices from its own gating; only stride
         // layers price the all-to-all, and the layers between reuse the last
         // priced `(dispatch, combine)` times. Layer 0 is always a stride layer.
@@ -705,14 +711,17 @@ impl<'a> InferenceEngine<'a> {
             for (slot, &t) in self.loads[l].iter_mut().zip(&self.scratch.expert_totals) {
                 *slot = (1.0 - ema) * *slot + ema * t as f64;
             }
-            if balanced {
-                per_layer_loads.push(self.placements[l].device_loads(&self.loads[l]));
+            if self.balancer.is_some() {
+                self.placements[l].device_loads_into(
+                    &self.loads[l],
+                    &mut self.layer_device_loads[l * num_devices..][..num_devices],
+                );
             }
         }
 
         // 4. Balancing trigger (Eq. 2) and execution.
         if let Some(balancer) = self.balancer.as_mut() {
-            let imbalance = cumulative_imbalance(per_layer_loads.iter().map(Vec::as_slice));
+            let imbalance = cumulative_imbalance(self.layer_device_loads.chunks(num_devices));
             if self.trigger.should_balance(self.iteration, imbalance) {
                 let expert_bytes = model.expert_bytes(config.cost.linear_precision);
                 let mut stall_pairs: Vec<(wsc_topology::DeviceId, wsc_topology::DeviceId, f64)> =

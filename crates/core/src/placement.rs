@@ -25,7 +25,7 @@ pub type ExpertId = usize;
 /// p.add_replica(0, DeviceId(3)).unwrap();
 /// assert_eq!(p.num_replicas(0), 2);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(PartialEq, Debug, Serialize, Deserialize)]
 pub struct ExpertPlacement {
     num_experts: usize,
     num_devices: usize,
@@ -69,6 +69,30 @@ impl std::fmt::Display for PlacementError {
 }
 
 impl std::error::Error for PlacementError {}
+
+impl Clone for ExpertPlacement {
+    fn clone(&self) -> Self {
+        ExpertPlacement {
+            num_experts: self.num_experts,
+            num_devices: self.num_devices,
+            slots_per_device: self.slots_per_device,
+            replicas: self.replicas.clone(),
+            shadow: self.shadow.clone(),
+            primary: self.primary.clone(),
+        }
+    }
+
+    /// Field by field, so refilling a placement of the same shape reuses
+    /// every per-expert and per-device list instead of allocating new ones.
+    fn clone_from(&mut self, source: &Self) {
+        self.num_experts = source.num_experts;
+        self.num_devices = source.num_devices;
+        self.slots_per_device = source.slots_per_device;
+        self.replicas.clone_from(&source.replicas);
+        self.shadow.clone_from(&source.shadow);
+        self.primary.clone_from(&source.primary);
+    }
+}
 
 impl ExpertPlacement {
     /// The canonical initial layout: expert `e`'s primary home is device
@@ -138,13 +162,6 @@ impl ExpertPlacement {
         &self.shadow[d.index()]
     }
 
-    /// All experts hosted on `d` (primary then shadow).
-    pub fn device_experts(&self, d: DeviceId) -> Vec<ExpertId> {
-        let mut all = self.primary[d.index()].clone();
-        all.extend_from_slice(&self.shadow[d.index()]);
-        all
-    }
-
     /// Whether `d` hosts expert `e` (as primary or shadow).
     pub fn hosts(&self, d: DeviceId, e: ExpertId) -> bool {
         self.replicas[e].contains(&d)
@@ -197,13 +214,25 @@ impl ExpertPlacement {
     /// indexed by device.
     pub fn device_loads(&self, expert_loads: &[f64]) -> Vec<f64> {
         let mut loads = vec![0.0; self.num_devices];
+        self.device_loads_into(expert_loads, &mut loads);
+        loads
+    }
+
+    /// [`ExpertPlacement::device_loads`] written into `loads`, which it
+    /// overwrites.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loads.len()` is not the device count.
+    pub fn device_loads_into(&self, expert_loads: &[f64], loads: &mut [f64]) {
+        assert_eq!(loads.len(), self.num_devices, "one load slot per device");
+        loads.fill(0.0);
         for (e, replicas) in self.replicas.iter().enumerate() {
             let share = expert_loads[e] / replicas.len() as f64;
             for &d in replicas {
                 loads[d.index()] += share;
             }
         }
-        loads
     }
 }
 
@@ -263,6 +292,24 @@ mod tests {
         p.add_replica(0, DeviceId(1)).unwrap();
         let loads = p.device_loads(&[10.0, 2.0]);
         assert_eq!(loads, vec![5.0, 7.0]);
+        // The in-place form overwrites whatever the buffer held.
+        let mut reused = [f64::NAN; 2];
+        p.device_loads_into(&[10.0, 2.0], &mut reused);
+        assert_eq!(reused, [5.0, 7.0]);
+    }
+
+    #[test]
+    fn clone_from_refills_to_an_equal_placement() {
+        let mut source = ExpertPlacement::balanced(8, 4, 2);
+        source.add_replica(0, DeviceId(3)).unwrap();
+        let mut scratch = ExpertPlacement::balanced(8, 4, 2);
+        scratch.add_replica(5, DeviceId(0)).unwrap();
+        scratch.add_replica(6, DeviceId(0)).unwrap();
+        scratch.clone_from(&source);
+        assert_eq!(scratch, source);
+        // A different shape is refilled too.
+        scratch.clone_from(&ExpertPlacement::balanced(3, 2, 1));
+        assert_eq!(scratch, ExpertPlacement::balanced(3, 2, 1));
     }
 
     #[test]

@@ -12,7 +12,10 @@ use rand::Rng;
 /// time, round-robin over the experts with spare capacity in
 /// descending-probability order (ties by index). It triggers whenever one
 /// expert draws more selections than there are tokens: under strongly
-/// skewed distributions, or when a batch has only a few tokens.
+/// skewed distributions, or when a batch has only a few tokens. This
+/// function sorts that order afresh on every overflow; a
+/// [`TraceGenerator`](crate::TraceGenerator) sorts it once per cached
+/// distribution and reuses it for every draw until the distribution changes.
 ///
 /// Returns a vector of length `dist.len()` summing to `tokens * top_k`.
 ///
@@ -43,9 +46,13 @@ pub fn sample_gating_counts<R: Rng>(
     counts
 }
 
-/// [`sample_gating_counts`] written into `counts` (one slot per expert),
-/// with `order` as reusable scratch for the cap repair, so a caller that
-/// keeps both buffers samples without allocating.
+/// [`sample_gating_counts`] written into `counts` (one slot per expert).
+///
+/// `order` caches the cap repair's expert order for `dist`: an empty
+/// `order` is sorted on the first overflow, a non-empty one is used as it
+/// is. A caller that keeps it across draws from one distribution sorts once
+/// and samples without allocating, and must clear it whenever `dist`
+/// changes.
 ///
 /// # Panics
 ///
@@ -103,10 +110,13 @@ pub(crate) fn sample_gating_counts_into<R: Rng>(
     }
     if overflow > 0 {
         // Round-robin the overflow into experts with spare capacity,
-        // preferring higher-probability ones (stable order).
-        order.clear();
-        order.extend(0..dist.len());
-        order.sort_by(|&a, &b| dist[b].partial_cmp(&dist[a]).unwrap().then(a.cmp(&b)));
+        // preferring higher-probability ones. Ties break by index, so the
+        // comparator is a strict total order and the unstable sort yields
+        // the one permutation a stable sort would.
+        if order.is_empty() {
+            order.extend(0..dist.len());
+            order.sort_unstable_by(|&a, &b| dist[b].partial_cmp(&dist[a]).unwrap().then(a.cmp(&b)));
+        }
         'outer: loop {
             let mut progressed = false;
             for &e in order.iter() {

@@ -131,8 +131,10 @@ pub struct TraceGenerator {
     dists: Vec<Vec<f64>>,
     /// The weights `dists` were mixed for (`None` until first use).
     dist_weights: Option<Vec<(Scenario, f64)>>,
-    /// Scratch for the sampler's cap repair.
-    order: Vec<usize>,
+    /// The sampler's cap-repair order for each of `dists` (experts by
+    /// descending probability, ties by index): sorted on that
+    /// distribution's first overflow, emptied whenever `dists` change.
+    orders: Vec<Vec<usize>>,
 }
 
 impl TraceGenerator {
@@ -166,7 +168,7 @@ impl TraceGenerator {
             uniform: false,
             dists: Vec::new(),
             dist_weights: None,
-            order: Vec::new(),
+            orders: Vec::new(),
         }
     }
 
@@ -216,7 +218,9 @@ impl TraceGenerator {
     /// The per-layer mixed distributions are cached and recomputed only
     /// when the mix weights change (every iteration for
     /// [`WorkloadMix::Cycling`], once for `Fixed` and `Blend`), so a caller
-    /// reusing one trace samples without allocating per layer.
+    /// reusing one trace samples without allocating per layer. Each cached
+    /// distribution also keeps the cap repair's expert order, sorted on its
+    /// first overflow rather than on every overflowing group.
     pub fn next_iteration_into(&mut self, trace: &mut IterationTrace) {
         let weights = self.mix.weights(self.iteration);
         self.refresh_dists(&weights);
@@ -226,7 +230,8 @@ impl TraceGenerator {
             .layers
             .resize_with(num_layers, || LayerGating { counts: Vec::new() });
         for (layer, gating) in trace.layers.iter_mut().enumerate() {
-            let dist = &self.dists[if self.uniform { 0 } else { layer }];
+            let cached = if self.uniform { 0 } else { layer };
+            let (dist, order) = (&self.dists[cached], &mut self.orders[cached]);
             gating.counts.resize_with(self.num_groups, Vec::new);
             for counts in &mut gating.counts {
                 counts.resize(num_experts, 0);
@@ -236,7 +241,7 @@ impl TraceGenerator {
                     self.tokens_per_group,
                     self.top_k,
                     counts,
-                    &mut self.order,
+                    order,
                 );
             }
         }
@@ -250,6 +255,7 @@ impl TraceGenerator {
         if self.uniform {
             if self.dists.is_empty() {
                 self.dists.push(self.affinity.uniform());
+                self.orders.push(Vec::new());
             }
             return;
         }
@@ -268,6 +274,8 @@ impl TraceGenerator {
         for (layer, dist) in self.dists.iter_mut().enumerate() {
             self.affinity.mixed_distribution_into(layer, weights, dist);
         }
+        self.orders.resize_with(self.dists.len(), Vec::new);
+        self.orders.iter_mut().for_each(Vec::clear);
         let cached = self.dist_weights.get_or_insert_with(Vec::new);
         cached.clear();
         cached.extend_from_slice(weights);
@@ -392,37 +400,71 @@ mod tests {
         trace
     }
 
+    /// Reused buffers and cached distributions and cap-repair orders draw
+    /// exactly what fresh generation draws. The cases cover 1–3 tokens per
+    /// group (on 128 experts nearly every layer repairs), a short `Cycling`
+    /// period (the distributions, and so the orders, change on every call)
+    /// and uniform gating (every comparison of the repair sort is a tie
+    /// broken by index).
     #[test]
     fn next_iteration_into_matches_uncached_generation() {
+        let models = [
+            config(),
+            ModelConfig {
+                num_layers: 6,
+                num_sparse_layers: 6,
+                ..ModelConfig::qwen3_235b() // 128 experts, top-8
+            },
+        ];
         let mixes = [
             WorkloadMix::Fixed(Scenario::Coding),
             WorkloadMix::Blend(vec![(Scenario::Chat, 1.0), (Scenario::Privacy, 1.0)]),
             WorkloadMix::mixed(7.0),
         ];
-        for uniform in [false, true] {
-            for mix in &mixes {
-                let mk = || {
-                    let gen = TraceGenerator::new(&config(), mix.clone(), 3, 16, 21);
-                    if uniform {
-                        gen.with_uniform_gating()
-                    } else {
-                        gen
+        for model in &models {
+            for uniform in [false, true] {
+                for mix in &mixes {
+                    let mk = || {
+                        let gen = TraceGenerator::new(model, mix.clone(), 3, 16, 21);
+                        if uniform {
+                            gen.with_uniform_gating()
+                        } else {
+                            gen
+                        }
+                    };
+                    let (mut reference, mut fresh, mut reused) = (mk(), mk(), mk());
+                    let mut buffer = reused.next_iteration();
+                    fresh.next_iteration();
+                    uncached_iteration(&mut reference);
+                    let mut repaired = 0;
+                    // Token counts from 1 (cap repair on most layers) to 64.
+                    for (i, tokens) in [1, 64, 3, 1, 17, 2, 64, 5, 2].into_iter().enumerate() {
+                        for gen in [&mut reference, &mut fresh, &mut reused] {
+                            gen.set_tokens_per_group(tokens);
+                        }
+                        reused.next_iteration_into(&mut buffer);
+                        let expect = uncached_iteration(&mut reference);
+                        let case = format!(
+                            "{} {mix:?} uniform={uniform} call {i} tokens={tokens}",
+                            model.name
+                        );
+                        assert_eq!(buffer, expect, "{case}: reused buffer");
+                        assert_eq!(fresh.next_iteration(), expect, "{case}: fresh trace");
+                        // Every cached order is the fresh sort of its
+                        // distribution as it is now.
+                        for (dist, order) in reused.dists.iter().zip(&reused.orders) {
+                            if order.is_empty() {
+                                continue;
+                            }
+                            repaired += 1;
+                            let mut sorted: Vec<usize> = (0..dist.len()).collect();
+                            sorted.sort_by(|&a, &b| {
+                                dist[b].partial_cmp(&dist[a]).unwrap().then(a.cmp(&b))
+                            });
+                            assert_eq!(order, &sorted, "{case}: stale repair order");
+                        }
                     }
-                };
-                let (mut reference, mut fresh, mut reused) = (mk(), mk(), mk());
-                let mut buffer = reused.next_iteration();
-                fresh.next_iteration();
-                uncached_iteration(&mut reference);
-                // Token counts from 1 (cap repair on most layers) to 64.
-                for (i, tokens) in [1, 64, 3, 1, 17, 2, 64, 5].into_iter().enumerate() {
-                    for gen in [&mut reference, &mut fresh, &mut reused] {
-                        gen.set_tokens_per_group(tokens);
-                    }
-                    reused.next_iteration_into(&mut buffer);
-                    let expect = uncached_iteration(&mut reference);
-                    let case = format!("{mix:?} uniform={uniform} call {i}");
-                    assert_eq!(buffer, expect, "{case}: reused buffer");
-                    assert_eq!(fresh.next_iteration(), expect, "{case}: fresh trace");
+                    assert!(repaired > 0, "{} {mix:?}: no cap repair ran", model.name);
                 }
             }
         }

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use moentwine::core::balancer::{BalanceAction, BalanceContext, Balancer, TopologyAwareBalancer};
+use moentwine::core::balancer::{
+    BalanceAction, BalanceContext, Balancer, GreedyBalancer, TopologyAwareBalancer,
+};
 use moentwine::core::migration::{decompose_route, MigrationPhase};
 use moentwine::core::placement::ExpertPlacement;
 use moentwine::prelude::*;
@@ -340,6 +342,48 @@ proptest! {
             .into_iter()
             .fold(0.0, f64::max);
         prop_assert!(after <= before * (1.0 + 1e-9), "{after} > {before}");
+    }
+
+    /// A balancer reused across plans, as an engine reuses one for every
+    /// layer and step, returns exactly the actions a fresh balancer returns
+    /// for the same context: the scratch placement and heats it keeps carry
+    /// nothing from one plan into the next. The contexts vary the layer,
+    /// the expert count, the slot count, the shadow replicas and the loads
+    /// (idle experts included, so plans also release).
+    #[test]
+    fn reused_balancers_plan_like_fresh_ones(seed in 0u64..1000) {
+        use rand::{Rng, SeedableRng};
+        let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+        let table = RouteTable::build(&topo);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBA1A);
+        let mut topology_aware = TopologyAwareBalancer::new(4);
+        let mut greedy = GreedyBalancer::new(4);
+        for round in 0..6 {
+            let experts = [8, 16, 48][rng.gen_range(0usize..3)];
+            let mut placement = ExpertPlacement::balanced(experts, 16, rng.gen_range(1usize..=3));
+            for _ in 0..rng.gen_range(0..2 * experts) {
+                let _ = placement.add_replica(rng.gen_range(0..experts), DeviceId(rng.gen_range(0u32..16)));
+            }
+            let loads: Vec<f64> = (0..experts)
+                .map(|_| if rng.gen_bool(0.2) { 0.0 } else { rng.gen_range(0.0..100.0) })
+                .collect();
+            let ctx = BalanceContext {
+                layer: rng.gen_range(0usize..4),
+                expert_loads: &loads,
+                placement: &placement,
+                table: &table,
+            };
+            prop_assert_eq!(
+                topology_aware.plan_layer(&ctx),
+                TopologyAwareBalancer::new(4).plan_layer(&ctx),
+                "topology-aware, round {}", round
+            );
+            prop_assert_eq!(
+                greedy.plan_layer(&ctx),
+                GreedyBalancer::new(4).plan_layer(&ctx),
+                "greedy, round {}", round
+            );
+        }
     }
 
     /// `price_pairs_time` is bit-identical to `price_pairs(..).total_time`

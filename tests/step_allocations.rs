@@ -1,9 +1,12 @@
-//! Allocation regression test for the engine's per-layer MoE loop.
+//! Allocation regression tests for the engine's per-layer MoE loop and the
+//! balancers' plans.
 //!
 //! In steady state `InferenceEngine::step` reuses its gating trace, its
 //! cached mixed distributions and one layer's scratch buffers, so the heap
 //! allocations a step makes must not grow with the number of sparse
-//! layers. A counting global allocator measures that directly.
+//! layers. A balancer plans on a reused scratch placement, so the
+//! allocations of one `plan_layer` call must not grow with the number of
+//! experts. A counting global allocator measures both directly.
 //!
 //! The counter is thread-local, so allocations made by other test threads
 //! (or the harness) never reach the count.
@@ -11,6 +14,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use moentwine::core::balancer::{BalanceContext, Balancer};
+use moentwine::core::placement::ExpertPlacement;
 use moentwine::model::InferencePhase;
 use moentwine::prelude::*;
 
@@ -97,4 +102,48 @@ fn step_allocations_do_not_grow_with_layer_count() {
         shallow, deep,
         "{steps} steps allocate {shallow} times with 4 sparse layers but {deep} with 16"
     );
+}
+
+/// Heap allocations of one `plan_layer` call, made after a warm-up call on
+/// the same context, and the number of actions it returns. The placement
+/// spreads `experts` experts over the 16 devices of a 4x4 wafer with two
+/// shadow slots each; one idle shadow replica is due for release and expert
+/// 0 is hot enough to be replicated up to the action cap.
+fn plan_allocations(balancer: &mut dyn Balancer, experts: usize) -> (u64, usize) {
+    let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+    let table = RouteTable::build(&topo);
+    let mut placement = ExpertPlacement::balanced(experts, 16, 2);
+    placement.add_replica(experts - 1, DeviceId(0)).unwrap();
+    let mut loads = vec![1.0; experts];
+    loads[0] = 100.0 * experts as f64;
+    loads[experts - 1] = 0.0;
+    let ctx = BalanceContext {
+        layer: 0,
+        expert_loads: &loads,
+        placement: &placement,
+        table: &table,
+    };
+    balancer.plan_layer(&ctx);
+    let before = allocations();
+    let actions = balancer.plan_layer(&ctx);
+    (allocations() - before, actions.len())
+}
+
+#[test]
+fn plan_allocations_do_not_grow_with_expert_count() {
+    let experts = [16, 128, 256];
+    let topology_aware = experts.map(|e| plan_allocations(&mut TopologyAwareBalancer::new(4), e));
+    let greedy = experts.map(|e| plan_allocations(&mut GreedyBalancer::new(4), e));
+    for (name, plans) in [("topology-aware", topology_aware), ("greedy", greedy)] {
+        // One release and four replications at every size, so the
+        // returned action lists allocate alike.
+        assert!(
+            plans.iter().all(|&(_, actions)| actions == 5),
+            "{name} on {experts:?} experts: {plans:?} (allocations, actions)"
+        );
+        assert!(
+            plans.iter().all(|&plan| plan == plans[0]),
+            "{name} on {experts:?} experts: {plans:?} (allocations, actions)"
+        );
+    }
 }
