@@ -24,6 +24,27 @@
 //! feedback/speculative policy beats the best snapshot policy on p99
 //! TTFT. Everything is seeded and grid points merge by index, so the
 //! manifest is byte-identical across runs *and* `--threads` settings.
+//!
+//! # Seed sensitivity
+//!
+//! Two checks pass at their pinned seeds but not at every seed, so a change
+//! that moves the gating sampler's random stream can flip them without
+//! being wrong:
+//!
+//! * **This headline (`--quick`).** With `SEED` set to each of 223–244
+//!   under the current sampler, the headline passed on 8 of 22 seeds; the
+//!   median ratio of the best adaptive to the best snapshot bursty p99
+//!   TTFT was 1.17 (the pinned seed 223 gives 0.83). A robust headline,
+//!   such as a median over seeds, should replace it before the sampler
+//!   changes.
+//! * **`run_until_reaches_horizon_and_skips_idle_work`** in
+//!   `tests/fleet_scheduler.rs`. Its `routed_e <= routed_l` assertion
+//!   (the event heap routes no more requests than lock-step by the
+//!   horizon) is false on 6 of the 1,120 `(seed, replicas, rate)` points
+//!   with seeds 0–39, and on 40 of 5,600 with seeds 0–199. At seed 3,
+//!   3 replicas and 7k req/s the event heap routes 6 requests and
+//!   lock-step routes 5. The property's 64 sampled cases happen to miss
+//!   every such point.
 
 use std::fs;
 

@@ -12,8 +12,11 @@
 //!   full recompute re-waterfills every active flow; expected ≥ 5×.
 //! * `cached_speedup` — uncached flow-sim over `flow-sim-cached` pricing
 //!   the same engine-layer dispatch/combine transfer lists `repeats` times
-//!   (what every layer of every engine iteration does); expected ≥ 5×
-//!   (≥ 20× on a full, non-`--quick` run).
+//!   through the memoised full-estimate path; expected ≥ 5× (≥ 20× on a
+//!   full, non-`--quick` run). This is a best case for a repeated
+//!   schedule, not a figure any engine run reaches: sampled per-step
+//!   shapes do not repeat, and the engine prices them through the
+//!   unmemoised time-only path.
 //!
 //! The globally-coupled uniform all-to-all is also recorded
 //! (`global_incremental_speedup`): its contention graph is one connected
@@ -104,7 +107,11 @@ pub struct BackendPerf {
     pub flow_sim_repeat_seconds: f64,
     /// `flow-sim-cached` time for all `repeats` layer pricings.
     pub cached_repeat_seconds: f64,
-    /// Headline ratio: `flow_sim_repeat / cached_repeat`.
+    /// `flow_sim_repeat / cached_repeat`: the best case of the cached tier,
+    /// one schedule repeated through the memoised full-estimate path.
+    /// Engine runs do not reach it: sampled per-step shapes do not repeat
+    /// (0 hits in 14,100 replayed `wafer_ni_balance` pricings), and the
+    /// engine's time-only all-to-all pricing is not memoised at all.
     pub cached_speedup: f64,
     /// Analytic time for the same layer pricings (ladder context).
     pub analytic_repeat_seconds: f64,
@@ -157,9 +164,9 @@ pub fn measure_backend_perf(quick: bool) -> BackendPerf {
     });
 
     // Repeated engine-layer schedules: the same MoE dispatch/combine priced
-    // once per layer per iteration. One backend instance per engine (as
-    // `InferenceEngine` holds one), so the cached tier simulates the shape
-    // once and replays it.
+    // `repeats` times through one backend instance, so the cached tier
+    // simulates the shape once and replays it. A best case: sampled gating
+    // never repeats a shape in a real run.
     let model = ModelConfig::qwen3_235b();
     let a2a_topo = Mesh::new(6, PlatformParams::dojo_like()).build();
     let table = wsc_topology::RouteTable::build(&a2a_topo);

@@ -42,6 +42,14 @@ pub enum ConfigError {
     /// `cache_entries` must be ≥ 1: the memoizing backend needs at least
     /// one schedule slot.
     CacheEntriesZero,
+    /// The model's gating shape cannot be sampled: it needs at least one
+    /// routed expert and at most `num_experts` experts per token.
+    TopKOutOfRange {
+        /// The model's `experts_per_token` (top-k).
+        experts_per_token: u32,
+        /// The model's `num_experts`.
+        num_experts: u32,
+    },
     /// A fleet needs at least one replica.
     ReplicasZero,
     /// Fleet replicas need a serving batch mode
@@ -162,6 +170,16 @@ impl std::fmt::Display for ConfigError {
             ConfigError::CacheEntriesZero => {
                 write!(f, "cache_entries must be ≥ 1")
             }
+            ConfigError::TopKOutOfRange {
+                experts_per_token,
+                num_experts,
+            } => {
+                write!(
+                    f,
+                    "model: experts_per_token {experts_per_token} must be ≤ num_experts \
+                     {num_experts}, and num_experts ≥ 1"
+                )
+            }
             ConfigError::ReplicasZero => write!(f, "need at least one replica"),
             ConfigError::FleetNeedsServingBatch => {
                 write!(
@@ -279,6 +297,14 @@ mod tests {
         assert!(ConfigError::LoadEmaOutOfRange { value: 2.0 }
             .to_string()
             .contains("(0, 1]"));
+        assert_eq!(
+            ConfigError::TopKOutOfRange {
+                experts_per_token: 8,
+                num_experts: 4,
+            }
+            .to_string(),
+            "model: experts_per_token 8 must be ≤ num_experts 4, and num_experts ≥ 1"
+        );
         assert!(ConfigError::FleetEventsUnsorted { index: 2 }
             .to_string()
             .contains("fleet event 2"));

@@ -12,11 +12,12 @@
 //! [`CongestionModel`] backend selected by
 //! [`EngineConfig::backend`], a three-tier fidelity ladder: the default
 //! analytical congestion model (per-link volumes over precomputed routes)
-//! for production-scale sweeps, the memoizing `flow-sim-cached` tier for
-//! engine-scope experiments that want DES fidelity at near-analytic
-//! amortized cost (repeated layer/iteration schedules are simulated once),
-//! or the uncached flow-level simulator when every collective must be
-//! re-simulated (see DESIGN.md §5 for the fidelity ladder and
+//! for production-scale sweeps, the `flow-sim-cached` tier (DES fidelity;
+//! repeated full-estimate schedules such as the all-reduce and migration
+//! transfer lists are simulated once, while the sampled per-step
+//! all-to-all, whose shapes never repeat, is simulated on every stride
+//! layer), or the uncached flow-level simulator when every collective must
+//! be re-simulated (see DESIGN.md §5 for the fidelity ladder and
 //! `tests/analytic_vs_des.rs` for the cross-validation contract).
 
 mod metrics;
@@ -118,8 +119,9 @@ pub struct EngineConfig {
     pub batch: BatchMode,
     /// Communication-pricing fidelity: the fast analytic congestion model
     /// (default), the memoizing cached DES (`FlowSimCached` — DES estimates,
-    /// repeated schedules priced once), or the flow-level DES re-simulating
-    /// every collective.
+    /// repeated full-estimate schedules priced once; the per-step
+    /// all-to-all is time-only and simulated every time), or the flow-level
+    /// DES re-simulating every collective.
     pub backend: CongestionBackend,
     /// Balancing strategy.
     pub balancer: BalancerKind,
@@ -152,7 +154,9 @@ pub struct EngineConfig {
     pub kv_hbm_fraction: f64,
     /// Entry bound of the memoizing schedule cache when `backend` is
     /// [`CongestionBackend::FlowSimCached`] (ignored by the stateless
-    /// tiers). Defaults to [`wsc_sim::DEFAULT_CACHE_ENTRIES`].
+    /// tiers). Only full-estimate pricing (the all-reduce schedule and
+    /// invasive migration stalls) fills it; the per-step all-to-all stores
+    /// nothing. Defaults to [`wsc_sim::DEFAULT_CACHE_ENTRIES`].
     pub cache_entries: usize,
     /// How serving summaries are maintained: [`SummaryMode::Exact`] retains
     /// every completion record and the full iteration history (the golden
@@ -246,7 +250,9 @@ impl EngineConfig {
 
     /// Checks the configuration's internal consistency: stride and
     /// micro-batch counts ≥ 1, `load_ema` and `kv_hbm_fraction` in
-    /// `(0, 1]`, and at least one schedule-cache entry. This is the single
+    /// `(0, 1]`, at least one schedule-cache entry, and a model whose
+    /// top-k gating can be sampled (`1 ≤ num_experts`,
+    /// `experts_per_token ≤ num_experts`). This is the single
     /// validation gate behind [`InferenceEngine::try_new`],
     /// [`Fleet::try_new`](crate::fleet::Fleet::try_new), and the
     /// `moentwine-spec` scenario layer.
@@ -273,6 +279,14 @@ impl EngineConfig {
         }
         if self.cache_entries < 1 {
             return Err(ConfigError::CacheEntriesZero);
+        }
+        let (experts_per_token, num_experts) =
+            (self.model.experts_per_token, self.model.num_experts);
+        if num_experts == 0 || experts_per_token > num_experts {
+            return Err(ConfigError::TopKOutOfRange {
+                experts_per_token,
+                num_experts,
+            });
         }
         self.workload_profile.validate()?;
         Ok(())
@@ -1505,6 +1519,27 @@ mod tests {
 
         let c = base().with_cache_entries(0);
         assert_eq!(c.validate(), Err(ConfigError::CacheEntriesZero));
+
+        let mut c = base();
+        c.model.experts_per_token = c.model.num_experts + 1;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TopKOutOfRange {
+                experts_per_token: c.model.num_experts + 1,
+                num_experts: c.model.num_experts,
+            })
+        );
+        c.model.experts_per_token = c.model.num_experts;
+        assert_eq!(c.validate(), Ok(()));
+        c.model.num_experts = 0;
+        c.model.experts_per_token = 0;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TopKOutOfRange {
+                experts_per_token: 0,
+                num_experts: 0,
+            })
+        );
     }
 
     #[test]

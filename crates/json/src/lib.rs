@@ -7,7 +7,9 @@
 //! depending on the bench harness. Only the subset the workspace needs is
 //! implemented: objects preserve insertion order, numbers are `f64`, and
 //! the parser accepts exactly what the printer emits (standard JSON with
-//! `\uXXXX` escapes on input).
+//! `\uXXXX` escapes on input). Arrays and objects nest at most
+//! [`MAX_DEPTH`] deep, so a hostile document fails with a
+//! [`ParseErrorKind::TooDeep`] error instead of overflowing the stack.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -128,11 +130,14 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a byte offset plus message on malformed input.
+    /// Returns a byte offset plus message on malformed input, and a
+    /// [`ParseErrorKind::TooDeep`] error when arrays and objects nest more
+    /// than [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -179,13 +184,29 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parse failure: byte offset and message.
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts. The
+/// parser recurses once per level, so the bound keeps its stack use fixed;
+/// no document the workspace writes comes near it.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse failure: byte offset, message, and kind.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ParseError {
     /// Byte offset of the failure.
     pub offset: usize,
     /// What went wrong.
     pub message: &'static str,
+    /// The class of failure.
+    pub kind: ParseErrorKind,
+}
+
+/// The class of a [`ParseError`].
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum ParseErrorKind {
+    /// The text is not JSON the parser accepts.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl std::fmt::Display for ParseError {
@@ -203,6 +224,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -210,6 +233,7 @@ impl<'a> Parser<'a> {
         ParseError {
             offset: self.pos,
             message,
+            kind: ParseErrorKind::Syntax,
         }
     }
 
@@ -239,58 +263,77 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => {
+            Some(&open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(ParseError {
+                        kind: ParseErrorKind::TooDeep,
+                        ..self.err("arrays and objects nest too deep")
+                    });
+                }
+                self.depth += 1;
                 self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b']') {
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
+            Some(_) => self.number(),
+        }
+    }
+
+    /// The rest of an array whose `[` was consumed.
+    fn array(&mut self) -> Result<Value, ParseError> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Value::Arr(items));
                 }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
+                _ => return Err(self.err("expected ',' or ']'")),
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut members = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
+        }
+    }
+
+    /// The rest of an object whose `{` was consumed.
+    fn object(&mut self) -> Result<Value, ParseError> {
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            if self.bytes.get(self.pos) != Some(&b':') {
+                return Err(self.err("expected ':'"));
+            }
+            self.pos += 1;
+            self.skip_ws();
+            members.push((key, self.value()?));
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Value::Obj(members));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    if self.bytes.get(self.pos) != Some(&b':') {
-                        return Err(self.err("expected ':'"));
-                    }
-                    self.pos += 1;
-                    self.skip_ws();
-                    members.push((key, self.value()?));
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(members));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
+                _ => return Err(self.err("expected ',' or '}'")),
             }
-            Some(_) => self.number(),
         }
     }
 
@@ -411,6 +454,35 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("[1] trailing").is_err());
         assert!(Value::parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested =
+            |depth: usize, open: &str, close: &str| open.repeat(depth) + &close.repeat(depth);
+        // 200k levels would overflow the stack without the bound.
+        let err = Value::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        let err = Value::parse(&nested(MAX_DEPTH + 1, "[", "]")).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        let err = Value::parse(&nested(MAX_DEPTH + 1, r#"{"k":"#, "}")).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        // Exactly at the limit parses, for arrays and objects alike.
+        let mut v = Value::parse(&nested(MAX_DEPTH, "[", "]")).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = v.as_array().unwrap()[0].clone();
+        }
+        assert_eq!(v, Value::Arr(vec![]));
+        let objects = nested(MAX_DEPTH - 1, r#"{"k":"#, "}").replacen(":}", ":{}}", 1);
+        assert!(Value::parse(&objects).is_ok(), "{objects}");
+        // Siblings do not add up: depth is per path, not per document.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1, "[", "]"); 3].join(","));
+        assert!(Value::parse(&wide).is_ok());
+        assert_eq!(
+            Value::parse("[1,]").unwrap_err().kind,
+            ParseErrorKind::Syntax
+        );
     }
 
     #[test]

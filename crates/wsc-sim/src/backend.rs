@@ -10,9 +10,10 @@
 //!   estimator; `O(flows × hops)`, exact for phase-synchronous
 //!   single-bottleneck schedules, conservative otherwise.
 //! * [`CachedBackend`] over [`FlowSimBackend`] (the `flow-sim-cached` knob)
-//!   — full DES fidelity with memoization: estimates are cached on a
-//!   canonicalized schedule shape, so the repeated layers/iterations of an
-//!   engine sweep are simulated once and replayed from the cache.
+//!   — full DES fidelity with memoization of full estimates on a
+//!   canonicalized schedule shape, for callers whose schedules repeat. The
+//!   engine's per-step all-to-all (sampled, so it never repeats) goes
+//!   through the unmemoised time-only path.
 //! * [`FlowSimBackend`] — uncached flow-level discrete-event simulation
 //!   ([`NetworkSim`]); every call re-simulates, modelling flows completing
 //!   at different times and freeing bandwidth.
@@ -43,8 +44,13 @@ pub enum CongestionBackend {
     /// Flow-level discrete-event simulation ([`FlowSimBackend`]).
     FlowSim,
     /// Flow-level DES behind a memoizing schedule cache ([`CachedBackend`]):
-    /// identical estimates to [`CongestionBackend::FlowSim`], priced once
-    /// per distinct schedule shape.
+    /// identical estimates to [`CongestionBackend::FlowSim`]. Full estimates
+    /// are priced once per distinct schedule shape; the time-only
+    /// [`CongestionModel::price_pairs_time`], which the engine prices its
+    /// sampled per-step all-to-all through, is not memoised, because
+    /// sampled shapes do not repeat. An engine on this tier therefore runs
+    /// the DES on every stride layer, as [`CongestionBackend::FlowSim`]
+    /// does.
     FlowSimCached,
 }
 
@@ -434,11 +440,23 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// Memoizing decorator over any [`CongestionModel`]: estimates are cached
-/// under the canonicalized [`ScheduleShape`] of each pricing request, so
-/// repeated schedules — the common case in engine sweeps, where every MoE
-/// layer and iteration re-prices the same dispatch pattern — are simulated
+/// Memoizing decorator over any [`CongestionModel`]: full estimates
+/// ([`CongestionModel::price_flows`], [`CongestionModel::price_pairs`],
+/// [`CongestionModel::price_schedule`]) are cached under the canonicalized
+/// [`ScheduleShape`] of each request, so a repeated schedule is simulated
 /// once and replayed from the cache.
+///
+/// Only repeated shapes pay off. Sampled gating gives every engine step a
+/// new `(src, dst, bytes)` shape, so the time-only
+/// [`CongestionModel::price_pairs_time`] the engine prices its all-to-all
+/// through goes straight to the inner backend: no key, no lookup, no
+/// stored estimate. Before that bypass the cache answered 0 of 14,100
+/// pricings in the `wafer_ni_balance` benchmark replay, 5 of 3,207 on the
+/// `flow-sim-cached` golden trace and 148 of 44,898 in one
+/// `router_compare --quick` run. Almost every hit was a repeated phase of
+/// the all-reduce schedule an engine prices once at construction; the
+/// all-to-all itself hit 0 of 3,200 on the golden trace and 78 of 44,800
+/// in `router_compare`.
 ///
 /// Correctness rests on the inner backend being a pure function of the
 /// priced traffic (both shipped backends are): a cached result is the inner
@@ -473,8 +491,11 @@ pub struct CachedBackend<'a> {
     misses: Cell<u64>,
 }
 
-/// Default [`CachedBackend`] entry bound; generous for engine sweeps (one
-/// shape per distinct layer schedule) while capping worst-case memory.
+/// Default [`CachedBackend`] entry bound: room for every distinct repeated
+/// schedule (collectives, migration transfer lists, fixed-batch layer
+/// schedules) while capping the memory that never-repeating full-estimate
+/// shapes can take. The engine's time-only all-to-all pricing stores no
+/// entries at all.
 pub const DEFAULT_CACHE_ENTRIES: usize = 4096;
 
 impl<'a> CachedBackend<'a> {
@@ -577,6 +598,13 @@ impl CongestionModel for CachedBackend<'_> {
         self.memoize(ScheduleShape::of_pairs(pairs), || {
             self.inner.price_pairs(table, pairs)
         })
+    }
+
+    /// Not memoised: the engine prices each step's sampled all-to-all here,
+    /// and those shapes do not repeat, so a key, a lookup and a stored
+    /// `O(links)` estimate per call would buy nothing.
+    fn price_pairs_time(&self, table: &RouteTable, pairs: &[(DeviceId, DeviceId, f64)]) -> f64 {
+        self.inner.price_pairs_time(table, pairs)
     }
 
     fn price_schedule(&self, schedule: &FlowSchedule) -> AnalyticEstimate {
@@ -828,6 +856,36 @@ mod tests {
         assert_eq!(
             uncached.price_pairs(&table, &pairs),
             cached.price_pairs(&table, &pairs)
+        );
+    }
+
+    /// The time-only path prices through the inner backend and leaves the
+    /// cache untouched, while the full-estimate path still memoizes.
+    #[test]
+    fn price_pairs_time_bypasses_the_cache() {
+        let topo = mesh(4);
+        let table = RouteTable::build(&topo);
+        let a = topo.device_at_xy(0, 0).unwrap();
+        let b = topo.device_at_xy(3, 1).unwrap();
+        let pairs = vec![(a, b, 1.0e6), (b, a, 2.0e6)];
+        let cached = CachedBackend::new(Box::new(FlowSimBackend::new(&topo)));
+        let uncached = FlowSimBackend::new(&topo).price_pairs(&table, &pairs);
+        for _ in 0..3 {
+            assert_eq!(
+                cached.price_pairs_time(&table, &pairs).to_bits(),
+                uncached.total_time.to_bits()
+            );
+        }
+        assert_eq!(cached.cache_stats(), CacheStats::default());
+        cached.price_pairs(&table, &pairs);
+        cached.price_pairs(&table, &pairs);
+        assert_eq!(
+            cached.cache_stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                entries: 1
+            }
         );
     }
 

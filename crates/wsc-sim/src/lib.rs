@@ -27,7 +27,8 @@
 //! implementations form the fidelity ladder, selected by the
 //! [`CongestionBackend`] knob: the [`AnalyticModel`], the DES-wrapping
 //! [`FlowSimBackend`], and the memoizing [`CachedBackend`] decorator that
-//! replays DES estimates for repeated schedule shapes.
+//! replays full DES estimates for repeated schedule shapes (time-only
+//! pricing, whose sampled shapes do not repeat, is not memoised).
 //!
 //! # Example
 //!

@@ -152,3 +152,41 @@ fn malformed_scenarios_fail_with_typed_errors() {
     let spec = ScenarioSpec::new("bad-tp", PlatformSpec::wsc(4)).with_mapping(MappingSpec::er(5));
     assert!(matches!(spec.build(), Err(ConfigError::Mapping(_))));
 }
+
+/// A custom model whose top-k exceeds its expert count (or that has no
+/// experts) parses, but `build()` rejects it with the exact variant instead
+/// of letting the first engine step panic in the gating sampler.
+#[test]
+fn impossible_gating_shape_fails_build_with_typed_error() {
+    let text = std::fs::read_to_string(scenarios_dir().join("single_wafer_serving.json"))
+        .expect("example spec readable")
+        .replace(
+            r#""preset": "tiny""#,
+            r#""custom": {"name": "bad-top-k", "total_params_b": 1, "num_layers": 4,
+                "num_sparse_layers": 4, "hidden_size": 256, "moe_intermediate_size": 128,
+                "num_experts": 4, "experts_per_token": 8, "num_shared_experts": 0,
+                "num_attention_heads": 4, "num_kv_heads": 4, "head_dim": 64}"#,
+        );
+    let spec = ScenarioSpec::from_json_text(&text).expect("the spec itself parses");
+    assert_eq!(
+        spec.build().unwrap_err(),
+        ConfigError::TopKOutOfRange {
+            experts_per_token: 8,
+            num_experts: 4,
+        }
+    );
+    let no_experts = ScenarioSpec::new("no-experts", PlatformSpec::wsc(4)).with_model(
+        ModelSpec::Custom(ModelConfig {
+            num_experts: 0,
+            experts_per_token: 0,
+            ..ModelConfig::tiny()
+        }),
+    );
+    assert_eq!(
+        no_experts.build().unwrap_err(),
+        ConfigError::TopKOutOfRange {
+            experts_per_token: 0,
+            num_experts: 0,
+        }
+    );
+}

@@ -6,10 +6,13 @@
 //! allocations a step makes must not grow with the number of sparse
 //! layers. A balancer plans on a reused scratch placement, so the
 //! allocations of one `plan_layer` call must not grow with the number of
-//! experts. A counting global allocator measures both directly.
+//! experts. The cached DES tier prices the engine's sampled all-to-all
+//! without memoising it, so a serving step on `flow-sim-cached` must cost
+//! no more allocations and leave no more live heap than on `flow-sim`. A
+//! counting global allocator measures all three directly.
 //!
-//! The counter is thread-local, so allocations made by other test threads
-//! (or the harness) never reach the count.
+//! The counters are thread-local, so allocations made by other test
+//! threads (or the harness) never reach them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,30 +26,36 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocation that grows this thread's live heap by `grown`
+/// bytes (negative when a reallocation shrinks a block).
+fn count_one(grown: i64) {
     // `try_with` so an allocation during thread teardown is not a panic.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + grown));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|n| n.set(n.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -56,6 +65,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// Heap allocations made by `steps` steady-state steps of a fixed-batch,
@@ -101,6 +114,54 @@ fn step_allocations_do_not_grow_with_layer_count() {
     assert_eq!(
         shallow, deep,
         "{steps} steps allocate {shallow} times with 4 sparse layers but {deep} with 16"
+    );
+}
+
+/// Heap allocations made, and live heap bytes left behind, by `steps`
+/// steady-state steps of a serving engine over the tiny model that prices
+/// every layer's all-to-all (`comm_layer_stride` 1) on `backend`.
+fn serving_footprint(backend: CongestionBackend, steps: usize) -> (u64, i64) {
+    let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+    let table = RouteTable::build(&topo);
+    let plan = ErMapping::new(topo.mesh_dims().unwrap(), TpShape::new(2, 2))
+        .unwrap()
+        .plan();
+    let mut config = EngineConfig::new(ModelConfig::tiny())
+        .with_backend(backend)
+        .with_batch(BatchMode::Scheduled {
+            mode: SchedulingMode::Hybrid,
+            max_batch_tokens: 2048,
+            max_active: 128,
+            request_rate: 8.0e3,
+            iteration_period: 0.02,
+        });
+    config.kv_hbm_fraction = 1.0e-3;
+    assert_eq!(config.comm_layer_stride, 1);
+    let mut engine = InferenceEngine::new(&topo, &table, &plan, config);
+    for _ in 0..8 {
+        engine.step();
+    }
+    let (allocs, live) = (allocations(), live_bytes());
+    for _ in 0..steps {
+        engine.step();
+    }
+    (allocations() - allocs, live_bytes() - live)
+}
+
+#[test]
+fn cached_tier_serving_step_costs_no_more_than_flow_sim() {
+    let steps = 32;
+    let (des_allocs, des_live) = serving_footprint(CongestionBackend::FlowSim, steps);
+    let (cached_allocs, cached_live) = serving_footprint(CongestionBackend::FlowSimCached, steps);
+    assert!(
+        cached_allocs <= des_allocs,
+        "{steps} serving steps allocate {cached_allocs} times on flow-sim-cached \
+         but {des_allocs} on flow-sim"
+    );
+    assert!(
+        cached_live <= des_live,
+        "{steps} serving steps leave {cached_live} live bytes on flow-sim-cached \
+         but {des_live} on flow-sim"
     );
 }
 
