@@ -2,8 +2,9 @@
 //! and decode token counts.
 
 use moe_model::ModelConfig;
+use wsc_sim::CongestionBackend;
 
-use crate::platforms::{comm_latency, wsc_plan, Fidelity, Platform, WscMapping};
+use crate::platforms::{comm_latency, wsc_plan, Platform, WscMapping};
 use crate::report::fmt_time;
 use crate::Report;
 
@@ -41,9 +42,9 @@ pub fn run(quick: bool) -> Report {
         // DES on single wafers, analytic on multi-wafer systems (see
         // DESIGN.md §5).
         let fidelity = if platform.topo.num_devices() <= 64 {
-            Fidelity::Des
+            CongestionBackend::FlowSim
         } else {
-            Fidelity::Analytic
+            CongestionBackend::Analytic
         };
         for (stage, tokens) in [("Prefill", 4096u32), ("Decode", 256u32)] {
             let c = comm_latency(platform, &plan, &model, tokens, fidelity);

@@ -2,8 +2,9 @@
 
 use moe_model::ModelConfig;
 use moentwine_core::comm::ClusterLayout;
+use wsc_sim::CongestionBackend;
 
-use crate::platforms::{comm_latency, wsc_plan, Fidelity, Platform, WscMapping};
+use crate::platforms::{comm_latency, wsc_plan, Platform, WscMapping};
 use crate::report::fmt_improvement;
 use crate::Report;
 
@@ -41,9 +42,9 @@ pub fn run(quick: bool) -> Report {
         let er_plan = wsc_plan(wsc, 4, WscMapping::Er);
         let gpu_layout = ClusterLayout::new(&dgx.topo, 8);
         for &t in &tokens {
-            let gpu = comm_latency(dgx, &gpu_layout, &model, t, Fidelity::Analytic);
-            let base = comm_latency(wsc, &base_plan, &model, t, Fidelity::Analytic);
-            let er = comm_latency(wsc, &er_plan, &model, t, Fidelity::Analytic);
+            let gpu = comm_latency(dgx, &gpu_layout, &model, t, CongestionBackend::Analytic);
+            let base = comm_latency(wsc, &base_plan, &model, t, CongestionBackend::Analytic);
+            let er = comm_latency(wsc, &er_plan, &model, t, CongestionBackend::Analytic);
             if t >= 256 {
                 big_batch_improvements.push((gpu.total() - base.total()) / gpu.total());
             }

@@ -2,8 +2,9 @@
 
 use moe_model::ModelConfig;
 use moentwine_core::comm::ClusterLayout;
+use wsc_sim::CongestionBackend;
 
-use crate::platforms::{comm_latency, wsc_plan, Fidelity, Platform, WscMapping};
+use crate::platforms::{comm_latency, wsc_plan, Platform, WscMapping};
 use crate::report::fmt_improvement;
 use crate::Report;
 
@@ -31,9 +32,9 @@ pub fn run(quick: bool) -> Report {
     let gpu_layout = ClusterLayout::new(&dgx.topo, 8);
     let tokens = 256;
     let fidelity = if quick {
-        Fidelity::Analytic
+        CongestionBackend::Analytic
     } else {
-        Fidelity::Des
+        CongestionBackend::FlowSim
     };
 
     let models = ModelConfig::evaluation_suite();
@@ -42,7 +43,13 @@ pub fn run(quick: bool) -> Report {
     for model in &models {
         let base_plan = wsc_plan(&wsc, 4, WscMapping::Baseline);
         let er_plan = wsc_plan(&wsc, 4, WscMapping::Er);
-        let gpu = comm_latency(&dgx, &gpu_layout, model, tokens, Fidelity::Analytic);
+        let gpu = comm_latency(
+            &dgx,
+            &gpu_layout,
+            model,
+            tokens,
+            CongestionBackend::Analytic,
+        );
         let base = comm_latency(&wsc, &base_plan, model, tokens, fidelity);
         let er = comm_latency(&wsc, &er_plan, model, tokens, fidelity);
         let norm = gpu.total();

@@ -1,8 +1,9 @@
 //! Fig. 13(c): ER-Mapping improvement across WSC scales and TP degrees.
 
 use moe_model::ModelConfig;
+use wsc_sim::CongestionBackend;
 
-use crate::platforms::{comm_latency, wsc_plan, Fidelity, Platform, WscMapping};
+use crate::platforms::{comm_latency, wsc_plan, Platform, WscMapping};
 use crate::report::{fmt_improvement, fmt_time};
 use crate::Report;
 
@@ -38,9 +39,9 @@ pub fn run(quick: bool) -> Report {
     for (name, n, tps) in cases {
         let platform = Platform::wsc(n);
         let fidelity = if platform.topo.num_devices() <= 36 && !quick {
-            Fidelity::Des
+            CongestionBackend::FlowSim
         } else {
-            Fidelity::Analytic
+            CongestionBackend::Analytic
         };
         for tp in tps {
             let tokens = 256 * tp as u32 / 4; // paper: total tokens grow with TP

@@ -1,8 +1,9 @@
 //! Fig. 13(d): Hierarchical ER-Mapping on multi-wafer systems.
 
 use moe_model::ModelConfig;
+use wsc_sim::CongestionBackend;
 
-use crate::platforms::{comm_latency, wsc_plan, Fidelity, Platform, WscMapping};
+use crate::platforms::{comm_latency, wsc_plan, Platform, WscMapping};
 use crate::report::fmt_improvement;
 use crate::Report;
 
@@ -39,7 +40,7 @@ pub fn run(quick: bool) -> Report {
                 &wsc_plan(&platform, tp, WscMapping::Baseline),
                 &model,
                 tokens,
-                Fidelity::Analytic,
+                CongestionBackend::Analytic,
             );
             // Pure ER: TP groups strided over the *global* grid.
             let er = comm_latency(
@@ -47,7 +48,7 @@ pub fn run(quick: bool) -> Report {
                 &wsc_plan(&platform, tp, WscMapping::Er),
                 &model,
                 tokens,
-                Fidelity::Analytic,
+                CongestionBackend::Analytic,
             );
             // HER: per-wafer ER + two-step hierarchical all-reduce.
             let her = comm_latency(
@@ -55,7 +56,7 @@ pub fn run(quick: bool) -> Report {
                 &wsc_plan(&platform, tp, WscMapping::Her),
                 &model,
                 tokens,
-                Fidelity::Analytic,
+                CongestionBackend::Analytic,
             );
             let her_gain = (base.total() - her.total()) / base.total();
             her_all_positive &= her_gain > 0.0;

@@ -1,8 +1,9 @@
 //! Fig. 14(b): justifying the retained all-gather.
 
 use moe_model::ModelConfig;
+use wsc_sim::CongestionBackend;
 
-use crate::platforms::{comm_latency, wsc_plan, Fidelity, Platform, WscMapping};
+use crate::platforms::{comm_latency, wsc_plan, Platform, WscMapping};
 use crate::report::{fmt_improvement, fmt_time};
 use crate::Report;
 
@@ -31,8 +32,20 @@ pub fn run(quick: bool) -> Report {
             let with_ag = wsc_plan(&platform, 4, WscMapping::Er);
             let without_ag = with_ag.clone().without_all_gather();
             let tokens = 256;
-            let with = comm_latency(&platform, &with_ag, &model, tokens, Fidelity::Analytic);
-            let without = comm_latency(&platform, &without_ag, &model, tokens, Fidelity::Analytic);
+            let with = comm_latency(
+                &platform,
+                &with_ag,
+                &model,
+                tokens,
+                CongestionBackend::Analytic,
+            );
+            let without = comm_latency(
+                &platform,
+                &without_ag,
+                &model,
+                tokens,
+                CongestionBackend::Analytic,
+            );
             gains.push((without.total() - with.total()) / without.total());
             report.row([
                 model.name.clone(),

@@ -7,8 +7,7 @@ use moentwine_core::comm::{A2aModel, ParallelLayout};
 use moentwine_core::mapping::MappingPlan;
 use moentwine_core::placement::ExpertPlacement;
 use moentwine_spec::{MappingSpec, PlatformSpec};
-use wsc_collectives::{all_to_all_concurrent, Transfer};
-use wsc_sim::AnalyticModel;
+use wsc_sim::CongestionBackend;
 use wsc_topology::{RouteTable, Topology};
 
 /// A topology plus its precomputed route table. All constructors go
@@ -104,15 +103,6 @@ pub fn balanced_gating(groups: usize, experts: usize, tokens: u32, top_k: u32) -
     LayerGating { counts }
 }
 
-/// Fidelity of a communication measurement.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Fidelity {
-    /// Flow-level discrete-event simulation (exact congestion).
-    Des,
-    /// Analytical bottleneck model (fast, validated against DES).
-    Analytic,
-}
-
 /// Attention all-reduce + MoE all-to-all latency for one layer under
 /// balanced gating.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -133,27 +123,24 @@ impl CommLatency {
 }
 
 /// Measures one layer's communication for any layout (WSC mapping or GPU
-/// cluster) with balanced gating of `tokens_per_group` tokens per group.
+/// cluster) with balanced gating of `tokens_per_group` tokens per group,
+/// priced through `backend` like every other consumer of the congestion
+/// model (`CongestionBackend::FlowSim` for the DES, `Analytic` for the
+/// bottleneck model).
 pub fn comm_latency(
     platform: &Platform,
     layout: &dyn ParallelLayout,
     model: &ModelConfig,
     tokens_per_group: u32,
-    fidelity: Fidelity,
+    backend: CongestionBackend,
 ) -> CommLatency {
     let topo = &platform.topo;
+    let pricer = backend.build(topo);
     let token_bytes = model.token_bytes(Precision::Fp16);
     let ar_bytes = tokens_per_group as f64 * token_bytes;
-
-    let ar_schedule = layout.all_reduce_schedule(topo, ar_bytes);
-    let all_reduce = match fidelity {
-        Fidelity::Des => ar_schedule.run(topo).total_time,
-        Fidelity::Analytic => {
-            AnalyticModel::new(topo)
-                .estimate_schedule(&ar_schedule)
-                .total_time
-        }
-    };
+    let all_reduce = pricer
+        .price_schedule(&layout.all_reduce_schedule(topo, ar_bytes))
+        .total_time;
 
     let placement = ExpertPlacement::balanced(model.num_experts as usize, topo.num_devices(), 1);
     let gating = balanced_gating(
@@ -162,31 +149,15 @@ pub fn comm_latency(
         tokens_per_group,
         model.experts_per_token,
     );
-    let a2a_model = A2aModel::new(topo, &platform.table, layout);
-    let est = a2a_model.estimate(&gating, &placement, token_bytes, tokens_per_group);
-    let (all_to_all, latency_part) = match fidelity {
-        Fidelity::Analytic => (
-            est.dispatch.total_time + est.combine.total_time,
-            est.dispatch.latency_time + est.combine.latency_time,
-        ),
-        Fidelity::Des => {
-            let transfers: Vec<Transfer> = a2a_model
-                .dispatch_transfers(&gating, &placement, token_bytes)
-                .into_iter()
-                .map(|(s, d, b)| Transfer::new(s, d, b))
-                .collect();
-            let dispatch = all_to_all_concurrent(topo, &transfers).run(topo).total_time;
-            let reversed: Vec<Transfer> = transfers
-                .iter()
-                .map(|t| Transfer::new(t.dst, t.src, t.bytes))
-                .collect();
-            let combine = all_to_all_concurrent(topo, &reversed).run(topo).total_time;
-            (
-                dispatch + combine,
-                est.dispatch.latency_time + est.combine.latency_time,
-            )
-        }
-    };
+    let est = A2aModel::new(topo, &platform.table, layout).estimate_with(
+        &*pricer,
+        &gating,
+        &placement,
+        token_bytes,
+        tokens_per_group,
+    );
+    let all_to_all = est.total_time();
+    let latency_part = est.dispatch.latency_time + est.combine.latency_time;
     CommLatency {
         all_reduce,
         all_to_all,
@@ -217,8 +188,8 @@ mod tests {
         let platform = Platform::wsc(4);
         let plan = wsc_plan(&platform, 4, WscMapping::Er);
         let model = ModelConfig::qwen3_235b();
-        let des = comm_latency(&platform, &plan, &model, 256, Fidelity::Des);
-        let analytic = comm_latency(&platform, &plan, &model, 256, Fidelity::Analytic);
+        let des = comm_latency(&platform, &plan, &model, 256, CongestionBackend::FlowSim);
+        let analytic = comm_latency(&platform, &plan, &model, 256, CongestionBackend::Analytic);
         // AR is phase-synchronous: exact agreement. A2A: analytic is a
         // bottleneck bound; allow a 2x band.
         assert!((des.all_reduce - analytic.all_reduce).abs() / des.all_reduce < 1e-6);
@@ -232,11 +203,11 @@ mod tests {
         let wsc = Platform::wsc(6);
         let plan = wsc_plan(&wsc, 4, WscMapping::Baseline);
         let model = ModelConfig::qwen3_235b();
-        let wsc_comm = comm_latency(&wsc, &plan, &model, 256, Fidelity::Analytic);
+        let wsc_comm = comm_latency(&wsc, &plan, &model, 256, CongestionBackend::Analytic);
 
         let dgx = Platform::dgx(4);
         let layout = ClusterLayout::new(&dgx.topo, 8);
-        let dgx_comm = comm_latency(&dgx, &layout, &model, 256, Fidelity::Analytic);
+        let dgx_comm = comm_latency(&dgx, &layout, &model, 256, CongestionBackend::Analytic);
         assert!(
             wsc_comm.total() < dgx_comm.total(),
             "wsc {} vs dgx {}",

@@ -52,6 +52,15 @@ pub enum ConfigError {
     },
     /// A fleet needs at least one replica.
     ReplicasZero,
+    /// A fleet's initial replicas plus every scale-up in its timeline
+    /// exceed [`MAX_REPLICAS`](crate::fleet::MAX_REPLICAS).
+    TooManyReplicas {
+        /// The fleet's peak size: initial replicas plus all scale-ups
+        /// (saturating at `usize::MAX`).
+        replicas: usize,
+        /// The ceiling it exceeds.
+        max: usize,
+    },
     /// Fleet replicas need a serving batch mode
     /// ([`BatchMode::Scheduled`](crate::engine::BatchMode::Scheduled) or
     /// [`BatchMode::External`](crate::engine::BatchMode::External)), not
@@ -181,6 +190,10 @@ impl std::fmt::Display for ConfigError {
                 )
             }
             ConfigError::ReplicasZero => write!(f, "need at least one replica"),
+            ConfigError::TooManyReplicas { replicas, max } => write!(
+                f,
+                "fleet: {replicas} replicas (initial plus scale-ups) exceed the ceiling of {max}"
+            ),
             ConfigError::FleetNeedsServingBatch => {
                 write!(
                     f,
@@ -304,6 +317,14 @@ mod tests {
             }
             .to_string(),
             "model: experts_per_token 8 must be ≤ num_experts 4, and num_experts ≥ 1"
+        );
+        assert_eq!(
+            ConfigError::TooManyReplicas {
+                replicas: 5000,
+                max: 4096,
+            }
+            .to_string(),
+            "fleet: 5000 replicas (initial plus scale-ups) exceed the ceiling of 4096"
         );
         assert!(ConfigError::FleetEventsUnsorted { index: 2 }
             .to_string()

@@ -15,9 +15,10 @@
 //! * **The router** ([`moe_workload::Router`]) dispatches every arrival to
 //!   a replica's serving queue under a pluggable
 //!   [`RouterPolicy`].
-//! * **The clock** advances either in lock-step rounds or on an event
-//!   heap, selected by [`FleetScheduler`]. Round-driven stepping
-//!   ([`Fleet::run`]) routes all arrivals up to the fleet clock (the
+//! * **The clock** advances in lock-step rounds ([`Fleet::run`]) or, for a
+//!   time-horizon run ([`Fleet::run_until`]), as [`FleetScheduler`]
+//!   selects. Round-driven stepping routes all arrivals up to the fleet
+//!   clock (the
 //!   *minimum* of the replicas' simulated times, so no replica is ever fed
 //!   an arrival from its own future), then every replica executes exactly
 //!   one iteration. Between synchronization points replicas share no
@@ -25,12 +26,16 @@
 //!   [`Fleet::step_round_with`] takes any [`ReplicaPool`] — and the result
 //!   is byte-identical to serial stepping by construction: routing is
 //!   serial at the barrier, and each engine's iteration is a pure function
-//!   of its own state. Both [`FleetScheduler`]s run round-driven runs
-//!   this way, so they agree bit for bit there; the goldens pin this.
+//!   of its own state. Round-driven runs never read the scheduler.
 //!   After every step the fleet drains the replica's staged completions
 //!   through one channel: a racing speculative copy is held back, a
 //!   prefill record becomes a KV hand-off, and any other record completes
 //!   end to end.
+//! * **Routing** reads one live replica view — every replica's snapshot
+//!   plus its arrival and hand-off eligibility — that the fleet updates
+//!   wherever a queue or a lifecycle state changes. Both drives route
+//!   through one step that takes the earlier of the next hand-off and the
+//!   next arrival.
 //! * **Time-horizon runs** ([`Fleet::run_until`]) are where the schedulers
 //!   diverge in cost: lock-step loops whole rounds until the fleet clock
 //!   reaches the horizon, pricing an idle iteration on every drained
@@ -43,6 +48,7 @@
 //! [`ServingSummary`]s plus the load-imbalance ratios a capacity planner
 //! reads ("how many wafers for this arrival rate at p99 TTFT ≤ X?").
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 use moe_workload::{
@@ -92,7 +98,12 @@ fn split_seed(master: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How the fleet advances its replicas through simulated time.
+/// How [`Fleet::run_until`] advances the replicas through simulated time.
+///
+/// Round-driven runs ([`Fleet::run`], [`Fleet::step_round_with`]) never
+/// read it: they barrier every round whichever scheduler is set. Every
+/// scenario-bin, sweep and perfbench run is round-driven, so there the
+/// choice changes nothing; only a time-horizon run reaches the event heap.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum FleetScheduler {
     /// Barrier every round: route, then step every replica exactly once.
@@ -309,6 +320,35 @@ impl ReplicaState {
     }
 }
 
+/// The most replicas a fleet may ever hold, counting every scale-up in its
+/// timeline: 64× the largest shipped fleet (`mega_fleet`, 64 replicas).
+/// Each replica owns a whole engine, so a larger count is a typo or a
+/// hostile input, not a deployment; it is rejected as
+/// [`ConfigError::TooManyReplicas`] before anything is allocated for it.
+pub const MAX_REPLICAS: usize = 4096;
+
+/// Checks that `replicas` plus every scale-up in `events` stays within
+/// [`MAX_REPLICAS`]. Allocates nothing, so callers run it before sizing any
+/// per-replica state; [`validate_fleet_events`],
+/// [`validate_fleet_events_for_roles`] and [`Fleet::try_new`] all do.
+///
+/// # Errors
+///
+/// [`ConfigError::TooManyReplicas`] with the fleet's peak size.
+pub fn validate_replica_count(replicas: usize, events: &[FleetEvent]) -> Result<(), ConfigError> {
+    let peak = events.iter().fold(replicas, |n, e| match e.kind {
+        FleetEventKind::ScaleUp { count } => n.saturating_add(count),
+        _ => n,
+    });
+    if peak > MAX_REPLICAS {
+        return Err(ConfigError::TooManyReplicas {
+            replicas: peak,
+            max: MAX_REPLICAS,
+        });
+    }
+    Ok(())
+}
+
 /// Validates a fleet event timeline against an initial replica count by
 /// simulating the projected lifecycle states: times must be finite,
 /// non-negative, and sorted; replica indices must be in range at their
@@ -323,12 +363,14 @@ impl ReplicaState {
 ///
 /// # Errors
 ///
-/// The first violated
+/// [`ConfigError::TooManyReplicas`] (see [`validate_replica_count`]), or
+/// the first violated
 /// [`ConfigError::FleetEventsUnsorted`] /
 /// [`ConfigError::FleetEventReplicaOutOfRange`] /
 /// [`ConfigError::FleetEventNoOp`] /
 /// [`ConfigError::FleetEventLeavesNoReplicas`] variant.
 pub fn validate_fleet_events(replicas: usize, events: &[FleetEvent]) -> Result<(), ConfigError> {
+    validate_replica_count(replicas, events)?;
     validate_fleet_events_for_roles(&vec![ReplicaRole::Colocated; replicas], events)
 }
 
@@ -349,6 +391,7 @@ pub fn validate_fleet_events_for_roles(
     roles: &[ReplicaRole],
     events: &[FleetEvent],
 ) -> Result<(), ConfigError> {
+    validate_replica_count(roles.len(), events)?;
     let disaggregated = roles.iter().any(|&r| r != ReplicaRole::Colocated);
     let mut roles: Vec<ReplicaRole> = roles.to_vec();
     let mut states = vec![ReplicaState::Active; roles.len()];
@@ -368,51 +411,31 @@ pub fn validate_fleet_events_for_roles(
                 states.extend(std::iter::repeat_n(ReplicaState::Active, count));
                 roles.extend(std::iter::repeat_n(ReplicaRole::Colocated, count));
             }
-            FleetEventKind::Drain { replica } => match states.get(replica) {
-                None => {
+            FleetEventKind::Drain { replica }
+            | FleetEventKind::Crash { replica }
+            | FleetEventKind::Recover { replica } => {
+                let replicas = states.len();
+                let Some(state) = states.get_mut(replica) else {
                     return Err(ConfigError::FleetEventReplicaOutOfRange {
                         index,
                         replica,
-                        replicas: states.len(),
-                    })
-                }
-                Some(ReplicaState::Active) => states[replica] = ReplicaState::Draining,
-                Some(_) => return Err(ConfigError::FleetEventNoOp { index }),
-            },
-            FleetEventKind::Crash { replica } => {
-                match states.get(replica) {
-                    None => {
-                        return Err(ConfigError::FleetEventReplicaOutOfRange {
-                            index,
-                            replica,
-                            replicas: states.len(),
-                        })
-                    }
-                    // A draining replica may still crash before it empties
-                    // (the runtime treats a crash on an already-retired
-                    // replica as a no-op).
-                    Some(ReplicaState::Active) | Some(ReplicaState::Draining) => {
-                        states[replica] = ReplicaState::Failed
-                    }
-                    Some(ReplicaState::Failed) => {
-                        return Err(ConfigError::FleetEventNoOp { index })
-                    }
-                    Some(ReplicaState::Retired) => {
-                        return Err(ConfigError::FleetEventNoOp { index })
-                    }
-                }
+                        replicas,
+                    });
+                };
+                // A draining replica may still crash before it empties (the
+                // runtime treats a crash on an already-retired replica as a
+                // no-op); every other transition needs the one legal source
+                // state.
+                *state = match (event.kind, *state) {
+                    (FleetEventKind::Drain { .. }, ReplicaState::Active) => ReplicaState::Draining,
+                    (
+                        FleetEventKind::Crash { .. },
+                        ReplicaState::Active | ReplicaState::Draining,
+                    ) => ReplicaState::Failed,
+                    (FleetEventKind::Recover { .. }, ReplicaState::Failed) => ReplicaState::Active,
+                    _ => return Err(ConfigError::FleetEventNoOp { index }),
+                };
             }
-            FleetEventKind::Recover { replica } => match states.get(replica) {
-                None => {
-                    return Err(ConfigError::FleetEventReplicaOutOfRange {
-                        index,
-                        replica,
-                        replicas: states.len(),
-                    })
-                }
-                Some(ReplicaState::Failed) => states[replica] = ReplicaState::Active,
-                Some(_) => return Err(ConfigError::FleetEventNoOp { index }),
-            },
         }
         if !states.iter().any(|s| s.admits()) {
             return Err(ConfigError::FleetEventLeavesNoReplicas { index });
@@ -455,7 +478,8 @@ pub struct FleetConfig {
     /// backend everywhere; otherwise replica `i` gets `overrides[i % len]`
     /// (so a two-entry list alternates fidelity tiers across the fleet).
     pub backend_overrides: Vec<CongestionBackend>,
-    /// Replica advancement strategy (see [`FleetScheduler`]).
+    /// How [`Fleet::run_until`] advances the replicas; round-driven runs
+    /// never read it (see [`FleetScheduler`]).
     pub scheduler: FleetScheduler,
     /// Elasticity/failure timeline, sorted by time (empty = the immortal
     /// fixed fleet). Validated by [`validate_fleet_events`].
@@ -675,36 +699,42 @@ struct HandoffTracker {
     max_e2e_ttft: f64,
 }
 
-/// A KV transfer in flight: the decode-side request becomes routable at
-/// `arrival` (prefill finish + priced transfer time). Min-ordered by
-/// `(arrival, seq)` — `seq` is the creation sequence number, so
-/// same-instant transfers deliver in creation order, deterministically.
-#[derive(Clone, Debug)]
-struct HandoffEvent {
-    arrival: f64,
-    seq: u64,
-    request: Request,
+/// An entry of the fleet's two event heaps, ordered so that
+/// `BinaryHeap::pop` yields the *earliest* `time` (`f64::total_cmp`), ties
+/// to the lowest `tie` — the deterministic tie-break contract (DESIGN.md
+/// §10). `item` takes no part in the order. A replica step ties on its
+/// replica index and carries the replica's lifecycle epoch when enqueued
+/// (crashes and retirements bump the epoch, lazily invalidating the
+/// entry). A KV transfer in flight becomes routable at prefill finish plus
+/// the priced transfer time, ties on its creation sequence (same-instant
+/// transfers deliver in creation order) and carries the decode-side
+/// request.
+#[derive(Copy, Clone, Debug)]
+struct Timed<T> {
+    time: f64,
+    tie: usize,
+    item: T,
 }
 
-impl PartialEq for HandoffEvent {
+impl<T> PartialEq for Timed<T> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
 
-impl Eq for HandoffEvent {}
+impl<T> Eq for Timed<T> {}
 
-impl Ord for HandoffEvent {
+impl<T> Ord for Timed<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the min element.
         other
-            .arrival
-            .total_cmp(&self.arrival)
-            .then(other.seq.cmp(&self.seq))
+            .time
+            .total_cmp(&self.time)
+            .then(other.tie.cmp(&self.tie))
     }
 }
 
-impl PartialOrd for HandoffEvent {
+impl<T> PartialOrd for Timed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -796,14 +826,45 @@ struct EventMark {
     completed: u64,
 }
 
-/// What applying one event changed, for the event-heap drive to patch its
-/// local snapshot/heap state.
-struct EventEffects {
-    /// Replicas that stopped being steppable (stale heap entries must be
-    /// discarded).
-    deactivated: Vec<usize>,
-    /// Replicas offered re-routed requests (parked ones need waking).
-    touched: Vec<usize>,
+/// The router's live view of the replicas, in replica order: each
+/// replica's [`ReplicaSnapshot`] plus its two eligibility masks. [`Fleet`]
+/// keeps it current instead of rebuilding it per routing pass: a snapshot
+/// is re-read wherever a queue changes (offer, step, eviction,
+/// cancellation) and the masks wherever a lifecycle state does, so both
+/// drives route from it as is.
+#[derive(Clone, PartialEq, Debug, Default)]
+struct ReplicaView {
+    snapshots: Vec<ReplicaSnapshot>,
+    /// Admitting and prefill-capable: where arrivals and re-routed
+    /// evictions may go. For a colocated fleet, the admitting set.
+    arrival: Vec<bool>,
+    /// Admitting and decode-capable: where KV hand-offs may go.
+    handoff: Vec<bool>,
+}
+
+impl ReplicaView {
+    /// Appends one replica's entry.
+    fn push(&mut self, snapshot: ReplicaSnapshot, state: ReplicaState, role: ReplicaRole) {
+        let (arrival, handoff) = eligibility(state, role);
+        self.snapshots.push(snapshot);
+        self.arrival.push(arrival);
+        self.handoff.push(handoff);
+    }
+}
+
+/// `(arrival, hand-off)` eligibility of a replica in `state` with `role`.
+fn eligibility(state: ReplicaState, role: ReplicaRole) -> (bool, bool) {
+    (
+        state.admits() && role.prefill_capable(),
+        state.admits() && role.decode_capable(),
+    )
+}
+
+/// Replica `engine`'s serving load as the router observes it.
+fn snapshot_of(engine: &InferenceEngine<'_>) -> ReplicaSnapshot {
+    engine
+        .replica_snapshot()
+        .expect("replicas run a serving mode")
 }
 
 /// N replica engines behind a router on a shared simulated clock. See the
@@ -821,6 +882,8 @@ pub struct Fleet<'a> {
     engines: Vec<InferenceEngine<'a>>,
     /// Lifecycle state per replica, in replica order.
     states: Vec<ReplicaState>,
+    /// What the router sees of every replica (see [`ReplicaView`]).
+    view: ReplicaView,
     /// Serving role per replica, in replica order (scale-ups join as
     /// [`ReplicaRole::Colocated`]).
     roles: Vec<ReplicaRole>,
@@ -836,9 +899,9 @@ pub struct Fleet<'a> {
     kv_bytes_per_token: f64,
     /// Priced transfers not yet delivered to a decode queue, min-ordered
     /// by decode-side arrival.
-    pending_handoffs: BinaryHeap<HandoffEvent>,
+    pending_handoffs: BinaryHeap<Timed<Request>>,
     /// Creation sequence for deterministic same-instant delivery order.
-    handoff_seq: u64,
+    handoff_seq: usize,
     /// In-flight hand-offs by request id, matched when the decode side
     /// completes. A request re-queued off a crashed decode replica
     /// re-prefills and re-inserts (overwriting) under the same id.
@@ -875,45 +938,10 @@ pub struct Fleet<'a> {
     completed: u64,
 }
 
-/// A pending replica step in the event heap, ordered so that
-/// `BinaryHeap::pop` yields the *earliest* event: time ascending
-/// (`f64::total_cmp`), then replica index ascending — the deterministic
-/// tie-break contract (DESIGN.md §10).
-#[derive(Copy, Clone, Debug)]
-struct StepEvent {
-    time: f64,
-    replica: usize,
-    /// Lifecycle epoch of the replica when enqueued: crashes and
-    /// retirements bump the replica's epoch, lazily invalidating any entry
-    /// still in the heap (epoch does not participate in ordering).
-    epoch: u64,
-}
+/// A pending replica step: `tie` is the replica, `item` its epoch.
+type StepEvent = Timed<u64>;
 
-impl PartialEq for StepEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for StepEvent {}
-
-impl Ord for StepEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the min element.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.replica.cmp(&self.replica))
-    }
-}
-
-impl PartialOrd for StepEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The event drive's step heap with its per-replica mirrors:
+/// The event drive's step heap with its per-replica bookkeeping:
 /// `scheduled[i]` tracks heap membership, so a replica is never enqueued
 /// twice, and `epoch[i]` lazily invalidates entries orphaned by a crash or
 /// retirement.
@@ -944,8 +972,8 @@ impl StepHeap {
     fn push(&mut self, i: usize, time: f64) {
         self.heap.push(StepEvent {
             time,
-            replica: i,
-            epoch: self.epoch[i],
+            tie: i,
+            item: self.epoch[i],
         });
         self.scheduled[i] = true;
     }
@@ -976,11 +1004,18 @@ impl StepHeap {
         while self
             .heap
             .peek()
-            .is_some_and(|top| top.epoch != self.epoch[top.replica])
+            .is_some_and(|top| top.item != self.epoch[top.tie])
         {
             self.heap.pop();
         }
         self.heap.peek().copied()
+    }
+
+    /// Removes and returns the earliest live step.
+    fn pop(&mut self) -> Option<StepEvent> {
+        let next = self.peek();
+        self.heap.pop();
+        next
     }
 }
 
@@ -1018,10 +1053,11 @@ impl<'a> Fleet<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::ReplicasZero`](crate::config::ConfigError)
-    /// for an empty fleet,
-    /// [`ConfigError::FleetNeedsServingBatch`](crate::config::ConfigError)
-    /// for a [`BatchMode::Fixed`] template, whatever
+    /// Returns [`ConfigError::ReplicasZero`] for an empty fleet,
+    /// [`ConfigError::TooManyReplicas`] for one past [`MAX_REPLICAS`]
+    /// (checked before any per-replica allocation),
+    /// [`ConfigError::FleetNeedsServingBatch`] for a [`BatchMode::Fixed`]
+    /// template, whatever
     /// [`EngineConfig::validate`] rejects about the replica template, or
     /// whatever [`validate_fleet_events`] rejects about the timeline.
     pub fn try_new(
@@ -1029,7 +1065,7 @@ impl<'a> Fleet<'a> {
         table: &'a RouteTable,
         layout: &'a dyn ParallelLayout,
         config: FleetConfig,
-    ) -> Result<Self, crate::config::ConfigError> {
+    ) -> Result<Self, ConfigError> {
         Self::try_new_disaggregated(
             PlatformRefs {
                 topo,
@@ -1061,18 +1097,19 @@ impl<'a> Fleet<'a> {
         prefill: PlatformRefs<'a>,
         decode_platform: Option<PlatformRefs<'a>>,
         config: FleetConfig,
-    ) -> Result<Self, crate::config::ConfigError> {
+    ) -> Result<Self, ConfigError> {
         let PlatformRefs {
             topo,
             table,
             layout,
         } = prefill;
         if config.replicas == 0 {
-            return Err(crate::config::ConfigError::ReplicasZero);
+            return Err(ConfigError::ReplicasZero);
         }
+        validate_replica_count(config.replicas, &config.events)?;
         config.engine.validate()?;
         if !config.roles.is_empty() && config.roles.len() != config.replicas {
-            return Err(crate::config::ConfigError::FleetRolesLengthMismatch {
+            return Err(ConfigError::FleetRolesLengthMismatch {
                 roles: config.roles.len(),
                 replicas: config.replicas,
             });
@@ -1082,14 +1119,14 @@ impl<'a> Fleet<'a> {
         let disaggregated = roles.iter().any(|&r| r != ReplicaRole::Colocated);
         if disaggregated {
             if !roles.iter().any(|r| r.prefill_capable()) {
-                return Err(crate::config::ConfigError::FleetNoPrefillCapacity);
+                return Err(ConfigError::FleetNoPrefillCapacity);
             }
             if !roles.iter().any(|r| r.decode_capable()) {
-                return Err(crate::config::ConfigError::FleetNoDecodeCapacity);
+                return Err(ConfigError::FleetNoDecodeCapacity);
             }
         }
         if decode_platform.is_some() && !roles.contains(&ReplicaRole::Decode) {
-            return Err(crate::config::ConfigError::FleetDecodePlatformUnused);
+            return Err(ConfigError::FleetDecodePlatformUnused);
         }
         validate_fleet_events_for_roles(&roles, &config.events)?;
         let (mode, max_batch_tokens, max_active) = match config.engine.batch {
@@ -1104,9 +1141,7 @@ impl<'a> Fleet<'a> {
                 max_batch_tokens,
                 max_active,
             } => (mode, max_batch_tokens, max_active),
-            BatchMode::Fixed { .. } => {
-                return Err(crate::config::ConfigError::FleetNeedsServingBatch)
-            }
+            BatchMode::Fixed { .. } => return Err(ConfigError::FleetNeedsServingBatch),
         };
         let master = config.engine.seed;
         let mut template = config.engine.clone();
@@ -1162,7 +1197,8 @@ impl<'a> Fleet<'a> {
             backend_overrides: config.backend_overrides,
             master,
             engines: Vec::with_capacity(config.replicas),
-            states: vec![ReplicaState::Active; config.replicas],
+            states: Vec::with_capacity(config.replicas),
+            view: ReplicaView::default(),
             roles,
             decode_platform,
             transfer_model,
@@ -1185,11 +1221,23 @@ impl<'a> Fleet<'a> {
             streaming,
             completed: 0,
         };
-        for i in 0..config.replicas {
-            let engine = fleet.build_replica(i);
-            fleet.engines.push(engine);
+        for _ in 0..config.replicas {
+            fleet.push_replica(0.0);
         }
         Ok(fleet)
+    }
+
+    /// Appends replica `engines.len()`, whose role is already in `roles`:
+    /// builds it, fast-forwards it to `now`, and enters it active in the
+    /// view.
+    fn push_replica(&mut self, now: f64) {
+        let i = self.engines.len();
+        let mut engine = self.build_replica(i);
+        engine.fast_forward(now);
+        self.view
+            .push(snapshot_of(&engine), ReplicaState::Active, self.roles[i]);
+        self.engines.push(engine);
+        self.states.push(ReplicaState::Active);
     }
 
     /// Builds the engine for replica index `i` from the stored template:
@@ -1209,7 +1257,7 @@ impl<'a> Fleet<'a> {
         // reserves input + output) — on the decode platform when the
         // fleet is heterogeneous. Colocated replicas keep the template
         // mode and platform, byte-identically to pre-role fleets.
-        let role = self.roles.get(i).copied().unwrap_or_default();
+        let role = self.roles[i];
         if let BatchMode::External { mode, .. } = &mut cfg.batch {
             match role {
                 ReplicaRole::Colocated => {}
@@ -1270,36 +1318,32 @@ impl<'a> Fleet<'a> {
         self.pending_handoffs.len()
     }
 
-    /// Replica `i`'s serving load as the router observes it.
-    fn snapshot(&self, i: usize) -> ReplicaSnapshot {
-        self.engines[i]
-            .replica_snapshot()
-            .expect("replicas run a serving mode")
+    /// Re-reads replica `i`'s queue into the view, after anything that
+    /// changed it.
+    fn refresh(&mut self, i: usize) {
+        self.view.snapshots[i] = snapshot_of(&self.engines[i]);
     }
 
-    /// Every replica's snapshot, in replica order.
-    fn snapshots(&self) -> Vec<ReplicaSnapshot> {
-        (0..self.engines.len()).map(|i| self.snapshot(i)).collect()
+    /// Moves replica `i` to `state` and re-derives its view masks.
+    fn set_state(&mut self, i: usize, state: ReplicaState) {
+        self.states[i] = state;
+        (self.view.arrival[i], self.view.handoff[i]) = eligibility(state, self.roles[i]);
     }
 
-    /// Replicas that may receive arrivals: admitting and prefill-capable.
-    /// For a colocated fleet this is exactly the admitting set.
-    fn prefill_eligible(&self) -> Vec<bool> {
-        self.states
-            .iter()
-            .zip(&self.roles)
-            .map(|(s, r)| s.admits() && r.prefill_capable())
-            .collect()
-    }
-
-    /// Replicas that may receive KV hand-offs: admitting and
-    /// decode-capable.
-    fn decode_eligible(&self) -> Vec<bool> {
-        self.states
-            .iter()
-            .zip(&self.roles)
-            .map(|(s, r)| s.admits() && r.decode_capable())
-            .collect()
+    /// The routing precondition, checked under `debug_assertions`: the
+    /// live view equals what a fresh read of every replica would build.
+    fn check_view(&self) {
+        debug_assert_eq!(
+            self.view,
+            {
+                let mut fresh = ReplicaView::default();
+                for (i, engine) in self.engines.iter().enumerate() {
+                    fresh.push(snapshot_of(engine), self.states[i], self.roles[i]);
+                }
+                fresh
+            },
+            "the replica view went stale"
+        );
     }
 
     /// Timeline events not yet applied (in time order).
@@ -1332,8 +1376,8 @@ impl<'a> Fleet<'a> {
     /// each event at its exact configured time instead, see
     /// [`Fleet::run_until_event_driven`]).
     fn apply_due_events(&mut self, now: f64) {
-        while self.pending_events.front().is_some_and(|e| e.time <= now) {
-            let event = self.pending_events.pop_front().expect("peeked above");
+        while let Some(&event) = self.pending_events.front().filter(|e| e.time <= now) {
+            self.pending_events.pop_front();
             self.apply_event(event, now);
         }
     }
@@ -1341,7 +1385,7 @@ impl<'a> Fleet<'a> {
     /// Applies one timeline event at simulated time `now` (≥ the event's
     /// configured time). Evictions happen at iteration boundaries only —
     /// both drives guarantee no engine is mid-iteration here.
-    fn apply_event(&mut self, event: FleetEvent, now: f64) -> EventEffects {
+    fn apply_event(&mut self, event: FleetEvent, now: f64) {
         self.accrue_availability(now);
         self.chaos.marks.push(EventMark {
             label: format!("{}@{}", event.kind.name(), event.time),
@@ -1349,19 +1393,11 @@ impl<'a> Fleet<'a> {
             completed: self.completed,
         });
         self.chaos.events_applied += 1;
-        let mut effects = EventEffects {
-            deactivated: Vec::new(),
-            touched: Vec::new(),
-        };
         match event.kind {
             FleetEventKind::ScaleUp { count } => {
                 for _ in 0..count {
-                    let i = self.engines.len();
                     self.roles.push(ReplicaRole::Colocated);
-                    let mut engine = self.build_replica(i);
-                    engine.fast_forward(now);
-                    self.engines.push(engine);
-                    self.states.push(ReplicaState::Active);
+                    self.push_replica(now);
                 }
                 self.router.grow(count);
             }
@@ -1369,27 +1405,27 @@ impl<'a> Fleet<'a> {
                 // Validated timelines only drain active replicas; treat
                 // anything else as a no-op for runtime robustness.
                 if self.states[replica] != ReplicaState::Active {
-                    return effects;
+                    return;
                 }
-                self.states[replica] = ReplicaState::Draining;
+                self.set_state(replica, ReplicaState::Draining);
                 let evicted = self.engines[replica].evict_waiting_requests();
+                self.refresh(replica);
                 let waiting = self.strip_spec_copies(evicted, replica);
                 self.chaos.drain_rerouted += waiting.len() as u64;
-                self.reroute(waiting, replica, now, &mut effects);
-                if idle(&self.snapshot(replica)) {
+                self.reroute(waiting, replica, now);
+                if idle(&self.view.snapshots[replica]) {
                     // Nothing in flight: straight to retired.
-                    self.states[replica] = ReplicaState::Retired;
-                    effects.deactivated.push(replica);
+                    self.set_state(replica, ReplicaState::Retired);
                 }
             }
             FleetEventKind::Crash { replica } => {
                 if !self.states[replica].steppable() {
-                    return effects;
+                    return;
                 }
-                self.states[replica] = ReplicaState::Failed;
-                effects.deactivated.push(replica);
+                self.set_state(replica, ReplicaState::Failed);
                 let evicted = self.engines[replica].evict_waiting_requests();
                 let resident_evicted = self.engines[replica].evict_resident_requests();
+                self.refresh(replica);
                 let waiting = self.strip_spec_copies(evicted, replica);
                 // Speculative copies with a surviving sibling are simply
                 // cancelled by the crash (the race continues elsewhere);
@@ -1406,24 +1442,22 @@ impl<'a> Fleet<'a> {
                 // admission), which is the KV re-admission cost.
                 self.chaos.replayed_prefill_tokens +=
                     resident.iter().map(|r| u64::from(r.prefilled)).sum::<u64>();
-                self.reroute(waiting, replica, now, &mut effects);
+                self.reroute(waiting, replica, now);
                 self.reroute(
                     resident.into_iter().map(|r| r.request).collect(),
                     replica,
                     now,
-                    &mut effects,
                 );
             }
             FleetEventKind::Recover { replica } => {
                 if self.states[replica] == ReplicaState::Failed {
-                    self.states[replica] = ReplicaState::Active;
+                    self.set_state(replica, ReplicaState::Active);
                     // The replica was dark while failed: no phantom idle
                     // iterations, it simply rejoins at the current time.
                     self.engines[replica].fast_forward(now);
                 }
             }
         }
-        effects
     }
 
     /// Re-routes evicted requests through the router into currently
@@ -1431,28 +1465,18 @@ impl<'a> Fleet<'a> {
     /// interruption instant; queueing-delay SLOs restart from the failure,
     /// not the original arrival (which would otherwise violate the
     /// per-queue arrival-order contract).
-    fn reroute(
-        &mut self,
-        requests: Vec<Request>,
-        from: usize,
-        now: f64,
-        effects: &mut EventEffects,
-    ) {
-        if requests.is_empty() {
-            return;
-        }
-        // Re-routes go to prefill-capable replicas only: a request
-        // evicted from a decode replica lost its transferred KV with the
-        // crash, so it replays its prefill (and will hand off again under
-        // the same id). Identical to the admitting set when colocated.
-        let eligible = self.prefill_eligible();
-        let mut snapshots = self.snapshots();
+    fn reroute(&mut self, requests: Vec<Request>, from: usize, now: f64) {
         for mut request in requests {
             self.chaos.requeued_tokens +=
                 u64::from(request.input_len) + u64::from(request.output_len);
             request.arrival = now;
             let id = request.id.0;
-            let choice = self.route_unicast(request, &mut snapshots, &eligible);
+            // Re-routes go to prefill-capable replicas only: a request
+            // evicted from a decode replica lost its transferred KV with
+            // the crash, so it replays its prefill (and will hand off again
+            // under the same id). Identical to the admitting set when
+            // colocated.
+            let choice = self.route_unicast(request, false);
             // A group's last surviving copy keeps its race open on the new
             // replica (siblings were dropped by `strip_spec_copies`).
             if let Some(group) = self.spec_groups.get_mut(&id) {
@@ -1460,7 +1484,6 @@ impl<'a> Fleet<'a> {
                     copy.replica = choice;
                 }
             }
-            effects.touched.push(choice);
         }
     }
 
@@ -1498,34 +1521,26 @@ impl<'a> Fleet<'a> {
         true
     }
 
-    /// Routes every arrival and due KV hand-off up to the fleet clock, as
-    /// one time-sorted merge (a hand-off wins an exact tie). Serial by
-    /// design: the router observes each offer it makes (snapshots are
-    /// refreshed per request), so load-aware policies see their own
-    /// decisions within a burst. Arrivals go to admitting prefill-capable
-    /// replicas, hand-offs to admitting decode-capable ones; for a
-    /// colocated fleet there are no hand-offs and the arrival mask is the
-    /// admitting set — byte-identical to the pre-role router loop.
-    fn route_arrivals(&mut self) {
-        let eligible = self.prefill_eligible();
-        let decode_eligible = self.decode_eligible();
-        let mut snapshots = self.snapshots();
-        // Bound the pull (as `BatchScheduler::pull_arrivals` does) so an
-        // extreme configured rate cannot stall a round; the overflow stays
-        // in the generator and drains over subsequent rounds.
-        for _ in 0..moe_workload::MAX_ARRIVALS_PER_PULL {
-            let arrival_time = self.next_arrival_time();
-            let handoff_time = self.next_handoff_time();
-            if arrival_time.min(handoff_time) > self.clock {
-                break;
-            }
-            if handoff_time <= arrival_time {
-                let handoff = self.pending_handoffs.pop().expect("peeked above");
-                self.route_unicast(handoff.request, &mut snapshots, &decode_eligible);
-            } else {
-                let request = self.lookahead.take().expect("peeked above");
-                self.dispatch_arrival(request, &mut snapshots, &eligible);
-            }
+    /// The routing step both drives share: routes whichever of the next
+    /// KV hand-off and the next fresh arrival comes first (a hand-off wins
+    /// an exact tie), if it is due by `by`. Returns its time and the
+    /// replicas it was offered to, or `None` when nothing is due. Serial by
+    /// design: the router observes each offer it makes, so load-aware
+    /// policies see their own decisions within a burst. Arrivals go to
+    /// admitting prefill-capable replicas, hand-offs to admitting
+    /// decode-capable ones; a colocated fleet has no hand-offs, and its
+    /// arrival mask is the admitting set.
+    fn route_next(&mut self, by: f64) -> Option<(f64, Vec<usize>)> {
+        let arrival_time = self.next_arrival_time();
+        let handoff_time = self.next_handoff_time();
+        if handoff_time <= arrival_time && handoff_time <= by {
+            let handoff = self.pending_handoffs.pop()?;
+            Some((handoff_time, vec![self.route_unicast(handoff.item, true)]))
+        } else if arrival_time < handoff_time && arrival_time <= by {
+            let request = self.lookahead.take()?;
+            Some((arrival_time, self.dispatch_arrival(request)))
+        } else {
+            None
         }
     }
 
@@ -1543,43 +1558,43 @@ impl<'a> Fleet<'a> {
     fn next_handoff_time(&self) -> f64 {
         self.pending_handoffs
             .peek()
-            .map_or(f64::INFINITY, |h| h.arrival)
+            .map_or(f64::INFINITY, |h| h.time)
     }
 
-    /// Offers `request` to replica `i` and refreshes its entry in
-    /// `snapshots`, so the router observes each offer it makes: load-aware
-    /// policies see their own decisions within a burst.
-    fn offer(&mut self, i: usize, request: Request, snapshots: &mut [ReplicaSnapshot]) {
+    /// Offers `request` to replica `i` and refreshes its view entry, so
+    /// the router observes each offer it makes.
+    fn offer(&mut self, i: usize, request: Request) {
         self.engines[i].offer_request(request);
-        snapshots[i] = self.snapshot(i);
+        self.refresh(i);
     }
 
-    /// Routes one request to a single replica among `eligible` and offers
-    /// it there: KV hand-offs (over the decode-capable mask) and re-routed
-    /// evictions (over the prefill-capable one). Returns the replica.
-    fn route_unicast(
-        &mut self,
-        request: Request,
-        snapshots: &mut [ReplicaSnapshot],
-        eligible: &[bool],
-    ) -> usize {
-        let choice = self.router.route_among(&request, snapshots, eligible);
-        self.offer(choice, request, snapshots);
+    /// Routes one request to a single replica and offers it there: a KV
+    /// hand-off (`handoff`, over the hand-off mask) or a re-routed
+    /// eviction (over the arrival mask). Returns the replica.
+    fn route_unicast(&mut self, request: Request, handoff: bool) -> usize {
+        self.check_view();
+        let view = &self.view;
+        let mask = if handoff {
+            &view.handoff
+        } else {
+            &view.arrival
+        };
+        let choice = self.router.route_among(&request, &view.snapshots, mask);
+        self.offer(choice, request);
         choice
     }
 
-    /// Routes one fresh arrival among the prefill-capable `eligible`
-    /// replicas, opens a speculative group for a multicast decision, and
-    /// offers a copy to each target. Returns the targets: none when the
-    /// router sheds the request at the front end (it counts the shed per
-    /// class).
-    fn dispatch_arrival(
-        &mut self,
-        request: Request,
-        snapshots: &mut [ReplicaSnapshot],
-        eligible: &[bool],
-    ) -> Vec<usize> {
-        let targets = match self.router.route_decision(&request, snapshots, eligible) {
+    /// Routes one fresh arrival over the arrival mask, opens a speculative
+    /// group for a multicast decision, and offers a copy to each target.
+    /// Returns the targets: none when the router sheds the request at the
+    /// front end (it counts the shed per class).
+    fn dispatch_arrival(&mut self, request: Request) -> Vec<usize> {
+        self.check_view();
+        let view = &self.view;
+        let targets = match self
+            .router
+            .route_decision(&request, &view.snapshots, &view.arrival)
+        {
             Decision::Unicast(choice) => vec![choice],
             Decision::Speculative(targets) => {
                 self.open_spec_group(&request, &targets);
@@ -1588,7 +1603,7 @@ impl<'a> Fleet<'a> {
             Decision::Shed => Vec::new(),
         };
         for &t in &targets {
-            self.offer(t, request.clone(), snapshots);
+            self.offer(t, request.clone());
         }
         targets
     }
@@ -1621,7 +1636,15 @@ impl<'a> Fleet<'a> {
     /// both [`FleetScheduler`]s: replicas are independent within a round,
     /// so job order cannot change a number (the fleet goldens pin this).
     pub fn step_round_with(&mut self, pool: &dyn ReplicaPool) {
-        self.route_arrivals();
+        // Route everything due by the fleet clock. The pull is bounded (as
+        // `BatchScheduler::pull_arrivals` is) so an extreme configured rate
+        // cannot stall a round; the overflow stays in the generator and
+        // drains over subsequent rounds.
+        for _ in 0..moe_workload::MAX_ARRIVALS_PER_PULL {
+            if self.route_next(self.clock).is_none() {
+                break;
+            }
+        }
         // Timeline events fire at the first barrier whose clock reached
         // them — identically under both round-driven drives, preserving
         // their bit-identity. Re-routed requests are offered after this
@@ -1644,6 +1667,7 @@ impl<'a> Fleet<'a> {
         // Harvest in replica order, so router feedback and the fleet
         // sketch see a deterministic record order for any pool.
         for i in 0..self.engines.len() {
+            self.refresh(i);
             self.harvest(i);
         }
         self.resolve_spec_groups();
@@ -1662,8 +1686,8 @@ impl<'a> Fleet<'a> {
     /// iterations and leave the fleet-clock computation.
     fn retire_empty_drainers(&mut self) {
         for i in 0..self.engines.len() {
-            if self.states[i] == ReplicaState::Draining && idle(&self.snapshot(i)) {
-                self.states[i] = ReplicaState::Retired;
+            if self.states[i] == ReplicaState::Draining && idle(&self.view.snapshots[i]) {
+                self.set_state(i, ReplicaState::Retired);
             }
         }
     }
@@ -1720,64 +1744,52 @@ impl<'a> Fleet<'a> {
     /// logical request is counted once. Copies absent from their replica
     /// without completing (rejected or deadline-shed there) are pruned
     /// without a cancellation — the queue counters already hold them.
-    /// Returns whether any engine's queue state changed (the event drive
-    /// refreshes its snapshot mirror on `true`).
-    fn resolve_spec_groups(&mut self) -> bool {
+    fn resolve_spec_groups(&mut self) {
         if self.spec_groups.is_empty() {
-            return false;
+            return;
         }
         let ids: Vec<u64> = self.spec_groups.keys().copied().collect();
-        let mut changed = false;
         for id in ids {
-            changed |= self.resolve_spec_group(id);
+            self.resolve_spec_group(id);
         }
-        changed
     }
 
     /// One group's resolution attempt (see [`Fleet::resolve_spec_groups`]).
-    fn resolve_spec_group(&mut self, id: u64) -> bool {
+    fn resolve_spec_group(&mut self, id: u64) {
         let rid = moe_workload::RequestId(id);
-        let group = self
-            .spec_groups
-            .get_mut(&id)
-            .expect("caller iterates live ids");
+        let Entry::Occupied(mut entry) = self.spec_groups.entry(id) else {
+            return;
+        };
         let engines = &self.engines;
+        let group = entry.get_mut();
         group.copies.retain(|c| {
             c.done.is_some() || engines[c.replica].copy_status(rid) != CopyStatus::Absent
         });
         if group.copies.is_empty() {
             // Every copy was rejected or shed at its replica: the race is
             // void, the request is fully accounted by the queue counters.
-            self.spec_groups.remove(&id);
-            return false;
+            entry.remove();
+            return;
         }
-        let mut winner: Option<(f64, usize)> = None;
-        for (idx, c) in group.copies.iter().enumerate() {
-            let t = match &c.done {
-                Some(r) => Some(r.first_token),
-                None => match engines[c.replica].copy_status(rid) {
-                    CopyStatus::Active { first_token } => first_token,
-                    _ => None,
-                },
-            };
-            if let Some(t) = t {
-                let better = match winner {
-                    None => true,
-                    Some((bt, bidx)) => {
-                        t < bt || (t == bt && c.replica < group.copies[bidx].replica)
-                    }
+        let winner = group
+            .copies
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, c)| {
+                let first_token = match &c.done {
+                    Some(r) => Some(r.first_token),
+                    None => match engines[c.replica].copy_status(rid) {
+                        CopyStatus::Active { first_token } => first_token,
+                        _ => None,
+                    },
                 };
-                if better {
-                    winner = Some((t, idx));
-                }
-            }
-        }
-        let Some((_, winner_idx)) = winner else {
-            return false; // no first token anywhere yet: race stays open
+                first_token.map(|t| (t, c.replica, idx))
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let Some((_, _, winner_idx)) = winner else {
+            return; // no first token anywhere yet: race stays open
         };
-        let group = self.spec_groups.remove(&id).expect("present above");
-        let mut changed = false;
-        for (idx, copy) in group.copies.into_iter().enumerate() {
+        for (idx, copy) in entry.remove().copies.into_iter().enumerate() {
             if idx == winner_idx {
                 if let Some(record) = copy.done {
                     self.book_record(copy.replica, &record);
@@ -1802,12 +1814,11 @@ impl<'a> Fleet<'a> {
                     // admitted-token accounting unwound).
                     if self.engines[copy.replica].cancel_request(rid) {
                         self.spec_cancelled += 1;
-                        changed = true;
+                        self.refresh(copy.replica);
                     }
                 }
             }
         }
-        changed
     }
 
     /// Books one completion that is not (or no longer) racing. On a
@@ -1815,7 +1826,7 @@ impl<'a> Fleet<'a> {
     /// `kv_bytes_per_token_all_layers × prefill tokens` is priced through
     /// the congestion model, and the request is re-queued for the decode
     /// tier at `prefill finish + transfer time` (delivered by
-    /// `route_arrivals` / the event loop in global time order). Everywhere
+    /// `route_next` in global time order). Everywhere
     /// else it is an end-to-end completion.
     fn book_record(&mut self, replica: usize, record: &RequestRecord) {
         if self.roles[replica] == ReplicaRole::Prefill {
@@ -1843,10 +1854,10 @@ impl<'a> Fleet<'a> {
         );
         self.handoff_seq += 1;
         let arrival = r.finish + transfer;
-        self.pending_handoffs.push(HandoffEvent {
-            arrival,
-            seq: self.handoff_seq,
-            request: Request {
+        self.pending_handoffs.push(Timed {
+            time: arrival,
+            tie: self.handoff_seq,
+            item: Request {
                 id: r.id,
                 scenario: r.scenario,
                 class: r.class,
@@ -1929,100 +1940,67 @@ impl<'a> Fleet<'a> {
     }
 
     /// The event-heap core of [`Fleet::run_until`]. Timeline events join
-    /// the arrival stream and the step heap as a third event source and are
-    /// applied at exactly their configured time — before arrivals and
-    /// steps at the same instant. Crashes and retirements bump the
-    /// replica's epoch, lazily invalidating its heap entries; scale-ups
-    /// extend the loop-local mirrors in place.
+    /// the routing stream and the step heap as a third event source and are
+    /// applied at exactly their configured time — before routing and steps
+    /// at the same instant. Crashes and retirements bump the replica's
+    /// epoch, lazily invalidating its heap entries.
     fn run_until_event_driven(&mut self, horizon: f64) {
-        let mut snapshots = self.snapshots();
-        let mut eligible = self.prefill_eligible();
-        let mut eligible_decode = self.decode_eligible();
         // Rebuild the step heap from scratch: any steppable replica with
         // work pending steps next at its own clock; the rest are parked.
         let mut steps = StepHeap::new(self.engines.len());
-        for (i, snap) in snapshots.iter().enumerate() {
-            if self.states[i].steppable() && !idle(snap) {
+        for i in 0..self.engines.len() {
+            if self.states[i].steppable() && !idle(&self.view.snapshots[i]) {
                 steps.push(i, self.engines[i].sim_time());
             }
         }
         loop {
-            // One arrival is outstanding at a time (the lookahead), so
-            // the next event is min(timeline, hand-off, lookahead, heap
-            // top) — timeline first, then hand-off delivery, then
-            // arrival, then step on time ties (the router-before-replica
-            // contract). An exhausted finite source (trace replay) stops
-            // producing arrival events; steps and timeline events still
-            // fire.
-            let arrival_time = self.next_arrival_time();
-            let handoff_time = self.next_handoff_time();
+            // One arrival is outstanding at a time (the lookahead), so the
+            // next event is min(timeline, hand-off, lookahead, heap top) —
+            // timeline first, then routing (see `route_next`), then step on
+            // time ties (the router-before-replica contract). An exhausted
+            // finite source (trace replay) stops producing arrival events;
+            // steps and timeline events still fire.
             let step_time = steps.peek().map_or(f64::INFINITY, |s| s.time);
-            let timeline_time = self
-                .pending_events
-                .front()
-                .map_or(f64::INFINITY, |e| e.time);
-            let event_time = timeline_time
-                .min(handoff_time)
-                .min(arrival_time)
-                .min(step_time);
-            if event_time >= horizon {
+            let route_time = self.next_arrival_time().min(self.next_handoff_time());
+            let timeline = self.pending_events.front().copied();
+            let timeline_time = timeline.map_or(f64::INFINITY, |e| e.time);
+            if timeline_time.min(route_time).min(step_time) >= horizon {
                 break;
             }
-            if timeline_time <= event_time {
-                let event = self.pending_events.pop_front().expect("peeked above");
-                let effects = self.apply_event(event, event.time);
-                // Scale-up: extend the loop-local mirrors.
-                for i in snapshots.len()..self.engines.len() {
-                    snapshots.push(self.snapshot(i));
-                }
+            if let Some(event) = timeline.filter(|e| e.time <= route_time.min(step_time)) {
+                self.pending_events.pop_front();
+                self.apply_event(event, event.time);
+                // Read what the event did off the view: a replica that
+                // stopped stepping loses its heap entries, and one holding
+                // work (re-routed requests, say) is woken if parked.
                 steps.grow(self.engines.len());
-                eligible = self.prefill_eligible();
-                eligible_decode = self.decode_eligible();
-                for &i in &effects.deactivated {
-                    steps.invalidate(i);
-                    snapshots[i] = self.snapshot(i);
-                }
-                for &i in &effects.touched {
-                    snapshots[i] = self.snapshot(i);
-                    // Wake a parked replica that just received re-routed
-                    // work.
-                    if self.states[i].steppable() {
+                for i in 0..self.engines.len() {
+                    if !self.states[i].steppable() {
+                        steps.invalidate(i);
+                    } else if !idle(&self.view.snapshots[i]) {
                         steps.wake(i, &mut self.engines[i], event.time);
                     }
                 }
-            } else if handoff_time <= event_time {
-                // Deliver a priced KV transfer to the decode tier at its
-                // arrival instant, exactly like an arrival but over the
-                // decode-capable mask.
-                let handoff = self.pending_handoffs.pop().expect("peeked above");
-                let choice = self.route_unicast(handoff.request, &mut snapshots, &eligible_decode);
-                steps.wake(choice, &mut self.engines[choice], event_time);
-            } else if arrival_time <= step_time {
-                let request = self.lookahead.take().expect("peeked above");
-                for t in self.dispatch_arrival(request, &mut snapshots, &eligible) {
-                    steps.wake(t, &mut self.engines[t], event_time);
+            } else if let Some((time, targets)) = self.route_next(step_time) {
+                for t in targets {
+                    steps.wake(t, &mut self.engines[t], time);
                 }
-            } else {
-                let replica = steps.heap.pop().expect("peeked above").replica;
+            } else if let Some(StepEvent { tie: replica, .. }) = steps.pop() {
                 self.engines[replica].step();
                 self.rounds += 1;
-                snapshots[replica] = self.snapshot(replica);
-                if !idle(&snapshots[replica]) {
+                self.refresh(replica);
+                if !idle(&self.view.snapshots[replica]) {
                     steps.push(replica, self.engines[replica].sim_time());
                 } else if self.states[replica] == ReplicaState::Draining {
                     // A drainer running dry retires on the spot.
-                    self.states[replica] = ReplicaState::Retired;
+                    self.set_state(replica, ReplicaState::Retired);
                     steps.invalidate(replica);
                 } else {
                     steps.park(replica);
                 }
                 // Only the stepped replica can have staged completions.
                 self.harvest(replica);
-                if self.resolve_spec_groups() {
-                    // A speculative cancellation touched other replicas'
-                    // queues: refresh the whole snapshot mirror.
-                    snapshots = self.snapshots();
-                }
+                self.resolve_spec_groups();
             }
         }
         // Every timeline event, arrival, and step strictly before the
@@ -2185,40 +2163,36 @@ impl<'a> Fleet<'a> {
         } else {
             1.0
         };
-        let window = |after: String, start: f64, end: f64, completed: u64| GoodputWindow {
-            after,
-            start,
-            end,
-            completed,
-            goodput_rps: if end > start {
-                completed as f64 / (end - start)
-            } else {
-                0.0
-            },
+        // One window per span between consecutive boundaries: the start,
+        // every event mark, and the clock. An event-free run has none.
+        let starts = std::iter::once(("start", 0.0, 0)).chain(
+            chaos
+                .marks
+                .iter()
+                .map(|m| (m.label.as_str(), m.time, m.completed)),
+        );
+        let ends = chaos.marks.iter().map(|m| (m.time, m.completed));
+        let goodput_windows = if chaos.marks.is_empty() {
+            Vec::new()
+        } else {
+            starts
+                .zip(ends.chain([(self.clock, self.completed)]))
+                .map(|((after, start, before), (end, completed))| {
+                    let completed = completed - before;
+                    GoodputWindow {
+                        after: after.to_string(),
+                        start,
+                        end,
+                        completed,
+                        goodput_rps: if end > start {
+                            completed as f64 / (end - start)
+                        } else {
+                            0.0
+                        },
+                    }
+                })
+                .collect()
         };
-        let mut goodput_windows = Vec::new();
-        if !chaos.marks.is_empty() {
-            let mut prev_t = 0.0;
-            let mut prev_completed = 0;
-            let mut prev_label = String::from("start");
-            for mark in &chaos.marks {
-                goodput_windows.push(window(
-                    prev_label,
-                    prev_t,
-                    mark.time,
-                    mark.completed - prev_completed,
-                ));
-                prev_t = mark.time;
-                prev_completed = mark.completed;
-                prev_label = mark.label.clone();
-            }
-            goodput_windows.push(window(
-                prev_label,
-                prev_t,
-                self.clock,
-                self.completed - prev_completed,
-            ));
-        }
         FleetAvailability {
             events_applied: chaos.events_applied,
             crash_interruptions: chaos.crash_interruptions,
@@ -2429,6 +2403,67 @@ mod tests {
         let config = FleetConfig::new(2, RouterPolicy::RoundRobin, 1.0e3, template);
         let err = Fleet::try_new(&topo, &table, &plan, config).err();
         assert_eq!(err, Some(ConfigError::LoadEmaOutOfRange { value: 0.0 }));
+    }
+
+    /// The replica ceiling is checked before anything is sized by the
+    /// count: a billion replicas (which would abort on a multi-terabyte
+    /// allocation) and a scale-up past the ceiling both come back as the
+    /// typed error, and the ceiling itself still builds.
+    #[test]
+    fn try_new_rejects_replicas_past_the_ceiling() {
+        use crate::config::ConfigError;
+        let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+        let table = RouteTable::build(&topo);
+        let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
+            .unwrap()
+            .plan();
+        let config = |replicas: usize, events: Vec<FleetEvent>| {
+            FleetConfig::new(
+                replicas,
+                RouterPolicy::RoundRobin,
+                1.0e3,
+                engine_template(3),
+            )
+            .with_events(events)
+        };
+        let err = Fleet::try_new(&topo, &table, &plan, config(1_000_000_000, vec![])).err();
+        assert_eq!(
+            err,
+            Some(ConfigError::TooManyReplicas {
+                replicas: 1_000_000_000,
+                max: MAX_REPLICAS,
+            })
+        );
+        let scale_up = |count| FleetEvent {
+            time: 1.0e-3,
+            kind: FleetEventKind::ScaleUp { count },
+        };
+        let err = Fleet::try_new(
+            &topo,
+            &table,
+            &plan,
+            config(2, vec![scale_up(MAX_REPLICAS - 1)]),
+        )
+        .err();
+        assert_eq!(
+            err,
+            Some(ConfigError::TooManyReplicas {
+                replicas: MAX_REPLICAS + 1,
+                max: MAX_REPLICAS,
+            })
+        );
+        // Saturating, so a count near usize::MAX cannot wrap under the bar.
+        assert_eq!(
+            validate_fleet_events(2, &[scale_up(usize::MAX)]),
+            Err(ConfigError::TooManyReplicas {
+                replicas: usize::MAX,
+                max: MAX_REPLICAS,
+            })
+        );
+        assert_eq!(
+            validate_replica_count(2, &[scale_up(MAX_REPLICAS - 2)]),
+            Ok(())
+        );
     }
 
     #[test]

@@ -1641,6 +1641,43 @@ mod tests {
         );
     }
 
+    /// A fleet past `MAX_REPLICAS`, by its initial count or by a scale-up,
+    /// fails at parse with the typed error (a billion replicas used to
+    /// abort on a multi-terabyte allocation); the ceiling itself parses.
+    #[test]
+    fn replica_ceiling_is_checked_at_parse() {
+        use moentwine_core::fleet::{FleetEventKind, MAX_REPLICAS};
+        let parse = |fleet: FleetSpec| {
+            let spec = ScenarioSpec::new("big", PlatformSpec::wsc(4))
+                .with_engine(
+                    EngineSpec::default()
+                        .with_batch(BatchSpec::Serving(ServingSpec::hybrid(2048, 128, 4.0e3))),
+                )
+                .with_fleet(fleet);
+            ScenarioSpec::from_json_text(&spec.to_json_text()).map(|_| ())
+        };
+        let fleet = |replicas| FleetSpec::new(replicas, RouterPolicy::RoundRobin, 1.0e3);
+        assert_eq!(
+            parse(fleet(1_000_000_000)),
+            Err(ConfigError::TooManyReplicas {
+                replicas: 1_000_000_000,
+                max: MAX_REPLICAS,
+            })
+        );
+        let scale_up = FleetEvent {
+            time: 1.0e-3,
+            kind: FleetEventKind::ScaleUp { count: 2 },
+        };
+        assert_eq!(
+            parse(fleet(MAX_REPLICAS - 1).with_events(vec![scale_up])),
+            Err(ConfigError::TooManyReplicas {
+                replicas: MAX_REPLICAS + 1,
+                max: MAX_REPLICAS,
+            })
+        );
+        assert_eq!(parse(fleet(MAX_REPLICAS)), Ok(()));
+    }
+
     #[test]
     fn schema_tag_is_required() {
         let err = ScenarioSpec::from_json_text("{}").unwrap_err();

@@ -3,7 +3,8 @@
 use moe_workload::RouterPolicy;
 use moentwine_core::engine::EngineConfig;
 use moentwine_core::fleet::{
-    validate_fleet_events_for_roles, FleetConfig, FleetEvent, FleetScheduler, ReplicaRole,
+    validate_fleet_events_for_roles, validate_replica_count, FleetConfig, FleetEvent,
+    FleetScheduler, ReplicaRole,
 };
 use moentwine_core::ConfigError;
 use wsc_sim::CongestionBackend;
@@ -24,7 +25,12 @@ pub struct FleetSpec {
     /// template's backend everywhere; otherwise replica `i` gets
     /// `overrides[i % len]`).
     pub backend_overrides: Vec<CongestionBackend>,
-    /// Replica stepping discipline: event-heap (default) or lock-step.
+    /// How [`Fleet::run_until`](moentwine_core::fleet::Fleet::run_until)
+    /// advances the replicas: event-heap (default) or lock-step. Scenario
+    /// runs and sweeps are round-driven
+    /// ([`Fleet::run`](moentwine_core::fleet::Fleet::run)), which never
+    /// reads it, so `"scheduler"` changes no scenario-bin, sweep or
+    /// perfbench output.
     pub scheduler: FleetScheduler,
     /// Elasticity/failure timeline, sorted by time (empty = the immortal
     /// fixed fleet). Validated against `replicas` by
@@ -93,7 +99,7 @@ impl FleetSpec {
         self
     }
 
-    /// Validates the disaggregation shape: decode-platform/mapping
+    /// Validates the fleet shape: the replica ceiling, decode-platform/mapping
     /// pairing, role-list length, prefill/decode capacity, unused decode
     /// platforms, and the elasticity timeline under the resolved roles —
     /// the same typed errors
@@ -105,6 +111,8 @@ impl FleetSpec {
     ///
     /// Returns the first [`ConfigError`] violated by the shape.
     pub fn validate_shape(&self) -> Result<(), ConfigError> {
+        // First, before the role list below is sized by `replicas`.
+        validate_replica_count(self.replicas, &self.events)?;
         if self.decode_platform.is_some() != self.decode_mapping.is_some() {
             return Err(ConfigError::spec(
                 "fleet.decode_platform",

@@ -154,7 +154,10 @@ fn handoff_fields(h: &FleetHandoff) -> Vec<(String, f64)> {
 /// chaos counters, the available fraction, and every goodput window.
 fn availability_fields(a: &FleetAvailability) -> Vec<(String, f64)> {
     let mut fields = vec![
-        ("availability.events_applied".into(), a.events_applied as f64),
+        (
+            "availability.events_applied".into(),
+            a.events_applied as f64,
+        ),
         (
             "availability.crash_interruptions".into(),
             a.crash_interruptions as f64,
@@ -185,7 +188,10 @@ fn availability_fields(a: &FleetAvailability) -> Vec<(String, f64)> {
     }
     for (i, w) in a.goodput_windows.iter().enumerate() {
         fields.push((format!("availability.window{i}.start"), w.start));
-        fields.push((format!("availability.window{i}.completed"), w.completed as f64));
+        fields.push((
+            format!("availability.window{i}.completed"),
+            w.completed as f64,
+        ));
     }
     fields
 }
@@ -453,7 +459,10 @@ fn fleet_golden_run_until_event_heap() {
     ] {
         let a = &summary.availability;
         assert_eq!(a.events_applied, 4, "{name}: every timeline event fires");
-        assert!(a.crash_interruptions > 0, "{name}: crashes evict resident work");
+        assert!(
+            a.crash_interruptions > 0,
+            "{name}: crashes evict resident work"
+        );
         let mut section = snapshot(&summary);
         section.extend(availability_fields(a));
         section.extend(handoff_fields(&summary.handoff));

@@ -179,10 +179,11 @@ proptest! {
         }
     }
 
-    /// `run_until` sanity: both schedulers reach the horizon, conserve the
-    /// arrival stream ordering (event-heap routes no more than lock-step,
-    /// which polls arrivals every round), and the event heap prices far
-    /// fewer replica steps than `rounds × replicas`.
+    /// `run_until` sanity: both schedulers reach the horizon, the event
+    /// heap routes at least as many requests as lock-step, and it prices
+    /// far fewer replica steps than `rounds × replicas`. Lock-step routes
+    /// only at its barriers, the last of which sits below the horizon,
+    /// while the event drive routes every arrival before the horizon.
     #[test]
     fn run_until_reaches_horizon_and_skips_idle_work(
         seed in 0u64..1_000,
@@ -190,30 +191,61 @@ proptest! {
         rate_kilo in 1u32..8,
     ) {
         let f = fixture();
-        let horizon = 1.0e-3;
-        let run = |scheduler: FleetScheduler| {
-            let config = FleetConfig::new(
-                replicas,
-                RouterPolicy::PowerOfTwoChoices,
-                rate_kilo as f64 * 1.0e3,
-                engine_template(seed, SummaryMode::Streaming),
-            )
-            .with_scheduler(scheduler);
-            let mut fleet = Fleet::new(&f.topo, &f.table, &f.plan, config);
-            fleet.run_until(horizon);
-            (fleet.rounds(), fleet.summary())
-        };
-        let (lockstep_rounds, lockstep) = run(FleetScheduler::Lockstep);
-        let (event_steps, event) = run(FleetScheduler::EventHeap);
-        prop_assert!(lockstep.sim_seconds >= horizon);
-        prop_assert!(event.sim_seconds >= horizon);
+        let rate = rate_kilo as f64 * 1.0e3;
+        let (lockstep_rounds, lockstep) =
+            run_to_horizon(&f, seed, replicas, rate, FleetScheduler::Lockstep);
+        let (event_steps, event) =
+            run_to_horizon(&f, seed, replicas, rate, FleetScheduler::EventHeap);
+        prop_assert!(lockstep.sim_seconds >= RUN_UNTIL_HORIZON);
+        prop_assert!(event.sim_seconds >= RUN_UNTIL_HORIZON);
         // The lock-step reference pays one step per replica per round; the
         // event heap only pays for causal work.
         prop_assert!(event_steps <= lockstep_rounds * replicas as u64);
         let routed_e: u64 = event.routed.iter().sum();
         let routed_l: u64 = lockstep.routed.iter().sum();
-        prop_assert!(routed_e <= routed_l);
+        prop_assert!(routed_l <= routed_e);
     }
+}
+
+/// Horizon of the `run_until` comparisons, seconds.
+const RUN_UNTIL_HORIZON: f64 = 1.0e-3;
+
+/// Runs a power-of-two streaming fleet to [`RUN_UNTIL_HORIZON`] under
+/// `scheduler`; returns its `rounds()` and summary.
+fn run_to_horizon(
+    f: &Fixture,
+    seed: u64,
+    replicas: usize,
+    rate: f64,
+    scheduler: FleetScheduler,
+) -> (u64, FleetSummary) {
+    let config = FleetConfig::new(
+        replicas,
+        RouterPolicy::PowerOfTwoChoices,
+        rate,
+        engine_template(seed, SummaryMode::Streaming),
+    )
+    .with_scheduler(scheduler);
+    let mut fleet = Fleet::new(&f.topo, &f.table, &f.plan, config);
+    fleet.run_until(RUN_UNTIL_HORIZON);
+    (fleet.rounds(), fleet.summary())
+}
+
+/// A point where the two drives route different counts: lock-step stops
+/// routing at its last barrier before a step, short of the horizon, so
+/// the event heap routes one arrival more (6 against 5).
+#[test]
+fn event_heap_routes_past_the_last_lockstep_barrier() {
+    let f = fixture();
+    let routed = |scheduler| -> u64 {
+        run_to_horizon(&f, 3, 3, 7.0e3, scheduler)
+            .1
+            .routed
+            .iter()
+            .sum()
+    };
+    assert_eq!(routed(FleetScheduler::EventHeap), 6);
+    assert_eq!(routed(FleetScheduler::Lockstep), 5);
 }
 
 /// The checked-in mega-fleet scenario holds its O(1)-memory contract: run
