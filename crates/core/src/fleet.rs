@@ -1972,7 +1972,9 @@ impl<'a> Fleet<'a> {
                 self.apply_event(event, event.time);
                 // Read what the event did off the view: a replica that
                 // stopped stepping loses its heap entries, and one holding
-                // work (re-routed requests, say) is woken if parked.
+                // work is woken if parked. Only a replica the event just
+                // offered re-routed requests to can hold work while parked:
+                // every other steppable replica with work is in the heap.
                 steps.grow(self.engines.len());
                 for i in 0..self.engines.len() {
                     if !self.states[i].steppable() {
