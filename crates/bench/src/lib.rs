@@ -31,8 +31,11 @@ pub fn quick_from_args() -> bool {
 
 /// Parses the common `--threads N` flag (also `--threads=N`), defaulting to
 /// the machine's available parallelism. The parallel binaries guarantee
-/// byte-identical output for every thread count — `--threads 1` is the
-/// serial program, more threads only shorten the wall clock.
+/// byte-identical output for every thread count — `--threads 1` runs one
+/// sweep point or replica at a time, more threads only shorten the wall
+/// clock. It does not make the process single-threaded: an engine step
+/// large enough still samples its gating on a helper thread (DESIGN.md §6),
+/// with output byte-identical to the serial driver's.
 ///
 /// # Panics
 ///

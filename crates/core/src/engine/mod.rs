@@ -21,15 +21,18 @@
 //! `tests/analytic_vs_des.rs` for the cross-validation contract).
 
 mod metrics;
+mod overlap;
 mod sketch;
 
 pub use metrics::{percentile, ClassServingSummary, IterationMetrics, RunSummary, ServingSummary};
 pub use sketch::{P2Quantile, StreamingSummary, SummaryMode};
 
+use overlap::{sample_overlapped, SAMPLING_RUN};
+
 use moe_model::{CostModel, InferencePhase, ModelConfig, Precision};
 use moe_workload::{
-    BatchScheduler, ClassPolicy, ClassSpec, IterationTrace, RequestClass, RequestGenerator,
-    RequestRecord, SchedulingMode, TraceGenerator, WorkloadMix, WorkloadProfile,
+    BatchScheduler, ClassPolicy, ClassSpec, IterationTrace, LayerGating, RequestClass,
+    RequestGenerator, RequestRecord, SchedulingMode, TraceGenerator, WorkloadMix, WorkloadProfile,
 };
 use serde::{Deserialize, Serialize};
 use wsc_sim::{CongestionBackend, CongestionModel};
@@ -167,6 +170,13 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
+    /// PipeMoE-style overlap: with `m` micro-batches the longer stream
+    /// hides the shorter except for one pipeline-fill fragment.
+    fn overlap(&self, compute: f64, comm: f64) -> f64 {
+        let m = self.pipeline_microbatches as f64;
+        compute.max(comm) + compute.min(comm) / m
+    }
+
     /// Reasonable defaults for `model`: fixed 256-token decode batches,
     /// mixed workload, no balancing.
     pub fn new(model: ModelConfig) -> Self {
@@ -305,6 +315,9 @@ pub struct InferenceEngine<'a> {
     trace: TraceGenerator,
     /// The current step's gating outcomes, overwritten in place each step.
     gating: IterationTrace,
+    /// Whether a step samples its gating on a helper thread, overlapped
+    /// with the layer loop (see [`overlap::overlaps`]).
+    overlap_sampling: bool,
     /// One layer's loads and transfer lists, reused across layers and
     /// steps.
     scratch: LayerScratch,
@@ -513,6 +526,7 @@ impl<'a> InferenceEngine<'a> {
                 weights: Vec::new(),
                 layers: Vec::new(),
             },
+            overlap_sampling: overlap::overlaps(num_layers * num_groups * num_experts),
             scratch: LayerScratch::default(),
             scheduler,
             placements,
@@ -563,13 +577,6 @@ impl<'a> InferenceEngine<'a> {
         &self.placements
     }
 
-    /// PipeMoE-style overlap: with `m` micro-batches the longer stream
-    /// hides the shorter except for one pipeline-fill fragment.
-    fn overlap(&self, compute: f64, comm: f64) -> f64 {
-        let m = self.config.pipeline_microbatches as f64;
-        compute.max(comm) + compute.min(comm) / m
-    }
-
     /// Runs `iterations` steps.
     pub fn run(&mut self, iterations: usize) -> RunSummary {
         for _ in 0..iterations {
@@ -615,7 +622,6 @@ impl<'a> InferenceEngine<'a> {
             }
         };
         self.trace.set_tokens_per_group(tokens_per_group);
-        self.trace.next_iteration_into(&mut self.gating);
 
         // 2. Attention phase costs (identical across layers).
         let attn =
@@ -624,10 +630,10 @@ impl<'a> InferenceEngine<'a> {
                 .attention_time(model, tokens_per_group as f64, avg_context, tp, phase);
         let ar_bytes = tokens_per_group as f64 * model.token_bytes(Precision::Fp16);
         let ar_time = self.ar_ser_per_byte * ar_bytes + self.ar_latency;
-        let attn_phase = self.overlap(attn.total(), ar_time);
+        let attn_phase = config.overlap(attn.total(), ar_time);
 
-        // 3. Per-layer MoE phases.
-        let token_bytes = model.token_bytes(Precision::Fp16);
+        // 3. Per-layer MoE phases: gating sampling feeds the layer loop in
+        // layer order, on this thread or overlapped on a helper.
         let mut metrics = IterationMetrics {
             iteration: self.iteration,
             tokens_per_group,
@@ -638,100 +644,34 @@ impl<'a> InferenceEngine<'a> {
             metrics.active_requests = active_requests;
             metrics.kv_tokens_in_use = kv_tokens_in_use;
         }
-        let num_devices = self.topo.num_devices();
-        // Every layer loads its devices from its own gating; only stride
-        // layers price the all-to-all, and the layers between reuse the last
-        // priced `(dispatch, combine)` times. Layer 0 is always a stride layer.
-        let mut cached_comm = (0.0, 0.0);
-        for (l, gating) in self.gating.layers.iter().enumerate() {
-            if l % config.comm_layer_stride == 0 {
-                self.a2a.fill_layer(
-                    gating,
-                    &self.placements[l],
-                    Some((token_bytes, tokens_per_group)),
-                    &mut self.scratch,
-                );
-                cached_comm = (
-                    self.backend
-                        .price_pairs_time(self.table, &self.scratch.dispatch),
-                    self.backend
-                        .price_pairs_time(self.table, &self.scratch.combine),
-                );
-            } else {
-                self.a2a
-                    .fill_layer(gating, &self.placements[l], None, &mut self.scratch);
-            }
-            let (dispatch_t, combine_t) = cached_comm;
-            let device_tokens = &self.scratch.device_tokens;
-            let device_active = &self.scratch.device_active;
-
-            // Expert compute: slowest device.
-            let mut moe_comp: f64 = 0.0;
-            for d in 0..self.topo.num_devices() {
-                let t = config
-                    .cost
-                    .moe_device_time(model, device_tokens[d], device_active[d])
-                    .total();
-                moe_comp = moe_comp.max(t);
-            }
-            // Shared experts run where the tokens live.
-            if model.num_shared_experts > 0 {
-                let local_tokens = gating.total_selections() as f64
-                    / model.experts_per_token as f64
-                    / self.topo.num_devices() as f64;
-                moe_comp += config
-                    .cost
-                    .moe_device_time(model, local_tokens, model.num_shared_experts as f64)
-                    .total();
-            }
-
-            let a2a_time = dispatch_t + combine_t;
-            let moe_phase = self.overlap(moe_comp, a2a_time);
-
-            // Accumulate.
-            metrics.attention_compute += attn.total();
-            metrics.all_reduce += ar_time;
-            metrics.dispatch += dispatch_t;
-            metrics.combine += combine_t;
-            metrics.moe_compute += moe_comp;
-            metrics.iteration_time += attn_phase + moe_phase;
-
-            let max = device_tokens.iter().copied().fold(0.0, f64::max);
-            let mean = device_tokens.iter().sum::<f64>() / device_tokens.len() as f64;
-            metrics.max_device_tokens += max / num_layers as f64;
-            metrics.avg_device_tokens += mean / num_layers as f64;
-            metrics.load_ratio += if mean > 0.0 { max / mean } else { 1.0 } / num_layers as f64;
-
-            // Non-invasive migration progress on cold links.
-            for done in self.migration.advance(MigrationPhase::Local, attn_phase) {
-                if self.placements[done.layer]
-                    .add_replica(done.expert, done.target)
-                    .is_ok()
-                {
-                    metrics.migrations_completed += 1;
-                }
-            }
-            for done in self.migration.advance(MigrationPhase::Global, moe_phase) {
-                if self.placements[done.layer]
-                    .add_replica(done.expert, done.target)
-                    .is_ok()
-                {
-                    metrics.migrations_completed += 1;
-                }
-            }
-
-            // Historical loads (EMA).
-            let ema = config.load_ema;
-            for (slot, &t) in self.loads[l].iter_mut().zip(&self.scratch.expert_totals) {
-                *slot = (1.0 - ema) * *slot + ema * t as f64;
-            }
-            if self.balancer.is_some() {
-                self.placements[l].device_loads_into(
-                    &self.loads[l],
-                    &mut self.layer_device_loads[l * num_devices..][..num_devices],
-                );
-            }
+        let mut layer_loop = LayerLoop {
+            config,
+            topo: self.topo,
+            table: self.table,
+            a2a: &self.a2a,
+            backend: self.backend.as_ref(),
+            scratch: &mut self.scratch,
+            placements: &mut self.placements,
+            loads: &mut self.loads,
+            layer_device_loads: &mut self.layer_device_loads,
+            migration: &mut self.migration,
+            metrics: &mut metrics,
+            attn_total: attn.total(),
+            ar_time,
+            attn_phase,
+            token_bytes: model.token_bytes(Precision::Fp16),
+            tokens_per_group,
+            cached_comm: (0.0, 0.0),
+            next: 0,
+        };
+        let sampler = self.trace.begin_iteration(&mut self.gating);
+        if self.overlap_sampling {
+            sample_overlapped(sampler, |run| layer_loop.run(run));
+        } else {
+            sampler.sample(SAMPLING_RUN, |run| layer_loop.run(run));
         }
+        debug_assert_eq!(layer_loop.next, num_layers, "every layer ran");
+        let num_devices = self.topo.num_devices();
 
         // 4. Balancing trigger (Eq. 2) and execution.
         if let Some(balancer) = self.balancer.as_mut() {
@@ -1031,6 +971,145 @@ impl<'a> InferenceEngine<'a> {
     }
 }
 
+/// The per-layer body of one step: everything a sparse layer's MoE phase
+/// reads and writes besides its gating. Both step drivers hand it every
+/// layer's gating in layer order, so they price the same step.
+struct LayerLoop<'s, 'a> {
+    config: &'s EngineConfig,
+    topo: &'a Topology,
+    table: &'a RouteTable,
+    a2a: &'s A2aModel<'a>,
+    backend: &'s (dyn CongestionModel + 'a),
+    scratch: &'s mut LayerScratch,
+    placements: &'s mut [ExpertPlacement],
+    loads: &'s mut [Vec<f64>],
+    /// The Eq. 2 trigger's device loads; empty without a balancer.
+    layer_device_loads: &'s mut [f64],
+    migration: &'s mut MigrationEngine,
+    metrics: &'s mut IterationMetrics,
+    attn_total: f64,
+    ar_time: f64,
+    attn_phase: f64,
+    token_bytes: f64,
+    tokens_per_group: u32,
+    /// The last priced `(dispatch, combine)` times.
+    cached_comm: (f64, f64),
+    /// The next layer's index.
+    next: usize,
+}
+
+impl LayerLoop<'_, '_> {
+    /// Runs the layers of `run`, which continue where the last run ended.
+    fn run(&mut self, run: &[LayerGating]) {
+        for gating in run {
+            self.layer(gating);
+        }
+    }
+
+    /// Runs the next layer on its gating.
+    fn layer(&mut self, gating: &LayerGating) {
+        let (config, l) = (self.config, self.next);
+        self.next += 1;
+        let model = &config.model;
+        let num_layers = model.num_sparse_layers as usize;
+        let num_devices = self.topo.num_devices();
+        // Every layer loads its devices from its own gating; only stride
+        // layers price the all-to-all, and the layers between reuse the last
+        // priced `(dispatch, combine)` times. Layer 0 is always a stride layer.
+        if l % config.comm_layer_stride == 0 {
+            self.a2a.fill_layer(
+                gating,
+                &self.placements[l],
+                Some((self.token_bytes, self.tokens_per_group)),
+                self.scratch,
+            );
+            self.cached_comm = (
+                self.backend
+                    .price_pairs_time(self.table, &self.scratch.dispatch),
+                self.backend
+                    .price_pairs_time(self.table, &self.scratch.combine),
+            );
+        } else {
+            self.a2a
+                .fill_layer(gating, &self.placements[l], None, self.scratch);
+        }
+        let (dispatch_t, combine_t) = self.cached_comm;
+        let device_tokens = &self.scratch.device_tokens;
+        let device_active = &self.scratch.device_active;
+
+        // Expert compute: slowest device.
+        let mut moe_comp: f64 = 0.0;
+        for d in 0..num_devices {
+            let t = config
+                .cost
+                .moe_device_time(model, device_tokens[d], device_active[d])
+                .total();
+            moe_comp = moe_comp.max(t);
+        }
+        // Shared experts run where the tokens live.
+        if model.num_shared_experts > 0 {
+            let local_tokens = gating.total_selections() as f64
+                / model.experts_per_token as f64
+                / num_devices as f64;
+            moe_comp += config
+                .cost
+                .moe_device_time(model, local_tokens, model.num_shared_experts as f64)
+                .total();
+        }
+
+        let a2a_time = dispatch_t + combine_t;
+        let moe_phase = config.overlap(moe_comp, a2a_time);
+
+        // Accumulate.
+        let metrics = &mut *self.metrics;
+        metrics.attention_compute += self.attn_total;
+        metrics.all_reduce += self.ar_time;
+        metrics.dispatch += dispatch_t;
+        metrics.combine += combine_t;
+        metrics.moe_compute += moe_comp;
+        metrics.iteration_time += self.attn_phase + moe_phase;
+
+        let max = device_tokens.iter().copied().fold(0.0, f64::max);
+        let mean = device_tokens.iter().sum::<f64>() / device_tokens.len() as f64;
+        metrics.max_device_tokens += max / num_layers as f64;
+        metrics.avg_device_tokens += mean / num_layers as f64;
+        metrics.load_ratio += if mean > 0.0 { max / mean } else { 1.0 } / num_layers as f64;
+
+        // Non-invasive migration progress on cold links.
+        for done in self
+            .migration
+            .advance(MigrationPhase::Local, self.attn_phase)
+        {
+            if self.placements[done.layer]
+                .add_replica(done.expert, done.target)
+                .is_ok()
+            {
+                metrics.migrations_completed += 1;
+            }
+        }
+        for done in self.migration.advance(MigrationPhase::Global, moe_phase) {
+            if self.placements[done.layer]
+                .add_replica(done.expert, done.target)
+                .is_ok()
+            {
+                metrics.migrations_completed += 1;
+            }
+        }
+
+        // Historical loads (EMA).
+        let ema = config.load_ema;
+        for (slot, &t) in self.loads[l].iter_mut().zip(&self.scratch.expert_totals) {
+            *slot = (1.0 - ema) * *slot + ema * t as f64;
+        }
+        if !self.layer_device_loads.is_empty() {
+            self.placements[l].device_loads_into(
+                &self.loads[l],
+                &mut self.layer_device_loads[l * num_devices..][..num_devices],
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1199,6 +1278,47 @@ mod tests {
                 "stride {stride} should reuse priced times on some layer"
             );
         }
+    }
+
+    /// A Qwen3-235B-shaped engine (above the overlap size rule) with the
+    /// NI-Balancer on steps through the serial driver and the overlapped
+    /// one to the same bits, while cold-link migrations land in the middle
+    /// of the layer loop and change the placements later layers load.
+    #[test]
+    fn overlapped_sampling_matches_the_serial_driver() {
+        let (topo, table, plan) = fixture();
+        let model = ModelConfig::qwen3_235b();
+        assert!(
+            model.num_sparse_layers as usize * plan.num_groups() * model.num_experts as usize
+                > overlap::MIN_OVERLAPPED_COUNTS
+        );
+        let config = EngineConfig {
+            slots_per_device: 2,
+            comm_layer_stride: 8,
+            ..EngineConfig::new(model)
+                .with_workload(WorkloadMix::mixed(6.0))
+                .with_balancer(BalancerKind::NonInvasive)
+                .with_seed(5)
+        };
+        let run = |overlap_sampling: bool| {
+            let mut engine = InferenceEngine::new(&topo, &table, &plan, config.clone());
+            engine.overlap_sampling = overlap_sampling;
+            for _ in 0..12 {
+                engine.step();
+            }
+            (engine.history, engine.placements)
+        };
+        let (serial_history, serial_placements) = run(false);
+        let (overlapped_history, overlapped_placements) = run(true);
+        assert!(
+            serial_history.iter().any(|m| m.migrations_completed > 0),
+            "no migration completed inside a layer loop"
+        );
+        assert_eq!(
+            format!("{overlapped_history:?}"),
+            format!("{serial_history:?}")
+        );
+        assert_eq!(overlapped_placements, serial_placements);
     }
 
     #[test]

@@ -67,4 +67,4 @@ pub use scheduler::{BatchEntry, BatchScheduler, BatchSpec, SchedulingMode, MAX_A
 pub use serving::{
     ClassPolicy, CopyStatus, InterruptedRequest, RequestRecord, ServingQueue, TokenAccounting,
 };
-pub use trace::{IterationTrace, LayerGating, TraceGenerator, WorkloadMix};
+pub use trace::{IterationTrace, LayerGating, LayerSampler, TraceGenerator, WorkloadMix};

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use moe_model::ModelConfig;
 
 use crate::affinity::AffinityModel;
-use crate::gating::sample_gating_counts_into;
+use crate::gating::{sample_gating_counts_into, GatingDist};
 use crate::scenario::Scenario;
 
 /// How scenario weights evolve over the lifetime of a trace.
@@ -127,14 +127,11 @@ pub struct TraceGenerator {
     uniform: bool,
     /// Sampling distributions cached across iterations: one mixed
     /// distribution per layer, or a single uniform one under uniform
-    /// gating.
-    dists: Vec<Vec<f64>>,
+    /// gating. Each keeps the sampler's conditional probabilities and its
+    /// cap-repair order, both refreshed with the distribution.
+    dists: Vec<GatingDist>,
     /// The weights `dists` were mixed for (`None` until first use).
     dist_weights: Option<Vec<(Scenario, f64)>>,
-    /// The sampler's cap-repair order for each of `dists` (experts by
-    /// descending probability, ties by index): sorted on that
-    /// distribution's first overflow, emptied whenever `dists` change.
-    orders: Vec<Vec<usize>>,
 }
 
 impl TraceGenerator {
@@ -168,7 +165,6 @@ impl TraceGenerator {
             uniform: false,
             dists: Vec::new(),
             dist_weights: None,
-            orders: Vec::new(),
         }
     }
 
@@ -219,43 +215,55 @@ impl TraceGenerator {
     /// when the mix weights change (every iteration for
     /// [`WorkloadMix::Cycling`], once for `Fixed` and `Blend`), so a caller
     /// reusing one trace samples without allocating per layer. Each cached
-    /// distribution also keeps the cap repair's expert order, sorted on its
-    /// first overflow rather than on every overflowing group.
+    /// distribution also keeps the sampler's conditional probabilities and
+    /// the cap repair's expert order, sorted on its first overflow rather
+    /// than on every overflowing group.
     pub fn next_iteration_into(&mut self, trace: &mut IterationTrace) {
+        self.begin_iteration(trace).sample(usize::MAX, |_| {});
+    }
+
+    /// Starts the next iteration: mixes its weights, brings the cached
+    /// distributions up to date, sizes `trace` for every layer and group
+    /// and stamps its iteration and weights. Every allocation of an
+    /// iteration happens here, on the calling thread; the returned
+    /// [`LayerSampler`] then draws the counts without allocating, and may
+    /// do so on another thread. Together the two are
+    /// [`TraceGenerator::next_iteration_into`].
+    pub fn begin_iteration<'t>(&'t mut self, trace: &'t mut IterationTrace) -> LayerSampler<'t> {
         let weights = self.mix.weights(self.iteration);
         self.refresh_dists(&weights);
-        let num_layers = self.affinity.num_layers();
         let num_experts = self.affinity.num_experts();
         trace
             .layers
-            .resize_with(num_layers, || LayerGating { counts: Vec::new() });
-        for (layer, gating) in trace.layers.iter_mut().enumerate() {
-            let cached = if self.uniform { 0 } else { layer };
-            let (dist, order) = (&self.dists[cached], &mut self.orders[cached]);
+            .resize_with(self.affinity.num_layers(), || LayerGating {
+                counts: Vec::new(),
+            });
+        for gating in &mut trace.layers {
             gating.counts.resize_with(self.num_groups, Vec::new);
             for counts in &mut gating.counts {
                 counts.resize(num_experts, 0);
-                sample_gating_counts_into(
-                    &mut self.rng,
-                    dist,
-                    self.tokens_per_group,
-                    self.top_k,
-                    counts,
-                    order,
-                );
             }
         }
         trace.iteration = self.iteration;
         trace.weights = weights;
         self.iteration += 1;
+        LayerSampler {
+            rng: &mut self.rng,
+            dists: &mut self.dists,
+            uniform: self.uniform,
+            tokens_per_group: self.tokens_per_group,
+            top_k: self.top_k,
+            layers: &mut trace.layers,
+        }
     }
 
     /// Brings the cached sampling distributions up to date for `weights`.
     fn refresh_dists(&mut self, weights: &[(Scenario, f64)]) {
         if self.uniform {
             if self.dists.is_empty() {
-                self.dists.push(self.affinity.uniform());
-                self.orders.push(Vec::new());
+                let mut dist = GatingDist::default();
+                dist.set(|probs| *probs = self.affinity.uniform());
+                self.dists.push(dist);
             }
             return;
         }
@@ -270,15 +278,62 @@ impl TraceGenerator {
         if unchanged {
             return;
         }
-        self.dists.resize_with(self.affinity.num_layers(), Vec::new);
+        self.dists
+            .resize_with(self.affinity.num_layers(), GatingDist::default);
         for (layer, dist) in self.dists.iter_mut().enumerate() {
-            self.affinity.mixed_distribution_into(layer, weights, dist);
+            dist.set(|probs| self.affinity.mixed_distribution_into(layer, weights, probs));
         }
-        self.orders.resize_with(self.dists.len(), Vec::new);
-        self.orders.iter_mut().for_each(Vec::clear);
         let cached = self.dist_weights.get_or_insert_with(Vec::new);
         cached.clear();
         cached.extend_from_slice(weights);
+    }
+}
+
+/// Draws one iteration's gating counts into the trace
+/// [`TraceGenerator::begin_iteration`] sized, layer by layer.
+///
+/// It holds the generator's RNG and cached distributions and the trace's
+/// layers, and nothing else: the counts depend only on the generator's
+/// state, whatever a consumer of finished layers does meanwhile.
+pub struct LayerSampler<'t> {
+    rng: &'t mut rand::rngs::StdRng,
+    /// One distribution per layer, or a single one under uniform gating.
+    dists: &'t mut [GatingDist],
+    uniform: bool,
+    tokens_per_group: u32,
+    top_k: u32,
+    layers: &'t mut [LayerGating],
+}
+
+impl<'t> LayerSampler<'t> {
+    /// Draws every layer in layer order and hands each finished run of
+    /// `chunk` consecutive layers (the last run may be shorter) to `emit`
+    /// as soon as it is drawn. The runs borrow the trace for as long as
+    /// the sampler did, so `emit` may pass them to another thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk == 0`.
+    pub fn sample(self, chunk: usize, mut emit: impl FnMut(&'t [LayerGating])) {
+        let LayerSampler {
+            rng,
+            dists,
+            uniform,
+            tokens_per_group,
+            top_k,
+            layers,
+        } = self;
+        let mut layer = 0;
+        for run in layers.chunks_mut(chunk) {
+            for gating in run.iter_mut() {
+                let dist = &mut dists[if uniform { 0 } else { layer }];
+                for counts in &mut gating.counts {
+                    sample_gating_counts_into(rng, dist, tokens_per_group, top_k, counts);
+                }
+                layer += 1;
+            }
+            emit(run);
+        }
     }
 }
 
@@ -452,7 +507,7 @@ mod tests {
                         assert_eq!(fresh.next_iteration(), expect, "{case}: fresh trace");
                         // Every cached order is the fresh sort of its
                         // distribution as it is now.
-                        for (dist, order) in reused.dists.iter().zip(&reused.orders) {
+                        for (dist, order) in reused.dists.iter().map(|d| (d.probs(), d.order())) {
                             if order.is_empty() {
                                 continue;
                             }
@@ -461,7 +516,7 @@ mod tests {
                             sorted.sort_by(|&a, &b| {
                                 dist[b].partial_cmp(&dist[a]).unwrap().then(a.cmp(&b))
                             });
-                            assert_eq!(order, &sorted, "{case}: stale repair order");
+                            assert_eq!(order, sorted, "{case}: stale repair order");
                         }
                     }
                     assert!(repaired > 0, "{} {mix:?}: no cap repair ran", model.name);

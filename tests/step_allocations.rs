@@ -9,13 +9,19 @@
 //! experts. The cached DES tier prices the engine's sampled all-to-all
 //! without memoising it, so a serving step on `flow-sim-cached` must cost
 //! no more allocations and leave no more live heap than on `flow-sim`. A
-//! counting global allocator measures all three directly.
+//! step large enough to sample its gating on a helper thread must allocate
+//! on the calling thread only, and no more as its layers grow. A counting
+//! global allocator measures all four directly.
 //!
-//! The counters are thread-local, so allocations made by other test
-//! threads (or the harness) never reach them.
+//! The per-thread counters are thread-local, so allocations made by other
+//! test threads (or the harness) never reach them. A process-wide counter
+//! also sees the engine's helper thread; every test here holds [`SERIAL`],
+//! so while one measures no other test allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use moentwine::core::balancer::{BalanceContext, Balancer};
 use moentwine::core::placement::ExpertPlacement;
@@ -30,9 +36,20 @@ thread_local! {
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
+/// Allocations made on any thread.
+static ALL_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by every test in this file, so that no two measure at once.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Counts one allocation that grows this thread's live heap by `grown`
 /// bytes (negative when a reallocation shrinks a block).
 fn count_one(grown: i64) {
+    ALL_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     // `try_with` so an allocation during thread teardown is not a panic.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + grown));
@@ -108,12 +125,73 @@ fn steady_state_allocations(sparse_layers: u32, steps: usize) -> u64 {
 
 #[test]
 fn step_allocations_do_not_grow_with_layer_count() {
+    let _serial = serial();
     let steps = 24;
     let shallow = steady_state_allocations(4, steps);
     let deep = steady_state_allocations(16, steps);
     assert_eq!(
         shallow, deep,
         "{steps} steps allocate {shallow} times with 4 sparse layers but {deep} with 16"
+    );
+}
+
+/// Heap allocations made by `steps` steady-state steps of a fixed-batch,
+/// analytic engine over a Qwen3-235B-shaped model with `sparse_layers`
+/// sparse layers on a 4-group wafer: on the calling thread, and on every
+/// other thread. The second is the fewest of three measurements, since
+/// the test harness's own thread may allocate while one runs; a helper
+/// that allocated would do so in every step of all three.
+fn overlapped_allocations(sparse_layers: u32, steps: usize) -> (u64, u64) {
+    let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+    let table = RouteTable::build(&topo);
+    let plan = ErMapping::new(topo.mesh_dims().unwrap(), TpShape::new(2, 2))
+        .unwrap()
+        .plan();
+    let model = ModelConfig {
+        num_layers: sparse_layers,
+        num_sparse_layers: sparse_layers,
+        ..ModelConfig::qwen3_235b()
+    };
+    let config = EngineConfig::new(model).with_batch(BatchMode::Fixed {
+        tokens_per_group: 4,
+        avg_context: 512.0,
+        phase: InferencePhase::Decode,
+    });
+    let mut engine = InferenceEngine::new(&topo, &table, &plan, config);
+    for _ in 0..8 {
+        engine.step();
+    }
+    let (mut caller, mut elsewhere) = (u64::MAX, u64::MAX);
+    for _ in 0..3 {
+        let (mine, all) = (allocations(), ALL_ALLOCATIONS.load(Ordering::Relaxed));
+        for _ in 0..steps {
+            engine.step();
+        }
+        let mine = allocations() - mine;
+        caller = caller.min(mine);
+        elsewhere = elsewhere.min(ALL_ALLOCATIONS.load(Ordering::Relaxed) - all - mine);
+    }
+    (caller, elsewhere)
+}
+
+/// On a host with more than one core these steps sample on a helper
+/// thread (48 and 96 sparse layers × 4 groups × 128 experts are above the
+/// engine's size rule); on one core they run the serial driver, and the
+/// same bounds hold.
+#[test]
+fn overlapped_steps_allocate_on_the_caller_only() {
+    let _serial = serial();
+    let steps = 12;
+    let (shallow, shallow_elsewhere) = overlapped_allocations(48, steps);
+    let (deep, deep_elsewhere) = overlapped_allocations(96, steps);
+    assert_eq!(
+        (shallow_elsewhere, deep_elsewhere),
+        (0, 0),
+        "{steps} steps allocate off the calling thread"
+    );
+    assert_eq!(
+        shallow, deep,
+        "{steps} steps allocate {shallow} times with 48 sparse layers but {deep} with 96"
     );
 }
 
@@ -150,6 +228,7 @@ fn serving_footprint(backend: CongestionBackend, steps: usize) -> (u64, i64) {
 
 #[test]
 fn cached_tier_serving_step_costs_no_more_than_flow_sim() {
+    let _serial = serial();
     let steps = 32;
     let (des_allocs, des_live) = serving_footprint(CongestionBackend::FlowSim, steps);
     let (cached_allocs, cached_live) = serving_footprint(CongestionBackend::FlowSimCached, steps);
@@ -192,6 +271,7 @@ fn plan_allocations(balancer: &mut dyn Balancer, experts: usize) -> (u64, usize)
 
 #[test]
 fn plan_allocations_do_not_grow_with_expert_count() {
+    let _serial = serial();
     let experts = [16, 128, 256];
     let topology_aware = experts.map(|e| plan_allocations(&mut TopologyAwareBalancer::new(4), e));
     let greedy = experts.map(|e| plan_allocations(&mut GreedyBalancer::new(4), e));
