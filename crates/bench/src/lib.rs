@@ -34,8 +34,9 @@ pub fn quick_from_args() -> bool {
 /// byte-identical output for every thread count — `--threads 1` runs one
 /// sweep point or replica at a time, more threads only shorten the wall
 /// clock. It does not make the process single-threaded: an engine step
-/// large enough still samples its gating on a helper thread (DESIGN.md §6),
-/// with output byte-identical to the serial driver's.
+/// large enough still samples its gating on a helper thread while a core
+/// is free (DESIGN.md §6), with output byte-identical to the serial
+/// driver's.
 ///
 /// # Panics
 ///

@@ -10,8 +10,9 @@
 //! changes *when* a job runs, never how results are merged.
 //!
 //! With one thread the pool degenerates to an in-caller-thread loop (no
-//! spawn, no locks beyond the same code path), so `--threads 1` is exactly
-//! the serial program.
+//! spawn, no locks beyond the same code path), so `--threads 1` runs one
+//! job at a time. A large engine step inside a job may still sample on a
+//! helper thread while a core is free (DESIGN.md §6).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -50,6 +50,17 @@ pub enum ConfigError {
         /// The model's `num_experts`.
         num_experts: u32,
     },
+    /// A DP group's largest batch, in tokens, times the model's top-k
+    /// exceeds `u32::MAX`, the most gating selections the sampler draws
+    /// for one group.
+    BatchTokensOutOfRange {
+        /// The batch bound: `tokens_per_group` for a fixed batch,
+        /// `max_batch_tokens + max_active` for a serving one (one decode
+        /// token per active sequence on top of the prefill budget).
+        tokens: u64,
+        /// The model's `experts_per_token` (top-k).
+        experts_per_token: u32,
+    },
     /// A fleet needs at least one replica.
     ReplicasZero,
     /// A fleet's initial replicas plus every scale-up in its timeline
@@ -189,6 +200,15 @@ impl std::fmt::Display for ConfigError {
                      {num_experts}, and num_experts ≥ 1"
                 )
             }
+            ConfigError::BatchTokensOutOfRange {
+                tokens,
+                experts_per_token,
+            } => write!(
+                f,
+                "batch: {tokens} tokens per group × top-k {experts_per_token} exceed {} \
+                 gating selections",
+                u32::MAX
+            ),
             ConfigError::ReplicasZero => write!(f, "need at least one replica"),
             ConfigError::TooManyReplicas { replicas, max } => write!(
                 f,
@@ -317,6 +337,14 @@ mod tests {
             }
             .to_string(),
             "model: experts_per_token 8 must be ≤ num_experts 4, and num_experts ≥ 1"
+        );
+        assert_eq!(
+            ConfigError::BatchTokensOutOfRange {
+                tokens: 1 << 30,
+                experts_per_token: 8,
+            }
+            .to_string(),
+            "batch: 1073741824 tokens per group × top-k 8 exceed 4294967295 gating selections"
         );
         assert_eq!(
             ConfigError::TooManyReplicas {

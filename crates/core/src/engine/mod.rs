@@ -27,7 +27,7 @@ mod sketch;
 pub use metrics::{percentile, ClassServingSummary, IterationMetrics, RunSummary, ServingSummary};
 pub use sketch::{P2Quantile, StreamingSummary, SummaryMode};
 
-use overlap::{sample_overlapped, SAMPLING_RUN};
+use overlap::{sample_overlapped, CoreClaim, SAMPLING_RUN};
 
 use moe_model::{CostModel, InferencePhase, ModelConfig, Precision};
 use moe_workload::{
@@ -262,7 +262,8 @@ impl EngineConfig {
     /// micro-batch counts ≥ 1, `load_ema` and `kv_hbm_fraction` in
     /// `(0, 1]`, at least one schedule-cache entry, and a model whose
     /// top-k gating can be sampled (`1 ≤ num_experts`,
-    /// `experts_per_token ≤ num_experts`). This is the single
+    /// `experts_per_token ≤ num_experts`, and a group's largest batch
+    /// times top-k at most `u32::MAX`). This is the single
     /// validation gate behind [`InferenceEngine::try_new`],
     /// [`Fleet::try_new`](crate::fleet::Fleet::try_new), and the
     /// `moentwine-spec` scenario layer.
@@ -298,6 +299,27 @@ impl EngineConfig {
                 num_experts,
             });
         }
+        let tokens = match self.batch {
+            BatchMode::Fixed {
+                tokens_per_group, ..
+            } => u64::from(tokens_per_group),
+            BatchMode::Scheduled {
+                max_batch_tokens,
+                max_active,
+                ..
+            }
+            | BatchMode::External {
+                max_batch_tokens,
+                max_active,
+                ..
+            } => u64::from(max_batch_tokens).saturating_add(max_active as u64),
+        };
+        if tokens.saturating_mul(u64::from(experts_per_token)) > u64::from(u32::MAX) {
+            return Err(ConfigError::BatchTokensOutOfRange {
+                tokens,
+                experts_per_token,
+            });
+        }
         self.workload_profile.validate()?;
         Ok(())
     }
@@ -315,8 +337,9 @@ pub struct InferenceEngine<'a> {
     trace: TraceGenerator,
     /// The current step's gating outcomes, overwritten in place each step.
     gating: IterationTrace,
-    /// Whether a step samples its gating on a helper thread, overlapped
-    /// with the layer loop (see [`overlap::overlaps`]).
+    /// Whether a step draws enough gating counts to sample them on a
+    /// helper thread, overlapped with the layer loop, when a core is free
+    /// (see [`overlap::overlaps`] and [`CoreClaim`]).
     overlap_sampling: bool,
     /// One layer's loads and transfer lists, reused across layers and
     /// steps.
@@ -587,6 +610,14 @@ impl<'a> InferenceEngine<'a> {
 
     /// Executes one iteration and records its metrics.
     pub fn step(&mut self) -> &IterationMetrics {
+        let cores = CoreClaim::take(self.overlap_sampling);
+        self.step_with(cores.helper())
+    }
+
+    /// [`InferenceEngine::step`], sampling gating on a helper thread
+    /// overlapped with the layer loop if `overlapped`, on this thread
+    /// otherwise. Both drivers give the same bits.
+    fn step_with(&mut self, overlapped: bool) -> &IterationMetrics {
         let config = &self.config;
         let model = &config.model;
         let tp = self.layout.tp_degree();
@@ -665,7 +696,7 @@ impl<'a> InferenceEngine<'a> {
             next: 0,
         };
         let sampler = self.trace.begin_iteration(&mut self.gating);
-        if self.overlap_sampling {
+        if overlapped {
             sample_overlapped(sampler, |run| layer_loop.run(run));
         } else {
             sampler.sample(SAMPLING_RUN, |run| layer_loop.run(run));
@@ -1300,11 +1331,10 @@ mod tests {
                 .with_balancer(BalancerKind::NonInvasive)
                 .with_seed(5)
         };
-        let run = |overlap_sampling: bool| {
+        let run = |overlapped: bool| {
             let mut engine = InferenceEngine::new(&topo, &table, &plan, config.clone());
-            engine.overlap_sampling = overlap_sampling;
             for _ in 0..12 {
-                engine.step();
+                engine.step_with(overlapped);
             }
             (engine.history, engine.placements)
         };
@@ -1658,6 +1688,38 @@ mod tests {
             Err(ConfigError::TopKOutOfRange {
                 experts_per_token: 0,
                 num_experts: 0,
+            })
+        );
+
+        // A group's largest batch times top-k must fit the sampler's u32
+        // trial count: exactly u32::MAX passes, one token more fails.
+        let top_k = base().model.experts_per_token;
+        let fixed = |tokens_per_group| {
+            base().with_batch(BatchMode::Fixed {
+                tokens_per_group,
+                avg_context: 1.0,
+                phase: InferencePhase::Decode,
+            })
+        };
+        assert_eq!(top_k, 2);
+        assert_eq!(fixed(u32::MAX / 2).validate(), Ok(()));
+        assert_eq!(
+            fixed(u32::MAX / 2 + 1).validate(),
+            Err(ConfigError::BatchTokensOutOfRange {
+                tokens: u64::from(u32::MAX / 2 + 1),
+                experts_per_token: 2,
+            })
+        );
+        let serving = base().with_batch(BatchMode::External {
+            mode: SchedulingMode::Hybrid,
+            max_batch_tokens: u32::MAX / 2,
+            max_active: 1,
+        });
+        assert_eq!(
+            serving.validate(),
+            Err(ConfigError::BatchTokensOutOfRange {
+                tokens: u64::from(u32::MAX / 2) + 1,
+                experts_per_token: 2,
             })
         );
     }

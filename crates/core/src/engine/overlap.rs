@@ -8,7 +8,7 @@
 //! threads do exactly the work the serial driver does, in the same order
 //! each, so the step's output is the same bit for bit.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -18,25 +18,68 @@ use moe_workload::{LayerGating, LayerSampler};
 pub(super) const SAMPLING_RUN: usize = 8;
 
 /// Gating counts (sparse layers × DP groups × experts) above which a step
-/// samples on a helper thread. On a 2-core x86-64 host a scoped spawn and
-/// join took about 30 µs, the helper started 60–90 µs into the step, and a
-/// count took 50–80 ns to draw. The overlap hides the layer loop but for
-/// its last run, so it pays only once a step has a few runs of real work:
-/// on the analytic tier it broke even at 16,384 counts (32 layers × 4
-/// groups × 128 experts, about 1 ms of sampling) and won from 24,576.
-/// Qwen3-235B on a 4-group wafer draws 48,128 counts a step; the tiny
-/// preset draws 256.
+/// samples on a helper thread when a core is free. On a 2-core x86-64 host
+/// a scoped spawn and join took about 30 µs, the helper started 60–90 µs
+/// into the step, and a count took 50–80 ns to draw. The overlap hides the
+/// layer loop but for its last run, so it pays only once a step has a few
+/// runs of real work: on the analytic tier it broke even at 16,384 counts
+/// (32 layers × 4 groups × 128 experts, about 1 ms of sampling) and won
+/// from 24,576. Qwen3-235B on a 4-group wafer draws 48,128 counts a step;
+/// the tiny preset draws 256.
 pub(super) const MIN_OVERLAPPED_COUNTS: usize = 16_384;
 
-/// The size rule: whether a step drawing `counts` gating counts samples on
-/// a helper thread.
+/// The size rule: whether a step drawing `counts` gating counts is large
+/// enough to sample on a helper thread.
 pub(super) fn overlaps(counts: usize) -> bool {
-    // Read once per process: the read parses cgroup files, which would
-    // cost every engine construction tens to hundreds of microseconds.
-    static SPARE_CORE: OnceLock<bool> = OnceLock::new();
     counts > MIN_OVERLAPPED_COUNTS
-        && *SPARE_CORE
-            .get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
+}
+
+/// Cores this process's engine steps occupy right now: one for each step
+/// in flight and one for each sampling helper.
+static BUSY_CORES: AtomicUsize = AtomicUsize::new(0);
+
+/// The cores one engine step occupies while it runs, released on drop.
+pub(super) struct CoreClaim {
+    helper: bool,
+}
+
+impl CoreClaim {
+    /// Claims the calling thread's core for a step, and a second core for
+    /// a sampling helper if `large` (the size rule holds) and some core is
+    /// occupied by no step or helper of this process. Steps running at
+    /// once on a worker pool as wide as the host so sample on their own
+    /// threads, instead of each adding a helper that competes with the
+    /// other workers.
+    pub(super) fn take(large: bool) -> Self {
+        // Read once per process: the read parses cgroup files, which would
+        // cost every step tens to hundreds of microseconds.
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        BUSY_CORES.fetch_add(1, Ordering::Relaxed);
+        CoreClaim {
+            helper: large && claim_free_core(&BUSY_CORES, cores),
+        }
+    }
+
+    /// Whether the step may sample on a helper thread.
+    pub(super) fn helper(&self) -> bool {
+        self.helper
+    }
+}
+
+impl Drop for CoreClaim {
+    fn drop(&mut self) {
+        BUSY_CORES.fetch_sub(1 + usize::from(self.helper), Ordering::Relaxed);
+    }
+}
+
+/// Counts one more busy core in `busy` if fewer than `cores` are busy.
+fn claim_free_core(busy: &AtomicUsize, cores: usize) -> bool {
+    busy.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+        (n < cores).then_some(n + 1)
+    })
+    .is_ok()
 }
 
 /// Finished runs the queue holds before the sampler waits for the layer
@@ -47,6 +90,8 @@ const HANDOFF_DEPTH: usize = 4;
 /// the time the sampler takes to draw one run on the wafer workloads. A
 /// thread that sleeps and is woken for every run tends to be woken on the
 /// sampler's core, where the two then share one core while the other idles.
+/// The spin burns only the step's own core: the helper runs only while
+/// [`CoreClaim`] finds another free.
 const SPIN_BEFORE_SLEEP: Duration = Duration::from_micros(250);
 
 /// Draws `sampler`'s layers on a scoped helper thread and passes each
@@ -165,6 +210,15 @@ mod tests {
                 counts: vec![vec![i as u32]],
             })
             .collect()
+    }
+
+    #[test]
+    fn a_helper_core_is_claimed_only_while_one_is_free() {
+        let busy = AtomicUsize::new(1);
+        assert!(claim_free_core(&busy, 2));
+        assert!(!claim_free_core(&busy, 2));
+        assert_eq!(busy.load(Ordering::Relaxed), 2);
+        assert!(!claim_free_core(&AtomicUsize::new(1), 1));
     }
 
     #[test]

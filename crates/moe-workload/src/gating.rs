@@ -23,8 +23,8 @@ use rand::Rng;
 ///
 /// # Panics
 ///
-/// Panics if `top_k as usize > dist.len()` or if `dist` has a non-positive
-/// total.
+/// Panics if `top_k as usize > dist.len()`, if `tokens * top_k` exceeds
+/// `u32::MAX`, or if `dist` has a non-positive total.
 ///
 /// # Example
 ///
@@ -118,7 +118,8 @@ impl GatingDist {
 ///
 /// # Panics
 ///
-/// Panics if `top_k as usize > dist.len()` or `counts.len() != dist.len()`.
+/// Panics if `top_k as usize > dist.len()`, if `counts.len() !=
+/// dist.len()`, or if `tokens * top_k` exceeds `u32::MAX`.
 pub(crate) fn sample_gating_counts_into<R: Rng>(
     rng: &mut R,
     dist: &mut GatingDist,
@@ -133,19 +134,20 @@ pub(crate) fn sample_gating_counts_into<R: Rng>(
     );
     assert_eq!(counts.len(), experts, "one count slot per expert");
 
+    let mut remaining_trials = u32::try_from(u64::from(tokens) * u64::from(top_k))
+        .unwrap_or_else(|_| panic!("tokens={tokens} × top_k={top_k} exceeds u32::MAX trials"));
     counts.fill(0);
-    let mut remaining_trials = tokens as u64 * top_k as u64;
     for (c, &q) in counts.iter_mut().zip(&dist.cond) {
         if remaining_trials == 0 {
             break;
         }
         let drawn = sample_binomial(rng, remaining_trials, q);
-        *c = drawn as u32;
+        *c = drawn;
         remaining_trials -= drawn;
     }
     // The last expert takes what is left, whether the draws reached it or
     // the mass ran out first.
-    counts[experts - 1] += remaining_trials as u32;
+    counts[experts - 1] += remaining_trials;
 
     // Repair the top-k-without-replacement cap: no expert can receive more
     // than one selection per token.
@@ -193,7 +195,7 @@ const TWO_POW_53: f64 = (1u64 << 53) as f64;
 
 /// Samples from Binomial(n, p) — exact Bernoulli summation for small `n`,
 /// normal approximation for large `n` (clamped to `[0, n]`).
-fn sample_binomial<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
+fn sample_binomial<R: Rng>(rng: &mut R, n: u32, p: f64) -> u32 {
     if p <= 0.0 {
         return 0;
     }
@@ -206,25 +208,16 @@ fn sample_binomial<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
         // so `k · 2^-53 < p` holds exactly when `k < ⌈p · 2^53⌉`.
         let threshold = ceil_below_2_pow_53(p * TWO_POW_53);
         return (0..n)
-            .map(|_| u64::from(rng.next_u64() >> 11 < threshold))
+            .map(|_| u32::from(rng.next_u64() >> 11 < threshold))
             .sum();
     }
     // Box-Muller.
-    let normal = |n: f64, rng: &mut R| {
-        let mean = n * p;
-        let sd = (mean * (1.0 - p)).sqrt();
-        let u1: f64 = rng.gen::<f64>().max(1e-12);
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        mean + sd * z
-    };
-    // Every trial count the gating sampler passes fits in `u32` (the counts
-    // it returns are `u32`), where converting and rounding take a few
-    // instructions; a larger `n` keeps the general rule.
-    match u32::try_from(n) {
-        Ok(n) => u64::from(round_clamped(normal(f64::from(n), rng), n)),
-        Err(_) => normal(n as f64, rng).round().clamp(0.0, n as f64) as u64,
-    }
+    let mean = f64::from(n) * p;
+    let sd = (mean * (1.0 - p)).sqrt();
+    let u1: f64 = rng.gen::<f64>().max(1e-12);
+    let u2: f64 = rng.gen();
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    round_clamped(mean + sd * z, n)
 }
 
 /// `⌈x⌉` for `0 < x < 2^53`, where truncating to `i64` is exact
@@ -552,6 +545,12 @@ mod tests {
         // Every token must select all 4 experts.
         let c = sample_gating_counts(&mut r, &[0.7, 0.1, 0.1, 0.1], 32, 4);
         assert_eq!(c, vec![32; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX trials")]
+    fn trials_past_u32_are_rejected() {
+        sample_gating_counts(&mut rng(), &[0.5, 0.5], u32::MAX, 2);
     }
 
     #[test]

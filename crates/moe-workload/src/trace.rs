@@ -140,7 +140,9 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `num_groups == 0` or `tokens_per_group == 0`.
+    /// Panics if `num_groups == 0` or `tokens_per_group == 0`. Sampling an
+    /// iteration panics if `tokens_per_group` times the model's top-k
+    /// exceeds `u32::MAX`.
     pub fn new(
         config: &ModelConfig,
         mix: WorkloadMix,

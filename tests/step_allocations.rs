@@ -176,7 +176,8 @@ fn overlapped_allocations(sparse_layers: u32, steps: usize) -> (u64, u64) {
 
 /// On a host with more than one core these steps sample on a helper
 /// thread (48 and 96 sparse layers × 4 groups × 128 experts are above the
-/// engine's size rule); on one core they run the serial driver, and the
+/// engine's size rule, and `SERIAL` keeps every other engine step of this
+/// binary off the cores); on one core they run the serial driver, and the
 /// same bounds hold.
 #[test]
 fn overlapped_steps_allocate_on_the_caller_only() {
