@@ -5,17 +5,19 @@
 //! for CI and downstream tooling.
 //!
 //! Experiments are independent, so they run on a worker pool (`--threads N`,
-//! default: available parallelism); outputs merge in paper order, so every
+//! default: available parallelism), and the sweeps spread their own grid
+//! points over a pool as wide; outputs merge in paper order, so every
 //! artifact is byte-identical to a serial run.
 //!
 //! With `--measure-speedup` the figure fan-out runs **twice** — once on a
-//! single thread, once on the pool — and the manifest records the true
-//! wall-clock ratio (`parallel_speedup`, `speedup_measured: true`) plus the
-//! per-figure before/after timings. Without the flag only the pooled pass
-//! runs and `parallel_speedup` reports the pool-occupancy proxy
-//! (summed concurrent per-figure seconds over fan-out wall,
-//! `speedup_measured: false`) — cheap, but inflated by time-slicing when
-//! threads exceed cores, which is why the CI gate uses the measured mode.
+//! single thread (the sweeps included), once on the pool — and the
+//! manifest records the true wall-clock ratio (`parallel_speedup`,
+//! `speedup_measured: true`) plus the per-figure before/after timings.
+//! Without the flag only the pooled pass runs and `parallel_speedup`
+//! reports the pool-occupancy proxy (summed concurrent per-figure seconds
+//! over fan-out wall, `speedup_measured: false`) — cheap, but inflated by
+//! time-slicing when threads exceed cores, which is why the CI gate uses
+//! the measured mode.
 //!
 //! A panicking experiment is recorded as `"status": "failed"` in the
 //! manifest and the remaining experiments still run; the process then exits
@@ -76,7 +78,8 @@ fn manifest_entry(
 /// seconds as timed inside the fan-out.
 type FigureOutcome = (Result<Report, String>, f64);
 
-/// Runs every experiment on a pool of `threads` workers, returning the
+/// Runs every experiment on a pool of `threads` workers, each sweep also
+/// spreading its grid points over `threads` workers, returning the
 /// per-figure outcomes in paper order plus the fan-out's wall clock. Each
 /// job is self-contained (figures build their own platforms and write
 /// distinct files), so results are byte-identical for any `threads`.
@@ -98,8 +101,8 @@ fn run_fanout(
         .map(|&(id, runner)| {
             move || {
                 let t0 = Instant::now();
-                let outcome =
-                    panic::catch_unwind(AssertUnwindSafe(|| runner(quick))).map_err(|cause| {
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| runner(quick, threads)))
+                    .map_err(|cause| {
                         cause
                             .downcast_ref::<String>()
                             .cloned()

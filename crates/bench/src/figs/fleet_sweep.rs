@@ -229,12 +229,6 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the fleet sweep single-threaded (the `repro_all` entry point, which
-/// parallelizes across figures instead).
-pub fn run(quick: bool) -> Report {
-    run_with_threads(quick, 1)
-}
-
 /// Runs the fleet sweep with grid points spread over `threads` workers,
 /// writes `target/figs/fleet_sweep.json` (byte-identical for any thread
 /// count), and returns the human-readable report.

@@ -1,5 +1,7 @@
 //! One module per paper table/figure. Each exposes
-//! `pub fn run(quick: bool) -> Report`.
+//! `pub fn run(quick: bool) -> Report`, or, for the sweeps that spread
+//! their grid points over a worker pool, `pub fn run_with_threads(quick:
+//! bool, threads: usize) -> Report`.
 
 pub mod ablation;
 pub mod disagg_sweep;
@@ -26,39 +28,42 @@ pub mod workload_mix;
 
 use crate::Report;
 
-/// An experiment entry point.
-pub type Runner = fn(bool) -> Report;
+/// An experiment entry point: `(quick, threads)`. The sweeps spread their
+/// grid points over a `threads`-wide worker pool (their output is
+/// byte-identical for any width); the other experiments run on the calling
+/// thread.
+pub type Runner = fn(bool, usize) -> Report;
 
 /// Every experiment in paper order: `(id, runner)`.
 pub fn all() -> Vec<(&'static str, Runner)> {
     vec![
-        ("table1", table1::run as Runner),
-        ("fig01", fig01::run),
-        ("fig04", fig04::run),
-        ("fig06", fig06::run),
-        ("fig11", fig11::run),
-        ("fig12", fig12::run),
-        ("fig13a", fig13a::run),
-        ("fig13b", fig13b::run),
-        ("fig13c", fig13c::run),
-        ("fig13d", fig13d::run),
-        ("fig14a", fig14a::run),
-        ("fig14b", fig14b::run),
-        ("fig15", fig15::run),
-        ("fig16", fig16::run),
-        ("fig17", fig17::run),
-        ("ablation", ablation::run),
+        ("table1", |quick, _| table1::run(quick)),
+        ("fig01", |quick, _| fig01::run(quick)),
+        ("fig04", |quick, _| fig04::run(quick)),
+        ("fig06", |quick, _| fig06::run(quick)),
+        ("fig11", |quick, _| fig11::run(quick)),
+        ("fig12", |quick, _| fig12::run(quick)),
+        ("fig13a", |quick, _| fig13a::run(quick)),
+        ("fig13b", |quick, _| fig13b::run(quick)),
+        ("fig13c", |quick, _| fig13c::run(quick)),
+        ("fig13d", |quick, _| fig13d::run(quick)),
+        ("fig14a", |quick, _| fig14a::run(quick)),
+        ("fig14b", |quick, _| fig14b::run(quick)),
+        ("fig15", |quick, _| fig15::run(quick)),
+        ("fig16", |quick, _| fig16::run(quick)),
+        ("fig17", |quick, _| fig17::run(quick)),
+        ("ablation", |quick, _| ablation::run(quick)),
         // Beyond the paper's figures: the request-level serving sweep
         // (latency-throughput curves; also emits target/figs/serve_sweep.json)
         // and the fleet-level scale-out sweep (replica x router policy x
         // arrival rate; emits target/figs/fleet_sweep.json).
-        ("serve_sweep", serve_sweep::run),
-        ("fleet_sweep", fleet_sweep::run),
+        ("serve_sweep", serve_sweep::run_with_threads),
+        ("fleet_sweep", fleet_sweep::run_with_threads),
         // Multi-tenant SLO attainment under bursty traffic (emits
         // target/figs/workload_mix.json).
-        ("workload_mix", workload_mix::run),
+        ("workload_mix", workload_mix::run_with_threads),
         // Router policies: snapshot vs EWMA feedback vs speculative
         // dispatch (emits target/figs/router_compare.json).
-        ("router_compare", router_compare::run),
+        ("router_compare", router_compare::run_with_threads),
     ]
 }

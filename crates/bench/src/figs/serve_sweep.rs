@@ -212,12 +212,6 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the serving sweep single-threaded (the `repro_all` entry point,
-/// which parallelizes across figures instead).
-pub fn run(quick: bool) -> Report {
-    run_with_threads(quick, 1)
-}
-
 /// Runs the serving sweep with grid points spread over `threads` workers,
 /// writes `target/figs/serve_sweep.json` (byte-identical for any thread
 /// count), and returns the human-readable report.

@@ -245,12 +245,6 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the workload mix sweep single-threaded (the `repro_all` entry
-/// point, which parallelizes across figures instead).
-pub fn run(quick: bool) -> Report {
-    run_with_threads(quick, 1)
-}
-
 /// Runs the workload mix sweep with grid points spread over `threads`
 /// workers, writes `target/figs/workload_mix.json` (byte-identical for any
 /// thread count), and returns the human-readable report.

@@ -1,12 +1,12 @@
 //! Gating sampling on a helper thread, overlapped with the layer loop.
 //!
 //! Layer `l` of a step needs only layers `..=l` sampled, and the sampler
-//! owns its RNG and cached distributions and reads nothing the layer loop
-//! writes. So a step can sample on one scoped helper thread, which hands
-//! finished runs of [`SAMPLING_RUN`] layers to the calling thread, while
-//! the calling thread runs the layer loop on them in layer order. Both
-//! threads do exactly the work the serial driver does, in the same order
-//! each, so the step's output is the same bit for bit.
+//! owns its random streams and cached distributions and reads nothing the
+//! layer loop writes. So a step can sample on one scoped helper thread,
+//! which hands finished runs of [`SAMPLING_RUN`] layers to the calling
+//! thread, while the calling thread runs the layer loop on them in layer
+//! order. Both threads do exactly the work the serial driver does, in the
+//! same order each, so the step's output is the same bit for bit.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -20,13 +20,16 @@ pub(super) const SAMPLING_RUN: usize = 8;
 /// Gating counts (sparse layers × DP groups × experts) above which a step
 /// samples on a helper thread when a core is free. On a 2-core x86-64 host
 /// a scoped spawn and join took about 30 µs, the helper started 60–90 µs
-/// into the step, and a count took 50–80 ns to draw. The overlap hides the
-/// layer loop but for its last run, so it pays only once a step has a few
-/// runs of real work: on the analytic tier it broke even at 16,384 counts
-/// (32 layers × 4 groups × 128 experts, about 1 ms of sampling) and won
-/// from 24,576. Qwen3-235B on a 4-group wafer draws 48,128 counts a step;
-/// the tiny preset draws 256.
-pub(super) const MIN_OVERLAPPED_COUNTS: usize = 16_384;
+/// into the step, and a count took about 12 ns to draw. The overlap
+/// hides the layer loop but for its last run, so it pays only once a step
+/// has a few runs of real work. Over 600 alternating serial and overlapped
+/// steps of Qwen3-235B-shaped engines on the analytic tier (4 groups × 128
+/// experts, median per-pair time ratio), pricing every 8th layer it broke
+/// even at 16,384 counts (1.00) and won from 20,480 (0.96; 0.92 at 24,576,
+/// 0.89 at 48,128); pricing every layer it lost up to 32,768 (1.09) and won
+/// at 48,128 (0.84). Qwen3-235B on a 4-group wafer draws 48,128 counts a
+/// step; the tiny preset draws 256.
+pub(super) const MIN_OVERLAPPED_COUNTS: usize = 20_480;
 
 /// The size rule: whether a step drawing `counts` gating counts is large
 /// enough to sample on a helper thread.

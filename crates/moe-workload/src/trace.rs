@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use moe_model::ModelConfig;
 
 use crate::affinity::AffinityModel;
-use crate::gating::{sample_gating_counts_into, GatingDist};
+use crate::gating::{sample_layer_into, GatingDist, GroupStream};
 use crate::scenario::Scenario;
 
 /// How scenario weights evolve over the lifetime of a trace.
@@ -115,14 +115,21 @@ pub struct IterationTrace {
 /// Deterministic generator of per-iteration expert-selection traces.
 ///
 /// See the [crate-level documentation](crate) for the statistical structure.
+///
+/// Each DP group draws from its own random stream: group `g` of a
+/// generator seeded with `seed` seeds a `StdRng` with
+/// `seed · 0xA24B_AED4_963E_E407 + g · 0xD1B5_4A32_D192_ED03` (wrapping
+/// 64-bit arithmetic), so a group's counts depend only on the seed, the
+/// group index and the distributions, and the groups' draws can run
+/// interleaved.
 #[derive(Clone, Debug)]
 pub struct TraceGenerator {
     affinity: AffinityModel,
     mix: WorkloadMix,
-    num_groups: usize,
     tokens_per_group: u32,
     top_k: u32,
-    rng: rand::rngs::StdRng,
+    /// One random stream per DP group, with that group's place in a draw.
+    streams: Vec<GroupStream<rand::rngs::StdRng>>,
     iteration: u64,
     uniform: bool,
     /// Sampling distributions cached across iterations: one mixed
@@ -159,10 +166,16 @@ impl TraceGenerator {
                 seed,
             ),
             mix,
-            num_groups,
             tokens_per_group,
             top_k: config.experts_per_token,
-            rng: rand::rngs::StdRng::seed_from_u64(seed.wrapping_mul(0xA24B_AED4_963E_E407)),
+            streams: (0..num_groups as u64)
+                .map(|g| {
+                    GroupStream::new(rand::rngs::StdRng::seed_from_u64(
+                        seed.wrapping_mul(0xA24B_AED4_963E_E407)
+                            .wrapping_add(g.wrapping_mul(0xD1B5_4A32_D192_ED03)),
+                    ))
+                })
+                .collect(),
             iteration: 0,
             uniform: false,
             dists: Vec::new(),
@@ -241,7 +254,7 @@ impl TraceGenerator {
                 counts: Vec::new(),
             });
         for gating in &mut trace.layers {
-            gating.counts.resize_with(self.num_groups, Vec::new);
+            gating.counts.resize_with(self.streams.len(), Vec::new);
             for counts in &mut gating.counts {
                 counts.resize(num_experts, 0);
             }
@@ -250,7 +263,7 @@ impl TraceGenerator {
         trace.weights = weights;
         self.iteration += 1;
         LayerSampler {
-            rng: &mut self.rng,
+            streams: &mut self.streams,
             dists: &mut self.dists,
             uniform: self.uniform,
             tokens_per_group: self.tokens_per_group,
@@ -294,11 +307,12 @@ impl TraceGenerator {
 /// Draws one iteration's gating counts into the trace
 /// [`TraceGenerator::begin_iteration`] sized, layer by layer.
 ///
-/// It holds the generator's RNG and cached distributions and the trace's
-/// layers, and nothing else: the counts depend only on the generator's
-/// state, whatever a consumer of finished layers does meanwhile.
+/// It holds the generator's per-group streams and cached distributions and
+/// the trace's layers, and nothing else: the counts depend only on the
+/// generator's state, whatever a consumer of finished layers does
+/// meanwhile.
 pub struct LayerSampler<'t> {
-    rng: &'t mut rand::rngs::StdRng,
+    streams: &'t mut [GroupStream<rand::rngs::StdRng>],
     /// One distribution per layer, or a single one under uniform gating.
     dists: &'t mut [GatingDist],
     uniform: bool,
@@ -318,7 +332,7 @@ impl<'t> LayerSampler<'t> {
     /// Panics if `chunk == 0`.
     pub fn sample(self, chunk: usize, mut emit: impl FnMut(&'t [LayerGating])) {
         let LayerSampler {
-            rng,
+            streams,
             dists,
             uniform,
             tokens_per_group,
@@ -329,9 +343,7 @@ impl<'t> LayerSampler<'t> {
         for run in layers.chunks_mut(chunk) {
             for gating in run.iter_mut() {
                 let dist = &mut dists[if uniform { 0 } else { layer }];
-                for counts in &mut gating.counts {
-                    sample_gating_counts_into(rng, dist, tokens_per_group, top_k, counts);
-                }
+                sample_layer_into(streams, dist, tokens_per_group, top_k, &mut gating.counts);
                 layer += 1;
             }
             emit(run);
@@ -424,8 +436,10 @@ mod tests {
         }
     }
 
-    /// The generator loop without the distribution cache: every layer's
-    /// distribution is mixed afresh and every count vector is new.
+    /// The generator loop without the distribution cache and without
+    /// interleaving the groups: every layer's distribution is mixed afresh,
+    /// every count vector is new, and each group draws on its own, from its
+    /// own stream, through the public one-group sampler.
     fn uncached_iteration(gen: &mut TraceGenerator) -> IterationTrace {
         let weights = gen.mix.weights(gen.iteration);
         let layers = (0..gen.affinity.num_layers())
@@ -435,10 +449,12 @@ mod tests {
                 } else {
                     gen.affinity.mixed_distribution(layer, &weights)
                 };
-                let counts = (0..gen.num_groups)
-                    .map(|_| {
+                let counts = gen
+                    .streams
+                    .iter_mut()
+                    .map(|stream| {
                         crate::sample_gating_counts(
-                            &mut gen.rng,
+                            stream.rng(),
                             &dist,
                             gen.tokens_per_group,
                             gen.top_k,
@@ -457,12 +473,14 @@ mod tests {
         trace
     }
 
-    /// Reused buffers and cached distributions and cap-repair orders draw
-    /// exactly what fresh generation draws. The cases cover 1–3 tokens per
-    /// group (on 128 experts nearly every layer repairs), a short `Cycling`
-    /// period (the distributions, and so the orders, change on every call)
-    /// and uniform gating (every comparison of the repair sort is a tie
-    /// broken by index).
+    /// Reused buffers, cached distributions and cap-repair orders, and the
+    /// groups' interleaved chains draw exactly what fresh generation draws
+    /// group by group. The cases cover 1–3 tokens per group (on 128
+    /// experts nearly every layer repairs), 17–600 tokens (top-8 draws run
+    /// the interleaved normal-approximation phase, and groups leave it at
+    /// different experts), a short `Cycling` period (the distributions, and
+    /// so the orders, change on every call) and uniform gating (every
+    /// comparison of the repair sort is a tie broken by index).
     #[test]
     fn next_iteration_into_matches_uncached_generation() {
         let models = [
@@ -494,8 +512,8 @@ mod tests {
                     fresh.next_iteration();
                     uncached_iteration(&mut reference);
                     let mut repaired = 0;
-                    // Token counts from 1 (cap repair on most layers) to 64.
-                    for (i, tokens) in [1, 64, 3, 1, 17, 2, 64, 5, 2].into_iter().enumerate() {
+                    // Token counts from 1 (cap repair on most layers) to 600.
+                    for (i, tokens) in [1, 64, 3, 1, 17, 2, 600, 5, 2].into_iter().enumerate() {
                         for gen in [&mut reference, &mut fresh, &mut reused] {
                             gen.set_tokens_per_group(tokens);
                         }
