@@ -207,37 +207,40 @@ pub(crate) fn sample_layer_into<R: RngCore>(
         stream.trials = trials;
         stream.next = if active > 0 { dist.cond.len() } else { 0 };
     }
-    let zig = ziggurat();
-    for (e, &q) in dist.cond.iter().enumerate() {
-        if active == 0 {
-            break;
-        }
-        for (stream, counts) in streams.iter_mut().zip(counts.iter_mut()) {
-            if stream.trials > EXACT_TRIALS {
-                let drawn = sample_binomial(&mut stream.rng, zig, stream.trials, q);
-                counts[e] = drawn;
-                stream.trials -= drawn;
-                if stream.trials <= EXACT_TRIALS {
-                    stream.next = e + 1;
-                    active -= 1;
+    if active > 0 {
+        let zig = ziggurat();
+        for (e, &q) in dist.cond.iter().enumerate() {
+            for (stream, counts) in streams.iter_mut().zip(counts.iter_mut()) {
+                if stream.trials > EXACT_TRIALS {
+                    let drawn = normal_binomial(&mut stream.rng, zig, stream.trials, q);
+                    counts[e] = drawn;
+                    stream.trials -= drawn;
+                    if stream.trials <= EXACT_TRIALS {
+                        stream.next = e + 1;
+                        active -= 1;
+                    }
                 }
+            }
+            if active == 0 {
+                break;
             }
         }
     }
 
     for (stream, counts) in streams.iter_mut().zip(counts.iter_mut()) {
         // Phase 2: the group's exact tail.
+        let (rng, mut trials) = (&mut stream.rng, stream.trials);
         for (c, &q) in counts.iter_mut().zip(&dist.cond).skip(stream.next) {
-            if stream.trials == 0 {
+            if trials == 0 {
                 break;
             }
-            let drawn = sample_binomial(&mut stream.rng, zig, stream.trials, q);
+            let drawn = exact_binomial(rng, trials, q);
             *c = drawn;
-            stream.trials -= drawn;
+            trials -= drawn;
         }
         // The last expert takes what is left, whether the draws reached it
         // or the mass ran out first.
-        counts[experts - 1] += stream.trials;
+        counts[experts - 1] += trials;
         repair_cap(dist, tokens, counts);
     }
 }
@@ -286,30 +289,39 @@ fn repair_cap(dist: &mut GatingDist, tokens: u32, counts: &mut [u32]) {
 /// `2^53`: `gen::<f64>()` is `(next_u64() >> 11) · 2^-53`.
 const TWO_POW_53: f64 = (1u64 << 53) as f64;
 
-/// Samples from Binomial(n, p) — exact Bernoulli summation for `n` up to
-/// [`EXACT_TRIALS`], normal approximation above (clamped to `[0, n]`).
-/// Inlined, so that the sampler's interleaved chains stay short enough for
-/// the core to keep several in flight.
+/// Samples from Binomial(n, p) for `n` above [`EXACT_TRIALS`] by the
+/// normal approximation (clamped to `[0, n]`). Inlined, so that the
+/// sampler's interleaved chains stay short enough for the core to keep
+/// several in flight.
 #[inline(always)]
-fn sample_binomial<R: RngCore>(rng: &mut R, zig: &Ziggurat, n: u32, p: f64) -> u32 {
+fn normal_binomial<R: RngCore>(rng: &mut R, zig: &Ziggurat, n: u32, p: f64) -> u32 {
     if p <= 0.0 {
         return 0;
     }
     if p >= 1.0 {
         return n;
     }
-    if n <= EXACT_TRIALS {
-        // `gen::<f64>() < p` without the float: the uniform is `k · 2^-53`
-        // for the integer `k = next_u64() >> 11`, and `p · 2^53` is exact,
-        // so `k · 2^-53 < p` holds exactly when `k < ⌈p · 2^53⌉`.
-        let threshold = ceil_below_2_pow_53(p * TWO_POW_53);
-        return (0..n)
-            .map(|_| u32::from(rng.next_u64() >> 11 < threshold))
-            .sum();
-    }
     let mean = f64::from(n) * p;
     let sd = (mean * (1.0 - p)).sqrt();
     round_clamped(mean + sd * zig.normal(rng), n)
+}
+
+/// Samples from Binomial(n, p) for `n` up to [`EXACT_TRIALS`] exactly, as a
+/// sum of Bernoulli trials.
+fn exact_binomial<R: RngCore>(rng: &mut R, n: u32, p: f64) -> u32 {
+    if p <= 0.0 {
+        return 0;
+    }
+    if p >= 1.0 {
+        return n;
+    }
+    // `gen::<f64>() < p` without the float: the uniform is `k · 2^-53` for
+    // the integer `k = next_u64() >> 11`, and `p · 2^53` is exact, so
+    // `k · 2^-53 < p` holds exactly when `k < ⌈p · 2^53⌉`.
+    let threshold = ceil_below_2_pow_53(p * TWO_POW_53);
+    (0..n)
+        .map(|_| u32::from(rng.next_u64() >> 11 < threshold))
+        .sum()
 }
 
 /// `⌈x⌉` for `0 < x < 2^53`, where truncating to `i64` is exact
@@ -996,9 +1008,11 @@ mod tests {
     fn binomial_edge_cases() {
         let mut r = rng();
         let zig = ziggurat();
-        assert_eq!(sample_binomial(&mut r, zig, 100, 0.0), 0);
-        assert_eq!(sample_binomial(&mut r, zig, 100, 1.0), 100);
-        let s = sample_binomial(&mut r, zig, 1_000_000, 0.5);
+        assert_eq!(normal_binomial(&mut r, zig, 100, 0.0), 0);
+        assert_eq!(normal_binomial(&mut r, zig, 100, 1.0), 100);
+        assert_eq!(exact_binomial(&mut r, 10, 0.0), 0);
+        assert_eq!(exact_binomial(&mut r, 10, 1.0), 10);
+        let s = normal_binomial(&mut r, zig, 1_000_000, 0.5);
         assert!((s as f64 - 500_000.0).abs() < 5_000.0);
     }
 
