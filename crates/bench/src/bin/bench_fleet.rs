@@ -1,8 +1,9 @@
-//! Measures the fleet schedulers and enforces the perf contract: the
-//! event-heap scheduler must reach the same simulated-time horizon at
-//! least 2× faster than the lock-step reference on the wide, partially
-//! idle quick grid (it is expected far higher on production shapes), with
-//! streaming summaries retaining only O(replicas) request records.
+//! Measures the fleet's event loop and enforces the perf contract:
+//! `Fleet::run_until` must reach a simulated-time horizon at least 2×
+//! faster than the lock-step reference (a `Fleet::run(1)` loop to the same
+//! horizon) on the wide, partially idle quick grid (it is expected far
+//! higher on production shapes), with streaming summaries retaining only
+//! O(replicas) request records.
 //!
 //! Writes `target/figs/BENCH_fleet.json` (schema `moentwine/bench_fleet/v1`)
 //! so the perf trajectory is tracked across PRs, and exits non-zero when

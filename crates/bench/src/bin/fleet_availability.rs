@@ -1,14 +1,13 @@
 //! Runs the chaos fleet (crash → drain → scale-up → recover under load)
 //! and writes the SLO-under-failure figure
 //! `target/figs/fleet_availability.json` (schema
-//! `moentwine/fleet_availability/v1`): TTFT/goodput degradation and
+//! `moentwine/fleet_availability/v2`): TTFT/goodput degradation and
 //! recovery checkpoints plus the final availability accounting.
 //!
 //! The manifest contains only simulated quantities, so its bytes are
-//! deterministic per seed; the same timeline is driven under both
-//! round-driven schedulers and the run fails (exit non-zero) if they
-//! disagree, if the crash interrupted nothing, or if the manifest violates
-//! its schema — the CI chaos-smoke step runs this with `--quick`.
+//! deterministic per seed. The run fails (exit non-zero) if the crash
+//! interrupted nothing or if the manifest violates its schema — the CI
+//! chaos-smoke step runs this with `--quick`.
 //!
 //! Usage: `cargo run --release -p moentwine-bench --bin fleet_availability [--quick]`
 
@@ -29,7 +28,7 @@ fn main() {
     }
     eprintln!(
         "[fleet_availability] OK: {} events applied, {} in-flight interruptions, \
-         available fraction {:.4}, schedulers agree",
+         available fraction {:.4}",
         fig.final_summary.availability.events_applied,
         fig.final_summary.availability.crash_interruptions,
         fig.final_summary.availability.available_fraction

@@ -13,9 +13,8 @@
 //! Besides the usual [`Report`], the sweep emits a machine-readable
 //! manifest to `target/figs/disagg_sweep.json` (schema
 //! `moentwine/disagg_sweep/v1`, validated by [`validate`]). Every point is
-//! run under **both** fleet schedulers (lock-step and event-heap) and the
-//! summaries are asserted equal, so the manifest is byte-identical across
-//! runs, `--threads` settings, and scheduler drives.
+//! round-driven ([`Fleet::run`]) and grid points merge by index, so the
+//! manifest is byte-identical across runs and `--threads` settings.
 
 use std::fs;
 
@@ -23,9 +22,7 @@ use moe_model::ModelConfig;
 use moe_workload::{RouterPolicy, Scenario, SchedulingMode, WorkloadMix};
 use moentwine_core::comm::ClusterLayout;
 use moentwine_core::engine::{EngineConfig, SummaryMode};
-use moentwine_core::fleet::{
-    Fleet, FleetConfig, FleetScheduler, FleetSummary, PlatformRefs, ReplicaRole,
-};
+use moentwine_core::fleet::{Fleet, FleetConfig, FleetSummary, PlatformRefs, ReplicaRole};
 use moentwine_spec::{BatchSpec, EngineSpec, ModelSpec, ServingSpec};
 
 use crate::json::Value;
@@ -131,16 +128,9 @@ impl Platforms {
     }
 }
 
-/// Runs one sweep point under `scheduler`.
-fn run_point_with(
-    platforms: &Platforms,
-    shape: Shape,
-    rate: f64,
-    rounds: usize,
-    scheduler: FleetScheduler,
-) -> FleetSummary {
-    let mut config = FleetConfig::new(4, RouterPolicy::LeastQueueDepth, rate, engine_template())
-        .with_scheduler(scheduler);
+/// Runs one sweep point.
+fn run_point(platforms: &Platforms, shape: Shape, rate: f64, rounds: usize) -> FleetSummary {
+    let mut config = FleetConfig::new(4, RouterPolicy::LeastQueueDepth, rate, engine_template());
     if shape == Shape::Disaggregated {
         config = config.with_roles(vec![
             ReplicaRole::Prefill,
@@ -163,21 +153,6 @@ fn run_point_with(
         Fleet::try_new_disaggregated(prefill, decode, config).expect("valid sweep point");
     fleet.run(rounds);
     fleet.summary()
-}
-
-/// Runs one sweep point under both schedulers, asserting they agree
-/// bit-for-bit (the disaggregation paths must preserve the lockstep ==
-/// event-heap contract).
-fn run_point(platforms: &Platforms, shape: Shape, rate: f64, rounds: usize) -> FleetSummary {
-    let heap = run_point_with(platforms, shape, rate, rounds, FleetScheduler::EventHeap);
-    let lockstep = run_point_with(platforms, shape, rate, rounds, FleetScheduler::Lockstep);
-    assert_eq!(
-        heap,
-        lockstep,
-        "fleet schedulers diverged at {} rate {rate}",
-        shape.name()
-    );
-    heap
 }
 
 fn point_json(platforms: &Platforms, shape: Shape, rate: f64, s: &FleetSummary) -> Value {
@@ -395,10 +370,9 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
     }
     report.note(
-        "deterministic: every point runs under both fleet schedulers and \
-         asserts bit-identical summaries; grid points merge by index, so \
-         the manifest is byte-identical across runs, --threads settings, \
-         and scheduler drives (schema moentwine/disagg_sweep/v1)",
+        "deterministic: grid points merge by index, so the manifest is \
+         byte-identical across runs and --threads settings \
+         (schema moentwine/disagg_sweep/v1)",
     );
     report
 }

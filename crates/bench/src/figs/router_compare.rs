@@ -49,12 +49,13 @@
 //!
 //! A second check was once seed-sensitive the same way, but because its
 //! claim was false: `run_until_reaches_horizon_and_skips_idle_work` in
-//! `tests/fleet_scheduler.rs` asserted that the event heap routes no more
-//! requests than lock-step by the horizon. Lock-step routes only at its
+//! `tests/fleet_scheduler.rs` asserted that `Fleet::run_until` routes no
+//! more requests by the horizon than the lock-step round loop
+//! (`while sim_time() < horizon { run(1) }`). That loop routes only at its
 //! barriers, the last of which sits below the horizon, so it is the one
 //! that routes fewer; the assertion now reads that way, and
 //! `event_heap_routes_past_the_last_lockstep_barrier` pins seed 3,
-//! 3 replicas, 7k req/s (event heap 6, lock-step 5).
+//! 3 replicas, 7k req/s (event loop 6, lock-step 5).
 
 use std::fs;
 

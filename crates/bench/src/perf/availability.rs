@@ -1,7 +1,7 @@
 //! SLO-under-failure figure: TTFT/goodput degradation and recovery
 //! through a crash/drain/scale-up/recover timeline, tracked across PRs as
 //! `target/figs/fleet_availability.json` (schema
-//! `moentwine/fleet_availability/v1`).
+//! `moentwine/fleet_availability/v2`).
 //!
 //! The fleet runs a fixed chaos timeline (crash one replica mid-traffic,
 //! gracefully drain another, scale up by one, then recover the crashed
@@ -11,11 +11,8 @@
 //! the time-weighted available-replica fraction.
 //!
 //! Everything in the manifest is simulated (no wall-clock fields), so the
-//! bytes are deterministic per seed. The same timeline is driven once per
-//! round-driven scheduler (`lockstep` and `event-heap`); the manifest's
-//! `schedulers_agree` flag records that both produced identical
-//! checkpoints and availability accounting, and the `fleet_availability`
-//! binary gates CI on it.
+//! bytes are deterministic per seed; `ci/determinism_gate.sh` checks that
+//! repeat runs are byte-identical.
 
 use std::fs;
 use std::io;
@@ -24,8 +21,7 @@ use std::path::Path;
 use moe_workload::{RouterPolicy, Scenario, SchedulingMode, WorkloadMix};
 use moentwine_core::engine::{EngineConfig, SummaryMode};
 use moentwine_core::fleet::{
-    Fleet, FleetAvailability, FleetEvent, FleetEventKind, FleetScheduler, FleetSummary,
-    ReplicaState,
+    Fleet, FleetAvailability, FleetEvent, FleetEventKind, FleetSummary, ReplicaState,
 };
 use moentwine_spec::{BatchSpec, EngineSpec, FleetSpec, ModelSpec, ServingSpec};
 
@@ -33,7 +29,7 @@ use crate::json::Value;
 use crate::platforms::{wsc_plan, Platform, WscMapping};
 
 /// Schema identifier embedded in (and required of) the manifest.
-pub const SCHEMA: &str = "moentwine/fleet_availability/v1";
+pub const SCHEMA: &str = "moentwine/fleet_availability/v2";
 
 /// Manifest output path, relative to the working directory.
 pub const MANIFEST_PATH: &str = "target/figs/fleet_availability.json";
@@ -114,12 +110,9 @@ pub struct AvailabilityFig {
     pub request_rate: f64,
     /// Total synchronization rounds driven.
     pub rounds: u64,
-    /// Whether the lock-step and event-heap drives produced identical
-    /// checkpoints and availability accounting (the determinism contract).
-    pub schedulers_agree: bool,
-    /// The degradation/recovery curve (from the lock-step reference run).
+    /// The degradation/recovery curve.
     pub points: Vec<AvailabilityPoint>,
-    /// Final fleet summary of the reference run.
+    /// Final fleet summary.
     pub final_summary: FleetSummary,
 }
 
@@ -143,48 +136,6 @@ fn engine_template() -> EngineConfig {
         .with_kv_hbm_fraction(1.0e-3)
         .engine_config(model)
         .expect("valid fleet template")
-}
-
-/// Drives the chaos fleet for `rounds` rounds under `scheduler`, sampling
-/// [`CHECKPOINTS`] cumulative summaries along the way.
-fn run_chaos(
-    platform: &Platform,
-    plan: &moentwine_core::MappingPlan,
-    scheduler: FleetScheduler,
-    rounds: u64,
-) -> (Vec<AvailabilityPoint>, FleetSummary) {
-    let config = FleetSpec::new(REPLICAS, RouterPolicy::LeastQueueDepth, RATE)
-        .with_scheduler(scheduler)
-        .with_events(chaos_timeline())
-        .fleet_config(engine_template());
-    let mut fleet = Fleet::new(&platform.topo, &platform.table, plan, config);
-    let chunk = (rounds / CHECKPOINTS).max(1) as usize;
-    let mut points = Vec::new();
-    while fleet.rounds() < rounds {
-        fleet.run(chunk.min((rounds - fleet.rounds()) as usize));
-        let summary = fleet.summary();
-        let active = fleet
-            .states()
-            .iter()
-            .filter(|s| matches!(s, ReplicaState::Active))
-            .count() as u64;
-        points.push(AvailabilityPoint {
-            round: fleet.rounds(),
-            sim_seconds: summary.sim_seconds,
-            completed: summary.aggregate.completed as u64,
-            goodput_rps: summary.aggregate.goodput_rps,
-            ttft_p50: summary.aggregate.ttft_p50,
-            ttft_p95: summary.aggregate.ttft_p95,
-            ttft_p99: summary.aggregate.ttft_p99,
-            available_fraction: summary.availability.available_fraction,
-            events_applied: summary.availability.events_applied,
-            crash_interruptions: summary.availability.crash_interruptions,
-            requeued_tokens: summary.availability.requeued_tokens,
-            active_replicas: active,
-        });
-    }
-    let summary = fleet.summary();
-    (points, summary)
 }
 
 /// The availability section of the manifest (the final accounting). Also
@@ -229,28 +180,49 @@ pub fn availability_json(a: &FleetAvailability) -> Value {
     ])
 }
 
-/// Runs the measurement. `quick` shrinks the round budget for CI smoke
-/// runs; the full timeline (all four events) fires in either mode.
+/// Runs the measurement: drives the chaos fleet round by round, sampling
+/// `CHECKPOINTS` cumulative summaries along the way. `quick` shrinks the
+/// round budget for CI smoke runs; the full timeline (all four events)
+/// fires in either mode.
 pub fn measure_availability(quick: bool) -> AvailabilityFig {
     let rounds: u64 = if quick { 400 } else { 1600 };
     let platform = Platform::wsc(4);
     let plan = wsc_plan(&platform, 4, WscMapping::Er);
-
-    let (lockstep_points, lockstep_summary) =
-        run_chaos(&platform, &plan, FleetScheduler::Lockstep, rounds);
-    let (event_points, event_summary) =
-        run_chaos(&platform, &plan, FleetScheduler::EventHeap, rounds);
-    let schedulers_agree = lockstep_points == event_points
-        && availability_json(&lockstep_summary.availability).pretty()
-            == availability_json(&event_summary.availability).pretty();
-
+    let config = FleetSpec::new(REPLICAS, RouterPolicy::LeastQueueDepth, RATE)
+        .with_events(chaos_timeline())
+        .fleet_config(engine_template());
+    let mut fleet = Fleet::new(&platform.topo, &platform.table, &plan, config);
+    let chunk = (rounds / CHECKPOINTS).max(1) as usize;
+    let mut points = Vec::new();
+    while fleet.rounds() < rounds {
+        fleet.run(chunk.min((rounds - fleet.rounds()) as usize));
+        let summary = fleet.summary();
+        let active = fleet
+            .states()
+            .iter()
+            .filter(|s| matches!(s, ReplicaState::Active))
+            .count() as u64;
+        points.push(AvailabilityPoint {
+            round: fleet.rounds(),
+            sim_seconds: summary.sim_seconds,
+            completed: summary.aggregate.completed as u64,
+            goodput_rps: summary.aggregate.goodput_rps,
+            ttft_p50: summary.aggregate.ttft_p50,
+            ttft_p95: summary.aggregate.ttft_p95,
+            ttft_p99: summary.aggregate.ttft_p99,
+            available_fraction: summary.availability.available_fraction,
+            events_applied: summary.availability.events_applied,
+            crash_interruptions: summary.availability.crash_interruptions,
+            requeued_tokens: summary.availability.requeued_tokens,
+            active_replicas: active,
+        });
+    }
     AvailabilityFig {
         replicas: REPLICAS,
         request_rate: RATE,
         rounds,
-        schedulers_agree,
-        points: lockstep_points,
-        final_summary: lockstep_summary,
+        points,
+        final_summary: fleet.summary(),
     }
 }
 
@@ -268,10 +240,6 @@ impl AvailabilityFig {
             (
                 "completed".into(),
                 num(self.final_summary.aggregate.completed as f64),
-            ),
-            (
-                "schedulers_agree".into(),
-                Value::Bool(self.schedulers_agree),
             ),
             (
                 "availability".into(),
@@ -324,15 +292,13 @@ impl AvailabilityFig {
     pub fn summary(&self) -> String {
         let a = &self.final_summary.availability;
         let mut lines = format!(
-            "fleet availability ({} replicas, {:.0} req/s, {} rounds, \
-             schedulers agree: {}):\n\
+            "fleet availability ({} replicas, {:.0} req/s, {} rounds):\n\
              \x20 events applied {}  crash interruptions {}  re-routed {} drain / {} crash\n\
              \x20 re-queued tokens {}  replayed prefill tokens {}  available fraction {:.4}\n\
              \x20 final states [{}]",
             self.replicas,
             self.request_rate,
             self.rounds,
-            self.schedulers_agree,
             a.events_applied,
             a.crash_interruptions,
             a.drain_rerouted,
@@ -352,11 +318,11 @@ impl AvailabilityFig {
     }
 }
 
-/// Validates a manifest against the `moentwine/fleet_availability/v1`
+/// Validates a manifest against the `moentwine/fleet_availability/v2`
 /// schema: schema tag, run parameters, a non-empty monotone checkpoint
-/// curve, an availability section that actually saw the crash
+/// curve, and an availability section that actually saw the crash
 /// (`events_applied ≥ 1`, `crash_interruptions ≥ 1`, fraction strictly
-/// inside (0, 1)), and scheduler agreement.
+/// inside (0, 1)).
 ///
 /// # Errors
 ///
@@ -374,9 +340,6 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
             "completed",
         ],
     )?;
-    if !matches!(manifest.get("schedulers_agree"), Some(Value::Bool(true))) {
-        return Err("schedulers_agree must be true (lock-step vs event-heap drift)".into());
-    }
 
     let points = v::require_points(manifest)?;
     let mut prev_round = 0.0;
@@ -444,15 +407,14 @@ mod tests {
     use super::*;
 
     /// The measured quick figure itself: the chaos arc must fire, interrupt
-    /// in-flight work, and agree across both round-driven scheduler drives
-    /// — checked here so a determinism or timeline regression fails
-    /// `cargo test` before it fails the CI chaos smoke.
+    /// in-flight work, and repeat byte for byte — checked here so a
+    /// determinism or timeline regression fails `cargo test` before it
+    /// fails the CI chaos smoke.
     #[test]
     fn quick_figure_meets_the_contract() {
         let fig = measure_availability(true);
         let json = fig.to_json(true);
         validate(&json).expect("measured manifest validates");
-        assert!(fig.schedulers_agree, "{}", fig.summary());
         let a = &fig.final_summary.availability;
         assert_eq!(a.events_applied, 4, "{}", fig.summary());
         assert!(a.crash_interruptions >= 1);
@@ -474,10 +436,14 @@ mod tests {
         assert!(validate(&Value::Obj(vec![])).is_err());
         let fig = measure_availability(true);
 
-        let mut broken = fig.clone();
-        broken.schedulers_agree = false;
-        let err = validate(&broken.to_json(true)).unwrap_err();
-        assert!(err.contains("schedulers_agree"), "{err}");
+        // A manifest under another schema version is rejected.
+        let mut stale = fig.to_json(true);
+        let Value::Obj(members) = &mut stale else {
+            panic!("manifest is an object");
+        };
+        members[0].1 = Value::Str("moentwine/fleet_availability/v1".into());
+        let err = validate(&stale).unwrap_err();
+        assert!(err.contains("schema"), "{err}");
 
         let mut broken = fig.clone();
         broken.final_summary.availability.crash_interruptions = 0;

@@ -1,15 +1,18 @@
-//! Fleet-scheduler perf: event-heap vs lock-step `run_until` on a wide,
-//! partially-idle fleet, tracked across PRs as `target/figs/BENCH_fleet.json`
-//! (schema `moentwine/bench_fleet/v1`).
+//! Fleet event-loop perf: `Fleet::run_until` against a lock-step round
+//! loop to the same horizon on a wide, partially-idle fleet, tracked
+//! across PRs as `target/figs/BENCH_fleet.json` (schema
+//! `moentwine/bench_fleet/v1`).
 //!
 //! The ratio of record (gated in CI by the `bench_fleet` binary):
 //!
-//! * `heap_speedup` — lock-step wall-clock over event-heap wall-clock for
-//!   the same time horizon on the same fleet. Lock-step prices one
-//!   microsecond-scale iteration on *every* replica *every* round, idle or
-//!   not; the event heap parks idle replicas and pays only for causal step
-//!   events, so the gap widens with fleet width and idleness. Expected
-//!   ≥ 2× on the quick grid, far more on wide production shapes.
+//! * `heap_speedup` — lock-step wall-clock over event-loop wall-clock for
+//!   the same time horizon on the same fleet. The lock-step reference is
+//!   the caller's loop `while fleet.sim_time() < horizon { fleet.run(1) }`:
+//!   it prices one microsecond-scale iteration on *every* replica *every*
+//!   round, idle or not; the event heap parks idle replicas and pays only
+//!   for causal step events, so the gap widens with fleet width and
+//!   idleness. Expected ≥ 2× on the quick grid, far more on wide
+//!   production shapes.
 //!
 //! The manifest also records the memory story behind the 10M-request
 //! scenario: retained request records under streaming summaries (O(replicas),
@@ -22,7 +25,7 @@ use std::time::Instant;
 
 use moe_workload::{RouterPolicy, Scenario, SchedulingMode, WorkloadMix};
 use moentwine_core::engine::{EngineConfig, SummaryMode};
-use moentwine_core::fleet::{Fleet, FleetScheduler, FleetSummary};
+use moentwine_core::fleet::{Fleet, FleetSummary};
 use moentwine_spec::{BatchSpec, EngineSpec, FleetSpec, ModelSpec, ServingSpec};
 
 use crate::json::Value;
@@ -37,15 +40,15 @@ pub const MANIFEST_PATH: &str = "target/figs/BENCH_fleet.json";
 /// Master seed (replica streams are split from it by the fleet).
 const SEED: u64 = 977;
 
-/// One measured fleet-scheduler snapshot for a `(replicas, rate, horizon)`
-/// grid point.
+/// One measured event-loop snapshot for a `(replicas, rate, horizon)` grid
+/// point.
 #[derive(Clone, Debug)]
 pub struct FleetPerf {
     /// Replica engines in the fleet.
     pub replicas: usize,
     /// Global arrival rate, requests/second.
     pub request_rate: f64,
-    /// Simulated-time horizon both schedulers run to, seconds.
+    /// Simulated-time horizon both drives run to, seconds.
     pub horizon_seconds: f64,
     /// Lock-step wall-clock for the horizon, seconds.
     pub lockstep_wall_seconds: f64,
@@ -92,23 +95,21 @@ fn engine_template(summary: SummaryMode) -> EngineConfig {
         .expect("valid fleet template")
 }
 
-/// Runs one `(scheduler, summary)` configuration to `horizon` and returns
-/// the wall-clock plus the finished fleet.
-fn timed_run_until<'a>(
+/// Builds the fleet under `summary`, times `drive` on it, and returns the
+/// wall-clock plus the finished fleet.
+fn timed_run<'a>(
     platform: &'a Platform,
     plan: &'a moentwine_core::MappingPlan,
     replicas: usize,
     rate: f64,
-    horizon: f64,
-    scheduler: FleetScheduler,
     summary: SummaryMode,
+    drive: impl FnOnce(&mut Fleet<'a>),
 ) -> (f64, Fleet<'a>, FleetSummary) {
     let config = FleetSpec::new(replicas, RouterPolicy::PowerOfTwoChoices, rate)
-        .with_scheduler(scheduler)
         .fleet_config(engine_template(summary));
     let mut fleet = Fleet::new(&platform.topo, &platform.table, plan, config);
     let t0 = Instant::now();
-    fleet.run_until(horizon);
+    drive(&mut fleet);
     let wall = t0.elapsed().as_secs_f64();
     let summary = fleet.summary();
     (wall, fleet, summary)
@@ -128,34 +129,28 @@ pub fn measure_fleet_perf(quick: bool) -> FleetPerf {
     let platform = Platform::wsc(4);
     let plan = wsc_plan(&platform, 4, WscMapping::Er);
 
-    let (lockstep_wall_seconds, lockstep_fleet, _) = timed_run_until(
-        &platform,
-        &plan,
-        replicas,
-        rate,
-        horizon,
-        FleetScheduler::Lockstep,
-        SummaryMode::Streaming,
-    );
-    let (event_wall_seconds, event_fleet, event_summary) = timed_run_until(
-        &platform,
-        &plan,
-        replicas,
-        rate,
-        horizon,
-        FleetScheduler::EventHeap,
-        SummaryMode::Streaming,
-    );
+    // The lock-step reference: whole rounds until the clock passes the
+    // horizon, every replica stepped every round.
+    let lockstep = |fleet: &mut Fleet| {
+        while fleet.sim_time() < horizon {
+            fleet.run(1);
+        }
+    };
+    let event_loop = |fleet: &mut Fleet| fleet.run_until(horizon);
+    let streaming = SummaryMode::Streaming;
+    let (lockstep_wall_seconds, lockstep_fleet, _) =
+        timed_run(&platform, &plan, replicas, rate, streaming, lockstep);
+    let (event_wall_seconds, event_fleet, event_summary) =
+        timed_run(&platform, &plan, replicas, rate, streaming, event_loop);
     // The exact-mode twin of the event run: same trajectory, but every
     // completion record and iteration snapshot is retained.
-    let (_, exact_fleet, _) = timed_run_until(
+    let (_, exact_fleet, _) = timed_run(
         &platform,
         &plan,
         replicas,
         rate,
-        horizon,
-        FleetScheduler::EventHeap,
         SummaryMode::Exact,
+        event_loop,
     );
 
     let routed: u64 = event_summary.routed.iter().sum();
@@ -227,7 +222,7 @@ impl FleetPerf {
     /// Human-readable one-screen summary.
     pub fn summary(&self) -> String {
         format!(
-            "fleet scheduler perf ({} replicas, {:.0} req/s, horizon {:.1} ms):\n\
+            "fleet event-loop perf ({} replicas, {:.0} req/s, horizon {:.1} ms):\n\
              \x20 lock-step  {:>9.3} ms wall  ({} rounds)\n\
              \x20 event-heap {:>9.3} ms wall  ({} step events)  speedup {:>6.1}x\n\
              \x20 {} routed / {} completed  ({:.1} ns wall per request)\n\

@@ -50,6 +50,26 @@ pub enum ConfigError {
         /// The model's `num_experts`.
         num_experts: u32,
     },
+    /// The model has no sparse (MoE) layer, so there is no gating to
+    /// sample.
+    SparseLayersZero,
+    /// The model's `num_sparse_layers × num_experts` exceeds
+    /// [`MAX_EXPERT_SLOTS`](crate::engine::MAX_EXPERT_SLOTS).
+    TooManyExpertSlots {
+        /// The model's `num_sparse_layers × num_experts`.
+        slots: u64,
+        /// The ceiling it exceeds.
+        max: u64,
+    },
+    /// A platform has more devices than the scenario layer's
+    /// `MAX_PLATFORM_DEVICES` (its all-pairs route table grows with the
+    /// square of the count).
+    TooManyDevices {
+        /// The platform's device count.
+        devices: u64,
+        /// The ceiling it exceeds.
+        max: u64,
+    },
     /// A DP group's largest batch, in tokens, times the model's top-k
     /// exceeds `u32::MAX`, the most gating selections the sampler draws
     /// for one group.
@@ -200,6 +220,16 @@ impl std::fmt::Display for ConfigError {
                      {num_experts}, and num_experts ≥ 1"
                 )
             }
+            ConfigError::SparseLayersZero => {
+                write!(f, "model: num_sparse_layers must be ≥ 1")
+            }
+            ConfigError::TooManyExpertSlots { slots, max } => write!(
+                f,
+                "model: num_sparse_layers × num_experts = {slots} exceeds the ceiling of {max}"
+            ),
+            ConfigError::TooManyDevices { devices, max } => {
+                write!(f, "platform: {devices} devices exceed the ceiling of {max}")
+            }
             ConfigError::BatchTokensOutOfRange {
                 tokens,
                 experts_per_token,
@@ -337,6 +367,26 @@ mod tests {
             }
             .to_string(),
             "model: experts_per_token 8 must be ≤ num_experts 4, and num_experts ≥ 1"
+        );
+        assert_eq!(
+            ConfigError::SparseLayersZero.to_string(),
+            "model: num_sparse_layers must be ≥ 1"
+        );
+        assert_eq!(
+            ConfigError::TooManyExpertSlots {
+                slots: 4_000_000_000,
+                max: 1 << 20,
+            }
+            .to_string(),
+            "model: num_sparse_layers × num_experts = 4000000000 exceeds the ceiling of 1048576"
+        );
+        assert_eq!(
+            ConfigError::TooManyDevices {
+                devices: 65_535,
+                max: 2_048,
+            }
+            .to_string(),
+            "platform: 65535 devices exceed the ceiling of 2048"
         );
         assert_eq!(
             ConfigError::BatchTokensOutOfRange {

@@ -60,6 +60,14 @@ pub const ARRIVAL_DIURNAL_AMPLITUDE: f64 = moe_workload::DEFAULT_DIURNAL_AMPLITU
 /// Alias of [`moe_workload::DEFAULT_DIURNAL_PERIOD_SECS`].
 pub const ARRIVAL_DIURNAL_PERIOD_SECS: f64 = moe_workload::DEFAULT_DIURNAL_PERIOD_SECS;
 
+/// The most (sparse layer, expert) slots a model may have:
+/// `num_sparse_layers × num_experts`. The engine sizes its affinity
+/// tables, gating distributions and per-group counts by this product, so
+/// a larger model is rejected as [`ConfigError::TooManyExpertSlots`]
+/// before any of them is allocated. 2^20 is about 70× the largest preset
+/// (DeepSeek-V3, 58 × 256 = 14,848).
+pub const MAX_EXPERT_SLOTS: u64 = 1 << 20;
+
 /// How iteration batches are produced.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum BatchMode {
@@ -261,9 +269,11 @@ impl EngineConfig {
     /// Checks the configuration's internal consistency: stride and
     /// micro-batch counts ≥ 1, `load_ema` and `kv_hbm_fraction` in
     /// `(0, 1]`, at least one schedule-cache entry, and a model whose
-    /// top-k gating can be sampled (`1 ≤ num_experts`,
-    /// `experts_per_token ≤ num_experts`, and a group's largest batch
-    /// times top-k at most `u32::MAX`). This is the single
+    /// top-k gating can be sampled (at least one sparse layer,
+    /// `1 ≤ num_experts`, `experts_per_token ≤ num_experts`,
+    /// `num_sparse_layers × num_experts` at most [`MAX_EXPERT_SLOTS`], and
+    /// a group's largest batch times top-k at most `u32::MAX`). This is
+    /// the single
     /// validation gate behind [`InferenceEngine::try_new`],
     /// [`Fleet::try_new`](crate::fleet::Fleet::try_new), and the
     /// `moentwine-spec` scenario layer.
@@ -297,6 +307,17 @@ impl EngineConfig {
             return Err(ConfigError::TopKOutOfRange {
                 experts_per_token,
                 num_experts,
+            });
+        }
+        let sparse_layers = self.model.num_sparse_layers;
+        if sparse_layers == 0 {
+            return Err(ConfigError::SparseLayersZero);
+        }
+        let slots = u64::from(sparse_layers) * u64::from(num_experts);
+        if slots > MAX_EXPERT_SLOTS {
+            return Err(ConfigError::TooManyExpertSlots {
+                slots,
+                max: MAX_EXPERT_SLOTS,
             });
         }
         let tokens = match self.batch {
@@ -820,8 +841,8 @@ impl<'a> InferenceEngine<'a> {
     }
 
     /// Jumps the simulated clock forward to `t` (no-op if `t` is in the
-    /// past) without pricing an iteration. Used by the fleet's event-heap
-    /// scheduler to park an idle replica and resume it at the next arrival:
+    /// past) without pricing an iteration. Used by the fleet's event loop
+    /// to park an idle replica and resume it at the next arrival:
     /// the serving scheduler re-synchronizes on the next
     /// `next_batch_at(clock)` call, so no phantom idle iterations are
     /// priced or recorded.
@@ -1690,6 +1711,40 @@ mod tests {
                 num_experts: 0,
             })
         );
+
+        // No sparse layer: nothing to sample.
+        let mut c = base();
+        c.model.num_sparse_layers = 0;
+        assert_eq!(c.validate(), Err(ConfigError::SparseLayersZero));
+
+        // Layers × experts at the ceiling passes; one layer more fails,
+        // and so does a 4e9-expert model.
+        let mut c = base();
+        c.model.num_sparse_layers = 1024;
+        c.model.num_experts = (MAX_EXPERT_SLOTS / 1024) as u32;
+        assert_eq!(c.validate(), Ok(()));
+        c.model.num_sparse_layers = 1025;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyExpertSlots {
+                slots: MAX_EXPERT_SLOTS + 1024,
+                max: MAX_EXPERT_SLOTS,
+            })
+        );
+        let mut c = base();
+        c.model.num_experts = 4_000_000_000;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyExpertSlots {
+                slots: u64::from(c.model.num_sparse_layers) * 4_000_000_000,
+                max: MAX_EXPERT_SLOTS,
+            })
+        );
+        // Every preset sits far below the ceiling.
+        for model in ModelConfig::evaluation_suite() {
+            let slots = u64::from(model.num_sparse_layers) * u64::from(model.num_experts);
+            assert!(slots * 64 < MAX_EXPERT_SLOTS, "{}", model.name);
+        }
 
         // A group's largest batch times top-k must fit the sampler's u32
         // trial count: exactly u32::MAX passes, one token more fails.

@@ -16,33 +16,30 @@
 //!   a replica's serving queue under a pluggable
 //!   [`RouterPolicy`].
 //! * **The clock** advances in lock-step rounds ([`Fleet::run`]) or, for a
-//!   time-horizon run ([`Fleet::run_until`]), as [`FleetScheduler`]
-//!   selects. Round-driven stepping routes all arrivals up to the fleet
-//!   clock (the
+//!   time-horizon run, in one event loop ([`Fleet::run_until`]).
+//!   Round-driven stepping routes all arrivals up to the fleet clock (the
 //!   *minimum* of the replicas' simulated times, so no replica is ever fed
 //!   an arrival from its own future), then every replica executes exactly
 //!   one iteration. Between synchronization points replicas share no
 //!   mutable state, so the per-replica steps can run on worker threads —
-//!   [`Fleet::step_round_with`] takes any [`ReplicaPool`] — and the result
-//!   is byte-identical to serial stepping by construction: routing is
-//!   serial at the barrier, and each engine's iteration is a pure function
-//!   of its own state. Round-driven runs never read the scheduler.
-//!   After every step the fleet drains the replica's staged completions
-//!   through one channel: a racing speculative copy is held back, a
-//!   prefill record becomes a KV hand-off, and any other record completes
-//!   end to end.
+//!   [`Fleet::run_with`] takes any [`ReplicaPool`] — and the result is
+//!   byte-identical to serial stepping by construction: routing is serial
+//!   at the barrier, and each engine's iteration is a pure function of its
+//!   own state. After every step the fleet drains the replica's staged
+//!   completions through one channel: a racing speculative copy is held
+//!   back, a prefill record becomes a KV hand-off, and any other record
+//!   completes end to end.
 //! * **Routing** reads one live replica view — every replica's snapshot
 //!   plus its arrival and hand-off eligibility — that the fleet updates
 //!   wherever a queue or a lifecycle state changes. Both drives route
 //!   through one step that takes the earlier of the next hand-off and the
 //!   next arrival.
-//! * **Time-horizon runs** ([`Fleet::run_until`]) are where the schedulers
-//!   diverge in cost: lock-step loops whole rounds until the fleet clock
-//!   reaches the horizon, pricing an idle iteration on every drained
-//!   replica every round, while the event heap advances each replica only
-//!   when it has work — idle replicas *park* (no phantom iterations) and
-//!   are woken by the next routed arrival. See DESIGN.md §10 for the heap
-//!   invariants and the determinism / tie-break contract.
+//! * **Time-horizon runs** ([`Fleet::run_until`]) advance each replica
+//!   only when it has work: idle replicas *park* (no phantom iterations)
+//!   and are woken by the next routed arrival. A round loop to the same
+//!   horizon would price an idle iteration on every drained replica every
+//!   round. See DESIGN.md §10 for the heap invariants and the
+//!   determinism / tie-break contract.
 //!
 //! [`Fleet::summary`] reports per-replica and aggregate
 //! [`ServingSummary`]s plus the load-imbalance ratios a capacity planner
@@ -96,57 +93,6 @@ fn split_seed(master: u64, stream: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// How [`Fleet::run_until`] advances the replicas through simulated time.
-///
-/// Round-driven runs ([`Fleet::run`], [`Fleet::step_round_with`]) never
-/// read it: they barrier every round whichever scheduler is set. Every
-/// scenario-bin, sweep and perfbench run is round-driven, so there the
-/// choice changes nothing; only a time-horizon run reaches the event heap.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
-pub enum FleetScheduler {
-    /// Barrier every round: route, then step every replica exactly once.
-    /// The retained reference semantics — [`FleetScheduler::EventHeap`]
-    /// must match it bit for bit in round-driven runs.
-    Lockstep,
-    /// Replicas advance in next-event-time order. Round-driven runs are
-    /// identical to lock-step; time-horizon runs ([`Fleet::run_until`])
-    /// park idle replicas and wake them on arrival, skipping the idle
-    /// iterations lock-step prices at every barrier.
-    #[default]
-    EventHeap,
-}
-
-impl FleetScheduler {
-    /// Stable lowercase name (`"lockstep"` / `"event-heap"`), matching the
-    /// `FromStr` spelling and the scenario-spec JSON encoding.
-    pub fn name(self) -> &'static str {
-        match self {
-            FleetScheduler::Lockstep => "lockstep",
-            FleetScheduler::EventHeap => "event-heap",
-        }
-    }
-}
-
-impl std::fmt::Display for FleetScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for FleetScheduler {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "lockstep" => Ok(FleetScheduler::Lockstep),
-            "event-heap" => Ok(FleetScheduler::EventHeap),
-            other => Err(format!(
-                "unknown fleet scheduler {other:?} (expected \"lockstep\" or \"event-heap\")"
-            )),
-        }
-    }
 }
 
 /// Serving role of one fleet replica (DESIGN.md §13). The default
@@ -272,9 +218,8 @@ impl FleetEventKind {
 
 /// One entry of a fleet elasticity/failure timeline: `kind` fires at
 /// simulated time `time`. Round-driven runs apply an event at the first
-/// synchronization barrier whose fleet clock has reached it (identically
-/// under both [`FleetScheduler`]s, preserving bit-identity); event-driven
-/// [`Fleet::run_until`] applies it at exactly `time`.
+/// synchronization barrier whose fleet clock has reached it; the event
+/// loop of [`Fleet::run_until`] applies it at exactly `time`.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct FleetEvent {
     /// Simulated firing time, seconds (timeline must be sorted).
@@ -478,9 +423,6 @@ pub struct FleetConfig {
     /// backend everywhere; otherwise replica `i` gets `overrides[i % len]`
     /// (so a two-entry list alternates fidelity tiers across the fleet).
     pub backend_overrides: Vec<CongestionBackend>,
-    /// How [`Fleet::run_until`] advances the replicas; round-driven runs
-    /// never read it (see [`FleetScheduler`]).
-    pub scheduler: FleetScheduler,
     /// Elasticity/failure timeline, sorted by time (empty = the immortal
     /// fixed fleet). Validated by [`validate_fleet_events`].
     pub events: Vec<FleetEvent>,
@@ -506,7 +448,6 @@ impl FleetConfig {
             request_rate,
             engine,
             backend_overrides: Vec::new(),
-            scheduler: FleetScheduler::default(),
             events: Vec::new(),
             roles: Vec::new(),
         }
@@ -515,12 +456,6 @@ impl FleetConfig {
     /// Sets per-replica backend overrides (builder style).
     pub fn with_backend_overrides(mut self, overrides: Vec<CongestionBackend>) -> Self {
         self.backend_overrides = overrides;
-        self
-    }
-
-    /// Sets the replica advancement strategy (builder style).
-    pub fn with_scheduler(mut self, scheduler: FleetScheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -926,9 +861,8 @@ pub struct Fleet<'a> {
     /// `run_until`).
     clock: f64,
     /// Synchronization rounds in round-driven runs; priced step events in
-    /// event-driven `run_until` runs (there are no barriers to count).
+    /// `run_until`'s event loop (there are no barriers to count).
     rounds: u64,
-    scheduler: FleetScheduler,
     /// Fleet-wide streaming aggregate ([`SummaryMode::Streaming`] replicas
     /// only): P² sketches don't merge, so the fleet folds every replica's
     /// fresh completions into its own accumulator as they drain.
@@ -1217,7 +1151,6 @@ impl<'a> Fleet<'a> {
             lookahead: None,
             clock: 0.0,
             rounds: 0,
-            scheduler: config.scheduler,
             streaming,
             completed: 0,
         };
@@ -1292,7 +1225,8 @@ impl<'a> Fleet<'a> {
         self.clock
     }
 
-    /// Synchronization rounds executed so far.
+    /// Synchronization rounds executed so far by [`Fleet::run`], plus the
+    /// priced step events of [`Fleet::run_until`].
     pub fn rounds(&self) -> u64 {
         self.rounds
     }
@@ -1372,9 +1306,9 @@ impl<'a> Fleet<'a> {
     }
 
     /// Applies every pending timeline event due at or before the barrier
-    /// clock `now` (round-driven runs; event-driven `run_until` applies
-    /// each event at its exact configured time instead, see
-    /// [`Fleet::run_until_event_driven`]).
+    /// clock `now` (round-driven runs; the event loop of
+    /// [`Fleet::run_until`] applies each event at its exact configured
+    /// time instead).
     fn apply_due_events(&mut self, now: f64) {
         while let Some(&event) = self.pending_events.front().filter(|e| e.time <= now) {
             self.pending_events.pop_front();
@@ -1625,63 +1559,6 @@ impl<'a> Fleet<'a> {
         );
     }
 
-    /// One synchronization round on the in-thread executor.
-    pub fn step_round(&mut self) {
-        self.step_round_with(&SerialReplicaPool);
-    }
-
-    /// One synchronization round: route arrivals up to the fleet clock,
-    /// advance every replica by one iteration on `pool`, then resynchronize
-    /// the fleet clock. Output is identical for every [`ReplicaPool`] and
-    /// both [`FleetScheduler`]s: replicas are independent within a round,
-    /// so job order cannot change a number (the fleet goldens pin this).
-    pub fn step_round_with(&mut self, pool: &dyn ReplicaPool) {
-        // Route everything due by the fleet clock. The pull is bounded (as
-        // `BatchScheduler::pull_arrivals` is) so an extreme configured rate
-        // cannot stall a round; the overflow stays in the generator and
-        // drains over subsequent rounds.
-        for _ in 0..moe_workload::MAX_ARRIVALS_PER_PULL {
-            if self.route_next(self.clock).is_none() {
-                break;
-            }
-        }
-        // Timeline events fire at the first barrier whose clock reached
-        // them — identically under both round-driven drives, preserving
-        // their bit-identity. Re-routed requests are offered after this
-        // round's arrivals (all ≤ the clock), keeping every per-replica
-        // offer stream in arrival order.
-        self.apply_due_events(self.clock);
-        let states = &self.states;
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = self
-            .engines
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| states[*i].steppable())
-            .map(|(_, engine)| {
-                Box::new(move || {
-                    engine.step();
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
-        // Harvest in replica order, so router feedback and the fleet
-        // sketch see a deterministic record order for any pool.
-        for i in 0..self.engines.len() {
-            self.refresh(i);
-            self.harvest(i);
-        }
-        self.resolve_spec_groups();
-        self.retire_empty_drainers();
-        // The clock ignores retired/failed replicas: their frozen engine
-        // clocks no longer gate routing. Timeline validation guarantees at
-        // least one active replica at all times, so the min is never empty.
-        self.clock = (0..self.engines.len())
-            .filter(|&i| self.states[i].steppable())
-            .map(|i| self.engines[i].sim_time())
-            .fold(f64::INFINITY, f64::min);
-        self.rounds += 1;
-    }
-
     /// Retires draining replicas that have run dry: they price no further
     /// iterations and leave the fleet-clock computation.
     fn retire_empty_drainers(&mut self) {
@@ -1698,9 +1575,57 @@ impl<'a> Fleet<'a> {
     }
 
     /// Runs `rounds` synchronization rounds, stepping replicas on `pool`.
+    /// Each round routes arrivals up to the fleet clock, advances every
+    /// steppable replica by one iteration on `pool`, then resynchronizes
+    /// the fleet clock. Output is identical for every [`ReplicaPool`]:
+    /// replicas are independent within a round, so job order cannot change
+    /// a number (the fleet goldens pin this).
     pub fn run_with(&mut self, rounds: usize, pool: &dyn ReplicaPool) {
         for _ in 0..rounds {
-            self.step_round_with(pool);
+            // Route everything due by the fleet clock. The pull is bounded
+            // (as `BatchScheduler::pull_arrivals` is) so an extreme
+            // configured rate cannot stall a round; the overflow stays in
+            // the generator and drains over subsequent rounds.
+            for _ in 0..moe_workload::MAX_ARRIVALS_PER_PULL {
+                if self.route_next(self.clock).is_none() {
+                    break;
+                }
+            }
+            // Timeline events fire at the first barrier whose clock reached
+            // them. Re-routed requests are offered after this round's
+            // arrivals (all ≤ the clock), keeping every per-replica offer
+            // stream in arrival order.
+            self.apply_due_events(self.clock);
+            let states = &self.states;
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = self
+                .engines
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| states[*i].steppable())
+                .map(|(_, engine)| {
+                    Box::new(move || {
+                        engine.step();
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool.run(jobs);
+            // Harvest in replica order, so router feedback and the fleet
+            // sketch see a deterministic record order for any pool.
+            for i in 0..self.engines.len() {
+                self.refresh(i);
+                self.harvest(i);
+            }
+            self.resolve_spec_groups();
+            self.retire_empty_drainers();
+            // The clock ignores retired/failed replicas: their frozen
+            // engine clocks no longer gate routing. Timeline validation
+            // guarantees at least one active replica at all times, so the
+            // min is never empty.
+            self.clock = (0..self.engines.len())
+                .filter(|&i| self.states[i].steppable())
+                .map(|i| self.engines[i].sim_time())
+                .fold(f64::INFINITY, f64::min);
+            self.rounds += 1;
         }
     }
 
@@ -1908,43 +1833,27 @@ impl<'a> Fleet<'a> {
     }
 
     /// Advances simulated time to `horizon` seconds (no-op if already
-    /// past). This is where the two [`FleetScheduler`]s genuinely diverge:
+    /// past) in a causal discrete-event loop: a binary heap keyed on each
+    /// replica's next-event time, interleaved with the single outstanding
+    /// arrival event. Replicas with no queued or resident work *park* —
+    /// they leave the heap, price nothing, and are woken (`fast_forward`
+    /// to the arrival time) when the router next offers them a request.
+    /// Arrivals at time *t* are routed before any step at *t*; step ties
+    /// break by replica index. The loop stops at the first event at or
+    /// beyond the horizon, and the fleet clock lands exactly on `horizon`
+    /// (every routing decision up to it has been made).
     ///
-    /// * **Lock-step** loops whole synchronization rounds until the fleet
-    ///   clock reaches the horizon — every replica prices an iteration
-    ///   every round, including drained replicas whose idle iterations
-    ///   advance their clocks by microseconds. The honest reference cost.
-    /// * **Event-heap** runs a causal discrete-event loop: a binary heap
-    ///   keyed on each replica's next-event time, interleaved with the
-    ///   single outstanding arrival event. Replicas with no queued or
-    ///   resident work *park* — they leave the heap, price nothing, and
-    ///   are woken (`fast_forward` to the arrival time) when the router
-    ///   next offers them a request. Arrivals at time *t* are routed
-    ///   before any step at *t*; step ties break by replica index. The
-    ///   loop stops at the first event at or beyond the horizon, and the
-    ///   fleet clock lands exactly on `horizon` (every routing decision up
-    ///   to it has been made).
+    /// Timeline events join the routing stream and the step heap as a
+    /// third event source and are applied at exactly their configured
+    /// time — before routing and steps at the same instant. Crashes and
+    /// retirements bump the replica's epoch, lazily invalidating its heap
+    /// entries. Under [`SummaryMode::Streaming`] memory stays O(1) in
+    /// request count, and `rounds()` advances by priced step events.
     ///
-    /// Under [`SummaryMode::Streaming`] both paths keep memory O(1) in
-    /// request count. `rounds()` advances by whole rounds (lock-step) or
-    /// by priced step events (event-heap).
+    /// The round-driven reference for the same horizon is
+    /// `while fleet.sim_time() < horizon { fleet.run(1) }`: it prices an
+    /// iteration on every replica every round, idle ones included.
     pub fn run_until(&mut self, horizon: f64) {
-        match self.scheduler {
-            FleetScheduler::Lockstep => {
-                while self.clock < horizon {
-                    self.step_round();
-                }
-            }
-            FleetScheduler::EventHeap => self.run_until_event_driven(horizon),
-        }
-    }
-
-    /// The event-heap core of [`Fleet::run_until`]. Timeline events join
-    /// the routing stream and the step heap as a third event source and are
-    /// applied at exactly their configured time — before routing and steps
-    /// at the same instant. Crashes and retirements bump the replica's
-    /// epoch, lazily invalidating its heap entries.
-    fn run_until_event_driven(&mut self, horizon: f64) {
         // Rebuild the step heap from scratch: any steppable replica with
         // work pending steps next at its own clock; the rest are parked.
         let mut steps = StepHeap::new(self.engines.len());
@@ -2217,6 +2126,17 @@ mod tests {
     use moe_workload::{Scenario, SchedulingMode, WorkloadMix};
     use wsc_topology::{Mesh, MultiWafer, PlatformParams};
 
+    /// A deliberately out-of-order executor: runs a round's jobs last
+    /// replica first.
+    struct ReversedPool;
+    impl ReplicaPool for ReversedPool {
+        fn run<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
+            for job in jobs.into_iter().rev() {
+                job();
+            }
+        }
+    }
+
     fn engine_template(seed: u64) -> EngineConfig {
         let mut config = EngineConfig::new(ModelConfig::tiny())
             .with_seed(seed)
@@ -2303,16 +2223,8 @@ mod tests {
 
     #[test]
     fn pooled_round_matches_serial_round() {
-        // A deliberately out-of-order executor: reversing job order must
-        // not change fleet state (replicas are independent in a round).
-        struct ReversedPool;
-        impl ReplicaPool for ReversedPool {
-            fn run<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
-                for job in jobs.into_iter().rev() {
-                    job();
-                }
-            }
-        }
+        // Reversing job order must not change fleet state (replicas are
+        // independent in a round).
         let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
         let table = RouteTable::build(&topo);
         let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
@@ -2469,27 +2381,6 @@ mod tests {
     }
 
     #[test]
-    fn schedulers_agree_bit_for_bit_on_round_driven_runs() {
-        let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
-        let table = RouteTable::build(&topo);
-        let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
-            .unwrap()
-            .plan();
-        let run = |scheduler: FleetScheduler| {
-            let config =
-                FleetConfig::new(3, RouterPolicy::LeastQueueDepth, 8.0e3, engine_template(29))
-                    .with_scheduler(scheduler);
-            let mut fleet = Fleet::new(&topo, &table, &plan, config);
-            fleet.run(150);
-            fleet.summary()
-        };
-        assert_eq!(
-            run(FleetScheduler::Lockstep),
-            run(FleetScheduler::EventHeap)
-        );
-    }
-
-    #[test]
     fn run_until_event_heap_skips_idle_iterations() {
         let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
         let table = RouteTable::build(&topo);
@@ -2499,15 +2390,18 @@ mod tests {
         // A deliberately underutilized fleet: a trickle of arrivals across
         // 4 replicas, so lock-step burns idle iterations on every round.
         let horizon = 2.0e-3;
-        let run = |scheduler: FleetScheduler| {
-            let config = FleetConfig::new(4, RouterPolicy::RoundRobin, 2.0e3, engine_template(41))
-                .with_scheduler(scheduler);
-            let mut fleet = Fleet::new(&topo, &table, &plan, config);
-            fleet.run_until(horizon);
-            fleet
+        let new_fleet = || {
+            let config = FleetConfig::new(4, RouterPolicy::RoundRobin, 2.0e3, engine_template(41));
+            Fleet::new(&topo, &table, &plan, config)
         };
-        let lockstep = run(FleetScheduler::Lockstep);
-        let event = run(FleetScheduler::EventHeap);
+        // The lock-step reference: whole rounds until the clock passes the
+        // horizon.
+        let mut lockstep = new_fleet();
+        while lockstep.sim_time() < horizon {
+            lockstep.run(1);
+        }
+        let mut event = new_fleet();
+        event.run_until(horizon);
         assert!(lockstep.sim_time() >= horizon);
         assert_eq!(event.sim_time(), horizon);
         // Lock-step prices replicas × rounds iterations; the event heap
@@ -2591,15 +2485,6 @@ mod tests {
         assert!(fleet.retained_records() <= 3);
         assert_eq!(summary.sim_seconds, 3.0e-3);
         assert!(summary.aggregate.goodput_rps > 0.0);
-    }
-
-    #[test]
-    fn fleet_scheduler_names_round_trip() {
-        for s in [FleetScheduler::Lockstep, FleetScheduler::EventHeap] {
-            assert_eq!(s.name().parse::<FleetScheduler>().unwrap(), s);
-        }
-        assert!("event_heap".parse::<FleetScheduler>().is_err());
-        assert_eq!(FleetScheduler::default(), FleetScheduler::EventHeap);
     }
 
     #[test]
@@ -2799,41 +2684,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_round_driven_schedulers_agree_bit_for_bit() {
-        let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
-        let table = RouteTable::build(&topo);
-        let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
-            .unwrap()
-            .plan();
-        let run = |scheduler: FleetScheduler| {
-            let config = FleetConfig::new(
-                3,
-                RouterPolicy::PowerOfTwoChoices,
-                2.0e5,
-                engine_template(29),
-            )
-            .with_scheduler(scheduler)
-            .with_events(chaos_events());
-            let mut fleet = Fleet::new(&topo, &table, &plan, config);
-            fleet.run(400);
-            fleet.summary()
-        };
-        let lockstep = run(FleetScheduler::Lockstep);
-        let event = run(FleetScheduler::EventHeap);
-        assert!(lockstep.availability.events_applied == 4);
-        assert_eq!(lockstep, event);
-    }
-
-    #[test]
     fn chaos_rounds_match_any_replica_pool() {
-        struct ReversedPool;
-        impl ReplicaPool for ReversedPool {
-            fn run<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
-                for job in jobs.into_iter().rev() {
-                    job();
-                }
-            }
-        }
         let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
         let table = RouteTable::build(&topo);
         let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
@@ -3189,33 +3040,19 @@ mod tests {
 
     #[test]
     fn disaggregated_schedulers_and_pools_agree_bit_for_bit() {
-        struct ReversedPool;
-        impl ReplicaPool for ReversedPool {
-            fn run<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
-                for job in jobs.into_iter().rev() {
-                    job();
-                }
-            }
-        }
         let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
         let table = RouteTable::build(&topo);
         let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
             .unwrap()
             .plan();
-        let run = |scheduler: FleetScheduler, pool: &dyn ReplicaPool| {
-            let config = disagg_config(67, 2.0e4).with_scheduler(scheduler);
-            let mut fleet = Fleet::new(&topo, &table, &plan, config);
+        let run = |pool: &dyn ReplicaPool| {
+            let mut fleet = Fleet::new(&topo, &table, &plan, disagg_config(67, 2.0e4));
             fleet.run_with(300, pool);
             fleet.summary()
         };
-        let reference = run(FleetScheduler::Lockstep, &SerialReplicaPool);
+        let reference = run(&SerialReplicaPool);
         assert!(reference.handoff.kv_transfers > 0);
-        assert_eq!(
-            reference,
-            run(FleetScheduler::EventHeap, &SerialReplicaPool)
-        );
-        assert_eq!(reference, run(FleetScheduler::Lockstep, &ReversedPool));
-        assert_eq!(reference, run(FleetScheduler::EventHeap, &ReversedPool));
+        assert_eq!(reference, run(&ReversedPool));
     }
 
     #[test]

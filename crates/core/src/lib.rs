@@ -56,8 +56,8 @@ pub mod placement;
 
 pub use config::ConfigError;
 pub use fleet::{
-    Fleet, FleetConfig, FleetHandoff, FleetScheduler, FleetSummary, PlatformRefs, ReplicaPool,
-    ReplicaRole, SerialReplicaPool,
+    Fleet, FleetConfig, FleetHandoff, FleetSummary, PlatformRefs, ReplicaPool, ReplicaRole,
+    SerialReplicaPool,
 };
 pub use mapping::{
     BaselineMapping, ErMapping, HierarchicalErMapping, MappingError, MappingKind, MappingPlan,

@@ -119,7 +119,7 @@ pub trait RoutePolicy: std::fmt::Debug + Send {
     /// Latency feedback from a completed request the fleet dispatched to
     /// `replica`. Only called when [`RoutePolicy::wants_feedback`] is true;
     /// observations arrive in a deterministic order under both fleet
-    /// scheduler drives.
+    /// drives (round-driven `run` and the `run_until` event loop).
     fn observe(&mut self, _replica: usize, _feedback: &LatencyFeedback) {}
 
     /// Whether completion records should reach [`RoutePolicy::observe`].

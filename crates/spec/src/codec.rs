@@ -33,7 +33,7 @@ use crate::workload::{ArrivalSourceSpec, WorkloadSpec};
 use crate::SCHEMA;
 use moe_workload::{ClassSpec, Phase, RequestClass};
 use moentwine_core::engine::SummaryMode;
-use moentwine_core::fleet::{FleetEvent, FleetEventKind, FleetScheduler, ReplicaRole};
+use moentwine_core::fleet::{FleetEvent, FleetEventKind, ReplicaRole};
 
 // ---------------------------------------------------------------------------
 // Small field accessors (all failures become typed `ConfigError::Spec`s).
@@ -179,7 +179,7 @@ impl PlatformSpec {
 
     fn from_json_value(value: &Value) -> Result<Self, ConfigError> {
         let ctx = "platform";
-        Ok(match get_str(value, ctx, "kind")? {
+        let spec = match get_str(value, ctx, "kind")? {
             "wsc" => PlatformSpec::Wsc {
                 n: get_u16(value, ctx, "n")?,
             },
@@ -204,7 +204,9 @@ impl PlatformSpec {
                     ),
                 ))
             }
-        })
+        };
+        spec.check_size()?;
+        Ok(spec)
     }
 }
 
@@ -862,7 +864,6 @@ impl FleetSpec {
                 "backend_overrides",
                 Value::strings(self.backend_overrides.iter().map(|b| b.name())),
             ),
-            ("scheduler", Value::Str(self.scheduler.name().into())),
         ];
         // Only emitted when non-empty, so event-free documents stay
         // byte-identical to the pre-timeline schema.
@@ -921,15 +922,16 @@ impl FleetSpec {
                 })
                 .collect::<Result<Vec<_>, _>>()?,
         };
-        let scheduler = match value.get("scheduler") {
-            None => FleetScheduler::default(),
-            Some(v) => {
-                let text = v
-                    .as_str()
-                    .ok_or_else(|| ConfigError::spec("fleet.scheduler", "expected a string"))?;
-                parse_tag::<FleetScheduler>(text, "fleet.scheduler")?
+        // Parse-only: the fleet has one event loop, so the one accepted
+        // value changes nothing and is never emitted.
+        if let Some(v) = value.get("scheduler") {
+            if v.as_str() != Some("event-heap") {
+                return Err(ConfigError::spec(
+                    "fleet.scheduler",
+                    "expected \"event-heap\" (the only fleet drive; the member is optional)",
+                ));
             }
-        };
+        }
         let events = match value.get("events") {
             None => Vec::new(),
             Some(v) => v
@@ -967,7 +969,6 @@ impl FleetSpec {
             policy: parse_tag(get_str(value, ctx, "policy")?, "fleet.policy")?,
             request_rate: get_f64(value, ctx, "request_rate")?,
             backend_overrides: overrides,
-            scheduler,
             events,
             roles,
             decode_platform,
@@ -1503,17 +1504,21 @@ mod tests {
         let err = ScenarioSpec::from_json(&json).unwrap_err();
         assert!(err.to_string().contains("engine.batch.summary"), "{err}");
 
-        // "event_heap" (underscore) is not a scheduler spelling.
-        let mut json = full_spec().to_json();
-        with_member(&mut json, &["fleet", "scheduler"], |members| {
-            members
-                .iter_mut()
-                .find(|(k, _)| k == "scheduler")
-                .expect("fleet emits scheduler")
-                .1 = Value::Str("event_heap".into());
-        });
-        let err = ScenarioSpec::from_json(&json).unwrap_err();
-        assert!(err.to_string().contains("fleet.scheduler"), "{err}");
+        // The parse-only scheduler member accepts "event-heap" alone:
+        // "lockstep", "event_heap" (underscore) and a non-string are typed
+        // errors naming the field.
+        for bad in [
+            Value::Str("lockstep".into()),
+            Value::Str("event_heap".into()),
+            num(1.0),
+        ] {
+            let mut json = full_spec().to_json();
+            with_member(&mut json, &["fleet", "scheduler"], |members| {
+                members.push(("scheduler".into(), bad));
+            });
+            let err = ScenarioSpec::from_json(&json).unwrap_err();
+            assert!(err.to_string().contains("fleet.scheduler"), "{err}");
+        }
     }
 
     #[test]
@@ -1619,15 +1624,14 @@ mod tests {
 
     #[test]
     fn summary_and_scheduler_are_optional_with_stable_defaults() {
-        // Older documents predate both keys; absence means exact summaries
-        // and the event-heap scheduler.
+        // Older documents predate the summary key; absence means exact
+        // summaries. The scheduler member is parse-only: never emitted,
+        // and a document carrying `"scheduler": "event-heap"` parses equal
+        // to the same document without it.
         let spec = full_spec();
         let mut json = spec.to_json();
         with_member(&mut json, &["engine", "batch", "summary"], |members| {
             members.retain(|(k, _)| k != "summary");
-        });
-        with_member(&mut json, &["fleet", "scheduler"], |members| {
-            members.retain(|(k, _)| k != "scheduler");
         });
         let back = ScenarioSpec::from_json(&json).unwrap();
         assert_eq!(back, spec);
@@ -1635,10 +1639,11 @@ mod tests {
             BatchSpec::Serving(s) => assert_eq!(s.summary, SummaryMode::Exact),
             other => panic!("expected serving batch, got {other:?}"),
         }
-        assert_eq!(
-            back.fleet.as_ref().unwrap().scheduler,
-            FleetScheduler::EventHeap
-        );
+        assert!(!spec.to_json_text().contains("\"scheduler\""));
+        with_member(&mut json, &["fleet", "scheduler"], |members| {
+            members.push(("scheduler".into(), Value::Str("event-heap".into())));
+        });
+        assert_eq!(ScenarioSpec::from_json(&json).unwrap(), back);
     }
 
     /// A fleet past `MAX_REPLICAS`, by its initial count or by a scale-up,
@@ -1676,6 +1681,46 @@ mod tests {
             })
         );
         assert_eq!(parse(fleet(MAX_REPLICAS)), Ok(()));
+    }
+
+    /// A platform past `MAX_PLATFORM_DEVICES`, primary or decode tier,
+    /// fails at parse with the typed error, before a topology is built;
+    /// the ceiling itself parses.
+    #[test]
+    fn platform_ceiling_is_checked_at_parse() {
+        use crate::platform::MAX_PLATFORM_DEVICES;
+        let too_many = |devices| ConfigError::TooManyDevices {
+            devices,
+            max: MAX_PLATFORM_DEVICES,
+        };
+        let parse = |platform: PlatformSpec| {
+            let text = ScenarioSpec::new("big", platform).to_json_text();
+            ScenarioSpec::from_json_text(&text).map(|_| ())
+        };
+        assert_eq!(
+            parse(PlatformSpec::Flat { devices: 65_535 }),
+            Err(too_many(65_535))
+        );
+        assert_eq!(
+            parse(PlatformSpec::wsc(60_000)),
+            Err(too_many(3_600_000_000))
+        );
+        assert_eq!(
+            parse(PlatformSpec::multi_wsc(3, 3, 16)),
+            Err(too_many(2_304))
+        );
+        assert_eq!(
+            parse(PlatformSpec::Flat {
+                devices: MAX_PLATFORM_DEVICES as u16
+            }),
+            Ok(())
+        );
+        let mut spec = full_spec();
+        spec.fleet.as_mut().unwrap().decode_platform = Some(PlatformSpec::dgx(1_000));
+        assert_eq!(
+            ScenarioSpec::from_json_text(&spec.to_json_text()).map(|_| ()),
+            Err(too_many(8_000))
+        );
     }
 
     #[test]

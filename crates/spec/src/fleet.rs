@@ -3,8 +3,7 @@
 use moe_workload::RouterPolicy;
 use moentwine_core::engine::EngineConfig;
 use moentwine_core::fleet::{
-    validate_fleet_events_for_roles, validate_replica_count, FleetConfig, FleetEvent,
-    FleetScheduler, ReplicaRole,
+    validate_fleet_events_for_roles, validate_replica_count, FleetConfig, FleetEvent, ReplicaRole,
 };
 use moentwine_core::ConfigError;
 use wsc_sim::CongestionBackend;
@@ -13,6 +12,12 @@ use crate::platform::{MappingSpec, PlatformSpec};
 
 /// Scale-out shape: N replica engines dispatched by a router policy under
 /// a global arrival stream (the spec mirror of [`FleetConfig`]).
+///
+/// The JSON codec still accepts a `"scheduler"` member whose only valid
+/// value is `"event-heap"` (the fleet has one event loop), so documents
+/// written when the drive was selectable keep parsing; it is never
+/// emitted. The member goes with ROADMAP item 1's benchmark revision, once
+/// the benchmark's fleet specs stop carrying it.
 #[derive(Clone, PartialEq, Debug)]
 pub struct FleetSpec {
     /// Number of replica engines.
@@ -25,13 +30,6 @@ pub struct FleetSpec {
     /// template's backend everywhere; otherwise replica `i` gets
     /// `overrides[i % len]`).
     pub backend_overrides: Vec<CongestionBackend>,
-    /// How [`Fleet::run_until`](moentwine_core::fleet::Fleet::run_until)
-    /// advances the replicas: event-heap (default) or lock-step. Scenario
-    /// runs and sweeps are round-driven
-    /// ([`Fleet::run`](moentwine_core::fleet::Fleet::run)), which never
-    /// reads it, so `"scheduler"` changes no scenario-bin, sweep or
-    /// perfbench output.
-    pub scheduler: FleetScheduler,
     /// Elasticity/failure timeline, sorted by time (empty = the immortal
     /// fixed fleet). Validated against `replicas` by
     /// [`validate_fleet_events`](moentwine_core::fleet::validate_fleet_events)
@@ -60,7 +58,6 @@ impl FleetSpec {
             policy,
             request_rate,
             backend_overrides: Vec::new(),
-            scheduler: FleetScheduler::default(),
             events: Vec::new(),
             roles: Vec::new(),
             decode_platform: None,
@@ -71,12 +68,6 @@ impl FleetSpec {
     /// Sets per-replica backend overrides (builder style).
     pub fn with_backend_overrides(mut self, overrides: Vec<CongestionBackend>) -> Self {
         self.backend_overrides = overrides;
-        self
-    }
-
-    /// Sets the replica stepping discipline (builder style).
-    pub fn with_scheduler(mut self, scheduler: FleetScheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -147,7 +138,6 @@ impl FleetSpec {
     pub fn fleet_config(&self, engine: EngineConfig) -> FleetConfig {
         FleetConfig::new(self.replicas, self.policy, self.request_rate, engine)
             .with_backend_overrides(self.backend_overrides.clone())
-            .with_scheduler(self.scheduler)
             .with_events(self.events.clone())
             .with_roles(self.roles.clone())
     }

@@ -63,7 +63,7 @@ pub use engine::{BatchSpec, EngineSpec, ServingSpec};
 pub use fleet::FleetSpec;
 pub use model::ModelSpec;
 pub use moentwine_core::ConfigError;
-pub use platform::{MappingSpec, PlatformSpec};
+pub use platform::{MappingSpec, PlatformSpec, MAX_PLATFORM_DEVICES};
 pub use scenario::{Layout, Scenario, ScenarioOutcome, ScenarioSpec};
 pub use sweep::SweepSpec;
 pub use workload::{

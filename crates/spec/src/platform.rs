@@ -9,6 +9,14 @@ use wsc_topology::{
 
 use crate::scenario::Layout;
 
+/// The most devices a platform spec may describe: 8× the largest shipped
+/// platform (multi-wsc 2×2 of 8×8, 256 devices). The all-pairs route
+/// table grows with the square of the count (a 65,535-device flat switch
+/// needs 17 GB), so a larger platform is rejected as
+/// [`ConfigError::TooManyDevices`] at parse and before any topology is
+/// built.
+pub const MAX_PLATFORM_DEVICES: u64 = 2048;
+
 /// Which interconnect a scenario runs on (the paper's §VI-A1 platforms).
 ///
 /// Bandwidth/latency parameters are the paper's fixed per-kind presets
@@ -75,12 +83,48 @@ impl PlatformSpec {
         }
     }
 
+    /// Devices the platform would have, computed without building it
+    /// (a DGX node holds 8 GPUs).
+    fn num_devices(&self) -> u64 {
+        let square = |n: u16| u64::from(n) * u64::from(n);
+        match *self {
+            PlatformSpec::Wsc { n } => square(n),
+            PlatformSpec::MultiWsc {
+                wafers_x,
+                wafers_y,
+                n,
+            } => u64::from(wafers_x) * u64::from(wafers_y) * square(n),
+            PlatformSpec::Dgx { nodes } => u64::from(nodes) * 8,
+            PlatformSpec::Nvl72 => 72,
+            PlatformSpec::Flat { devices } => u64::from(devices),
+        }
+    }
+
+    /// Checks the device count against [`MAX_PLATFORM_DEVICES`] without
+    /// building anything.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::TooManyDevices`] when the platform is larger.
+    pub(crate) fn check_size(&self) -> Result<(), ConfigError> {
+        let devices = self.num_devices();
+        if devices > MAX_PLATFORM_DEVICES {
+            return Err(ConfigError::TooManyDevices {
+                devices,
+                max: MAX_PLATFORM_DEVICES,
+            });
+        }
+        Ok(())
+    }
+
     /// Builds the topology.
     ///
     /// # Errors
     ///
-    /// Returns a spec error for degenerate shapes (zero extents).
+    /// Returns a spec error for degenerate shapes (zero extents), and
+    /// [`ConfigError::TooManyDevices`] past [`MAX_PLATFORM_DEVICES`].
     pub fn build_topology(&self) -> Result<Topology, ConfigError> {
+        self.check_size()?;
         let nonzero = |value: u16, field: &str| {
             if value == 0 {
                 Err(ConfigError::spec(
@@ -253,10 +297,37 @@ mod tests {
         assert_eq!(topo.num_devices(), 72);
     }
 
+    /// `num_devices` predicts what `build_topology` builds, so the size
+    /// ceiling is checked on the count a platform really has.
+    #[test]
+    fn device_counts_match_the_built_topologies() {
+        for spec in [
+            PlatformSpec::wsc(4),
+            PlatformSpec::multi_wsc(2, 2, 8),
+            PlatformSpec::dgx(2),
+            PlatformSpec::Nvl72,
+            PlatformSpec::Flat { devices: 24 },
+        ] {
+            let built = spec.build_topology().unwrap().num_devices() as u64;
+            assert_eq!(spec.num_devices(), built, "{spec:?}");
+        }
+    }
+
     #[test]
     fn degenerate_shapes_are_spec_errors() {
         let err = PlatformSpec::wsc(0).materialize().unwrap_err();
         assert!(matches!(err, ConfigError::Spec { .. }), "{err}");
+        // Oversized shapes fail before anything is built.
+        let err = PlatformSpec::Flat { devices: 65_535 }
+            .materialize()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TooManyDevices {
+                devices: 65_535,
+                max: MAX_PLATFORM_DEVICES,
+            }
+        );
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use moe_workload::{RouterPolicy, Scenario as WorkloadScenario, SchedulingMode, WorkloadMix};
 use moentwine_core::balancer::BalancerKind;
 use moentwine_core::engine::SummaryMode;
-use moentwine_core::fleet::FleetScheduler;
 use moentwine_spec::{
     ArrivalSourceSpec, BatchSpec, EngineSpec, FleetSpec, MappingSpec, ModelSpec, PlatformSpec,
     ScenarioSpec, ServingSpec, SweepSpec, WorkloadSpec,
@@ -211,11 +210,7 @@ proptest! {
         if fleet_on == 1 {
             spec = spec.with_fleet(
                 FleetSpec::new(replicas, policy_of(policy_tag), rate)
-                    .with_backend_overrides(vec![backend_of(backend_tag)])
-                    .with_scheduler(match policy_tag % 2 {
-                        0 => FleetScheduler::Lockstep,
-                        _ => FleetScheduler::EventHeap,
-                    }),
+                    .with_backend_overrides(vec![backend_of(backend_tag)]),
             );
         }
         if sweep_on == 1 {

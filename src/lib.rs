@@ -76,8 +76,8 @@ pub mod prelude {
     };
     pub use moentwine_core::fleet::{
         validate_fleet_events, validate_fleet_events_for_roles, Fleet, FleetAvailability,
-        FleetConfig, FleetEvent, FleetEventKind, FleetHandoff, FleetScheduler, FleetSummary,
-        PlatformRefs, ReplicaPool, ReplicaRole, ReplicaState, SerialReplicaPool,
+        FleetConfig, FleetEvent, FleetEventKind, FleetHandoff, FleetSummary, PlatformRefs,
+        ReplicaPool, ReplicaRole, ReplicaState, SerialReplicaPool,
     };
     pub use moentwine_core::mapping::{
         BaselineMapping, ErMapping, HierarchicalErMapping, MappingKind, MappingPlan, TpShape,

@@ -1,6 +1,6 @@
 //! Request conservation under failure injection (DESIGN.md §11): across
-//! random seeds, policies, rates, timeline shapes, scheduler drives, and
-//! replica-pool interleavings, every request the router ever dispatched is
+//! random seeds, policies, rates, timeline shapes, and replica-pool
+//! interleavings, every request the router ever dispatched is
 //! — at any synchronization point — in exactly one place: waiting in a
 //! queue, resident in a batch, rejected, completed, or re-offered to the
 //! router by a drain/crash (each re-offer increments the routed count
@@ -110,10 +110,10 @@ fn assert_conserved(fleet: &Fleet<'_>, summary: &FleetSummary) {
 
 proptest! {
     /// Exactly-once accounting under chaos: for every timeline stretch
-    /// (events not yet fired / mid-arc / fully applied), both scheduler
-    /// drives and a scrambled replica pool agree bit-for-bit, and the
-    /// routed ledger balances against queues, batches, rejects,
-    /// completions, and re-offers.
+    /// (events not yet fired / mid-arc / fully applied), the serial and a
+    /// scrambled replica pool agree bit-for-bit, and the routed ledger
+    /// balances against queues, batches, rejects, completions, and
+    /// re-offers.
     #[test]
     fn chaos_conserves_every_admitted_request(
         seed in 0u64..1_000,
@@ -129,30 +129,27 @@ proptest! {
         let policy = policy_of(policy_tag);
         let events = chaos_timeline(replicas, crash_tag, stretch_tenths as f64 * 0.1);
         prop_assert!(validate_fleet_events(replicas, &events).is_ok());
-        let run = |scheduler: FleetScheduler, pool: &dyn ReplicaPool| {
+        let run = |pool: &dyn ReplicaPool| {
             let config = FleetConfig::new(replicas, policy, rate, engine_template(seed))
-                .with_scheduler(scheduler)
                 .with_events(events.clone());
             let mut fleet = Fleet::new(&f.topo, &f.table, &f.plan, config);
             fleet.run_with(rounds, pool);
             let summary = fleet.summary();
             (fleet, summary)
         };
-        let (lockstep_fleet, lockstep) = run(FleetScheduler::Lockstep, &SerialReplicaPool);
-        let (_, event) = run(FleetScheduler::EventHeap, &SerialReplicaPool);
-        let (scrambled_fleet, scrambled) = run(FleetScheduler::EventHeap, &ScrambledPool);
-        prop_assert_eq!(&lockstep, &event);
-        prop_assert_eq!(&event, &scrambled);
-        assert_conserved(&lockstep_fleet, &lockstep);
+        let (serial_fleet, serial) = run(&SerialReplicaPool);
+        let (scrambled_fleet, scrambled) = run(&ScrambledPool);
+        prop_assert_eq!(&serial, &scrambled);
+        assert_conserved(&serial_fleet, &serial);
         assert_conserved(&scrambled_fleet, &scrambled);
 
         // Whatever fired so far left a coherent fleet: a recovered or
         // never-crashed replica is active, applied events are monotone,
         // and the availability integral stays a fraction.
-        let a = &lockstep.availability;
+        let a = &serial.availability;
         prop_assert!(a.events_applied <= events.len() as u64);
         prop_assert!(a.available_fraction > 0.0 && a.available_fraction <= 1.0);
-        prop_assert!(lockstep_fleet.states().contains(&ReplicaState::Active));
+        prop_assert!(serial_fleet.states().contains(&ReplicaState::Active));
         // Crash interruptions always carry their re-admission price.
         if a.crash_interruptions > 0 {
             prop_assert!(a.requeued_tokens > 0);

@@ -372,9 +372,8 @@ fn run_until_speculative_chaos() -> FleetSummary {
             kind: FleetEventKind::ScaleUp { count: 1 },
         },
     ];
-    let config = FleetConfig::new(3, RouterPolicy::Speculative { k: 2 }, 1.2e5, engine)
-        .with_scheduler(FleetScheduler::EventHeap)
-        .with_events(events);
+    let config =
+        FleetConfig::new(3, RouterPolicy::Speculative { k: 2 }, 1.2e5, engine).with_events(events);
     let mut fleet = Fleet::new(&topo, &table, &plan, config);
     fleet.run_until(1.0e-3);
     fleet.run_until(3.0e-3);
@@ -423,7 +422,6 @@ fn run_until_disagg_chaos() -> FleetSummary {
         },
     ];
     let config = FleetConfig::new(4, RouterPolicy::LeastQueueDepth, 1.2e5, engine)
-        .with_scheduler(FleetScheduler::EventHeap)
         .with_events(events)
         .with_roles(vec![
             ReplicaRole::Prefill,

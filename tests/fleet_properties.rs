@@ -34,6 +34,25 @@ fn fixture() -> Fixture {
     Fixture { topo, table, plan }
 }
 
+/// A legal but adversarial replica pool: odd-indexed jobs first, then
+/// evens.
+struct ScrambledPool;
+impl ReplicaPool for ScrambledPool {
+    fn run<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
+        let mut deferred = Vec::new();
+        for (i, job) in jobs.into_iter().enumerate() {
+            if i % 2 == 0 {
+                deferred.push(job);
+            } else {
+                job();
+            }
+        }
+        for job in deferred {
+            job();
+        }
+    }
+}
+
 fn run_fleet(
     f: &Fixture,
     replicas: usize,
@@ -192,23 +211,6 @@ fn least_kv_pressure_respects_reject_sets() {
 /// independent between synchronization points and results merge by index.
 #[test]
 fn worker_pool_scheduling_cannot_change_results() {
-    struct ScrambledPool;
-    impl ReplicaPool for ScrambledPool {
-        fn run<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
-            // Odd indices first, then evens — a legal (if absurd) schedule.
-            let mut deferred = Vec::new();
-            for (i, job) in jobs.into_iter().enumerate() {
-                if i % 2 == 0 {
-                    deferred.push(job);
-                } else {
-                    job();
-                }
-            }
-            for job in deferred {
-                job();
-            }
-        }
-    }
     let f = fixture();
     let run = |pool: &dyn ReplicaPool| {
         let config = FleetConfig::new(4, RouterPolicy::LeastQueueDepth, 8.0e3, engine_template(55));
@@ -234,34 +236,16 @@ fn worker_pool_scheduling_cannot_change_results() {
 /// * transfer bytes are pinned to the model:
 ///   `kv_bytes_per_token_all_layers(FP16) × prefill tokens`, summed over
 ///   every prefill-side record;
-/// * both fleet schedulers and any legal `ReplicaPool` ordering produce
-///   byte-identical summaries.
+/// * any legal `ReplicaPool` ordering produces byte-identical summaries.
 #[test]
 fn disaggregated_fleets_conserve_handoffs_across_schedulers_and_pools() {
-    struct ScrambledPool;
-    impl ReplicaPool for ScrambledPool {
-        fn run<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
-            let mut deferred = Vec::new();
-            for (i, job) in jobs.into_iter().enumerate() {
-                if i % 2 == 0 {
-                    deferred.push(job);
-                } else {
-                    job();
-                }
-            }
-            for job in deferred {
-                job();
-            }
-        }
-    }
-
     let f = fixture();
     let decode_topo = DgxCluster::new(1, PlatformParams::dgx_b200()).build();
     let decode_table = RouteTable::build(&decode_topo);
     let decode_layout = ClusterLayout::new(&decode_topo, 8);
     let per_token = ModelConfig::tiny().kv_bytes_per_token_all_layers(Precision::Fp16);
 
-    let run = |seed: u64, rate: f64, scheduler: FleetScheduler, pool: &dyn ReplicaPool| {
+    let run = |seed: u64, rate: f64, pool: &dyn ReplicaPool| {
         let roles = vec![
             ReplicaRole::Prefill,
             ReplicaRole::Prefill,
@@ -274,8 +258,7 @@ fn disaggregated_fleets_conserve_handoffs_across_schedulers_and_pools() {
             rate,
             engine_template(seed),
         )
-        .with_roles(roles)
-        .with_scheduler(scheduler);
+        .with_roles(roles);
         let prefill = PlatformRefs {
             topo: &f.topo,
             table: &f.table,
@@ -344,26 +327,17 @@ fn disaggregated_fleets_conserve_handoffs_across_schedulers_and_pools() {
     };
 
     for &(seed, rate) in &[(7u64, 8.0e3), (61, 2.0e4), (91, 4.0e4)] {
-        let reference = run(seed, rate, FleetScheduler::Lockstep, &SerialReplicaPool);
+        let reference = run(seed, rate, &SerialReplicaPool);
         assert!(
             reference.handoff.kv_transfers > 0,
             "seed {seed} rate {rate}: point never exercised a hand-off"
         );
         assert!(reference.handoff.kv_transfer_seconds > 0.0, "free transfer");
-        for (scheduler, pool) in [
-            (
-                FleetScheduler::EventHeap,
-                &SerialReplicaPool as &dyn ReplicaPool,
-            ),
-            (FleetScheduler::Lockstep, &ScrambledPool),
-            (FleetScheduler::EventHeap, &ScrambledPool),
-        ] {
-            assert_eq!(
-                reference,
-                run(seed, rate, scheduler, pool),
-                "seed {seed} rate {rate}: {scheduler:?} diverged"
-            );
-        }
+        assert_eq!(
+            reference,
+            run(seed, rate, &ScrambledPool),
+            "seed {seed} rate {rate}: the scrambled pool diverged"
+        );
     }
 }
 
@@ -376,13 +350,10 @@ proptest! {
     /// `routed == queued + resident + rejects + shed + completed +
     /// cancelled_speculative`
     ///
-    /// The ledger must balance under both scheduler drives, any legal
-    /// `ReplicaPool` interleaving, and both summary modes (the Exact path
-    /// also deletes a finished loser's retained record).
-    /// Pool interleavings can never change results within a drive; the
-    /// two drives resolve races at different sync points and are each
-    /// internally deterministic, but are not required to agree with each
-    /// other bit-for-bit.
+    /// The ledger must balance under any legal `ReplicaPool` interleaving
+    /// and both summary modes (the Exact path also deletes a finished
+    /// loser's retained record), and pool interleavings never change a
+    /// result.
     #[test]
     fn speculative_copies_conserved_across_drives_and_pools(
         seed in 0u64..400,
@@ -392,35 +363,16 @@ proptest! {
         rounds in 50usize..140,
         exact in 0u8..2,
     ) {
-        struct ScrambledPool;
-        impl ReplicaPool for ScrambledPool {
-            fn run<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
-                let mut deferred = Vec::new();
-                for (i, job) in jobs.into_iter().enumerate() {
-                    if i % 2 == 0 {
-                        deferred.push(job);
-                    } else {
-                        job();
-                    }
-                }
-                for job in deferred {
-                    job();
-                }
-            }
-        }
-
         let f = fixture();
         let rate = rate_kilo as f64 * 1.0e3;
         // Fewer replicas than requested copies: the policy must truncate.
         let k_eff = k.min(replicas) as u64;
-        let run = |scheduler: FleetScheduler, pool: &dyn ReplicaPool| {
+        let run = |pool: &dyn ReplicaPool| {
             let mut engine = engine_template(seed);
             if exact == 1 {
                 engine = engine.with_summary(SummaryMode::Exact);
             }
-            let config =
-                FleetConfig::new(replicas, RouterPolicy::Speculative { k }, rate, engine)
-                    .with_scheduler(scheduler);
+            let config = FleetConfig::new(replicas, RouterPolicy::Speculative { k }, rate, engine);
             let mut fleet = Fleet::new(&f.topo, &f.table, &f.plan, config);
             fleet.run_with(rounds, pool);
             let summary = fleet.summary();
@@ -441,13 +393,13 @@ proptest! {
             }
             assert_eq!(
                 routed, accounted,
-                "{scheduler:?}: speculative copies lost or double-counted"
+                "speculative copies lost or double-counted"
             );
             // Every arrival fans out to exactly `min(k, replicas)` copies.
             assert_eq!(
                 routed,
                 summary.speculative.groups_dispatched * k_eff,
-                "{scheduler:?}: dispatch fan-out diverged from k"
+                "dispatch fan-out diverged from k"
             );
             // With no rejects or sheds every group keeps all its copies,
             // so each completed winner implies `k_eff - 1` cancelled
@@ -456,16 +408,13 @@ proptest! {
                 assert!(
                     summary.speculative.cancelled_copies
                         >= summary.aggregate.completed as u64 * (k_eff - 1),
-                    "{scheduler:?}: winners completed without cancelling losers"
+                    "winners completed without cancelling losers"
                 );
             }
             summary
         };
 
-        let lockstep = run(FleetScheduler::Lockstep, &SerialReplicaPool);
-        let event = run(FleetScheduler::EventHeap, &SerialReplicaPool);
-        prop_assert_eq!(&lockstep, &run(FleetScheduler::Lockstep, &ScrambledPool));
-        prop_assert_eq!(&event, &run(FleetScheduler::EventHeap, &ScrambledPool));
+        prop_assert_eq!(run(&SerialReplicaPool), run(&ScrambledPool));
     }
 }
 

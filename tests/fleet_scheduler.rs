@@ -1,10 +1,12 @@
-//! Fleet event-scheduler and streaming-summary contracts (DESIGN.md §10):
+//! Fleet event-loop and streaming-summary contracts (DESIGN.md §10):
 //!
-//! * **Round-driven equivalence** — under `run(rounds)` both schedulers
-//!   step every replica once per round; replicas are independent between
-//!   barriers, so the event-heap `FleetSummary` is bit-identical to the
-//!   lock-step reference for every policy, rate, seed, and replica-pool
+//! * **Pool-order invariance** — under `run_with(rounds, pool)` replicas
+//!   are independent between barriers, so the `FleetSummary` is
+//!   bit-identical for every policy, rate, seed, and replica-pool
 //!   interleaving.
+//! * **The event loop against lock-step** — `run_until` reaches the same
+//!   horizon as the round loop `while sim_time() < horizon { run(1) }`
+//!   while pricing far fewer replica steps.
 //! * **Streaming error bounds** — P² percentile sketches track the exact
 //!   oracle within documented rank windows: p50 inside the exact
 //!   [p35, p65], p95 inside [p85, p100], p99 inside [p90, p100], and
@@ -81,8 +83,7 @@ fn nearest_rank(samples: &mut [f64], p: f64) -> f64 {
 }
 
 proptest! {
-    /// Event-order invariance: for round-driven runs the event-heap
-    /// scheduler and the lock-step reference produce bit-identical
+    /// Event-order invariance: round-driven runs produce bit-identical
     /// summaries across random policies, rates, seeds, round counts, and
     /// scrambled replica-step interleavings.
     #[test]
@@ -96,23 +97,18 @@ proptest! {
         let f = fixture();
         let rate = rate_kilo as f64 * 1.0e3;
         let policy = policy_of(policy_tag);
-        let run = |scheduler: FleetScheduler, pool: &dyn ReplicaPool| {
+        let run = |pool: &dyn ReplicaPool| {
             let config = FleetConfig::new(
                 replicas,
                 policy,
                 rate,
                 engine_template(seed, SummaryMode::Exact),
-            )
-            .with_scheduler(scheduler);
+            );
             let mut fleet = Fleet::new(&f.topo, &f.table, &f.plan, config);
             fleet.run_with(rounds, pool);
             fleet.summary()
         };
-        let lockstep = run(FleetScheduler::Lockstep, &SerialReplicaPool);
-        let event = run(FleetScheduler::EventHeap, &SerialReplicaPool);
-        let event_scrambled = run(FleetScheduler::EventHeap, &ScrambledPool);
-        prop_assert_eq!(&lockstep, &event);
-        prop_assert_eq!(&event, &event_scrambled);
+        prop_assert_eq!(run(&SerialReplicaPool), run(&ScrambledPool));
     }
 
     /// Streaming-vs-exact differential: beyond the bit-exact warm-up
@@ -179,11 +175,11 @@ proptest! {
         }
     }
 
-    /// `run_until` sanity: both schedulers reach the horizon, the event
-    /// heap routes at least as many requests as lock-step, and it prices
-    /// far fewer replica steps than `rounds × replicas`. Lock-step routes
-    /// only at its barriers, the last of which sits below the horizon,
-    /// while the event drive routes every arrival before the horizon.
+    /// `run_until` sanity: it and the lock-step round loop both reach the
+    /// horizon, the event loop routes at least as many requests, and it
+    /// prices far fewer replica steps than `rounds × replicas`. Lock-step
+    /// routes only at its barriers, the last of which sits below the
+    /// horizon, while the event loop routes every arrival before it.
     #[test]
     fn run_until_reaches_horizon_and_skips_idle_work(
         seed in 0u64..1_000,
@@ -192,10 +188,8 @@ proptest! {
     ) {
         let f = fixture();
         let rate = rate_kilo as f64 * 1.0e3;
-        let (lockstep_rounds, lockstep) =
-            run_to_horizon(&f, seed, replicas, rate, FleetScheduler::Lockstep);
-        let (event_steps, event) =
-            run_to_horizon(&f, seed, replicas, rate, FleetScheduler::EventHeap);
+        let (lockstep_rounds, lockstep) = run_to_horizon(&f, seed, replicas, rate, lockstep);
+        let (event_steps, event) = run_to_horizon(&f, seed, replicas, rate, event_loop);
         prop_assert!(lockstep.sim_seconds >= RUN_UNTIL_HORIZON);
         prop_assert!(event.sim_seconds >= RUN_UNTIL_HORIZON);
         // The lock-step reference pays one step per replica per round; the
@@ -210,42 +204,48 @@ proptest! {
 /// Horizon of the `run_until` comparisons, seconds.
 const RUN_UNTIL_HORIZON: f64 = 1.0e-3;
 
-/// Runs a power-of-two streaming fleet to [`RUN_UNTIL_HORIZON`] under
-/// `scheduler`; returns its `rounds()` and summary.
+/// The lock-step reference: whole rounds until the fleet clock reaches
+/// [`RUN_UNTIL_HORIZON`], every replica stepped every round.
+fn lockstep(fleet: &mut Fleet<'_>) {
+    while fleet.sim_time() < RUN_UNTIL_HORIZON {
+        fleet.run(1);
+    }
+}
+
+/// The event loop to [`RUN_UNTIL_HORIZON`].
+fn event_loop(fleet: &mut Fleet<'_>) {
+    fleet.run_until(RUN_UNTIL_HORIZON);
+}
+
+/// Runs a power-of-two streaming fleet with `drive`; returns its
+/// `rounds()` and summary.
 fn run_to_horizon(
     f: &Fixture,
     seed: u64,
     replicas: usize,
     rate: f64,
-    scheduler: FleetScheduler,
+    drive: fn(&mut Fleet<'_>),
 ) -> (u64, FleetSummary) {
     let config = FleetConfig::new(
         replicas,
         RouterPolicy::PowerOfTwoChoices,
         rate,
         engine_template(seed, SummaryMode::Streaming),
-    )
-    .with_scheduler(scheduler);
+    );
     let mut fleet = Fleet::new(&f.topo, &f.table, &f.plan, config);
-    fleet.run_until(RUN_UNTIL_HORIZON);
+    drive(&mut fleet);
     (fleet.rounds(), fleet.summary())
 }
 
 /// A point where the two drives route different counts: lock-step stops
 /// routing at its last barrier before a step, short of the horizon, so
-/// the event heap routes one arrival more (6 against 5).
+/// the event loop routes one arrival more (6 against 5).
 #[test]
 fn event_heap_routes_past_the_last_lockstep_barrier() {
     let f = fixture();
-    let routed = |scheduler| -> u64 {
-        run_to_horizon(&f, 3, 3, 7.0e3, scheduler)
-            .1
-            .routed
-            .iter()
-            .sum()
-    };
-    assert_eq!(routed(FleetScheduler::EventHeap), 6);
-    assert_eq!(routed(FleetScheduler::Lockstep), 5);
+    let routed = |drive| -> u64 { run_to_horizon(&f, 3, 3, 7.0e3, drive).1.routed.iter().sum() };
+    assert_eq!(routed(event_loop), 6);
+    assert_eq!(routed(lockstep), 5);
 }
 
 /// The checked-in mega-fleet scenario holds its O(1)-memory contract: run
@@ -262,7 +262,6 @@ fn mega_fleet_scenario_retains_o_replicas_records() {
     for (label, point) in points {
         let fleet_spec = point.fleet.clone().expect("mega_fleet is a fleet scenario");
         assert!(fleet_spec.replicas >= 64, "{label}: ≥64 replicas");
-        assert_eq!(fleet_spec.scheduler, FleetScheduler::EventHeap);
         match &point.engine.batch {
             BatchSpec::Serving(s) => assert_eq!(s.summary, SummaryMode::Streaming),
             other => panic!("{label}: expected serving batch, got {other:?}"),
