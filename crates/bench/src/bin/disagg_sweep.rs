@@ -13,8 +13,7 @@
 //!
 //! `--threads` (default: available parallelism) spreads grid points over
 //! the hand-rolled worker pool; the manifest is byte-identical for every
-//! thread count (CI `cmp`s `--threads 1` against `--threads 4`) and every
-//! point asserts lock-step == event-heap internally.
+//! thread count (CI `cmp`s `--threads 1` against `--threads 4`).
 
 use std::process::ExitCode;
 

@@ -13,20 +13,17 @@
 //! Besides the usual [`Report`], the sweep emits a machine-readable
 //! manifest to `target/figs/disagg_sweep.json` (schema
 //! `moentwine/disagg_sweep/v1`, validated by [`validate`]). Every point is
-//! round-driven ([`Fleet::run`]) and grid points merge by index, so the
-//! manifest is byte-identical across runs and `--threads` settings.
+//! a [`ScenarioSpec`] run through [`Scenario::run`](moentwine_spec::Scenario::run)
+//! and grid points merge by index, so the manifest is byte-identical
+//! across runs and `--threads` settings.
 
-use std::fs;
+use moe_workload::RouterPolicy;
+use moentwine_core::fleet::{FleetSummary, ReplicaRole};
+use moentwine_spec::{FleetSpec, MappingSpec, PlatformSpec, ScenarioSpec};
 
-use moe_model::ModelConfig;
-use moe_workload::{RouterPolicy, Scenario, SchedulingMode, WorkloadMix};
-use moentwine_core::comm::ClusterLayout;
-use moentwine_core::engine::{EngineConfig, SummaryMode};
-use moentwine_core::fleet::{Fleet, FleetConfig, FleetSummary, PlatformRefs, ReplicaRole};
-use moentwine_spec::{BatchSpec, EngineSpec, ModelSpec, ServingSpec};
-
+use crate::figs::fleet_sweep::{engine_spec, fleet_scenario};
+use crate::figs::manifest;
 use crate::json::Value;
-use crate::platforms::Platform;
 use crate::report::fmt_time;
 use crate::Report;
 
@@ -48,7 +45,7 @@ const DGX_GPU_DOLLARS: f64 = 3.5e4;
 
 /// Which fleet shape a sweep point runs.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum Shape {
+pub(super) enum Shape {
     /// Four colocated wafer replicas (prefill + decode on every wafer).
     Colocated,
     /// Two wafer prefill pods + two DGX decode replicas with the KV
@@ -63,118 +60,84 @@ impl Shape {
             Shape::Disaggregated => "disaggregated",
         }
     }
-}
 
-/// The per-replica engine template: hybrid continuous batching with a thin
-/// KV share, mirroring `fleet_sweep` so colocated curves are comparable
-/// across figures.
-fn engine_template() -> EngineConfig {
-    let model: ModelConfig = ModelSpec::preset("tiny").resolve().expect("tiny preset");
-    EngineSpec::default()
-        .with_seed(SEED)
-        .with_workload(WorkloadMix::Blend(vec![
-            (Scenario::Chat, 4.0),
-            (Scenario::Coding, 1.0),
-            (Scenario::Math, 1.0),
-            (Scenario::Privacy, 4.0),
-        ]))
-        .with_batch(BatchSpec::Serving(ServingSpec {
-            mode: SchedulingMode::Hybrid,
-            max_batch_tokens: 2048,
-            max_active: 256,
-            request_rate: 0.0,
-            iteration_period: 0.02,
-            summary: SummaryMode::Exact,
-            workload: None,
-        }))
-        .with_kv_hbm_fraction(1.0e-3)
-        .engine_config(model)
-        .expect("valid fleet template")
-}
-
-/// The two platforms of the comparison: wafer pods for prefill (and the
-/// whole colocated fleet), a DGX node per decode replica.
-struct Platforms {
-    prefill: Platform,
-    prefill_plan: moentwine_core::MappingPlan,
-    decode: Platform,
-    decode_layout: ClusterLayout,
-}
-
-impl Platforms {
-    fn build() -> Self {
-        let prefill = Platform::wsc(4);
-        let prefill_plan =
-            crate::platforms::wsc_plan(&prefill, 4, crate::platforms::WscMapping::Er);
-        let decode = Platform::dgx(1);
-        let decode_layout = ClusterLayout::new(&decode.topo, 8);
-        Platforms {
-            prefill,
-            prefill_plan,
-            decode,
-            decode_layout,
-        }
-    }
-
-    /// Modeled fleet cost: wafer dies for prefill/colocated replicas, DGX
-    /// GPUs for decode replicas.
-    fn dollars(&self, shape: Shape) -> f64 {
-        let wafer = self.prefill.topo.num_devices() as f64 * WSC_DIE_DOLLARS;
-        let dgx = self.decode.topo.num_devices() as f64 * DGX_GPU_DOLLARS;
-        match shape {
-            Shape::Colocated => 4.0 * wafer,
-            Shape::Disaggregated => 2.0 * wafer + 2.0 * dgx,
+    /// The fleet of this shape at `rate`: four least-queue-depth replicas
+    /// on the wafer, or two wafer prefill pods feeding two single-node DGX
+    /// decode replicas.
+    fn fleet(self, rate: f64) -> FleetSpec {
+        let fleet = FleetSpec::new(4, RouterPolicy::LeastQueueDepth, rate);
+        match self {
+            Shape::Colocated => fleet,
+            Shape::Disaggregated => fleet
+                .with_roles(vec![
+                    ReplicaRole::Prefill,
+                    ReplicaRole::Prefill,
+                    ReplicaRole::Decode,
+                    ReplicaRole::Decode,
+                ])
+                .with_decode_platform(PlatformSpec::dgx(1), MappingSpec::cluster(8)),
         }
     }
 }
 
-/// Runs one sweep point.
-fn run_point(platforms: &Platforms, shape: Shape, rate: f64, rounds: usize) -> FleetSummary {
-    let mut config = FleetConfig::new(4, RouterPolicy::LeastQueueDepth, rate, engine_template());
-    if shape == Shape::Disaggregated {
-        config = config.with_roles(vec![
-            ReplicaRole::Prefill,
-            ReplicaRole::Prefill,
-            ReplicaRole::Decode,
-            ReplicaRole::Decode,
-        ]);
+/// Modeled fleet cost of a point, from its spec's device counts: wafer
+/// dies for every replica on the primary wafer, DGX GPUs for every decode
+/// replica on the decode platform.
+fn dollars(spec: &ScenarioSpec) -> f64 {
+    let fleet = spec.fleet.as_ref().expect("disagg_sweep points are fleets");
+    let wafer = spec.platform.num_devices() as f64 * WSC_DIE_DOLLARS;
+    let decode_replicas = fleet
+        .roles
+        .iter()
+        .filter(|&&role| role == ReplicaRole::Decode)
+        .count();
+    match &fleet.decode_platform {
+        Some(decode) => {
+            let dgx = decode.num_devices() as f64 * DGX_GPU_DOLLARS;
+            (fleet.replicas - decode_replicas) as f64 * wafer + decode_replicas as f64 * dgx
+        }
+        None => fleet.replicas as f64 * wafer,
     }
-    let prefill = PlatformRefs {
-        topo: &platforms.prefill.topo,
-        table: &platforms.prefill.table,
-        layout: &platforms.prefill_plan,
+}
+
+/// One grid point: its `(shape, arrival rate)` key and the scenario that
+/// runs it.
+type Point = ((Shape, f64), ScenarioSpec);
+
+/// The grid over `rates`, rate slowest and shape fastest. Replicas run the
+/// `fleet_sweep` engine template under this sweep's seed.
+fn grid(rates: &[f64], rounds: usize) -> Vec<Point> {
+    let mut grid = Vec::new();
+    for &rate in rates {
+        for shape in [Shape::Colocated, Shape::Disaggregated] {
+            let name = format!("disagg_sweep/rate={rate}/{}", shape.name());
+            let spec = fleet_scenario(name, engine_spec(SEED), shape.fleet(rate), rounds);
+            grid.push(((shape, rate), spec));
+        }
+    }
+    grid
+}
+
+/// The `--quick` or full grid: `(rounds, points)`.
+pub(super) fn sweep_grid(quick: bool) -> (usize, Vec<Point>) {
+    let rounds = if quick { 400 } else { 1500 };
+    let rates: Vec<f64> = if quick {
+        vec![8.0e3, 24.0e3]
+    } else {
+        vec![4.0e3, 12.0e3, 36.0e3]
     };
-    let decode = (shape == Shape::Disaggregated).then_some(PlatformRefs {
-        topo: &platforms.decode.topo,
-        table: &platforms.decode.table,
-        layout: &platforms.decode_layout,
-    });
-    let mut fleet =
-        Fleet::try_new_disaggregated(prefill, decode, config).expect("valid sweep point");
-    fleet.run(rounds);
-    fleet.summary()
+    (rounds, grid(&rates, rounds))
 }
 
-fn point_json(platforms: &Platforms, shape: Shape, rate: f64, s: &FleetSummary) -> Value {
+fn point_json(shape: Shape, rate: f64, dollars: f64, s: &FleetSummary) -> Value {
     let agg = &s.aggregate;
     let h = &s.handoff;
-    let dollars = platforms.dollars(shape);
-    Value::Obj(vec![
+    let mut fields = vec![
         ("variant".into(), Value::Str(shape.name().into())),
         ("arrival_rate".into(), Value::Num(rate)),
-        ("ttft_p50".into(), Value::Num(agg.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(agg.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(agg.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(agg.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(agg.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(agg.tpot_p99)),
-        ("e2e_p50".into(), Value::Num(agg.e2e_p50)),
-        ("e2e_p99".into(), Value::Num(agg.e2e_p99)),
-        ("goodput_rps".into(), Value::Num(agg.goodput_rps)),
-        (
-            "goodput_tokens_per_s".into(),
-            Value::Num(agg.goodput_tokens_per_s),
-        ),
+    ];
+    fields.extend(manifest::slo_fields(agg));
+    fields.extend([
         ("completed".into(), Value::Num(agg.completed as f64)),
         (
             "admission_rejects".into(),
@@ -206,39 +169,27 @@ fn point_json(platforms: &Platforms, shape: Shape, rate: f64, s: &FleetSummary) 
             Value::Arr(s.routed.iter().map(|&r| Value::Num(r as f64)).collect()),
         ),
         ("sim_seconds".into(), Value::Num(s.sim_seconds)),
-    ])
+    ]);
+    Value::Obj(fields)
 }
 
-/// Builds the sweep manifest over explicit axes on a `threads`-wide worker
-/// pool. Results merge by grid index, so the manifest is byte-identical
-/// for every thread count.
+/// Builds the sweep manifest over `grid` on a `threads`-wide worker pool.
+/// Results merge by grid index, so the manifest is byte-identical for
+/// every thread count.
 fn sweep_manifest(
     quick: bool,
-    rates: &[f64],
     rounds: usize,
+    grid: Vec<Point>,
     threads: usize,
     report: &mut Report,
 ) -> Value {
-    let platforms = Platforms::build();
-    let mut grid: Vec<(Shape, f64)> = Vec::new();
-    for &rate in rates {
-        for shape in [Shape::Colocated, Shape::Disaggregated] {
-            grid.push((shape, rate));
-        }
-    }
-    let pool = crate::perf::pool::WorkerPool::new(threads);
-    let jobs: Vec<_> = grid
-        .iter()
-        .map(|&(shape, rate)| {
-            let platforms = &platforms;
-            move || run_point(platforms, shape, rate, rounds)
-        })
-        .collect();
-    let summaries = pool.run(jobs);
+    let (keys, specs): (Vec<_>, Vec<_>) = grid.into_iter().unzip();
+    let outcomes = crate::scenario_run::run_points(&specs, threads).expect("valid sweep point");
     let mut points: Vec<Value> = Vec::new();
-    for (&(shape, rate), s) in grid.iter().zip(&summaries) {
+    for (((shape, rate), spec), outcome) in keys.into_iter().zip(&specs).zip(&outcomes) {
+        let s = outcome.as_fleet().expect("disagg_sweep points are fleets");
         let agg = &s.aggregate;
-        let dollars = platforms.dollars(shape);
+        let dollars = dollars(spec);
         report.row([
             shape.name().into(),
             format!("{rate}"),
@@ -250,7 +201,7 @@ fn sweep_manifest(
             fmt_time(s.handoff.kv_transfer_seconds),
             format!("{:.1}", agg.goodput_rps / (dollars / 1.0e6)),
         ]);
-        points.push(point_json(&platforms, shape, rate, s));
+        points.push(point_json(shape, rate, dollars, s));
     }
     Value::Obj(vec![
         ("schema".into(), Value::Str(SCHEMA.into())),
@@ -331,22 +282,11 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the disaggregation sweep single-threaded (the figure-registry
-/// entry point).
-pub fn run(quick: bool) -> Report {
-    run_with_threads(quick, 1)
-}
-
 /// Runs the disaggregation sweep with grid points spread over `threads`
 /// workers, writes `target/figs/disagg_sweep.json` (byte-identical for any
 /// thread count), and returns the human-readable report.
 pub fn run_with_threads(quick: bool, threads: usize) -> Report {
-    let rounds = if quick { 400 } else { 1500 };
-    let rates: Vec<f64> = if quick {
-        vec![8.0e3, 24.0e3]
-    } else {
-        vec![4.0e3, 12.0e3, 36.0e3]
-    };
+    let (rounds, grid) = sweep_grid(quick);
     let mut report = Report::new(
         "disagg_sweep",
         "Colocated vs. disaggregated prefill/decode: priced KV-transfer economics",
@@ -362,18 +302,9 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         "Transfer time",
         "Goodput/M$",
     ]);
-    let manifest = sweep_manifest(quick, &rates, rounds, threads, &mut report);
-    match fs::create_dir_all("target/figs")
-        .and_then(|_| fs::write(MANIFEST_PATH, manifest.pretty()))
-    {
-        Ok(()) => report.note(format!("machine-readable manifest: {MANIFEST_PATH}")),
-        Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
-    }
-    report.note(
-        "deterministic: grid points merge by index, so the manifest is \
-         byte-identical across runs and --threads settings \
-         (schema moentwine/disagg_sweep/v1)",
-    );
+    let manifest = sweep_manifest(quick, rounds, grid, threads, &mut report);
+    manifest::write(&mut report, MANIFEST_PATH, &manifest);
+    report.note(manifest::merged_by_index_note(SCHEMA));
     report
 }
 
@@ -383,7 +314,7 @@ mod tests {
 
     fn tiny_manifest_with_threads(threads: usize) -> Value {
         let mut report = Report::new("disagg_sweep_test", "t");
-        sweep_manifest(true, &[20.0e3], 150, threads, &mut report)
+        sweep_manifest(true, 150, grid(&[20.0e3], 150), threads, &mut report)
     }
 
     #[test]

@@ -16,16 +16,15 @@
 //! across runs *and* across `--threads` settings (pinned by a unit test and
 //! the CI smoke step).
 
-use std::fs;
-
-use moe_model::ModelConfig;
 use moe_workload::{RouterPolicy, Scenario, SchedulingMode, WorkloadMix};
-use moentwine_core::engine::{EngineConfig, SummaryMode};
-use moentwine_core::fleet::{Fleet, FleetSummary};
-use moentwine_spec::{BatchSpec, EngineSpec, FleetSpec, ModelSpec, ServingSpec};
+use moentwine_core::engine::SummaryMode;
+use moentwine_core::fleet::FleetSummary;
+use moentwine_spec::{
+    BatchSpec, EngineSpec, FleetSpec, MappingSpec, PlatformSpec, ScenarioSpec, ServingSpec,
+};
 
+use crate::figs::manifest;
 use crate::json::Value;
-use crate::platforms::Platform;
 use crate::report::fmt_time;
 use crate::Report;
 
@@ -40,14 +39,13 @@ const SEED: u64 = 131;
 
 /// The per-replica engine template: hybrid continuous batching with a thin
 /// KV share, mirroring the single-engine `serve_sweep` so fleet and
-/// single-replica curves are comparable. Constructed through the
-/// declarative spec layer (the fleet converts the serving batch to
+/// single-replica curves are comparable (`disagg_sweep` shares it under
+/// its own seed). The fleet converts the serving batch to
 /// `BatchMode::External` per replica; the spec's request rate is unused —
-/// the fleet owns arrivals).
-fn engine_template() -> EngineConfig {
-    let model: ModelConfig = ModelSpec::preset("tiny").resolve().expect("tiny preset");
+/// the fleet owns arrivals.
+pub(crate) fn engine_spec(seed: u64) -> EngineSpec {
     EngineSpec::default()
-        .with_seed(SEED)
+        .with_seed(seed)
         .with_workload(WorkloadMix::Blend(vec![
             (Scenario::Chat, 4.0),
             (Scenario::Coding, 1.0),
@@ -64,44 +62,81 @@ fn engine_template() -> EngineConfig {
             workload: None,
         }))
         .with_kv_hbm_fraction(1.0e-3)
-        .engine_config(model)
-        .expect("valid fleet template")
 }
 
-/// Runs one sweep point (the fleet shape comes in as a [`FleetSpec`]).
-fn run_point(
-    platform: &Platform,
-    plan: &moentwine_core::MappingPlan,
-    replicas: usize,
-    policy: RouterPolicy,
-    rate: f64,
+/// A fleet scenario named `name`: the `fleet` shape over replicas of
+/// `engine` on a 4×4 wafer with ER mapping at TP=4 serving the tiny
+/// preset, run for `rounds` synchronization rounds. Every fleet sweep
+/// builds its points here.
+pub(crate) fn fleet_scenario(
+    name: String,
+    engine: EngineSpec,
+    fleet: FleetSpec,
     rounds: usize,
-) -> FleetSummary {
-    let config = FleetSpec::new(replicas, policy, rate).fleet_config(engine_template());
-    let mut fleet = Fleet::new(&platform.topo, &platform.table, plan, config);
-    fleet.run(rounds);
-    fleet.summary()
+) -> ScenarioSpec {
+    ScenarioSpec::new(name, PlatformSpec::wsc(4))
+        .with_mapping(MappingSpec::er(4))
+        .with_engine(engine)
+        .with_fleet(fleet)
+        .with_iterations(rounds)
+}
+
+/// One grid point: its `(replicas, policy, arrival rate)` key and the
+/// scenario that runs it.
+type Point = ((usize, RouterPolicy, f64), ScenarioSpec);
+
+/// The grid over explicit axes, replica count slowest and rate fastest.
+fn grid(
+    replica_counts: &[usize],
+    policies: &[RouterPolicy],
+    rates: &[f64],
+    rounds: usize,
+) -> Vec<Point> {
+    let mut grid = Vec::new();
+    for &replicas in replica_counts {
+        for &policy in policies {
+            for &rate in rates {
+                let name = format!(
+                    "fleet_sweep/replicas={replicas}/policy={}/rate={rate}",
+                    policy.name()
+                );
+                let fleet = FleetSpec::new(replicas, policy, rate);
+                let spec = fleet_scenario(name, engine_spec(SEED), fleet, rounds);
+                grid.push(((replicas, policy, rate), spec));
+            }
+        }
+    }
+    grid
+}
+
+/// The `--quick` or full grid: `(rounds, points)`.
+///
+/// Rounds are sized like the serve_sweep iteration counts: median
+/// interactive outputs complete within a few hundred decode rounds. Rates
+/// span per-replica underload through fleet saturation so the scale-out
+/// knee (goodput flattening, p99 TTFT blowing up) is visible at every
+/// replica count.
+pub(super) fn sweep_grid(quick: bool) -> (usize, Vec<Point>) {
+    let rounds = if quick { 400 } else { 1500 };
+    let replica_counts: Vec<usize> = if quick { vec![1, 2] } else { vec![1, 2, 4] };
+    let rates: Vec<f64> = if quick {
+        vec![4.0e3, 12.0e3]
+    } else {
+        vec![2.0e3, 8.0e3, 24.0e3]
+    };
+    let grid = grid(&replica_counts, &RouterPolicy::all(), &rates, rounds);
+    (rounds, grid)
 }
 
 fn point_json(replicas: usize, policy: RouterPolicy, rate: f64, s: &FleetSummary) -> Value {
     let agg = &s.aggregate;
-    Value::Obj(vec![
+    let mut fields = vec![
         ("replicas".into(), Value::Num(replicas as f64)),
         ("policy".into(), Value::Str(policy.name())),
         ("arrival_rate".into(), Value::Num(rate)),
-        ("ttft_p50".into(), Value::Num(agg.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(agg.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(agg.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(agg.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(agg.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(agg.tpot_p99)),
-        ("e2e_p50".into(), Value::Num(agg.e2e_p50)),
-        ("e2e_p99".into(), Value::Num(agg.e2e_p99)),
-        ("goodput_rps".into(), Value::Num(agg.goodput_rps)),
-        (
-            "goodput_tokens_per_s".into(),
-            Value::Num(agg.goodput_tokens_per_s),
-        ),
+    ];
+    fields.extend(manifest::slo_fields(agg));
+    fields.extend([
         ("completed".into(), Value::Num(agg.completed as f64)),
         (
             "admission_rejects".into(),
@@ -118,43 +153,26 @@ fn point_json(replicas: usize, policy: RouterPolicy, rate: f64, s: &FleetSummary
             Value::Arr(s.routed.iter().map(|&r| Value::Num(r as f64)).collect()),
         ),
         ("sim_seconds".into(), Value::Num(s.sim_seconds)),
-    ])
+    ]);
+    Value::Obj(fields)
 }
 
-/// Builds the sweep manifest over explicit axes on a `threads`-wide worker
-/// pool (the unit tests use a reduced grid; [`run_with_threads`] uses the
-/// full/quick grids). Results merge by grid index, so the manifest is
+/// Builds the sweep manifest over `grid` on a `threads`-wide worker pool
+/// (the unit tests use a reduced grid; [`run_with_threads`] the
+/// full/quick one). Results merge by grid index, so the manifest is
 /// byte-identical for every thread count.
 fn sweep_manifest(
     quick: bool,
-    replica_counts: &[usize],
-    policies: &[RouterPolicy],
-    rates: &[f64],
     rounds: usize,
+    grid: Vec<Point>,
     threads: usize,
     report: &mut Report,
 ) -> Value {
-    let platform = Platform::wsc(4);
-    let plan = crate::platforms::wsc_plan(&platform, 4, crate::platforms::WscMapping::Er);
-    let mut grid: Vec<(usize, RouterPolicy, f64)> = Vec::new();
-    for &replicas in replica_counts {
-        for &policy in policies {
-            for &rate in rates {
-                grid.push((replicas, policy, rate));
-            }
-        }
-    }
-    let pool = crate::perf::pool::WorkerPool::new(threads);
-    let jobs: Vec<_> = grid
-        .iter()
-        .map(|&(replicas, policy, rate)| {
-            let (platform, plan) = (&platform, &plan);
-            move || run_point(platform, plan, replicas, policy, rate, rounds)
-        })
-        .collect();
-    let summaries = pool.run(jobs);
+    let (keys, specs): (Vec<_>, Vec<_>) = grid.into_iter().unzip();
+    let outcomes = crate::scenario_run::run_points(&specs, threads).expect("valid sweep point");
     let mut points: Vec<Value> = Vec::new();
-    for (&(replicas, policy, rate), s) in grid.iter().zip(&summaries) {
+    for ((replicas, policy, rate), outcome) in keys.into_iter().zip(&outcomes) {
+        let s = outcome.as_fleet().expect("fleet_sweep points are fleets");
         let agg = &s.aggregate;
         report.row([
             format!("{replicas}"),
@@ -233,19 +251,7 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
 /// writes `target/figs/fleet_sweep.json` (byte-identical for any thread
 /// count), and returns the human-readable report.
 pub fn run_with_threads(quick: bool, threads: usize) -> Report {
-    // Rounds are sized like the serve_sweep iteration counts: median
-    // interactive outputs complete within a few hundred decode rounds.
-    // Rates span per-replica underload through fleet saturation so the
-    // scale-out knee (goodput flattening, p99 TTFT blowing up) is visible
-    // at every replica count.
-    let rounds = if quick { 400 } else { 1500 };
-    let replica_counts: Vec<usize> = if quick { vec![1, 2] } else { vec![1, 2, 4] };
-    let rates: Vec<f64> = if quick {
-        vec![4.0e3, 12.0e3]
-    } else {
-        vec![2.0e3, 8.0e3, 24.0e3]
-    };
-    let policies = RouterPolicy::all();
+    let (rounds, grid) = sweep_grid(quick);
     let mut report = Report::new(
         "fleet_sweep",
         "Fleet-level serving: replica x policy x rate sweep",
@@ -262,26 +268,9 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         "Rejects",
         "Imbalance",
     ]);
-    let manifest = sweep_manifest(
-        quick,
-        &replica_counts,
-        &policies,
-        &rates,
-        rounds,
-        threads,
-        &mut report,
-    );
-    match fs::create_dir_all("target/figs")
-        .and_then(|_| fs::write(MANIFEST_PATH, manifest.pretty()))
-    {
-        Ok(()) => report.note(format!("machine-readable manifest: {MANIFEST_PATH}")),
-        Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
-    }
-    report.note(
-        "deterministic: grid points merge by index, so the manifest is \
-         byte-identical across runs and --threads settings \
-         (schema moentwine/fleet_sweep/v1)",
-    );
+    let manifest = sweep_manifest(quick, rounds, grid, threads, &mut report);
+    manifest::write(&mut report, MANIFEST_PATH, &manifest);
+    report.note(manifest::merged_by_index_note(SCHEMA));
     report
 }
 
@@ -291,15 +280,13 @@ mod tests {
 
     fn tiny_manifest_with_threads(threads: usize) -> Value {
         let mut report = Report::new("fleet_sweep_test", "t");
-        sweep_manifest(
-            true,
+        let grid = grid(
             &[1, 2],
             &[RouterPolicy::RoundRobin, RouterPolicy::PowerOfTwoChoices],
             &[20.0e3],
             150,
-            threads,
-            &mut report,
-        )
+        );
+        sweep_manifest(true, 150, grid, threads, &mut report)
     }
 
     #[test]

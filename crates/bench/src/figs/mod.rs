@@ -20,6 +20,7 @@ pub mod fig15;
 pub mod fig16;
 pub mod fig17;
 pub mod fleet_sweep;
+pub mod manifest;
 pub mod router_compare;
 pub mod serve_sweep;
 pub mod table1;
@@ -66,4 +67,37 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         // dispatch (emits target/figs/router_compare.json).
         ("router_compare", router_compare::run_with_threads),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moentwine_spec::ScenarioSpec;
+
+    /// Every `--quick` point of the spec-driven sweeps is a scenario file:
+    /// its spec survives the JSON codec unchanged and builds, so the
+    /// `scenario` bin can reproduce any figure point on its own.
+    #[test]
+    fn every_quick_sweep_point_round_trips_as_a_scenario_file() {
+        fn specs<K>(grid: (usize, Vec<(K, ScenarioSpec)>)) -> Vec<ScenarioSpec> {
+            grid.1.into_iter().map(|(_, spec)| spec).collect()
+        }
+        let sweeps = [
+            ("serve_sweep", specs(serve_sweep::sweep_grid(true))),
+            ("fleet_sweep", specs(fleet_sweep::sweep_grid(true))),
+            ("disagg_sweep", specs(disagg_sweep::sweep_grid(true))),
+            ("router_compare", specs(router_compare::sweep_grid(true))),
+            ("workload_mix", specs(workload_mix::sweep_grid(true))),
+        ];
+        for (sweep, points) in sweeps {
+            assert!(!points.is_empty(), "{sweep}: empty quick grid");
+            for spec in points {
+                let parsed = ScenarioSpec::from_json(&spec.to_json())
+                    .unwrap_or_else(|e| panic!("{sweep}: {}: {e}", spec.name));
+                assert_eq!(parsed, spec, "{sweep}: {} changed through JSON", spec.name);
+                spec.build()
+                    .unwrap_or_else(|e| panic!("{sweep}: {}: {e}", spec.name));
+            }
+        }
+    }
 }

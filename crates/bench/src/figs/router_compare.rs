@@ -57,20 +57,18 @@
 //! `event_heap_routes_past_the_last_lockstep_barrier` pins seed 3,
 //! 3 replicas, 7k req/s (event loop 6, lock-step 5).
 
-use std::fs;
-
-use moe_model::ModelConfig;
 use moe_workload::{RouterPolicy, Scenario, SchedulingMode};
-use moentwine_core::comm::ClusterLayout;
-use moentwine_core::engine::{EngineConfig, SummaryMode};
-use moentwine_core::fleet::{Fleet, FleetSummary, PlatformRefs, ReplicaRole};
+use moentwine_core::engine::SummaryMode;
+use moentwine_core::fleet::{FleetSummary, ReplicaRole};
 use moentwine_spec::{
-    ArrivalSourceSpec, BatchSpec, EngineSpec, FleetSpec, ModelSpec, ServingSpec, WorkloadSpec,
+    ArrivalSourceSpec, BatchSpec, EngineSpec, FleetSpec, MappingSpec, PlatformSpec, ScenarioSpec,
+    ServingSpec, WorkloadSpec,
 };
 use wsc_sim::CongestionBackend;
 
+use crate::figs::fleet_sweep::fleet_scenario;
+use crate::figs::manifest;
 use crate::json::Value;
-use crate::platforms::Platform;
 use crate::report::fmt_time;
 use crate::Report;
 
@@ -86,7 +84,7 @@ pub const SEEDS: [u64; 5] = [223, 224, 225, 226, 227];
 
 /// The two scenario shapes on the workload axis.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Shape {
+pub(super) enum Shape {
     /// Heterogeneous four-replica colocated fleet under bursty arrivals.
     Bursty,
     /// Two wafer prefill pods + two DGX decode replicas.
@@ -100,14 +98,37 @@ impl Shape {
             Shape::Disagg => "disagg",
         }
     }
+
+    /// The fleet of this shape dispatched by `policy` at `rate`.
+    fn fleet(self, policy: RouterPolicy, rate: f64) -> FleetSpec {
+        let fleet = FleetSpec::new(4, policy, rate);
+        match self {
+            // Odd replicas price iterations through the flow-level DES,
+            // so replica speeds genuinely differ — invisible to snapshot
+            // policies, learnable through latency feedback. Four replicas
+            // with k=2 races give speculative dispatch real queue
+            // diversity to hedge across.
+            Shape::Bursty => fleet.with_backend_overrides(vec![
+                CongestionBackend::Analytic,
+                CongestionBackend::FlowSimCached,
+            ]),
+            Shape::Disagg => fleet
+                .with_roles(vec![
+                    ReplicaRole::Prefill,
+                    ReplicaRole::Prefill,
+                    ReplicaRole::Decode,
+                    ReplicaRole::Decode,
+                ])
+                .with_decode_platform(PlatformSpec::dgx(1), MappingSpec::cluster(8)),
+        }
+    }
 }
 
 /// The per-replica engine template: hybrid continuous batching, a thin KV
 /// share, a length-varied Privacy+Coding blend, and a quiet/burst arrival
 /// cycle (4× bursts a quarter of the time) so tails come from queueing
 /// spikes, not steady state.
-fn engine_template(seed: u64) -> EngineConfig {
-    let model: ModelConfig = ModelSpec::preset("tiny").resolve().expect("tiny preset");
+fn engine_spec(seed: u64) -> EngineSpec {
     // The tiny-model fleet simulates ~1.5 ms per 400 rounds, so the burst
     // cycle is scaled to fit several cycles into every horizon.
     let workload = WorkloadSpec::new(ArrivalSourceSpec::Burst {
@@ -135,123 +156,65 @@ fn engine_template(seed: u64) -> EngineConfig {
             .with_workload(workload),
         ))
         .with_kv_hbm_fraction(1.0e-3)
-        .engine_config(model)
-        .expect("valid router_compare template")
 }
 
-/// The platforms every sweep point runs against, built once per sweep:
-/// the wafer mesh (all bursty replicas; the disagg prefill tier) and the
-/// DGX cluster (the disagg decode tier).
-struct Platforms {
-    wsc: Platform,
-    plan: moentwine_core::MappingPlan,
-    dgx: Platform,
-    dgx_layout: ClusterLayout,
-}
+/// One grid point: its `(seed, shape, policy, arrival rate)` key and the
+/// scenario that runs it.
+type Point = ((u64, Shape, RouterPolicy, f64), ScenarioSpec);
 
-impl Platforms {
-    fn build() -> Self {
-        let wsc = Platform::wsc(4);
-        let plan = crate::platforms::wsc_plan(&wsc, 4, crate::platforms::WscMapping::Er);
-        let dgx = Platform::dgx(1);
-        let dgx_layout = ClusterLayout::new(&dgx.topo, 8);
-        Platforms {
-            wsc,
-            plan,
-            dgx,
-            dgx_layout,
+/// The grid over explicit axes (`rates` holds the arrival rates of the
+/// bursty and of the disaggregated shape), seed slowest and policy
+/// fastest.
+fn grid(seeds: &[u64], rates: [&[f64]; 2], policies: &[RouterPolicy], rounds: usize) -> Vec<Point> {
+    let mut grid = Vec::new();
+    for &seed in seeds {
+        for (shape, rates) in [Shape::Bursty, Shape::Disagg].into_iter().zip(rates) {
+            for &rate in rates {
+                for &policy in policies {
+                    let name = format!(
+                        "router_compare/seed={seed}/{}/rate={rate}/policy={}",
+                        shape.name(),
+                        policy.name()
+                    );
+                    let fleet = shape.fleet(policy, rate);
+                    let spec = fleet_scenario(name, engine_spec(seed), fleet, rounds);
+                    grid.push(((seed, shape, policy, rate), spec));
+                }
+            }
         }
     }
+    grid
 }
 
-/// Runs one sweep point: a fleet of `shape` seeded with `seed` and
-/// dispatched by `policy` at `rate`, returning the summary plus the
-/// replica count used.
-fn run_point(
-    platforms: &Platforms,
-    seed: u64,
-    shape: Shape,
-    policy: RouterPolicy,
-    rate: f64,
-    rounds: usize,
-) -> (usize, FleetSummary) {
-    let Platforms {
-        wsc,
-        plan,
-        dgx,
-        dgx_layout,
-    } = platforms;
-    let mut fleet = match shape {
-        Shape::Bursty => {
-            // Odd replicas price iterations through the flow-level DES,
-            // so replica speeds genuinely differ — invisible to snapshot
-            // policies, learnable through latency feedback. Four replicas
-            // with k=2 races give speculative dispatch real queue
-            // diversity to hedge across.
-            let config = FleetSpec::new(4, policy, rate)
-                .with_backend_overrides(vec![
-                    CongestionBackend::Analytic,
-                    CongestionBackend::FlowSimCached,
-                ])
-                .fleet_config(engine_template(seed));
-            Fleet::new(&wsc.topo, &wsc.table, plan, config)
-        }
-        Shape::Disagg => {
-            let config = FleetSpec::new(4, policy, rate)
-                .with_roles(vec![
-                    ReplicaRole::Prefill,
-                    ReplicaRole::Prefill,
-                    ReplicaRole::Decode,
-                    ReplicaRole::Decode,
-                ])
-                .fleet_config(engine_template(seed));
-            let prefill = PlatformRefs {
-                topo: &wsc.topo,
-                table: &wsc.table,
-                layout: plan,
-            };
-            let decode = PlatformRefs {
-                topo: &dgx.topo,
-                table: &dgx.table,
-                layout: dgx_layout,
-            };
-            Fleet::try_new_disaggregated(prefill, Some(decode), config)
-                .expect("valid disaggregated shape")
-        }
+/// The `--quick` or full grid over [`SEEDS`]: `(rounds, points)`.
+pub(super) fn sweep_grid(quick: bool) -> (usize, Vec<Point>) {
+    let rounds = if quick { 400 } else { 1200 };
+    let bursty_rates: Vec<f64> = if quick {
+        vec![6.0e4]
+    } else {
+        vec![6.0e4, 1.5e5]
     };
-    fleet.run(rounds);
-    let replicas = fleet.engines().len();
-    (replicas, fleet.summary())
+    let disagg_rates: Vec<f64> = vec![1.2e5];
+    let grid = grid(
+        &SEEDS,
+        [&bursty_rates, &disagg_rates],
+        &RouterPolicy::extended(),
+        rounds,
+    );
+    (rounds, grid)
 }
 
-fn point_json(
-    seed: u64,
-    shape: Shape,
-    policy: RouterPolicy,
-    rate: f64,
-    replicas: usize,
-    s: &FleetSummary,
-) -> Value {
+fn point_json(seed: u64, shape: Shape, policy: RouterPolicy, rate: f64, s: &FleetSummary) -> Value {
     let agg = &s.aggregate;
-    Value::Obj(vec![
+    let mut fields = vec![
         ("seed".into(), Value::Num(seed as f64)),
         ("workload".into(), Value::Str(shape.name().into())),
         ("policy".into(), Value::Str(policy.name())),
-        ("replicas".into(), Value::Num(replicas as f64)),
+        ("replicas".into(), Value::Num(s.replicas as f64)),
         ("arrival_rate".into(), Value::Num(rate)),
-        ("ttft_p50".into(), Value::Num(agg.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(agg.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(agg.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(agg.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(agg.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(agg.tpot_p99)),
-        ("e2e_p50".into(), Value::Num(agg.e2e_p50)),
-        ("e2e_p99".into(), Value::Num(agg.e2e_p99)),
-        ("goodput_rps".into(), Value::Num(agg.goodput_rps)),
-        (
-            "goodput_tokens_per_s".into(),
-            Value::Num(agg.goodput_tokens_per_s),
-        ),
+    ];
+    fields.extend(manifest::slo_fields(agg));
+    fields.extend([
         ("completed".into(), Value::Num(agg.completed as f64)),
         (
             "admission_rejects".into(),
@@ -276,44 +239,28 @@ fn point_json(
             Value::Num(s.completion_imbalance),
         ),
         ("sim_seconds".into(), Value::Num(s.sim_seconds)),
-    ])
+    ]);
+    Value::Obj(fields)
 }
 
-/// Builds the sweep manifest over explicit axes (`rates` holds the arrival
-/// rates of the bursty and of the disaggregated shape) on a
+/// Builds the sweep manifest over `grid` (run for `seeds`) on a
 /// `threads`-wide worker pool. Results merge by grid index, so the
 /// manifest is byte-identical for every thread count.
 fn sweep_manifest(
     quick: bool,
     seeds: &[u64],
-    rates: [&[f64]; 2],
-    policies: &[RouterPolicy],
     rounds: usize,
+    grid: Vec<Point>,
     threads: usize,
     report: &mut Report,
 ) -> Value {
-    let platforms = Platforms::build();
-    let mut grid: Vec<(u64, Shape, RouterPolicy, f64)> = Vec::new();
-    for &seed in seeds {
-        for (shape, rates) in [Shape::Bursty, Shape::Disagg].into_iter().zip(rates) {
-            for &rate in rates {
-                for &policy in policies {
-                    grid.push((seed, shape, policy, rate));
-                }
-            }
-        }
-    }
-    let pool = crate::perf::pool::WorkerPool::new(threads);
-    let jobs: Vec<_> = grid
-        .iter()
-        .map(|&(seed, shape, policy, rate)| {
-            let platforms = &platforms;
-            move || run_point(platforms, seed, shape, policy, rate, rounds)
-        })
-        .collect();
-    let summaries = pool.run(jobs);
+    let (keys, specs): (Vec<_>, Vec<_>) = grid.into_iter().unzip();
+    let outcomes = crate::scenario_run::run_points(&specs, threads).expect("valid sweep point");
     let mut points: Vec<Value> = Vec::new();
-    for (&(seed, shape, policy, rate), (replicas, s)) in grid.iter().zip(&summaries) {
+    for ((seed, shape, policy, rate), outcome) in keys.into_iter().zip(&outcomes) {
+        let s = outcome
+            .as_fleet()
+            .expect("router_compare points are fleets");
         let agg = &s.aggregate;
         report.row([
             format!("{seed}"),
@@ -328,7 +275,7 @@ fn sweep_manifest(
             format!("{}", s.speculative.cancelled_copies),
             format!("{}", s.router_discarded[0] + s.router_discarded[1]),
         ]);
-        points.push(point_json(seed, shape, policy, rate, *replicas, s));
+        points.push(point_json(seed, shape, policy, rate, s));
     }
     let mut manifest = vec![
         ("schema".into(), Value::Str(SCHEMA.into())),
@@ -527,14 +474,7 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
 /// workers, writes `target/figs/router_compare.json` (byte-identical for
 /// any thread count), and returns the human-readable report.
 pub fn run_with_threads(quick: bool, threads: usize) -> Report {
-    let rounds = if quick { 400 } else { 1200 };
-    let bursty_rates: Vec<f64> = if quick {
-        vec![6.0e4]
-    } else {
-        vec![6.0e4, 1.5e5]
-    };
-    let disagg_rates: Vec<f64> = vec![1.2e5];
-    let policies = RouterPolicy::extended();
+    let (rounds, grid) = sweep_grid(quick);
     let mut report = Report::new(
         "router_compare",
         "Router policies: snapshot vs feedback vs speculative dispatch",
@@ -552,26 +492,9 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         "Cancelled",
         "Discarded",
     ]);
-    let manifest = sweep_manifest(
-        quick,
-        &SEEDS,
-        [&bursty_rates, &disagg_rates],
-        &policies,
-        rounds,
-        threads,
-        &mut report,
-    );
-    match fs::create_dir_all("target/figs")
-        .and_then(|_| fs::write(MANIFEST_PATH, manifest.pretty()))
-    {
-        Ok(()) => report.note(format!("machine-readable manifest: {MANIFEST_PATH}")),
-        Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
-    }
-    report.note(
-        "deterministic: grid points merge by index, so the manifest is \
-         byte-identical across runs and --threads settings \
-         (schema moentwine/router_compare/v2)",
-    );
+    let manifest = sweep_manifest(quick, &SEEDS, rounds, grid, threads, &mut report);
+    manifest::write(&mut report, MANIFEST_PATH, &manifest);
+    report.note(manifest::merged_by_index_note(SCHEMA));
     report
 }
 
@@ -582,15 +505,8 @@ mod tests {
 
     fn manifest_with(seeds: &[u64], threads: usize) -> Value {
         let mut report = Report::new("router_compare_test", "t");
-        sweep_manifest(
-            true,
-            seeds,
-            [&[6.0e4], &[1.2e5]],
-            &RouterPolicy::extended(),
-            400,
-            threads,
-            &mut report,
-        )
+        let grid = grid(seeds, [&[6.0e4], &[1.2e5]], &RouterPolicy::extended(), 400);
+        sweep_manifest(true, seeds, 400, grid, threads, &mut report)
     }
 
     /// The `--quick` manifest over the full seed set, swept once for every

@@ -11,16 +11,13 @@
 //! Everything is seeded: the same seed reproduces a byte-identical
 //! manifest across runs (pinned by a unit test and the CI smoke step).
 
-use std::fs;
-
-use moe_model::ModelConfig;
 use moe_workload::{Scenario, WorkloadMix};
-use moentwine_core::engine::{InferenceEngine, ServingSummary};
-use moentwine_spec::{BatchSpec, EngineSpec, ModelSpec, ServingSpec};
+use moentwine_core::engine::ServingSummary;
+use moentwine_spec::{BatchSpec, EngineSpec, MappingSpec, PlatformSpec, ScenarioSpec, ServingSpec};
 use wsc_sim::CongestionBackend;
 
+use crate::figs::manifest;
 use crate::json::Value;
-use crate::platforms::Platform;
 use crate::report::fmt_time;
 use crate::Report;
 
@@ -33,13 +30,12 @@ pub const MANIFEST_PATH: &str = "target/figs/serve_sweep.json";
 /// Master seed of the sweep (every engine run derives from it).
 const SEED: u64 = 97;
 
-/// A scaled-down model so the sweep prices hundreds of serving iterations
-/// per point quickly; serving dynamics (admission, chunked prefill,
-/// continuous batching) are model-size independent. Resolved through the
-/// spec layer's preset registry, like every scenario file.
-fn sweep_model() -> ModelConfig {
-    ModelSpec::preset("tiny").resolve().expect("tiny preset")
-}
+/// The pricing backends on the backend axis.
+const BACKENDS: [CongestionBackend; 3] = [
+    CongestionBackend::Analytic,
+    CongestionBackend::FlowSimCached,
+    CongestionBackend::FlowSim,
+];
 
 /// The swept scenario mixes: `(name, gating + request-length blend)`.
 fn mixes() -> Vec<(&'static str, WorkloadMix)> {
@@ -71,49 +67,77 @@ fn mixes() -> Vec<(&'static str, WorkloadMix)> {
     ]
 }
 
-/// Runs one sweep point and returns its serving summary. The engine
-/// config is constructed through the declarative spec layer, so every
-/// point is exactly what a scenario file with these knobs would run.
-fn run_point(
-    platform: &Platform,
-    plan: &moentwine_core::MappingPlan,
-    rate: f64,
-    mix: &WorkloadMix,
-    backend: CongestionBackend,
+/// One grid point: its `(arrival rate, mix name, backend)` key and the
+/// scenario that runs it.
+type Point = ((f64, &'static str, CongestionBackend), ScenarioSpec);
+
+/// The grid over explicit axes, rate slowest and backend fastest. Each
+/// point is a single-engine scenario on a 4×4 wafer with ER mapping at
+/// TP=4 serving the tiny preset — a scaled-down model so the sweep prices
+/// hundreds of serving iterations per point quickly (serving dynamics are
+/// model-size independent) — exactly what a scenario file with these
+/// knobs runs.
+fn grid(
+    rates: &[f64],
+    mixes: &[(&'static str, WorkloadMix)],
+    backends: &[CongestionBackend],
     iterations: usize,
-) -> ServingSummary {
-    let spec = EngineSpec::default()
-        .with_seed(SEED)
-        .with_backend(backend)
-        .with_workload(mix.clone())
-        .with_batch(BatchSpec::Serving(ServingSpec::hybrid(2048, 256, rate)))
-        // A thin KV share (~700k tokens on this platform) so the admission
-        // budget — not just the concurrency cap — shapes the queueing curve.
-        .with_kv_hbm_fraction(1.0e-3);
-    let config = spec.engine_config(sweep_model()).expect("valid sweep spec");
-    let mut engine = InferenceEngine::new(&platform.topo, &platform.table, plan, config);
-    engine.run(iterations);
-    engine.serving_summary()
+) -> Vec<Point> {
+    let mut grid = Vec::new();
+    for &rate in rates {
+        for (mix_name, mix) in mixes {
+            for &backend in backends {
+                let engine = EngineSpec::default()
+                    .with_seed(SEED)
+                    .with_backend(backend)
+                    .with_workload(mix.clone())
+                    .with_batch(BatchSpec::Serving(ServingSpec::hybrid(2048, 256, rate)))
+                    // A thin KV share (~700k tokens on this platform) so the
+                    // admission budget — not just the concurrency cap —
+                    // shapes the queueing curve.
+                    .with_kv_hbm_fraction(1.0e-3);
+                let name = format!(
+                    "serve_sweep/rate={rate}/mix={mix_name}/backend={}",
+                    backend.name()
+                );
+                let spec = ScenarioSpec::new(name, PlatformSpec::wsc(4))
+                    .with_mapping(MappingSpec::er(4))
+                    .with_engine(engine)
+                    .with_iterations(iterations);
+                grid.push(((rate, *mix_name, backend), spec));
+            }
+        }
+    }
+    grid
+}
+
+/// The `--quick` or full grid: `(iterations, points)`.
+///
+/// Decode advances one token per sequence per iteration, so completing
+/// median chat/math outputs (256 / 2048 tokens) needs iteration counts of
+/// the same order. Arrival rates are sized to this platform's measured
+/// capacity (tiny-model iterations price in tens of microseconds;
+/// sustained goodput saturates around ~9k requests per simulated second):
+/// the sweep spans clearly-underloaded through saturated, which is where
+/// the latency-throughput knee lives.
+pub(super) fn sweep_grid(quick: bool) -> (usize, Vec<Point>) {
+    let iterations = if quick { 1000 } else { 4000 };
+    let rates: Vec<f64> = if quick {
+        vec![4.0e3, 16.0e3]
+    } else {
+        vec![2.0e3, 8.0e3, 32.0e3]
+    };
+    (iterations, grid(&rates, &mixes(), &BACKENDS, iterations))
 }
 
 fn point_json(rate: f64, mix_name: &str, backend: CongestionBackend, s: &ServingSummary) -> Value {
-    Value::Obj(vec![
+    let mut fields = vec![
         ("arrival_rate".into(), Value::Num(rate)),
         ("mix".into(), Value::Str(mix_name.into())),
         ("backend".into(), Value::Str(backend.name().into())),
-        ("ttft_p50".into(), Value::Num(s.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(s.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(s.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(s.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(s.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(s.tpot_p99)),
-        ("e2e_p50".into(), Value::Num(s.e2e_p50)),
-        ("e2e_p99".into(), Value::Num(s.e2e_p99)),
-        ("goodput_rps".into(), Value::Num(s.goodput_rps)),
-        (
-            "goodput_tokens_per_s".into(),
-            Value::Num(s.goodput_tokens_per_s),
-        ),
+    ];
+    fields.extend(manifest::slo_fields(s));
+    fields.extend([
         ("completed".into(), Value::Num(s.completed as f64)),
         (
             "admission_rejects".into(),
@@ -121,44 +145,30 @@ fn point_json(rate: f64, mix_name: &str, backend: CongestionBackend, s: &Serving
         ),
         ("mean_queue_depth".into(), Value::Num(s.mean_queue_depth)),
         ("sim_seconds".into(), Value::Num(s.sim_seconds)),
-    ])
+    ]);
+    Value::Obj(fields)
 }
 
-/// Builds the sweep manifest over explicit axes (the unit tests use a
-/// reduced grid; [`run`] uses the full/quick grids). Grid points are
-/// independent engine runs, so they execute on a `threads`-wide
-/// [`WorkerPool`](crate::perf::pool::WorkerPool); results merge in grid
-/// order, so the manifest is byte-identical for every thread count.
+/// Builds the sweep manifest over `grid` (the unit tests use a reduced
+/// grid; [`run_with_threads`] the full/quick one). Grid points are
+/// independent scenario runs, so they execute on a `threads`-wide worker
+/// pool ([`run_points`](crate::scenario_run::run_points)); results merge
+/// in grid order, so the manifest is byte-identical for every thread
+/// count.
 fn sweep_manifest(
     quick: bool,
-    rates: &[f64],
-    mixes: &[(&'static str, WorkloadMix)],
-    backends: &[CongestionBackend],
     iterations: usize,
+    grid: Vec<Point>,
     threads: usize,
     report: &mut Report,
 ) -> Value {
-    let platform = Platform::wsc(4);
-    let plan = crate::platforms::wsc_plan(&platform, 4, crate::platforms::WscMapping::Er);
-    let mut grid: Vec<(f64, &'static str, &WorkloadMix, CongestionBackend)> = Vec::new();
-    for &rate in rates {
-        for (mix_name, mix) in mixes {
-            for &backend in backends {
-                grid.push((rate, mix_name, mix, backend));
-            }
-        }
-    }
-    let pool = crate::perf::pool::WorkerPool::new(threads);
-    let jobs: Vec<_> = grid
-        .iter()
-        .map(|&(rate, _, mix, backend)| {
-            let (platform, plan) = (&platform, &plan);
-            move || run_point(platform, plan, rate, mix, backend, iterations)
-        })
-        .collect();
-    let summaries = pool.run(jobs);
+    let (keys, specs): (Vec<_>, Vec<_>) = grid.into_iter().unzip();
+    let outcomes = crate::scenario_run::run_points(&specs, threads).expect("valid sweep point");
     let mut points: Vec<Value> = Vec::new();
-    for (&(rate, mix_name, _, backend), s) in grid.iter().zip(&summaries) {
+    for ((rate, mix_name, backend), outcome) in keys.into_iter().zip(&outcomes) {
+        let (_, s) = outcome
+            .as_engine()
+            .expect("serve_sweep points are single engines");
         report.row([
             format!("{rate}"),
             mix_name.into(),
@@ -216,25 +226,7 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
 /// writes `target/figs/serve_sweep.json` (byte-identical for any thread
 /// count), and returns the human-readable report.
 pub fn run_with_threads(quick: bool, threads: usize) -> Report {
-    // Decode advances one token per sequence per iteration, so completing
-    // median chat/math outputs (256 / 2048 tokens) needs iteration counts
-    // of the same order. Arrival rates are sized to this platform's
-    // measured capacity (tiny-model iterations price in tens of
-    // microseconds; sustained goodput saturates around ~9k requests per
-    // simulated second): the sweep spans clearly-underloaded through
-    // saturated, which is where the latency-throughput knee lives.
-    let iterations = if quick { 1000 } else { 4000 };
-    let rates: Vec<f64> = if quick {
-        vec![4.0e3, 16.0e3]
-    } else {
-        vec![2.0e3, 8.0e3, 32.0e3]
-    };
-    let mixes = mixes();
-    let backends = [
-        CongestionBackend::Analytic,
-        CongestionBackend::FlowSimCached,
-        CongestionBackend::FlowSim,
-    ];
+    let (iterations, grid) = sweep_grid(quick);
     let mut report = Report::new(
         "serve_sweep",
         "Request-level serving: latency-throughput sweep",
@@ -251,21 +243,8 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         "Completed",
         "Rejects",
     ]);
-    let manifest = sweep_manifest(
-        quick,
-        &rates,
-        &mixes,
-        &backends,
-        iterations,
-        threads,
-        &mut report,
-    );
-    match fs::create_dir_all("target/figs")
-        .and_then(|_| fs::write(MANIFEST_PATH, manifest.pretty()))
-    {
-        Ok(()) => report.note(format!("machine-readable manifest: {MANIFEST_PATH}")),
-        Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
-    }
+    let manifest = sweep_manifest(quick, iterations, grid, threads, &mut report);
+    manifest::write(&mut report, MANIFEST_PATH, &manifest);
     report.note(
         "deterministic: the same seed reproduces a byte-identical manifest \
          (schema moentwine/serve_sweep/v1)",
@@ -279,8 +258,7 @@ mod tests {
 
     fn tiny_manifest_with_threads(threads: usize) -> (Value, Report) {
         let mut report = Report::new("serve_sweep_test", "t");
-        let manifest = sweep_manifest(
-            true,
+        let grid = grid(
             &[50.0e3, 100.0e3],
             &[(
                 "privacy",
@@ -288,9 +266,8 @@ mod tests {
             )],
             &[CongestionBackend::Analytic],
             400,
-            threads,
-            &mut report,
         );
+        let manifest = sweep_manifest(true, 400, grid, threads, &mut report);
         (manifest, report)
     }
 

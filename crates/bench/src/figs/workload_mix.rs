@@ -16,15 +16,14 @@
 //! seeded and grid points merge by index, so the manifest is byte-identical
 //! across runs *and* across `--threads` settings.
 
-use std::fs;
-
 use moe_workload::ClassSpec;
 use moentwine_core::engine::ServingSummary;
 use moentwine_spec::{
-    ArrivalSourceSpec, BatchSpec, EngineSpec, PlatformSpec, ScenarioOutcome, ScenarioSpec,
-    ServingSpec, SweepSpec, WorkloadSpec,
+    ArrivalSourceSpec, BatchSpec, EngineSpec, PlatformSpec, ScenarioSpec, ServingSpec, SweepSpec,
+    WorkloadSpec,
 };
 
+use crate::figs::manifest;
 use crate::json::Value;
 use crate::report::fmt_time;
 use crate::Report;
@@ -73,27 +72,8 @@ fn mix_spec(interactive_weight: f64, batch_weight: f64, rates: &[f64]) -> Scenar
     .with_sweep(SweepSpec::default().with_rates(rates.to_vec()))
 }
 
-fn class_json(c: &moentwine_core::engine::ClassServingSummary) -> Value {
-    Value::Obj(vec![
-        ("class".into(), Value::Str(c.class.name().into())),
-        ("completed".into(), Value::Num(c.completed as f64)),
-        ("rejected".into(), Value::Num(c.rejected as f64)),
-        ("shed".into(), Value::Num(c.shed as f64)),
-        ("ttft_p50".into(), Value::Num(c.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(c.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(c.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(c.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(c.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(c.tpot_p99)),
-        ("ttft_slo".into(), Value::Num(c.ttft_slo)),
-        ("tpot_slo".into(), Value::Num(c.tpot_slo)),
-        ("ttft_attainment".into(), Value::Num(c.ttft_attainment)),
-        ("tpot_attainment".into(), Value::Num(c.tpot_attainment)),
-    ])
-}
-
 fn point_json(mix: (f64, f64), rate: f64, s: &ServingSummary) -> Value {
-    Value::Obj(vec![
+    let mut fields = vec![
         ("interactive_weight".into(), Value::Num(mix.0)),
         ("batch_weight".into(), Value::Num(mix.1)),
         ("arrival_rate".into(), Value::Num(rate)),
@@ -103,64 +83,68 @@ fn point_json(mix: (f64, f64), rate: f64, s: &ServingSummary) -> Value {
             Value::Num(s.admission_rejects as f64),
         ),
         ("shed".into(), Value::Num(s.shed as f64)),
-        ("ttft_p50".into(), Value::Num(s.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(s.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(s.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(s.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(s.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(s.tpot_p99)),
-        ("e2e_p50".into(), Value::Num(s.e2e_p50)),
-        ("e2e_p99".into(), Value::Num(s.e2e_p99)),
-        ("goodput_rps".into(), Value::Num(s.goodput_rps)),
-        (
-            "goodput_tokens_per_s".into(),
-            Value::Num(s.goodput_tokens_per_s),
-        ),
+    ];
+    fields.extend(manifest::slo_fields(s));
+    fields.extend([
         ("mean_queue_depth".into(), Value::Num(s.mean_queue_depth)),
         ("sim_seconds".into(), Value::Num(s.sim_seconds)),
         (
             "classes".into(),
-            Value::Arr(s.classes.iter().map(class_json).collect()),
+            Value::Arr(s.classes.iter().map(manifest::class_json).collect()),
         ),
-    ])
+    ]);
+    Value::Obj(fields)
 }
 
-/// Builds the sweep manifest on a `threads`-wide worker pool. The tenant-mix
-/// axis is a spec per mix; the rate axis expands through [`SweepSpec`].
-/// Results merge by grid index, so the manifest is byte-identical for every
-/// thread count.
-fn sweep_manifest(
-    quick: bool,
-    rates: &[f64],
-    iterations: usize,
-    threads: usize,
-    report: &mut Report,
-) -> Value {
-    let mut grid: Vec<((f64, f64), f64, ScenarioSpec)> = Vec::new();
+/// One grid point: its `(mix, arrival rate)` key and the scenario that
+/// runs it.
+type Point = (((f64, f64), f64), ScenarioSpec);
+
+/// The grid over `rates`, mix slowest: the tenant-mix axis is a spec per
+/// mix; the rate axis expands through [`SweepSpec`].
+fn grid(rates: &[f64], iterations: usize) -> Vec<Point> {
+    let mut grid = Vec::new();
     for &(iw, bw) in &MIXES {
         let points = mix_spec(iw, bw, rates)
             .expand_sweep()
             .expect("mix sweep expands");
-        for (&rate, (_, mut point)) in rates.iter().zip(points) {
-            point.iterations = iterations;
-            grid.push(((iw, bw), rate, point));
+        for (&rate, (_, point)) in rates.iter().zip(points) {
+            grid.push((((iw, bw), rate), point.with_iterations(iterations)));
         }
     }
-    let pool = crate::perf::pool::WorkerPool::new(threads);
-    let jobs: Vec<_> = grid
-        .iter()
-        .map(|(_, _, point)| {
-            move || -> ServingSummary {
-                match point.build().expect("valid mix spec").run().expect("runs") {
-                    ScenarioOutcome::Engine { serving, .. } => *serving,
-                    ScenarioOutcome::Fleet(_) => unreachable!("mix scenarios are fleet-less"),
-                }
-            }
-        })
-        .collect();
-    let summaries = pool.run(jobs);
+    grid
+}
+
+/// The `--quick` or full grid: `(iterations, points)`.
+///
+/// Iterations are sized like the serving sweeps: interactive outputs
+/// complete within a few hundred decode steps. Rates span underload
+/// through the shedding regime.
+pub(super) fn sweep_grid(quick: bool) -> (usize, Vec<Point>) {
+    let iterations = if quick { 400 } else { 1500 };
+    let rates: Vec<f64> = if quick {
+        vec![4.0e3, 12.0e3]
+    } else {
+        vec![2.0e3, 6.0e3, 18.0e3]
+    };
+    (iterations, grid(&rates, iterations))
+}
+
+/// Builds the sweep manifest over `grid` on a `threads`-wide worker pool.
+/// Results merge by grid index, so the manifest is byte-identical for
+/// every thread count.
+fn sweep_manifest(
+    quick: bool,
+    iterations: usize,
+    grid: Vec<Point>,
+    threads: usize,
+    report: &mut Report,
+) -> Value {
+    let (keys, specs): (Vec<_>, Vec<_>) = grid.into_iter().unzip();
+    let outcomes = crate::scenario_run::run_points(&specs, threads).expect("valid mix spec");
     let mut points: Vec<Value> = Vec::new();
-    for ((mix, rate, _), s) in grid.iter().zip(&summaries) {
+    for ((mix, rate), outcome) in keys.into_iter().zip(&outcomes) {
+        let (_, s) = outcome.as_engine().expect("mix scenarios are fleet-less");
         let interactive = s
             .classes
             .first()
@@ -175,7 +159,7 @@ fn sweep_manifest(
             format!("{}", s.admission_rejects),
             format!("{}", s.shed),
         ]);
-        points.push(point_json(*mix, *rate, s));
+        points.push(point_json(mix, rate, s));
     }
     Value::Obj(vec![
         ("schema".into(), Value::Str(SCHEMA.into())),
@@ -249,15 +233,7 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
 /// workers, writes `target/figs/workload_mix.json` (byte-identical for any
 /// thread count), and returns the human-readable report.
 pub fn run_with_threads(quick: bool, threads: usize) -> Report {
-    // Iterations sized like the serving sweeps: interactive outputs
-    // complete within a few hundred decode steps. Rates span underload
-    // through the shedding regime.
-    let iterations = if quick { 400 } else { 1500 };
-    let rates: Vec<f64> = if quick {
-        vec![4.0e3, 12.0e3]
-    } else {
-        vec![2.0e3, 6.0e3, 18.0e3]
-    };
+    let (iterations, grid) = sweep_grid(quick);
     let mut report = Report::new(
         "workload_mix",
         "Multi-tenant SLO attainment: interactive:batch mix x rate sweep",
@@ -272,18 +248,9 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         "Rejects",
         "Shed",
     ]);
-    let manifest = sweep_manifest(quick, &rates, iterations, threads, &mut report);
-    match fs::create_dir_all("target/figs")
-        .and_then(|_| fs::write(MANIFEST_PATH, manifest.pretty()))
-    {
-        Ok(()) => report.note(format!("machine-readable manifest: {MANIFEST_PATH}")),
-        Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
-    }
-    report.note(
-        "deterministic: grid points merge by index, so the manifest is \
-         byte-identical across runs and --threads settings \
-         (schema moentwine/workload_mix/v1)",
-    );
+    let manifest = sweep_manifest(quick, iterations, grid, threads, &mut report);
+    manifest::write(&mut report, MANIFEST_PATH, &manifest);
+    report.note(manifest::merged_by_index_note(SCHEMA));
     report
 }
 
@@ -293,7 +260,7 @@ mod tests {
 
     fn tiny_manifest_with_threads(threads: usize) -> Value {
         let mut report = Report::new("workload_mix_test", "t");
-        sweep_manifest(true, &[12.0e3], 300, threads, &mut report)
+        sweep_manifest(true, 300, grid(&[12.0e3], 300), threads, &mut report)
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 
 use moentwine_spec::{ConfigError, ScenarioOutcome, ScenarioSpec};
 
+use crate::figs::manifest;
 use crate::json::Value;
 use crate::report::fmt_time;
 use crate::Report;
@@ -30,10 +31,11 @@ pub const MANIFEST_DIR: &str = "target/figs/scenario";
 /// percentiles.
 pub const QUICK_ITERATIONS: usize = 250;
 
-/// Flattens one scenario point's outcome into manifest fields.
-fn outcome_json(label: &str, spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> Value {
+/// Flattens one scenario point's outcome into manifest fields; an
+/// expanded point is labelled by its name.
+fn outcome_json(spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> Value {
     let mut fields: Vec<(String, Value)> = vec![
-        ("label".into(), Value::Str(label.into())),
+        ("label".into(), Value::Str(spec.name.clone())),
         (
             "kind".into(),
             Value::Str(
@@ -79,29 +81,7 @@ fn outcome_json(label: &str, spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> 
             fields.push(("shed".to_string(), Value::Num(s.shed as f64)));
             fields.push((
                 "classes".to_string(),
-                Value::Arr(
-                    s.classes
-                        .iter()
-                        .map(|c| {
-                            Value::Obj(vec![
-                                ("class".into(), Value::Str(c.class.name().into())),
-                                ("completed".into(), Value::Num(c.completed as f64)),
-                                ("rejected".into(), Value::Num(c.rejected as f64)),
-                                ("shed".into(), Value::Num(c.shed as f64)),
-                                ("ttft_p50".into(), Value::Num(c.ttft_p50)),
-                                ("ttft_p95".into(), Value::Num(c.ttft_p95)),
-                                ("ttft_p99".into(), Value::Num(c.ttft_p99)),
-                                ("tpot_p50".into(), Value::Num(c.tpot_p50)),
-                                ("tpot_p95".into(), Value::Num(c.tpot_p95)),
-                                ("tpot_p99".into(), Value::Num(c.tpot_p99)),
-                                ("ttft_slo".into(), Value::Num(c.ttft_slo)),
-                                ("tpot_slo".into(), Value::Num(c.tpot_slo)),
-                                ("ttft_attainment".into(), Value::Num(c.ttft_attainment)),
-                                ("tpot_attainment".into(), Value::Num(c.tpot_attainment)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Value::Arr(s.classes.iter().map(manifest::class_json).collect()),
             ));
         }
         fields
@@ -246,27 +226,22 @@ pub fn run_manifest(
     quick: bool,
     threads: usize,
 ) -> Result<Value, ConfigError> {
-    let mut points = spec.expand_sweep()?;
+    let mut points: Vec<ScenarioSpec> = spec
+        .expand_sweep()?
+        .into_iter()
+        .map(|(_, point)| point)
+        .collect();
     if quick {
-        for (_, point) in &mut points {
+        for point in &mut points {
             point.iterations = point.iterations.min(QUICK_ITERATIONS);
         }
     }
-    let pool = crate::perf::pool::WorkerPool::new(threads);
-    let jobs: Vec<_> = points
+    let outcomes = run_points(&points, threads)?;
+    let point_values = points
         .iter()
-        .map(|(label, point)| {
-            move || -> Result<Value, ConfigError> {
-                let outcome = point.build()?.run()?;
-                Ok(outcome_json(label, point, &outcome))
-            }
-        })
+        .zip(&outcomes)
+        .map(|(point, outcome)| outcome_json(point, outcome))
         .collect();
-    let results = pool.run(jobs);
-    let mut point_values = Vec::with_capacity(results.len());
-    for result in results {
-        point_values.push(result?);
-    }
     Ok(Value::Obj(vec![
         ("schema".into(), Value::Str(RUN_SCHEMA.into())),
         ("name".into(), Value::Str(spec.name.clone())),
@@ -274,6 +249,27 @@ pub fn run_manifest(
         ("spec".into(), spec.to_json()),
         ("points".into(), Value::Arr(point_values)),
     ]))
+}
+
+/// Builds and runs every point on a `threads`-wide
+/// [`WorkerPool`](crate::perf::pool::WorkerPool). Points are independent
+/// seeded runs and outcomes come back in input order, so what a caller
+/// derives from them is byte-identical for every thread count.
+///
+/// # Errors
+///
+/// Returns the first [`ConfigError`], in input order, found while building
+/// or running a point.
+pub fn run_points(
+    points: &[ScenarioSpec],
+    threads: usize,
+) -> Result<Vec<ScenarioOutcome>, ConfigError> {
+    let pool = crate::perf::pool::WorkerPool::new(threads);
+    let jobs: Vec<_> = points
+        .iter()
+        .map(|point| move || point.build()?.run())
+        .collect();
+    pool.run(jobs).into_iter().collect()
 }
 
 /// Validates a run manifest against the `moentwine/scenario_run/v1`

@@ -253,7 +253,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let mut ctx = RouteCtx {
             snapshots,
-            eligible: None,
+            eligible: &vec![true; snapshots.len()],
             rng: &mut rng,
         };
         policy.route(&req(0), &mut ctx)

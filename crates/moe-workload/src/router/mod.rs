@@ -421,26 +421,15 @@ impl Router {
         self.policy.on_grow(self.replicas);
     }
 
-    /// Picks the replica `request` is dispatched to, given one snapshot per
-    /// replica (in replica order), and records the assignment. Multi-target
-    /// and discard outcomes are resolved to a single replica (primary copy
-    /// / fallback) — this entry point never drops a request, which the
-    /// fleet's crash/drain re-route path relies on; use
-    /// [`Router::route_decision`] for full outcome semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshots.len()` differs from the configured replica
-    /// count.
-    pub fn route(&mut self, request: &Request, snapshots: &[ReplicaSnapshot]) -> usize {
-        self.resolve_unicast(request, snapshots, None)
-    }
-
-    /// Like [`Router::route`], restricted to replicas with `eligible[i]`
-    /// set — fleet membership under elasticity events, where draining,
-    /// failed, and retired replicas must never be routed to. With every
-    /// replica eligible this is byte-identical to [`Router::route`]
-    /// (identical power-of-two RNG stream included).
+    /// Picks the replica `request` is dispatched to among those with
+    /// `eligible[i]` set, given one snapshot per replica (in replica
+    /// order), and records the assignment. The mask is fleet membership
+    /// under elasticity events: draining, failed, and retired replicas
+    /// must never be routed to. Multi-target and discard outcomes are
+    /// resolved to a single replica (primary copy / fallback) — this entry
+    /// point never drops a request, which the fleet's crash/drain re-route
+    /// path relies on; use [`Router::route_decision`] for full outcome
+    /// semantics.
     ///
     /// # Panics
     ///
@@ -452,7 +441,13 @@ impl Router {
         snapshots: &[ReplicaSnapshot],
         eligible: &[bool],
     ) -> usize {
-        self.resolve_unicast(request, snapshots, Some(eligible))
+        let choice = match self.decide(request, snapshots, eligible) {
+            Outcome::Unicast(i) => i,
+            Outcome::Multicast(targets) => targets[0],
+            Outcome::Default | Outcome::Discard => self.fallback(snapshots, eligible),
+        };
+        self.routed[choice] += 1;
+        choice
     }
 
     /// Routes with full [`Outcome`] semantics: unicast and speculative
@@ -469,7 +464,7 @@ impl Router {
         snapshots: &[ReplicaSnapshot],
         eligible: &[bool],
     ) -> Decision {
-        match self.decide(request, snapshots, Some(eligible)) {
+        match self.decide(request, snapshots, eligible) {
             Outcome::Unicast(i) => {
                 self.routed[i] += 1;
                 Decision::Unicast(i)
@@ -485,7 +480,7 @@ impl Router {
                 }
             }
             Outcome::Default => {
-                let i = self.fallback(snapshots, Some(eligible));
+                let i = self.fallback(snapshots, eligible);
                 self.routed[i] += 1;
                 Decision::Unicast(i)
             }
@@ -503,28 +498,29 @@ impl Router {
         &mut self,
         request: &Request,
         snapshots: &[ReplicaSnapshot],
-        eligible: Option<&[bool]>,
+        eligible: &[bool],
     ) -> Outcome {
         assert_eq!(
             snapshots.len(),
             self.replicas,
             "snapshot count must match replica count"
         );
-        if let Some(mask) = eligible {
-            assert_eq!(
-                mask.len(),
-                self.replicas,
-                "eligibility mask must match replica count"
-            );
-            assert!(mask.iter().any(|&e| e), "no eligible replica to route to");
-        }
+        assert_eq!(
+            eligible.len(),
+            self.replicas,
+            "eligibility mask must match replica count"
+        );
+        assert!(
+            eligible.iter().any(|&e| e),
+            "no eligible replica to route to"
+        );
         let mut ctx = RouteCtx {
             snapshots,
             eligible,
             rng: &mut self.rng,
         };
         let outcome = self.policy.route(request, &mut ctx);
-        let ok = |i: usize| i < self.replicas && eligible.is_none_or(|mask| mask[i]);
+        let ok = |i: usize| i < self.replicas && eligible[i];
         match outcome {
             Outcome::Unicast(i) => {
                 assert!(ok(i), "policy routed to ineligible replica {i}");
@@ -546,30 +542,13 @@ impl Router {
         }
     }
 
-    /// Resolves any outcome to one replica: the unicast target, a
-    /// multicast's primary copy, or the fallback for `Default`/`Discard`.
-    fn resolve_unicast(
-        &mut self,
-        request: &Request,
-        snapshots: &[ReplicaSnapshot],
-        eligible: Option<&[bool]>,
-    ) -> usize {
-        let choice = match self.decide(request, snapshots, eligible) {
-            Outcome::Unicast(i) => i,
-            Outcome::Multicast(targets) => targets[0],
-            Outcome::Default | Outcome::Discard => self.fallback(snapshots, eligible),
-        };
-        self.routed[choice] += 1;
-        choice
-    }
-
     /// The fallback discipline behind [`Outcome::Default`]: deterministic
     /// least queue depth over the eligible replicas, ties to the lowest
     /// index.
-    fn fallback(&self, snapshots: &[ReplicaSnapshot], eligible: Option<&[bool]>) -> usize {
+    fn fallback(&self, snapshots: &[ReplicaSnapshot], eligible: &[bool]) -> usize {
         argmin_by_filtered(
             snapshots,
-            |i, _| eligible.is_none_or(|mask| mask[i]),
+            |i, _| eligible[i],
             |_, s| (s.total_load() as u64, s.kv_tokens_in_use),
         )
         .expect("an eligible replica exists")
@@ -593,6 +572,11 @@ mod tests {
         }
     }
 
+    /// Routes over every replica (an all-true eligibility mask).
+    fn route(r: &mut Router, request: &Request, snapshots: &[ReplicaSnapshot]) -> usize {
+        r.route_among(request, snapshots, &vec![true; r.num_replicas()])
+    }
+
     fn snap(queue: usize, active: usize, kv_used: u64, kv_budget: u64) -> ReplicaSnapshot {
         ReplicaSnapshot {
             queue_depth: queue,
@@ -607,7 +591,9 @@ mod tests {
     fn round_robin_cycles() {
         let snaps = vec![snap(9, 9, 0, 100); 3];
         let mut r = Router::new(RouterPolicy::RoundRobin, 3, 0);
-        let picks: Vec<usize> = (0..7).map(|i| r.route(&req(i, 1, 1), &snaps)).collect();
+        let picks: Vec<usize> = (0..7)
+            .map(|i| route(&mut r, &req(i, 1, 1), &snaps))
+            .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
         assert_eq!(r.routed(), &[3, 2, 2]);
     }
@@ -616,12 +602,12 @@ mod tests {
     fn least_queue_depth_joins_shortest() {
         let snaps = vec![snap(5, 2, 0, 100), snap(1, 3, 0, 100), snap(2, 2, 0, 100)];
         let mut r = Router::new(RouterPolicy::LeastQueueDepth, 3, 0);
-        assert_eq!(r.route(&req(0, 1, 1), &snaps), 1);
+        assert_eq!(route(&mut r, &req(0, 1, 1), &snaps), 1);
         // Equal total load breaks on KV occupancy, then the lowest index.
         let kv_tied = vec![snap(2, 2, 7, 100), snap(1, 3, 4, 100), snap(3, 1, 9, 100)];
-        assert_eq!(r.route(&req(1, 1, 1), &kv_tied), 1);
+        assert_eq!(route(&mut r, &req(1, 1, 1), &kv_tied), 1);
         let fully_tied = vec![snap(2, 2, 7, 100); 3];
-        assert_eq!(r.route(&req(2, 1, 1), &fully_tied), 0);
+        assert_eq!(route(&mut r, &req(2, 1, 1), &fully_tied), 0);
     }
 
     #[test]
@@ -632,7 +618,7 @@ mod tests {
             snap(0, 0, 50, 100),
         ];
         let mut r = Router::new(RouterPolicy::LeastKvPressure, 3, 0);
-        assert_eq!(r.route(&req(0, 5, 5), &snaps), 1);
+        assert_eq!(route(&mut r, &req(0, 5, 5), &snaps), 1);
     }
 
     /// The satellite property: `LeastKvPressure` never routes to a replica
@@ -646,13 +632,13 @@ mod tests {
         let big = req(0, 50, 50); // needs 100 KV tokens
         assert!(snaps[0].must_reject(&big));
         assert!(!snaps[1].must_reject(&big));
-        assert_eq!(r.route(&big, &snaps), 1);
+        assert_eq!(route(&mut r, &big, &snaps), 1);
         // A small request goes back to the emptier replica.
-        assert_eq!(r.route(&req(1, 2, 2), &snaps), 0);
+        assert_eq!(route(&mut r, &req(1, 2, 2), &snaps), 0);
         // When every replica must reject, the choice degenerates to the
         // least-pressured one instead of panicking.
         let hopeless = vec![snap(0, 0, 5, 10), snap(0, 0, 2, 10)];
-        assert_eq!(r.route(&big, &hopeless), 1);
+        assert_eq!(route(&mut r, &big, &hopeless), 1);
     }
 
     #[test]
@@ -674,7 +660,7 @@ mod tests {
         let run = |seed: u64| {
             let mut r = Router::new(RouterPolicy::PowerOfTwoChoices, 8, seed);
             (0..100)
-                .map(|i| r.route(&req(i, 1, 1), &snaps))
+                .map(|i| route(&mut r, &req(i, 1, 1), &snaps))
                 .collect::<Vec<usize>>()
         };
         assert_eq!(run(7), run(7), "same seed must reproduce the sequence");
@@ -690,7 +676,7 @@ mod tests {
         let snaps = vec![snap(50, 50, 0, 100), snap(0, 0, 0, 100)];
         let mut r = Router::new(RouterPolicy::PowerOfTwoChoices, 2, 3);
         for i in 0..200 {
-            r.route(&req(i, 1, 1), &snaps);
+            route(&mut r, &req(i, 1, 1), &snaps);
         }
         assert_eq!(r.routed()[0], 0, "overloaded replica must never win a pair");
         assert_eq!(r.routed()[1], 200);
@@ -702,11 +688,11 @@ mod tests {
         assert_eq!(r.routing_imbalance(), 1.0);
         let snaps = vec![snap(0, 0, 0, 100); 2];
         for i in 0..4 {
-            r.route(&req(i, 1, 1), &snaps);
+            route(&mut r, &req(i, 1, 1), &snaps);
         }
         assert_eq!(r.routing_imbalance(), 1.0);
         // Force skew through round-robin with an odd count: 3 vs 2.
-        let _ = r.route(&req(5, 1, 1), &snaps);
+        let _ = route(&mut r, &req(5, 1, 1), &snaps);
         assert!((r.routing_imbalance() - 3.0 / 2.5).abs() < 1e-12);
     }
 
@@ -743,7 +729,7 @@ mod tests {
     #[should_panic(expected = "snapshot count")]
     fn snapshot_count_mismatch_panics() {
         let mut r = Router::new(RouterPolicy::RoundRobin, 3, 0);
-        r.route(&req(0, 1, 1), &[snap(0, 0, 0, 1)]);
+        route(&mut r, &req(0, 1, 1), &[snap(0, 0, 0, 1)]);
     }
 
     /// The tentpole membership property: a masked route never lands on an
@@ -773,38 +759,17 @@ mod tests {
         }
     }
 
-    /// With a full mask, `route_among` is byte-identical to `route` —
-    /// including the power-of-two RNG stream.
-    #[test]
-    fn route_among_full_mask_matches_route() {
-        let n = 5;
-        let snaps: Vec<ReplicaSnapshot> = (0..n)
-            .map(|j| snap(j % 3, (j * 2) % 4, (j as u64) * 11, 100))
-            .collect();
-        for policy in RouterPolicy::all() {
-            let mut plain = Router::new(policy, n, 41);
-            let mut masked = Router::new(policy, n, 41);
-            let eligible = vec![true; n];
-            for i in 0..200u64 {
-                let a = plain.route(&req(i, 1, 1), &snaps);
-                let b = masked.route_among(&req(i, 1, 1), &snaps, &eligible);
-                assert_eq!(a, b, "{policy:?} diverged at request {i}");
-            }
-            assert_eq!(plain.routed(), masked.routed());
-        }
-    }
-
     #[test]
     fn grow_extends_the_routable_range() {
         let mut r = Router::new(RouterPolicy::RoundRobin, 2, 0);
         let snaps2 = vec![snap(0, 0, 0, 100); 2];
-        assert_eq!(r.route(&req(0, 1, 1), &snaps2), 0);
+        assert_eq!(route(&mut r, &req(0, 1, 1), &snaps2), 0);
         r.grow(1);
         assert_eq!(r.num_replicas(), 3);
         let snaps3 = vec![snap(0, 0, 0, 100); 3];
         // Cursor survives growth: 1, 2, 0, ...
-        assert_eq!(r.route(&req(1, 1, 1), &snaps3), 1);
-        assert_eq!(r.route(&req(2, 1, 1), &snaps3), 2);
+        assert_eq!(route(&mut r, &req(1, 1, 1), &snaps3), 1);
+        assert_eq!(route(&mut r, &req(2, 1, 1), &snaps3), 2);
         assert_eq!(r.routed(), &[1, 1, 1]);
     }
 
@@ -819,12 +784,12 @@ mod tests {
             let mut r = Router::new(RouterPolicy::PowerOfTwoChoices, 3, 77);
             let pre = vec![snap(1, 1, 0, 100); 3];
             for i in 0..pre_routes {
-                r.route(&req(i, 1, 1), &pre);
+                route(&mut r, &req(i, 1, 1), &pre);
             }
             r.grow(2);
             let post: Vec<ReplicaSnapshot> = (0..5).map(|j| snap(j, j, 0, 100)).collect();
             (0..50)
-                .map(|i| r.route(&req(1000 + i, 1, 1), &post))
+                .map(|i| route(&mut r, &req(1000 + i, 1, 1), &post))
                 .collect::<Vec<usize>>()
         };
         assert_eq!(
@@ -836,12 +801,12 @@ mod tests {
         let mut other = Router::new(RouterPolicy::PowerOfTwoChoices, 3, 78);
         let pre = vec![snap(1, 1, 0, 100); 3];
         for i in 0..3 {
-            other.route(&req(i, 1, 1), &pre);
+            route(&mut other, &req(i, 1, 1), &pre);
         }
         other.grow(2);
         let post: Vec<ReplicaSnapshot> = (0..5).map(|j| snap(j, j, 0, 100)).collect();
         let picks: Vec<usize> = (0..50)
-            .map(|i| other.route(&req(1000 + i, 1, 1), &post))
+            .map(|i| route(&mut other, &req(1000 + i, 1, 1), &post))
             .collect();
         assert_ne!(picks, run(3), "different seeds should diverge after growth");
     }
@@ -867,13 +832,13 @@ mod tests {
         assert_eq!(r.routed(), &[1, 1, 1]);
     }
 
-    /// The legacy unicast entry points (the fleet's re-route path) resolve
-    /// a multicast to its primary copy and never drop a request.
+    /// The unicast entry point (the fleet's re-route path) resolves a
+    /// multicast to its primary copy and never drops a request.
     #[test]
     fn unicast_resolution_takes_the_primary_copy() {
         let mut r = Router::new(RouterPolicy::Speculative { k: 3 }, 3, 0);
         let snaps = vec![snap(2, 0, 0, 100), snap(0, 0, 0, 100), snap(1, 0, 0, 100)];
-        assert_eq!(r.route(&req(0, 1, 1), &snaps), 1);
+        assert_eq!(route(&mut r, &req(0, 1, 1), &snaps), 1);
         assert_eq!(r.routed(), &[0, 1, 0], "only the primary copy is counted");
     }
 

@@ -70,9 +70,9 @@ impl Outcome {
 pub struct RouteCtx<'a> {
     /// One snapshot per replica, in replica order.
     pub snapshots: &'a [ReplicaSnapshot],
-    /// Elasticity membership: `None` means every replica is eligible;
-    /// draining, failed, and retired replicas are masked out.
-    pub eligible: Option<&'a [bool]>,
+    /// Elasticity membership, one flag per replica: draining, failed,
+    /// and retired replicas are masked out.
+    pub eligible: &'a [bool],
     /// The router's seeded sampling stream. Policies that never draw keep
     /// the stream untouched, so sampling policies stay a pure function of
     /// `(seed, draw count)`.
@@ -87,7 +87,7 @@ impl RouteCtx<'_> {
 
     /// Whether replica `i` may be routed to.
     pub fn is_eligible(&self, i: usize) -> bool {
-        self.eligible.is_none_or(|mask| mask[i])
+        self.eligible[i]
     }
 
     /// Indices of the eligible replicas, ascending.

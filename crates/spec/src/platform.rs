@@ -85,7 +85,7 @@ impl PlatformSpec {
 
     /// Devices the platform would have, computed without building it
     /// (a DGX node holds 8 GPUs).
-    fn num_devices(&self) -> u64 {
+    pub fn num_devices(&self) -> u64 {
         let square = |n: u16| u64::from(n) * u64::from(n);
         match *self {
             PlatformSpec::Wsc { n } => square(n),

@@ -202,7 +202,7 @@ fn least_kv_pressure_respects_reject_sets() {
         };
         assert!(snapshots[0].must_reject(&request));
         assert!(!snapshots[1].must_reject(&request));
-        assert_eq!(router.route(&request, &snapshots), 1);
+        assert_eq!(router.route_among(&request, &snapshots, &[true; 2]), 1);
     }
 }
 
