@@ -3,7 +3,7 @@
 //! Sweeps every registered [`RouterPolicy`] — the four snapshot policies
 //! plus the EWMA feedback policies (`ewma-ttft`, `least-expected-ttft`)
 //! and speculative dispatch (`speculative:k=2`) — under two scenarios
-//! where the open routing subsystem (DESIGN.md §14) should earn its keep:
+//! where the routing subsystem (DESIGN.md §14) should earn its keep:
 //!
 //! * **bursty**: a four-replica colocated fleet with *heterogeneous*
 //!   congestion backends (even replicas analytic, odd replicas
@@ -19,7 +19,7 @@
 //!
 //! Besides the usual [`Report`], the sweep emits a machine-readable
 //! manifest to `target/figs/router_compare.json` (schema
-//! `moentwine/router_compare/v2`). The whole grid runs once for each seed
+//! `moentwine/router_compare/v3`). The whole grid runs once for each seed
 //! of [`SEEDS`], in `--quick` too, and the manifest reports per shape the
 //! median over seeds of the best feedback/speculative policy's p99 TTFT
 //! over the best snapshot policy's (`bursty_median_p99_ratio`,
@@ -73,7 +73,7 @@ use crate::report::fmt_time;
 use crate::Report;
 
 /// Schema identifier embedded in (and required of) the manifest.
-pub const SCHEMA: &str = "moentwine/router_compare/v2";
+pub const SCHEMA: &str = "moentwine/router_compare/v3";
 
 /// Manifest output path, relative to the working directory.
 pub const MANIFEST_PATH: &str = "target/figs/router_compare.json";
@@ -222,10 +222,6 @@ fn point_json(seed: u64, shape: Shape, policy: RouterPolicy, rate: f64, s: &Flee
         ),
         ("shed".into(), Value::Num(agg.shed as f64)),
         (
-            "router_discarded".into(),
-            Value::Num((s.router_discarded[0] + s.router_discarded[1]) as f64),
-        ),
-        (
             "spec_groups_dispatched".into(),
             Value::Num(s.speculative.groups_dispatched as f64),
         ),
@@ -273,7 +269,6 @@ fn sweep_manifest(
             format!("{:.1}", agg.goodput_rps),
             format!("{}", agg.completed),
             format!("{}", s.speculative.cancelled_copies),
-            format!("{}", s.router_discarded[0] + s.router_discarded[1]),
         ]);
         points.push(point_json(seed, shape, policy, rate, s));
     }
@@ -380,7 +375,7 @@ fn headline_ratios(points: &[Value]) -> Result<[f64; 2], String> {
     Ok(medians)
 }
 
-/// Validates a manifest against the `moentwine/router_compare/v2` schema:
+/// Validates a manifest against the `moentwine/router_compare/v3` schema:
 /// schema tag, run parameters (the seed set must be [`SEEDS`]), per-point
 /// fields (every policy spelling must parse back through the registry,
 /// speculative accounting must be present exactly on speculative points),
@@ -426,7 +421,6 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
                 "completed",
                 "admission_rejects",
                 "shed",
-                "router_discarded",
                 "sim_seconds",
             ],
         )?;
@@ -490,7 +484,6 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         "Goodput (req/s)",
         "Completed",
         "Cancelled",
-        "Discarded",
     ]);
     let manifest = sweep_manifest(quick, &SEEDS, rounds, grid, threads, &mut report);
     manifest::write(&mut report, MANIFEST_PATH, &manifest);

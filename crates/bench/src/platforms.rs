@@ -51,11 +51,6 @@ impl Platform {
     pub fn nvl72() -> Self {
         Self::from_spec(&PlatformSpec::Nvl72)
     }
-
-    /// Flat supernode of `k` devices.
-    pub fn flat(k: u16) -> Self {
-        Self::from_spec(&PlatformSpec::Flat { devices: k })
-    }
 }
 
 /// Which WSC mapping to construct.

@@ -125,6 +125,9 @@ pub enum ConfigError {
         /// Position of the offending event in the timeline.
         index: usize,
     },
+    /// A [`RouterPolicy::Speculative`](moe_workload::RouterPolicy::Speculative)
+    /// fleet must dispatch at least one copy per request (`k` ≥ 1).
+    SpeculativeFanOutZero,
     /// A fleet role list must either be empty (all replicas colocated) or
     /// name a role for every initial replica.
     FleetRolesLengthMismatch {
@@ -278,6 +281,9 @@ impl std::fmt::Display for ConfigError {
                     "fleet event {index}: leaves no active replica to route to"
                 )
             }
+            ConfigError::SpeculativeFanOutZero => {
+                write!(f, "fleet policy: speculative dispatch needs k ≥ 1 copies")
+            }
             ConfigError::FleetRolesLengthMismatch { roles, replicas } => {
                 write!(
                     f,
@@ -422,6 +428,10 @@ mod tests {
         assert!(ConfigError::FleetEventLeavesNoReplicas { index: 3 }
             .to_string()
             .contains("no active replica"));
+        assert_eq!(
+            ConfigError::SpeculativeFanOutZero.to_string(),
+            "fleet policy: speculative dispatch needs k ≥ 1 copies"
+        );
         assert_eq!(
             ConfigError::FleetRolesLengthMismatch {
                 roles: 3,

@@ -275,7 +275,7 @@ pub const MAX_REPLICAS: usize = 4096;
 /// Checks that `replicas` plus every scale-up in `events` stays within
 /// [`MAX_REPLICAS`]. Allocates nothing, so callers run it before sizing any
 /// per-replica state; [`validate_fleet_events`],
-/// [`validate_fleet_events_for_roles`] and [`Fleet::try_new`] all do.
+/// [`validate_fleet_events_for_roles`] and [`validate_fleet_shape`] all do.
 ///
 /// # Errors
 ///
@@ -294,6 +294,59 @@ pub fn validate_replica_count(replicas: usize, events: &[FleetEvent]) -> Result<
     Ok(())
 }
 
+/// Validates a fleet's shape: the replica ceiling (first, before anything
+/// is sized by the count), the router policy, the role list, and the
+/// elasticity timeline under the resolved roles. `decode_platform` says
+/// whether a separate decode-tier platform is configured. Shared by
+/// [`Fleet::try_new_disaggregated`] and the `moentwine-spec` fleet spec,
+/// so a bad shape fails with the same typed [`ConfigError`] at parse,
+/// build, and construction time. Returns the per-replica roles, an empty
+/// `roles` resolved to every replica [`ReplicaRole::Colocated`].
+///
+/// # Errors
+///
+/// The first violated of, in this order:
+/// [`ConfigError::TooManyReplicas`],
+/// [`ConfigError::SpeculativeFanOutZero`],
+/// [`ConfigError::FleetRolesLengthMismatch`],
+/// [`ConfigError::FleetNoPrefillCapacity`],
+/// [`ConfigError::FleetNoDecodeCapacity`],
+/// [`ConfigError::FleetDecodePlatformUnused`], and the timeline errors of
+/// [`validate_fleet_events_for_roles`].
+pub fn validate_fleet_shape(
+    replicas: usize,
+    policy: RouterPolicy,
+    roles: &[ReplicaRole],
+    events: &[FleetEvent],
+    decode_platform: bool,
+) -> Result<Vec<ReplicaRole>, ConfigError> {
+    validate_replica_count(replicas, events)?;
+    if policy == (RouterPolicy::Speculative { k: 0 }) {
+        return Err(ConfigError::SpeculativeFanOutZero);
+    }
+    if !roles.is_empty() && roles.len() != replicas {
+        return Err(ConfigError::FleetRolesLengthMismatch {
+            roles: roles.len(),
+            replicas,
+        });
+    }
+    let mut resolved = roles.to_vec();
+    resolved.resize(replicas, ReplicaRole::Colocated);
+    if resolved.iter().any(|&r| r != ReplicaRole::Colocated) {
+        if !resolved.iter().any(|r| r.prefill_capable()) {
+            return Err(ConfigError::FleetNoPrefillCapacity);
+        }
+        if !resolved.iter().any(|r| r.decode_capable()) {
+            return Err(ConfigError::FleetNoDecodeCapacity);
+        }
+    }
+    if decode_platform && !resolved.contains(&ReplicaRole::Decode) {
+        return Err(ConfigError::FleetDecodePlatformUnused);
+    }
+    validate_fleet_events_for_roles(&resolved, events)?;
+    Ok(resolved)
+}
+
 /// Validates a fleet event timeline against an initial replica count by
 /// simulating the projected lifecycle states: times must be finite,
 /// non-negative, and sorted; replica indices must be in range at their
@@ -302,9 +355,10 @@ pub fn validate_replica_count(replicas: usize, events: &[FleetEvent]) -> Result<
 /// at least one replica must remain active after every event, so the
 /// router always has somewhere to send arrivals.
 ///
-/// Shared by [`Fleet::try_new`], the `moentwine-spec` scenario builder,
-/// and the spec codec, so a bad timeline fails with the same typed
-/// [`ConfigError`] wherever it enters the stack.
+/// [`validate_fleet_shape`] runs the same projection (role-aware) for
+/// [`Fleet::try_new`], the `moentwine-spec` scenario builder, and the spec
+/// codec, so a bad timeline fails with the same typed [`ConfigError`]
+/// wherever it enters the stack.
 ///
 /// # Errors
 ///
@@ -576,9 +630,9 @@ pub struct FleetHandoff {
 }
 
 /// The speculative-dispatch section of a [`FleetSummary`]: multi-copy
-/// groups dispatched by a [`Outcome::Multicast`](moe_workload::Outcome)
-/// policy, loser copies cancelled once the group produced its first token,
-/// and groups still racing at the clock. All zeros for unicast policies.
+/// groups dispatched by [`RouterPolicy::Speculative`], loser copies
+/// cancelled once the group produced its first token, and groups still
+/// racing at the clock. All zeros for unicast policies.
 /// Cancelled copies are accounted here, *separately* from the
 /// crash-interruption counters in [`FleetAvailability`] — a cancellation
 /// is the router reclaiming a redundant copy, not a failure.
@@ -722,14 +776,6 @@ pub struct FleetSummary {
     pub handoff: FleetHandoff,
     /// Speculative-dispatch accounting (all zeros for unicast policies).
     pub speculative: FleetSpeculative,
-    /// Requests shed at the router by an
-    /// [`Outcome::Discard`](moe_workload::Outcome::Discard) policy
-    /// outcome, per
-    /// [`RequestClass::index`](moe_workload::RequestClass) — these never
-    /// reached a replica queue. Also folded into the aggregate per-class
-    /// shed counts, unifying front-end load shedding with the queues'
-    /// deadline sheds.
-    pub router_discarded: [u64; 2],
 }
 
 /// Failure/elasticity bookkeeping of a [`Fleet`] (see
@@ -987,13 +1033,13 @@ impl<'a> Fleet<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::ReplicasZero`] for an empty fleet,
-    /// [`ConfigError::TooManyReplicas`] for one past [`MAX_REPLICAS`]
-    /// (checked before any per-replica allocation),
+    /// Returns [`ConfigError::ReplicasZero`] for an empty fleet, then
+    /// whatever [`validate_fleet_shape`] rejects (the replica ceiling
+    /// first, before any per-replica allocation; a zero speculative
+    /// fan-out; the timeline), whatever [`EngineConfig::validate`] rejects
+    /// about the replica template, and
     /// [`ConfigError::FleetNeedsServingBatch`] for a [`BatchMode::Fixed`]
-    /// template, whatever
-    /// [`EngineConfig::validate`] rejects about the replica template, or
-    /// whatever [`validate_fleet_events`] rejects about the timeline.
+    /// template.
     pub fn try_new(
         topo: &'a Topology,
         table: &'a RouteTable,
@@ -1020,13 +1066,8 @@ impl<'a> Fleet<'a> {
     ///
     /// # Errors
     ///
-    /// Everything [`Fleet::try_new`] reports, plus
-    /// [`ConfigError::FleetRolesLengthMismatch`] /
-    /// [`ConfigError::FleetNoPrefillCapacity`] /
-    /// [`ConfigError::FleetNoDecodeCapacity`] /
-    /// [`ConfigError::FleetDecodePlatformUnused`] for inconsistent role
-    /// sets, and the role-aware timeline errors from
-    /// [`validate_fleet_events_for_roles`].
+    /// Everything [`Fleet::try_new`] reports, including the role-set
+    /// errors of [`validate_fleet_shape`].
     pub fn try_new_disaggregated(
         prefill: PlatformRefs<'a>,
         decode_platform: Option<PlatformRefs<'a>>,
@@ -1040,29 +1081,15 @@ impl<'a> Fleet<'a> {
         if config.replicas == 0 {
             return Err(ConfigError::ReplicasZero);
         }
-        validate_replica_count(config.replicas, &config.events)?;
+        let roles = validate_fleet_shape(
+            config.replicas,
+            config.policy,
+            &config.roles,
+            &config.events,
+            decode_platform.is_some(),
+        )?;
         config.engine.validate()?;
-        if !config.roles.is_empty() && config.roles.len() != config.replicas {
-            return Err(ConfigError::FleetRolesLengthMismatch {
-                roles: config.roles.len(),
-                replicas: config.replicas,
-            });
-        }
-        let mut roles = config.roles.clone();
-        roles.resize(config.replicas, ReplicaRole::Colocated);
         let disaggregated = roles.iter().any(|&r| r != ReplicaRole::Colocated);
-        if disaggregated {
-            if !roles.iter().any(|r| r.prefill_capable()) {
-                return Err(ConfigError::FleetNoPrefillCapacity);
-            }
-            if !roles.iter().any(|r| r.decode_capable()) {
-                return Err(ConfigError::FleetNoDecodeCapacity);
-            }
-        }
-        if decode_platform.is_some() && !roles.contains(&ReplicaRole::Decode) {
-            return Err(ConfigError::FleetDecodePlatformUnused);
-        }
-        validate_fleet_events_for_roles(&roles, &config.events)?;
         let (mode, max_batch_tokens, max_active) = match config.engine.batch {
             BatchMode::Scheduled {
                 mode,
@@ -1520,8 +1547,8 @@ impl<'a> Fleet<'a> {
 
     /// Routes one fresh arrival over the arrival mask, opens a speculative
     /// group for a multicast decision, and offers a copy to each target.
-    /// Returns the targets: none when the router sheds the request at the
-    /// front end (it counts the shed per class).
+    /// Returns the targets (none only for a [`Decision::Shed`], which no
+    /// router policy produces).
     fn dispatch_arrival(&mut self, request: Request) -> Vec<usize> {
         self.check_view();
         let view = &self.view;
@@ -1953,15 +1980,6 @@ impl<'a> Fleet<'a> {
                 rejected_by_class[c] += rejected[c];
             }
         }
-        // Router-level load shedding ([`Outcome::Discard`]) unifies with
-        // the queues' deadline sheds in the per-class attainment report:
-        // a request turned away at the front end missed its SLO exactly
-        // like one shed at a replica barrier. Zero for non-shedding
-        // policies, keeping their aggregates byte-identical.
-        let router_discarded = self.router.discarded();
-        for c in 0..2 {
-            shed_by_class[c] += router_discarded[c];
-        }
         let classes: &[moe_workload::ClassSpec] = if self.template.workload_profile.is_default() {
             &[]
         } else {
@@ -2039,7 +2057,6 @@ impl<'a> Fleet<'a> {
                 cancelled_copies: self.spec_cancelled,
                 open_groups: self.spec_groups.len() as u64,
             },
-            router_discarded,
         }
     }
 
@@ -2317,6 +2334,16 @@ mod tests {
         let config = FleetConfig::new(2, RouterPolicy::RoundRobin, 1.0e3, template);
         let err = Fleet::try_new(&topo, &table, &plan, config).err();
         assert_eq!(err, Some(ConfigError::LoadEmaOutOfRange { value: 0.0 }));
+
+        // A zero speculative fan-out is a typed error, not a router panic.
+        let config = FleetConfig::new(
+            2,
+            RouterPolicy::Speculative { k: 0 },
+            1.0e3,
+            engine_template(3),
+        );
+        let err = Fleet::try_new(&topo, &table, &plan, config).err();
+        assert_eq!(err, Some(ConfigError::SpeculativeFanOutZero));
     }
 
     /// The replica ceiling is checked before anything is sized by the

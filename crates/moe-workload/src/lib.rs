@@ -58,10 +58,7 @@ pub use profile::{
     DEFAULT_DIURNAL_AMPLITUDE, DEFAULT_DIURNAL_PERIOD_SECS,
 };
 pub use requests::{ArrivalProcess, LengthProfile, Request, RequestGenerator, RequestId};
-pub use router::{
-    max_mean_imbalance, Decision, LatencyFeedback, Outcome, ReplicaSnapshot, RouteCtx, RoutePolicy,
-    Router, RouterPolicy,
-};
+pub use router::{max_mean_imbalance, Decision, ReplicaSnapshot, Router, RouterPolicy};
 pub use scenario::Scenario;
 pub use scheduler::{BatchEntry, BatchScheduler, BatchSpec, SchedulingMode, MAX_ARRIVALS_PER_PULL};
 pub use serving::{

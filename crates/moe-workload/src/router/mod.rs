@@ -3,35 +3,38 @@
 //! A fleet deployment puts N independent serving replicas — each a full
 //! wafer (or multi-wafer pod) running its own continuous-batching engine —
 //! behind one front end that owns the global arrival stream. The [`Router`]
-//! decides, per request, what happens to it: which replica's serving queue
-//! admits it, whether several replicas race speculative copies, or whether
-//! the request is shed at the front end.
+//! decides, per request, which replica's serving queue admits it, or which
+//! replicas race speculative copies of it.
 //!
-//! The subsystem is layered:
+//! [`RouterPolicy`] is the closed, serializable set of dispatch disciplines
+//! that specs, sweeps and goldens name:
 //!
-//! * [`RoutePolicy`] (in [`policy`]) is the open trait: one request plus a
-//!   [`RouteCtx`] in, an [`Outcome`] (`Unicast` / `Multicast` / `Discard` /
-//!   `Default`) out. Custom disciplines plug in via
-//!   [`Router::with_policy`].
-//! * [`RouterPolicy`] is the closed, serializable descriptor used by specs
-//!   and sweeps. The four snapshot policies ([`RouterPolicy::RoundRobin`],
-//!   [`RouterPolicy::LeastQueueDepth`], [`RouterPolicy::LeastKvPressure`],
-//!   [`RouterPolicy::PowerOfTwoChoices`]) are canonical [`RoutePolicy`]
-//!   impls whose dispatch — including the power-of-two sampling stream —
-//!   is byte-identical to the original closed enum. The feedback policies
-//!   ([`RouterPolicy::EwmaLatency`], [`RouterPolicy::LeastExpectedTtft`])
-//!   and speculative dispatch ([`RouterPolicy::Speculative`]) build on the
-//!   trait (see [`feedback`]).
-//! * [`Router`] owns the policy, the seeded sampling stream, per-replica
-//!   routed counts, and per-class discard counts, and normalizes outcomes
-//!   into [`Decision`]s for the fleet.
+//! * four *snapshot* policies score the replicas' queue state observed now
+//!   ([`RouterPolicy::RoundRobin`], [`RouterPolicy::LeastQueueDepth`],
+//!   [`RouterPolicy::LeastKvPressure`], and the seeded
+//!   [`RouterPolicy::PowerOfTwoChoices`]);
+//! * two *feedback* policies close the loop on what actually happened
+//!   ([`RouterPolicy::EwmaLatency`], [`RouterPolicy::LeastExpectedTtft`]),
+//!   learning per-replica latency EWMAs from completion records fed back
+//!   through [`Router::observe_completion`];
+//! * [`RouterPolicy::Speculative`] multicasts each request to the `k`
+//!   least-loaded replicas; the fleet keeps whichever copy produces a token
+//!   first and cancels the rest.
+//!
+//! The [`Router`] holds the policy with its state (the round-robin cursor,
+//! the latency EWMAs), the seeded sampling stream and per-replica routed
+//! counts, and returns [`Decision`]s for the fleet.
 //!
 //! Routing is deterministic: every policy is a pure function of the request
 //! sequence, the observed [`ReplicaSnapshot`]s, the feedback it received,
 //! and (for sampling policies) the seed. Ties always break toward the
 //! lowest replica index, so a fleet run is reproducible byte-for-byte
 //! regardless of how replica stepping is scheduled between synchronization
-//! points.
+//! points. Feedback arrives in a deterministic order (replica order at each
+//! round-driven synchronization point, causal event order under the event
+//! loop), and replicas with no observations yet estimate zero latency, so
+//! new (or newly scaled-up) replicas are explored first, lowest index
+//! first.
 
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -40,16 +43,9 @@ use crate::requests::Request;
 use crate::scheduler::SchedulingMode;
 use crate::serving::RequestRecord;
 
-pub mod feedback;
-pub mod policy;
+mod feedback;
 
-pub use feedback::{
-    EwmaLatencyPolicy, LatencyFeedback, LeastExpectedTtftPolicy, SpeculativePolicy,
-};
-pub use policy::{
-    argmin_by_filtered, LeastKvPressurePolicy, LeastQueueDepthPolicy, Outcome, PowerOfTwoPolicy,
-    RoundRobinPolicy, RouteCtx, RoutePolicy,
-};
+use feedback::LatencyEwma;
 
 /// Max/mean ratio of per-replica load counts — the fleet's balance metric
 /// (1.0 when perfectly balanced or when nothing has been counted yet).
@@ -173,6 +169,15 @@ impl RouterPolicy {
         ]
     }
 
+    /// Whether the policy learns from completion records
+    /// ([`Router::observe_completion`]).
+    fn wants_feedback(self) -> bool {
+        matches!(
+            self,
+            RouterPolicy::EwmaLatency | RouterPolicy::LeastExpectedTtft
+        )
+    }
+
     /// Every canonical policy, snapshot and beyond (speculative at its
     /// default fan-out) — the grid the `router_compare` figure sweeps.
     pub fn extended() -> Vec<RouterPolicy> {
@@ -183,20 +188,6 @@ impl RouterPolicy {
             RouterPolicy::Speculative { k: 2 },
         ]);
         policies
-    }
-
-    /// Builds the canonical [`RoutePolicy`] implementation for a fleet of
-    /// `replicas` replicas.
-    pub fn build(self, replicas: usize) -> Box<dyn RoutePolicy> {
-        match self {
-            RouterPolicy::RoundRobin => Box::new(RoundRobinPolicy::default()),
-            RouterPolicy::LeastQueueDepth => Box::new(LeastQueueDepthPolicy),
-            RouterPolicy::LeastKvPressure => Box::new(LeastKvPressurePolicy),
-            RouterPolicy::PowerOfTwoChoices => Box::new(PowerOfTwoPolicy),
-            RouterPolicy::EwmaLatency => Box::new(EwmaLatencyPolicy::new(replicas)),
-            RouterPolicy::LeastExpectedTtft => Box::new(LeastExpectedTtftPolicy::new(replicas)),
-            RouterPolicy::Speculative { k } => Box::new(SpeculativePolicy::new(k)),
-        }
     }
 }
 
@@ -243,17 +234,18 @@ impl std::fmt::Display for RouterPolicy {
     }
 }
 
-/// A routing decision after the router normalized the policy's
-/// [`Outcome`]: the accounting (routed counts, per-class discards) has
-/// already been applied.
+/// A routing decision, with the router's routed counts already updated.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Decision {
     /// Dispatch to this replica.
     Unicast(usize),
-    /// Dispatch a speculative copy to each listed replica (≥ 2 targets,
-    /// primary first); the fleet cancels the losers at first token.
+    /// Dispatch a speculative copy to each listed replica (≥ 2 distinct
+    /// eligible targets, primary first); the fleet cancels the losers at
+    /// first token.
     Speculative(Vec<usize>),
-    /// Shed at the front end: the request reaches no replica.
+    /// Shed at the front end: the request reaches no replica. No
+    /// [`RouterPolicy`] produces it; it goes with the benchmark revision
+    /// that stops matching on it (ROADMAP item 1).
     Shed,
 }
 
@@ -267,99 +259,98 @@ fn split_seed(master: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Domain separator for the router's sampling stream (kept from the
-/// pre-trait router so existing power-of-two traces stay byte-identical).
+/// Domain separator for the router's sampling stream (kept from the first
+/// router so existing power-of-two traces stay byte-identical).
 const SAMPLING_SALT: u64 = 0x00F1_EE7B_A11A_D000;
 
+/// Index of the minimizing snapshot among those passing `keep` (ties to
+/// the lowest index). Strict `<` keeps the first (lowest-index) minimum on
+/// ties; incomparable keys (NaN pressure) never displace a holder.
+fn argmin_by_filtered<K: PartialOrd>(
+    snapshots: &[ReplicaSnapshot],
+    keep: impl Fn(usize, &ReplicaSnapshot) -> bool,
+    key: impl Fn(usize, &ReplicaSnapshot) -> K,
+) -> Option<usize> {
+    let mut best: Option<(usize, K)> = None;
+    for (i, s) in snapshots.iter().enumerate() {
+        if !keep(i, s) {
+            continue;
+        }
+        let k = key(i, s);
+        let wins = best
+            .as_ref()
+            .is_none_or(|(_, bk)| matches!(k.partial_cmp(bk), Some(std::cmp::Ordering::Less)));
+        if wins {
+            best = Some((i, k));
+        }
+    }
+    best.map(|(i, _)| i)
+}
+
+/// [`argmin_by_filtered`] over the eligible replicas, of which the router
+/// has checked there is at least one.
+fn argmin_eligible<K: PartialOrd>(
+    snapshots: &[ReplicaSnapshot],
+    eligible: &[bool],
+    key: impl Fn(usize, &ReplicaSnapshot) -> K,
+) -> usize {
+    argmin_by_filtered(snapshots, |i, _| eligible[i], key).expect("an eligible replica exists")
+}
+
 /// The front-end dispatcher. See the [module docs](self).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Router {
-    /// The serializable descriptor, when built from one ([`Router::new`]);
-    /// `None` for custom [`Router::with_policy`] routers.
-    descriptor: Option<RouterPolicy>,
-    policy: Box<dyn RoutePolicy>,
+    policy: RouterPolicy,
     replicas: usize,
     /// The seed [`Router::new`] was given, kept for deterministic stream
     /// re-derivation on scale-up.
     seed: u64,
-    /// Seeded sampling stream handed to the policy through [`RouteCtx`].
-    /// Only sampling policies (power-of-two) draw from it, so the others
-    /// stay RNG-free and the stream is a pure function of `(seed, draw
-    /// count)` — and, after a scale-up, of `(seed, first new replica
-    /// index, post-growth draw count)`.
+    /// Seeded sampling stream. Only power-of-two draws from it, so the
+    /// other policies stay RNG-free and the stream is a pure function of
+    /// `(seed, draw count)` — and, after a scale-up, of `(seed, first new
+    /// replica index, post-growth draw count)`.
     rng: rand::rngs::StdRng,
     /// Requests routed to each replica so far (speculative copies each
     /// count once on their replica).
     routed: Vec<u64>,
-    /// Requests shed by [`Outcome::Discard`], per request class — the
-    /// front-end counterpart of the queues' deadline sheds.
-    discarded: [u64; 2],
-}
-
-impl Clone for Router {
-    fn clone(&self) -> Self {
-        Router {
-            descriptor: self.descriptor,
-            policy: self.policy.clone_box(),
-            replicas: self.replicas,
-            seed: self.seed,
-            rng: self.rng.clone(),
-            routed: self.routed.clone(),
-            discarded: self.discarded,
-        }
-    }
+    /// Round-robin: the replica to try first for the next request.
+    cursor: usize,
+    /// The feedback policies' per-replica latency EWMAs (empty for the
+    /// other policies).
+    latency: LatencyEwma,
 }
 
 impl Router {
-    /// Creates a router over `replicas` replicas running the canonical
-    /// implementation of `policy`. `seed` feeds only the sampling stream
+    /// Creates a router over `replicas` replicas dispatching by `policy`.
+    /// `seed` feeds only the sampling stream
     /// ([`RouterPolicy::PowerOfTwoChoices`] draws from it).
     ///
     /// # Panics
     ///
-    /// Panics if `replicas` is zero.
+    /// Panics if `replicas` is zero, or if `policy` is
+    /// [`RouterPolicy::Speculative`] with `k` zero (a fleet reports that as
+    /// `ConfigError::SpeculativeFanOutZero` before building its router).
     pub fn new(policy: RouterPolicy, replicas: usize, seed: u64) -> Self {
-        let built = policy.build(replicas);
-        let mut router = Self::with_policy(built, replicas, seed);
-        router.descriptor = Some(policy);
-        router
-    }
-
-    /// Creates a router running a custom [`RoutePolicy`] implementation —
-    /// the open extension point. The router still owns the sampling
-    /// stream, the routed counts, and the discard accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is zero.
-    pub fn with_policy(policy: Box<dyn RoutePolicy>, replicas: usize, seed: u64) -> Self {
         assert!(replicas > 0, "need at least one replica");
+        assert!(
+            policy != RouterPolicy::Speculative { k: 0 },
+            "speculative dispatch needs at least one copy"
+        );
+        let observed = if policy.wants_feedback() { replicas } else { 0 };
         Router {
-            descriptor: None,
             policy,
             replicas,
             seed,
             rng: rand::rngs::StdRng::seed_from_u64(seed ^ SAMPLING_SALT),
             routed: vec![0; replicas],
-            discarded: [0; 2],
+            cursor: 0,
+            latency: LatencyEwma::new(observed),
         }
     }
 
-    /// The dispatch-policy descriptor.
-    ///
-    /// # Panics
-    ///
-    /// Panics for routers built from a custom [`RoutePolicy`] (use
-    /// [`Router::policy_name`] there).
+    /// The dispatch policy.
     pub fn policy(&self) -> RouterPolicy {
-        self.descriptor
-            .expect("router was built from a custom RoutePolicy; use policy_name()")
-    }
-
-    /// The policy's stable name (defined for every router, including
-    /// custom-policy ones).
-    pub fn policy_name(&self) -> String {
-        self.policy.name()
+        self.policy
     }
 
     /// Number of replicas routed over.
@@ -372,22 +363,15 @@ impl Router {
         &self.routed
     }
 
-    /// Requests shed by [`Outcome::Discard`], indexed by
-    /// [`RequestClass::index`](crate::profile::RequestClass::index).
-    pub fn discarded(&self) -> [u64; 2] {
-        self.discarded
-    }
-
-    /// Feeds one completed request back to the policy. A no-op unless
-    /// [`RoutePolicy::wants_feedback`], keeping the snapshot-policy drive
+    /// Feeds one completed request back to the policy. A no-op unless the
+    /// policy is a feedback one, keeping the snapshot-policy drive
     /// byte-identical to the pre-feedback router. Callers must deliver
     /// records in a deterministic order (the fleet: replica order at each
     /// round-driven synchronization point, causal order under the event
     /// drive).
     pub fn observe_completion(&mut self, replica: usize, record: &RequestRecord) {
         if self.policy.wants_feedback() {
-            self.policy
-                .observe(replica, &LatencyFeedback::from_record(record));
+            self.latency.observe(replica, record);
         }
     }
 
@@ -398,9 +382,9 @@ impl Router {
     }
 
     /// Extends the fleet by `additional` replicas (scale-up): the new
-    /// replicas join the routable range with zero routed counts, and the
-    /// policy's per-replica state extends through [`RoutePolicy::on_grow`].
-    /// The round-robin cursor survives growth.
+    /// replicas join the routable range with zero routed counts and, under
+    /// a feedback policy, unobserved latencies. The round-robin cursor
+    /// survives growth.
     ///
     /// The sampling stream is *re-derived* from `(seed, index of the first
     /// new replica)`: post-scale-up sampling decisions are a pure function
@@ -418,18 +402,18 @@ impl Router {
             self.seed ^ SAMPLING_SALT,
             first_new as u64,
         ));
-        self.policy.on_grow(self.replicas);
+        if self.policy.wants_feedback() {
+            self.latency.grow(self.replicas);
+        }
     }
 
     /// Picks the replica `request` is dispatched to among those with
     /// `eligible[i]` set, given one snapshot per replica (in replica
     /// order), and records the assignment. The mask is fleet membership
     /// under elasticity events: draining, failed, and retired replicas
-    /// must never be routed to. Multi-target and discard outcomes are
-    /// resolved to a single replica (primary copy / fallback) — this entry
-    /// point never drops a request, which the fleet's crash/drain re-route
-    /// path relies on; use [`Router::route_decision`] for full outcome
-    /// semantics.
+    /// must never be routed to. A speculative multicast resolves to its
+    /// primary copy — the fleet's crash/drain re-route path relies on one
+    /// target; use [`Router::route_decision`] for the full fan-out.
     ///
     /// # Panics
     ///
@@ -442,64 +426,48 @@ impl Router {
         eligible: &[bool],
     ) -> usize {
         let choice = match self.decide(request, snapshots, eligible) {
-            Outcome::Unicast(i) => i,
-            Outcome::Multicast(targets) => targets[0],
-            Outcome::Default | Outcome::Discard => self.fallback(snapshots, eligible),
+            Decision::Unicast(i) => i,
+            Decision::Speculative(targets) => targets[0],
+            Decision::Shed => unreachable!("no router policy sheds"),
         };
         self.routed[choice] += 1;
         choice
     }
 
-    /// Routes with full [`Outcome`] semantics: unicast and speculative
-    /// multicast dispatches are accounted per target replica, discards per
-    /// request class. The fleet's arrival path drives this entry point.
+    /// Routes with the full fan-out: unicast and speculative multicast
+    /// dispatches are accounted per target replica. The fleet's arrival
+    /// path drives this entry point.
     ///
     /// # Panics
     ///
-    /// Panics on length mismatches, an empty eligible set, or a policy
-    /// outcome that names no eligible replica.
+    /// Panics on length mismatches or an empty eligible set.
     pub fn route_decision(
         &mut self,
         request: &Request,
         snapshots: &[ReplicaSnapshot],
         eligible: &[bool],
     ) -> Decision {
-        match self.decide(request, snapshots, eligible) {
-            Outcome::Unicast(i) => {
-                self.routed[i] += 1;
-                Decision::Unicast(i)
-            }
-            Outcome::Multicast(targets) => {
-                for &i in &targets {
+        let decision = self.decide(request, snapshots, eligible);
+        match &decision {
+            Decision::Unicast(i) => self.routed[*i] += 1,
+            Decision::Speculative(targets) => {
+                for &i in targets {
                     self.routed[i] += 1;
                 }
-                if targets.len() == 1 {
-                    Decision::Unicast(targets[0])
-                } else {
-                    Decision::Speculative(targets)
-                }
             }
-            Outcome::Default => {
-                let i = self.fallback(snapshots, eligible);
-                self.routed[i] += 1;
-                Decision::Unicast(i)
-            }
-            Outcome::Discard => {
-                self.discarded[request.class.index()] += 1;
-                Decision::Shed
-            }
+            Decision::Shed => {}
         }
+        decision
     }
 
-    /// Validates inputs, runs the policy, and normalizes its outcome:
-    /// multicast target lists are deduplicated (first occurrence wins) and
-    /// restricted to eligible replicas.
+    /// Validates the inputs and runs the policy. Never returns
+    /// [`Decision::Shed`].
     fn decide(
         &mut self,
         request: &Request,
         snapshots: &[ReplicaSnapshot],
         eligible: &[bool],
-    ) -> Outcome {
+    ) -> Decision {
         assert_eq!(
             snapshots.len(),
             self.replicas,
@@ -514,44 +482,99 @@ impl Router {
             eligible.iter().any(|&e| e),
             "no eligible replica to route to"
         );
-        let mut ctx = RouteCtx {
-            snapshots,
-            eligible,
-            rng: &mut self.rng,
-        };
-        let outcome = self.policy.route(request, &mut ctx);
-        let ok = |i: usize| i < self.replicas && eligible[i];
-        match outcome {
-            Outcome::Unicast(i) => {
-                assert!(ok(i), "policy routed to ineligible replica {i}");
-                Outcome::Unicast(i)
+        let n = self.replicas;
+        let choice = match self.policy {
+            RouterPolicy::RoundRobin => {
+                // First eligible replica at or after the cursor (the cursor
+                // itself when nothing is masked).
+                let mut c = self.cursor % n;
+                while !eligible[c] {
+                    c = (c + 1) % n;
+                }
+                self.cursor = (c + 1) % n;
+                c
             }
-            Outcome::Multicast(targets) => {
-                let mut seen = vec![false; self.replicas];
-                let targets: Vec<usize> = targets
-                    .into_iter()
-                    .filter(|&i| ok(i) && !std::mem::replace(&mut seen[i], true))
-                    .collect();
-                assert!(
-                    !targets.is_empty(),
-                    "multicast outcome names no eligible replica"
+            RouterPolicy::LeastQueueDepth => argmin_eligible(snapshots, eligible, |_, s| {
+                (s.total_load() as u64, s.kv_tokens_in_use)
+            }),
+            RouterPolicy::LeastKvPressure => {
+                // Prefer replicas that can eventually admit the request;
+                // only when *every* eligible replica must reject it does
+                // the choice degenerate (the request is lost wherever it
+                // lands).
+                let admitting = argmin_by_filtered(
+                    snapshots,
+                    |i, s| eligible[i] && !s.must_reject(request),
+                    |_, s| (s.kv_pressure_with(request), s.total_load()),
                 );
-                Outcome::Multicast(targets)
+                admitting.unwrap_or_else(|| {
+                    argmin_eligible(snapshots, eligible, |_, s| {
+                        (s.kv_pressure_with(request), s.total_load())
+                    })
+                })
             }
-            other => other,
-        }
-    }
-
-    /// The fallback discipline behind [`Outcome::Default`]: deterministic
-    /// least queue depth over the eligible replicas, ties to the lowest
-    /// index.
-    fn fallback(&self, snapshots: &[ReplicaSnapshot], eligible: &[bool]) -> usize {
-        argmin_by_filtered(
-            snapshots,
-            |i, _| eligible[i],
-            |_, s| (s.total_load() as u64, s.kv_tokens_in_use),
-        )
-        .expect("an eligible replica exists")
+            RouterPolicy::PowerOfTwoChoices => {
+                use rand::Rng;
+                let elig: Vec<usize> = (0..n).filter(|&i| eligible[i]).collect();
+                let m = elig.len();
+                if m == 1 {
+                    elig[0]
+                } else {
+                    // Two distinct seeded samples over the eligible set;
+                    // keep the less loaded (queue join cost, then KV, then
+                    // lower index). Over the full set the draws and the
+                    // choice reduce exactly to the unmasked policy.
+                    let a = self.rng.gen_range(0..m);
+                    let mut b = self.rng.gen_range(0..m - 1);
+                    if b >= a {
+                        b += 1;
+                    }
+                    let (lo, hi) = (elig[a.min(b)], elig[a.max(b)]);
+                    let key = |i: usize| (snapshots[i].total_load(), snapshots[i].kv_tokens_in_use);
+                    if key(hi) < key(lo) {
+                        hi
+                    } else {
+                        lo
+                    }
+                }
+            }
+            RouterPolicy::EwmaLatency => {
+                // Unobserved replicas estimate zero (explore-first); ties
+                // break on current load, then KV, then the lowest index.
+                let latency = &self.latency;
+                argmin_eligible(snapshots, eligible, |i, s| {
+                    (latency.ttft(i), s.total_load() as u64, s.kv_tokens_in_use)
+                })
+            }
+            RouterPolicy::LeastExpectedTtft => {
+                // The TTFT EWMA plus a queueing penalty of `current load ×
+                // TPOT EWMA`: each in-flight request delays the newcomer by
+                // roughly one token-service interval per scheduling pass.
+                let latency = &self.latency;
+                argmin_eligible(snapshots, eligible, |i, s| {
+                    let expected = latency.ttft(i) + s.total_load() as f64 * latency.tpot(i);
+                    (expected, s.total_load() as u64, s.kv_tokens_in_use)
+                })
+            }
+            RouterPolicy::Speculative { k } => {
+                // The k best replicas by the least-queue-depth key, primary
+                // first; fewer when the eligible set is smaller than k.
+                let mut elig: Vec<usize> = (0..n).filter(|&i| eligible[i]).collect();
+                elig.sort_by_key(|&i| {
+                    (snapshots[i].total_load(), snapshots[i].kv_tokens_in_use, i)
+                });
+                elig.truncate(k);
+                debug_assert!(elig
+                    .iter()
+                    .enumerate()
+                    .all(|(j, &i)| eligible[i] && !elig[..j].contains(&i)));
+                if elig.len() > 1 {
+                    return Decision::Speculative(elig);
+                }
+                elig[0]
+            }
+        };
+        Decision::Unicast(choice)
     }
 }
 
@@ -842,73 +865,9 @@ mod tests {
         assert_eq!(r.routed(), &[0, 1, 0], "only the primary copy is counted");
     }
 
-    /// `Discard` outcomes are counted per request class; custom policies
-    /// exercise the open trait plumbing end to end.
     #[test]
-    fn custom_policy_discards_are_counted_per_class() {
-        #[derive(Debug, Clone)]
-        struct ShedBatch;
-        impl RoutePolicy for ShedBatch {
-            fn name(&self) -> String {
-                "shed-batch".into()
-            }
-            fn route(&mut self, request: &Request, _ctx: &mut RouteCtx<'_>) -> Outcome {
-                match request.class {
-                    crate::profile::RequestClass::Batch => Outcome::Discard,
-                    _ => Outcome::Default,
-                }
-            }
-            fn clone_box(&self) -> Box<dyn RoutePolicy> {
-                Box::new(self.clone())
-            }
-        }
-        let mut r = Router::with_policy(Box::new(ShedBatch), 2, 0);
-        assert_eq!(r.policy_name(), "shed-batch");
-        let snaps = vec![snap(3, 0, 0, 100), snap(1, 0, 0, 100)];
-        let interactive = req(0, 1, 1);
-        let batch = Request {
-            class: crate::profile::RequestClass::Batch,
-            ..req(1, 1, 1)
-        };
-        // Interactive defers to the fallback (least queue depth).
-        assert_eq!(
-            r.route_decision(&interactive, &snaps, &[true, true]),
-            Decision::Unicast(1)
-        );
-        assert_eq!(
-            r.route_decision(&batch, &snaps, &[true, true]),
-            Decision::Shed
-        );
-        assert_eq!(r.routed(), &[0, 1]);
-        assert_eq!(
-            r.discarded(),
-            [0, 1],
-            "discards land on the shed class only"
-        );
-    }
-
-    /// Multicast normalization: duplicates collapse (first occurrence
-    /// wins) and ineligible targets are filtered out.
-    #[test]
-    fn multicast_targets_are_deduplicated_and_masked() {
-        #[derive(Debug, Clone)]
-        struct Everywhere;
-        impl RoutePolicy for Everywhere {
-            fn name(&self) -> String {
-                "everywhere".into()
-            }
-            fn route(&mut self, _request: &Request, ctx: &mut RouteCtx<'_>) -> Outcome {
-                let n = ctx.replicas();
-                Outcome::Multicast((0..2 * n).map(|i| i % n).collect())
-            }
-            fn clone_box(&self) -> Box<dyn RoutePolicy> {
-                Box::new(self.clone())
-            }
-        }
-        let mut r = Router::with_policy(Box::new(Everywhere), 3, 0);
-        let snaps = vec![snap(0, 0, 0, 100); 3];
-        let decision = r.route_decision(&req(0, 1, 1), &snaps, &[true, false, true]);
-        assert_eq!(decision, Decision::Speculative(vec![0, 2]));
-        assert_eq!(r.routed(), &[1, 0, 1]);
+    #[should_panic(expected = "at least one copy")]
+    fn zero_speculative_fan_out_panics() {
+        Router::new(RouterPolicy::Speculative { k: 0 }, 2, 0);
     }
 }

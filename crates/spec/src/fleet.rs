@@ -2,9 +2,7 @@
 
 use moe_workload::RouterPolicy;
 use moentwine_core::engine::EngineConfig;
-use moentwine_core::fleet::{
-    validate_fleet_events_for_roles, validate_replica_count, FleetConfig, FleetEvent, ReplicaRole,
-};
+use moentwine_core::fleet::{validate_fleet_shape, FleetConfig, FleetEvent, ReplicaRole};
 use moentwine_core::ConfigError;
 use wsc_sim::CongestionBackend;
 
@@ -90,11 +88,9 @@ impl FleetSpec {
         self
     }
 
-    /// Validates the fleet shape: the replica ceiling, decode-platform/mapping
-    /// pairing, role-list length, prefill/decode capacity, unused decode
-    /// platforms, and the elasticity timeline under the resolved roles —
-    /// the same typed errors
-    /// [`Fleet::try_new_disaggregated`](moentwine_core::fleet::Fleet::try_new_disaggregated)
+    /// Validates the fleet shape: the decode-platform/mapping pairing, then
+    /// [`validate_fleet_shape`] — the same typed errors, in the same order,
+    /// that [`Fleet::try_new_disaggregated`](moentwine_core::fleet::Fleet::try_new_disaggregated)
     /// raises, so bad specs fail at parse/build time instead of at run
     /// time.
     ///
@@ -102,34 +98,20 @@ impl FleetSpec {
     ///
     /// Returns the first [`ConfigError`] violated by the shape.
     pub fn validate_shape(&self) -> Result<(), ConfigError> {
-        // First, before the role list below is sized by `replicas`.
-        validate_replica_count(self.replicas, &self.events)?;
         if self.decode_platform.is_some() != self.decode_mapping.is_some() {
             return Err(ConfigError::spec(
                 "fleet.decode_platform",
                 "decode_platform and decode_mapping must be set together",
             ));
         }
-        if !self.roles.is_empty() && self.roles.len() != self.replicas {
-            return Err(ConfigError::FleetRolesLengthMismatch {
-                roles: self.roles.len(),
-                replicas: self.replicas,
-            });
-        }
-        let mut resolved = self.roles.clone();
-        resolved.resize(self.replicas, ReplicaRole::Colocated);
-        if resolved.iter().any(|r| *r != ReplicaRole::Colocated) {
-            if !resolved.iter().any(|r| r.prefill_capable()) {
-                return Err(ConfigError::FleetNoPrefillCapacity);
-            }
-            if !resolved.iter().any(|r| r.decode_capable()) {
-                return Err(ConfigError::FleetNoDecodeCapacity);
-            }
-        }
-        if self.decode_platform.is_some() && !resolved.contains(&ReplicaRole::Decode) {
-            return Err(ConfigError::FleetDecodePlatformUnused);
-        }
-        validate_fleet_events_for_roles(&resolved, &self.events)
+        validate_fleet_shape(
+            self.replicas,
+            self.policy,
+            &self.roles,
+            &self.events,
+            self.decode_platform.is_some(),
+        )
+        .map(drop)
     }
 
     /// Combines the fleet shape with a replica engine template into the

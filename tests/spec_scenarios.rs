@@ -190,3 +190,24 @@ fn impossible_gating_shape_fails_build_with_typed_error() {
         }
     );
 }
+
+/// A speculative fan-out of zero cannot be spelled in a scenario file (the
+/// codec rejects `"speculative:k=0"`), but a spec built in code can carry
+/// it: `build()` rejects it with the typed error instead of letting the
+/// router panic when the fleet is constructed.
+#[test]
+fn zero_speculative_fan_out_fails_build_with_typed_error() {
+    let engine_spec = EngineSpec::default()
+        .with_batch(BatchSpec::Serving(ServingSpec::hybrid(2048, 128, 0.0)))
+        .with_kv_hbm_fraction(1.0e-3);
+    let spec = ScenarioSpec::new("spec-k0", PlatformSpec::wsc(4))
+        .with_mapping(MappingSpec::er(4))
+        .with_model(ModelSpec::preset("tiny"))
+        .with_engine(engine_spec)
+        .with_fleet(FleetSpec::new(2, RouterPolicy::Speculative { k: 0 }, 6.0e3))
+        .with_iterations(10);
+    assert_eq!(
+        spec.build().unwrap_err(),
+        ConfigError::SpeculativeFanOutZero
+    );
+}
