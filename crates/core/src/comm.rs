@@ -14,7 +14,7 @@ use moe_workload::LayerGating;
 use wsc_collectives::{
     hierarchical_all_reduce, ring_all_gather, ring_all_reduce, ring_reduce_scatter, StaggeredRings,
 };
-use wsc_sim::{AnalyticModel, CongestionModel, FlowSchedule};
+use wsc_sim::{AnalyticModel, CongestionModel, FlowSchedule, RoutedTransfer};
 use wsc_topology::{DeviceId, Location, RouteTable, Topology};
 
 use crate::mapping::{MappingKind, MappingPlan, TokenSource};
@@ -263,8 +263,9 @@ impl A2aEstimate {
 type PairList = Vec<(DeviceId, DeviceId, f64)>;
 
 /// One layer's expansion of a gating outcome, in buffers reused across
-/// layers and steps: [`A2aModel::fill_layer`] overwrites every field, so a
-/// caller that keeps one scratch expands layers without allocating.
+/// layers and steps: [`A2aModel::fill_layer`] and [`A2aModel::price_layer`]
+/// overwrite the fields they use, so a caller that keeps one scratch
+/// expands layers without allocating.
 #[derive(Debug, Default)]
 pub(crate) struct LayerScratch {
     /// `[group * D + device]` dispatch bytes, dedup-capped (pricing only).
@@ -275,10 +276,13 @@ pub(crate) struct LayerScratch {
     pub(crate) device_active: Vec<f64>,
     /// Tokens routed to each expert across all groups.
     pub(crate) expert_totals: Vec<u64>,
-    /// Dispatch transfers (pricing only).
-    pub(crate) dispatch: PairList,
-    /// Combine transfers: the dispatch pairs reversed (pricing only).
-    pub(crate) combine: PairList,
+    /// Dispatch transfers: written by [`A2aModel::fill_layer`] when
+    /// pricing, and by [`A2aModel::price_layer`] on node-aggregated fabrics
+    /// only (a flat fabric prices its precomputed route sets instead).
+    dispatch: PairList,
+    /// Combine transfers: the dispatch pairs reversed, written when
+    /// `dispatch` is.
+    combine: PairList,
     /// Per-node destination buckets of the node-aggregated expansion.
     per_node: Vec<Vec<usize>>,
 }
@@ -287,7 +291,10 @@ pub(crate) struct LayerScratch {
 ///
 /// Construction resolves, for every `(group, destination)` pair, where the
 /// tokens come from; [`A2aModel::estimate`] then expands a gating outcome
-/// into per-link volumes in `O(groups × devices × hops)`.
+/// into per-link volumes in `O(groups × devices × hops)`. On a flat fabric
+/// construction also resolves every non-local `(group, destination,
+/// source)` transfer's dispatch and combine routes once, so the engine
+/// prices a layer straight from its per-(group, destination) volumes.
 pub struct A2aModel<'a> {
     topo: &'a Topology,
     table: &'a RouteTable,
@@ -297,6 +304,14 @@ pub struct A2aModel<'a> {
     /// Per-device node indices when the fabric has a slow inter-node tier
     /// (triggers node-aggregated dispatch/combine).
     nodes: Option<Vec<u16>>,
+    /// Flat fabrics only (empty when `nodes` is set): one transfer per
+    /// non-local `(group, destination, source)`, in the order
+    /// [`A2aModel::fill_layer`] lists them, each carrying its source's
+    /// fraction of volume `[group * D + destination]` from the source to
+    /// the destination.
+    dispatch_routes: Vec<RoutedTransfer<'a>>,
+    /// The same transfers over the reverse routes (destination to source).
+    combine_routes: Vec<RoutedTransfer<'a>>,
 }
 
 impl<'a> A2aModel<'a> {
@@ -310,12 +325,29 @@ impl<'a> A2aModel<'a> {
                 sources.push(layout.token_sources(topo, g, d));
             }
         }
+        let nodes = layout.hierarchical_nodes(topo);
+        let mut dispatch_routes = Vec::new();
+        let mut combine_routes = Vec::new();
+        if nodes.is_none() {
+            for (index, sources) in sources.iter().enumerate() {
+                let dst = DeviceId((index % num_devices) as u32);
+                for source in sources.iter().filter(|s| s.device != dst) {
+                    let (src, fraction) = (source.device, source.fraction);
+                    let there = table.route(src, dst).links();
+                    let back = table.route(dst, src).links();
+                    dispatch_routes.push(RoutedTransfer::new(topo, index, fraction, there));
+                    combine_routes.push(RoutedTransfer::new(topo, index, fraction, back));
+                }
+            }
+        }
         A2aModel {
             topo,
             table,
             sources,
             num_groups,
-            nodes: layout.hierarchical_nodes(topo),
+            nodes,
+            dispatch_routes,
+            combine_routes,
         }
     }
 
@@ -371,10 +403,7 @@ impl<'a> A2aModel<'a> {
     ///
     /// The transfer lists are handed to the backend as `(src, dst, bytes)`
     /// pairs resolved through the shared CSR route table, so every fidelity
-    /// tier prices borrowed routes with no per-call route allocation — and
-    /// the memoizing `flow-sim-cached` tier recognizes the repeated
-    /// layer/iteration dispatch shapes of an engine sweep and replays their
-    /// DES estimates instead of re-simulating.
+    /// tier prices borrowed routes with no per-call route allocation.
     ///
     /// Two hierarchical-fabric refinements mirror the paper's baselines:
     ///
@@ -440,11 +469,51 @@ impl<'a> A2aModel<'a> {
             return;
         };
         let group_bytes_cap = tokens_per_group as f64 * token_bytes;
-        // Per-device dedup cap.
-        for v in &mut scratch.volume {
-            *v = v.min(group_bytes_cap);
-        }
+        cap_volumes(&mut scratch.volume, group_bytes_cap);
         self.transfer_pairs(group_bytes_cap, scratch);
+    }
+
+    /// Prices one layer's dispatch and combine time through `backend`, as
+    /// `(dispatch, combine)`: the `total_time`s of
+    /// [`A2aModel::estimate_with`], bit for bit, with `scratch` holding the
+    /// layer's loads as [`A2aModel::fill_layer`] leaves them.
+    ///
+    /// A flat fabric builds no pair list: the capped per-(group,
+    /// destination) volumes are priced over the precomputed route sets
+    /// ([`CongestionModel::price_routes_time`]), which add the same bytes to
+    /// the same links in the same order as the pair lists would. A
+    /// node-aggregated fabric picks its aggregation points from the loaded
+    /// destinations, so it still builds and prices the pair lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gating group count does not match the layout.
+    pub(crate) fn price_layer(
+        &self,
+        backend: &dyn CongestionModel,
+        gating: &LayerGating,
+        placement: &ExpertPlacement,
+        (token_bytes, tokens_per_group): (f64, u32),
+        scratch: &mut LayerScratch,
+    ) -> (f64, f64) {
+        if self.nodes.is_some() {
+            self.fill_layer(
+                gating,
+                placement,
+                Some((token_bytes, tokens_per_group)),
+                scratch,
+            );
+            return (
+                backend.price_pairs_time(self.table, &scratch.dispatch),
+                backend.price_pairs_time(self.table, &scratch.combine),
+            );
+        }
+        self.expand(gating, placement, Some(token_bytes), scratch);
+        cap_volumes(&mut scratch.volume, tokens_per_group as f64 * token_bytes);
+        (
+            backend.price_routes_time(&self.dispatch_routes, &scratch.volume),
+            backend.price_routes_time(&self.combine_routes, &scratch.volume),
+        )
     }
 
     /// Step 1 of pricing: expands a gating outcome over `placement` into
@@ -607,6 +676,14 @@ impl<'a> A2aModel<'a> {
     }
 }
 
+/// Applies the per-device dedup cap: a group sends a device at most
+/// `group_bytes_cap` bytes however many of its experts the device hosts.
+fn cap_volumes(volume: &mut [f64], group_bytes_cap: f64) {
+    for v in volume {
+        *v = v.min(group_bytes_cap);
+    }
+}
+
 /// Clears `v` and refills it with `len` zeros, keeping its allocation.
 fn reset<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
     v.clear();
@@ -754,6 +831,110 @@ mod tests {
                 des.dispatch.total_time,
                 analytic.dispatch.serialization_time
             );
+        }
+    }
+
+    proptest::proptest! {
+        /// On every fidelity tier, [`A2aModel::price_layer`] prices a layer
+        /// bit-identically to [`CongestionModel::price_pairs_time`] over
+        /// [`A2aModel::fill_layer`]'s pair lists, and leaves the same
+        /// loads; on a flat fabric it builds no pair list. The layouts cover
+        /// single-source tables, `1/TP` source fractions (no all-gather),
+        /// HER's counterpart groups on two wafers and a single-node DGX,
+        /// plus a 2-node DGX on the kept pair path. Placements carry
+        /// replicated experts (share ½) and zero-count experts, and the
+        /// counts often exceed the per-device cap. Each model and backend
+        /// prices several layers through the same scratches, so state left
+        /// over from one layer would show in the next.
+        #[test]
+        fn price_layer_matches_pair_pricing(seed in 0u64..1000) {
+            use rand::{Rng, SeedableRng};
+            use wsc_sim::CongestionBackend;
+            use wsc_topology::MultiWafer;
+            use crate::mapping::HierarchicalErMapping;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA2A);
+            let (topo, layout): (Topology, Box<dyn ParallelLayout>) = match seed % 6 {
+                0..=2 => {
+                    let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+                    let dims = topo.mesh_dims().unwrap();
+                    let plan = match seed % 6 {
+                        0 => ErMapping::new(dims, TpShape::new(2, 2)).unwrap().plan(),
+                        1 => BaselineMapping::new(dims, TpShape::new(2, 2)).unwrap().plan(),
+                        _ => ErMapping::new(dims, TpShape::new(2, 2))
+                            .unwrap()
+                            .plan()
+                            .without_all_gather(),
+                    };
+                    (topo, Box::new(plan))
+                }
+                3 => {
+                    let topo = MultiWafer::grid(2, 1, 4, PlatformParams::dojo_like()).build();
+                    let dims = topo.mesh_dims().unwrap();
+                    let plan = HierarchicalErMapping::new(dims, TpShape::new(2, 2)).unwrap().plan();
+                    (topo, Box::new(plan))
+                }
+                nodes => {
+                    let params = PlatformParams::dgx_b200();
+                    let topo = DgxCluster::new(nodes as u16 - 3, params).build();
+                    let layout = ClusterLayout::new(&topo, 4);
+                    (topo, Box::new(layout))
+                }
+            };
+            let table = RouteTable::build(&topo);
+            let model = A2aModel::new(&topo, &table, layout.as_ref());
+            let flat = layout.hierarchical_nodes(&topo).is_none();
+            let num_devices = topo.num_devices();
+            let num_experts = num_devices * rng.gen_range(1usize..3);
+            let mut placement = ExpertPlacement::balanced(num_experts, num_devices, 2);
+            let (mut routed, mut paired) = (LayerScratch::default(), LayerScratch::default());
+            for backend in CongestionBackend::all() {
+                let backend = backend.build(&topo);
+                for layer in 0..4 {
+                    for _ in 0..rng.gen_range(0usize..3) {
+                        let e = rng.gen_range(0..num_experts);
+                        let d = DeviceId(rng.gen_range(0..num_devices as u32));
+                        let _ = placement.add_replica(e, d);
+                    }
+                    let tokens = rng.gen_range(1u32..16);
+                    let counts = (0..model.num_groups())
+                        .map(|_| {
+                            (0..num_experts)
+                                .map(|_| match rng.gen_range(0u32..3) {
+                                    0 => 0,
+                                    _ => rng.gen_range(0..=tokens),
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let gating = LayerGating { counts };
+                    let pricing = (rng.gen_range(64.0f64..16384.0), tokens);
+                    let (dispatch, combine) = model.price_layer(
+                        backend.as_ref(),
+                        &gating,
+                        &placement,
+                        pricing,
+                        &mut routed,
+                    );
+                    model.fill_layer(&gating, &placement, Some(pricing), &mut paired);
+                    let name = backend.name();
+                    let priced = [(dispatch, &paired.dispatch), (combine, &paired.combine)];
+                    for (time, pairs) in priced {
+                        let expected = backend.price_pairs_time(&table, pairs);
+                        proptest::prop_assert_eq!(
+                            time.to_bits(),
+                            expected.to_bits(),
+                            "{} layer {}: {} vs {}", name, layer, time, expected
+                        );
+                    }
+                    proptest::prop_assert_eq!(&routed.device_tokens, &paired.device_tokens);
+                    proptest::prop_assert_eq!(&routed.device_active, &paired.device_active);
+                    proptest::prop_assert_eq!(&routed.expert_totals, &paired.expert_totals);
+                    if flat {
+                        proptest::prop_assert!(routed.dispatch.is_empty());
+                        proptest::prop_assert!(routed.combine.is_empty());
+                    }
+                }
+            }
         }
     }
 

@@ -362,7 +362,8 @@ pub struct InferenceEngine<'a> {
     /// helper thread, overlapped with the layer loop, when a core is free
     /// (see [`overlap::overlaps`] and [`CoreClaim`]).
     overlap_sampling: bool,
-    /// One layer's loads and transfer lists, reused across layers and
+    /// One layer's loads and capped dispatch volumes, plus its transfer
+    /// lists on node-aggregated fabrics only, reused across layers and
     /// steps.
     scratch: LayerScratch,
     scheduler: Option<BatchScheduler>,
@@ -699,7 +700,6 @@ impl<'a> InferenceEngine<'a> {
         let mut layer_loop = LayerLoop {
             config,
             topo: self.topo,
-            table: self.table,
             a2a: &self.a2a,
             backend: self.backend.as_ref(),
             scratch: &mut self.scratch,
@@ -1029,7 +1029,6 @@ impl<'a> InferenceEngine<'a> {
 struct LayerLoop<'s, 'a> {
     config: &'s EngineConfig,
     topo: &'a Topology,
-    table: &'a RouteTable,
     a2a: &'s A2aModel<'a>,
     backend: &'s (dyn CongestionModel + 'a),
     scratch: &'s mut LayerScratch,
@@ -1069,17 +1068,12 @@ impl LayerLoop<'_, '_> {
         // layers price the all-to-all, and the layers between reuse the last
         // priced `(dispatch, combine)` times. Layer 0 is always a stride layer.
         if l % config.comm_layer_stride == 0 {
-            self.a2a.fill_layer(
+            self.cached_comm = self.a2a.price_layer(
+                self.backend,
                 gating,
                 &self.placements[l],
-                Some((self.token_bytes, self.tokens_per_group)),
+                (self.token_bytes, self.tokens_per_group),
                 self.scratch,
-            );
-            self.cached_comm = (
-                self.backend
-                    .price_pairs_time(self.table, &self.scratch.dispatch),
-                self.backend
-                    .price_pairs_time(self.table, &self.scratch.combine),
             );
         } else {
             self.a2a

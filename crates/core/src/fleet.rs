@@ -274,8 +274,8 @@ pub const MAX_REPLICAS: usize = 4096;
 
 /// Checks that `replicas` plus every scale-up in `events` stays within
 /// [`MAX_REPLICAS`]. Allocates nothing, so callers run it before sizing any
-/// per-replica state; [`validate_fleet_events`],
-/// [`validate_fleet_events_for_roles`] and [`validate_fleet_shape`] all do.
+/// per-replica state; [`validate_fleet_events_for_roles`] and
+/// [`validate_fleet_shape`] both do.
 ///
 /// # Errors
 ///
@@ -347,18 +347,23 @@ pub fn validate_fleet_shape(
     Ok(resolved)
 }
 
-/// Validates a fleet event timeline against an initial replica count by
-/// simulating the projected lifecycle states: times must be finite,
+/// Validates a fleet event timeline against the initial replicas' roles
+/// by simulating the projected lifecycle states: times must be finite,
 /// non-negative, and sorted; replica indices must be in range at their
-/// point in the timeline (scale-ups extend it); transitions must be legal
-/// and meaningful (no draining a drained replica, no zero scale-up); and
-/// at least one replica must remain active after every event, so the
-/// router always has somewhere to send arrivals.
+/// point in the timeline (scale-ups extend it, adding
+/// [`ReplicaRole::Colocated`] replicas); transitions must be legal and
+/// meaningful (no draining a drained replica, no zero scale-up); and at
+/// least one replica must remain active after every event, so the router
+/// always has somewhere to send arrivals. A disaggregated fleet must
+/// additionally keep at least one admitting prefill-capable replica (for
+/// arrivals) and one admitting decode-capable replica (for KV hand-offs);
+/// for an all-colocated role list those role checks are implied by the
+/// generic one.
 ///
-/// [`validate_fleet_shape`] runs the same projection (role-aware) for
-/// [`Fleet::try_new`], the `moentwine-spec` scenario builder, and the spec
-/// codec, so a bad timeline fails with the same typed [`ConfigError`]
-/// wherever it enters the stack.
+/// [`validate_fleet_shape`] runs it for [`Fleet::try_new`], the
+/// `moentwine-spec` scenario builder, and the spec codec, so a bad
+/// timeline fails with the same typed [`ConfigError`] wherever it enters
+/// the stack.
 ///
 /// # Errors
 ///
@@ -367,25 +372,9 @@ pub fn validate_fleet_shape(
 /// [`ConfigError::FleetEventsUnsorted`] /
 /// [`ConfigError::FleetEventReplicaOutOfRange`] /
 /// [`ConfigError::FleetEventNoOp`] /
-/// [`ConfigError::FleetEventLeavesNoReplicas`] variant.
-pub fn validate_fleet_events(replicas: usize, events: &[FleetEvent]) -> Result<(), ConfigError> {
-    validate_replica_count(replicas, events)?;
-    validate_fleet_events_for_roles(&vec![ReplicaRole::Colocated; replicas], events)
-}
-
-/// Role-aware variant of [`validate_fleet_events`]: the same lifecycle
-/// projection, additionally requiring that after every event a
-/// disaggregated fleet keeps at least one admitting prefill-capable
-/// replica (for arrivals) and one admitting decode-capable replica (for
-/// KV hand-offs). Scale-ups add [`ReplicaRole::Colocated`] replicas. For
-/// an all-colocated role list this is exactly [`validate_fleet_events`]
-/// (the role checks are implied by the generic one).
-///
-/// # Errors
-///
-/// Everything [`validate_fleet_events`] reports, plus
+/// [`ConfigError::FleetEventLeavesNoReplicas`] /
 /// [`ConfigError::FleetEventLeavesNoPrefillCapacity`] /
-/// [`ConfigError::FleetEventLeavesNoDecodeCapacity`].
+/// [`ConfigError::FleetEventLeavesNoDecodeCapacity`] variant.
 pub fn validate_fleet_events_for_roles(
     roles: &[ReplicaRole],
     events: &[FleetEvent],
@@ -478,7 +467,7 @@ pub struct FleetConfig {
     /// (so a two-entry list alternates fidelity tiers across the fleet).
     pub backend_overrides: Vec<CongestionBackend>,
     /// Elasticity/failure timeline, sorted by time (empty = the immortal
-    /// fixed fleet). Validated by [`validate_fleet_events`].
+    /// fixed fleet). Validated by [`validate_fleet_events_for_roles`].
     pub events: Vec<FleetEvent>,
     /// Serving role per initial replica: empty means every replica is
     /// [`ReplicaRole::Colocated`] (the byte-compatible default); otherwise
@@ -2395,7 +2384,7 @@ mod tests {
         );
         // Saturating, so a count near usize::MAX cannot wrap under the bar.
         assert_eq!(
-            validate_fleet_events(2, &[scale_up(usize::MAX)]),
+            validate_fleet_events_for_roles(&[ReplicaRole::Colocated; 2], &[scale_up(usize::MAX)]),
             Err(ConfigError::TooManyReplicas {
                 replicas: usize::MAX,
                 max: MAX_REPLICAS,
@@ -2533,33 +2522,37 @@ mod tests {
             time,
             kind: FleetEventKind::ScaleUp { count },
         };
+        let colocated = [ReplicaRole::Colocated; 3];
 
-        assert_eq!(validate_fleet_events(3, &[]), Ok(()));
+        assert_eq!(validate_fleet_events_for_roles(&colocated, &[]), Ok(()));
         assert_eq!(
-            validate_fleet_events(3, &[crash(0.1, 1), recover(0.2, 1), drain(0.2, 0)]),
+            validate_fleet_events_for_roles(
+                &colocated,
+                &[crash(0.1, 1), recover(0.2, 1), drain(0.2, 0)]
+            ),
             Ok(())
         );
         // Unsorted, NaN, infinite, and negative times.
         assert_eq!(
-            validate_fleet_events(3, &[crash(0.2, 1), drain(0.1, 0)]),
+            validate_fleet_events_for_roles(&colocated, &[crash(0.2, 1), drain(0.1, 0)]),
             Err(ConfigError::FleetEventsUnsorted { index: 1 })
         );
         assert_eq!(
-            validate_fleet_events(3, &[crash(f64::NAN, 1)]),
+            validate_fleet_events_for_roles(&colocated, &[crash(f64::NAN, 1)]),
             Err(ConfigError::FleetEventsUnsorted { index: 0 })
         );
         assert_eq!(
-            validate_fleet_events(3, &[crash(f64::INFINITY, 1)]),
+            validate_fleet_events_for_roles(&colocated, &[crash(f64::INFINITY, 1)]),
             Err(ConfigError::FleetEventsUnsorted { index: 0 })
         );
         assert_eq!(
-            validate_fleet_events(3, &[crash(-0.1, 1)]),
+            validate_fleet_events_for_roles(&colocated, &[crash(-0.1, 1)]),
             Err(ConfigError::FleetEventsUnsorted { index: 0 })
         );
         // Replica indices checked against the projected fleet size:
         // a scale-up extends the valid range mid-timeline.
         assert_eq!(
-            validate_fleet_events(2, &[drain(0.1, 2)]),
+            validate_fleet_events_for_roles(&colocated[..2], &[drain(0.1, 2)]),
             Err(ConfigError::FleetEventReplicaOutOfRange {
                 index: 0,
                 replica: 2,
@@ -2567,40 +2560,40 @@ mod tests {
             })
         );
         assert_eq!(
-            validate_fleet_events(2, &[scale(0.1, 1), drain(0.2, 2)]),
+            validate_fleet_events_for_roles(&colocated[..2], &[scale(0.1, 1), drain(0.2, 2)]),
             Ok(())
         );
         // No-op transitions: double-drain, crash after retire-by-drain
         // (projected), recover of a healthy replica, zero scale-up.
         assert_eq!(
-            validate_fleet_events(3, &[drain(0.1, 0), drain(0.2, 0)]),
+            validate_fleet_events_for_roles(&colocated, &[drain(0.1, 0), drain(0.2, 0)]),
             Err(ConfigError::FleetEventNoOp { index: 1 })
         );
         assert_eq!(
-            validate_fleet_events(3, &[recover(0.1, 0)]),
+            validate_fleet_events_for_roles(&colocated, &[recover(0.1, 0)]),
             Err(ConfigError::FleetEventNoOp { index: 0 })
         );
         assert_eq!(
-            validate_fleet_events(3, &[scale(0.1, 0)]),
+            validate_fleet_events_for_roles(&colocated, &[scale(0.1, 0)]),
             Err(ConfigError::FleetEventNoOp { index: 0 })
         );
         assert_eq!(
-            validate_fleet_events(3, &[crash(0.1, 0), crash(0.2, 0)]),
+            validate_fleet_events_for_roles(&colocated, &[crash(0.1, 0), crash(0.2, 0)]),
             Err(ConfigError::FleetEventNoOp { index: 1 })
         );
         // A drained replica may crash before it empties (projected states
         // treat it as still draining).
         assert_eq!(
-            validate_fleet_events(3, &[drain(0.1, 0), crash(0.2, 0)]),
+            validate_fleet_events_for_roles(&colocated, &[drain(0.1, 0), crash(0.2, 0)]),
             Ok(())
         );
         // The last active replica can neither drain nor crash.
         assert_eq!(
-            validate_fleet_events(1, &[drain(0.1, 0)]),
+            validate_fleet_events_for_roles(&colocated[..1], &[drain(0.1, 0)]),
             Err(ConfigError::FleetEventLeavesNoReplicas { index: 0 })
         );
         assert_eq!(
-            validate_fleet_events(2, &[crash(0.1, 0), drain(0.2, 1)]),
+            validate_fleet_events_for_roles(&colocated[..2], &[crash(0.1, 0), drain(0.2, 1)]),
             Err(ConfigError::FleetEventLeavesNoReplicas { index: 1 })
         );
         // try_new surfaces the same error.
@@ -2922,8 +2915,7 @@ mod tests {
             validate_fleet_events_for_roles(&pd, &[scale(0.05, 1), crash(0.1, 0), crash(0.2, 1)]),
             Ok(())
         );
-        // All-colocated role lists report the generic variant, exactly as
-        // `validate_fleet_events` does.
+        // All-colocated role lists report the generic variant.
         assert_eq!(
             validate_fleet_events_for_roles(
                 &[ReplicaRole::Colocated],

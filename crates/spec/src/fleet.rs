@@ -29,8 +29,8 @@ pub struct FleetSpec {
     /// `overrides[i % len]`).
     pub backend_overrides: Vec<CongestionBackend>,
     /// Elasticity/failure timeline, sorted by time (empty = the immortal
-    /// fixed fleet). Validated against `replicas` by
-    /// [`validate_fleet_events`](moentwine_core::fleet::validate_fleet_events)
+    /// fixed fleet). Validated against `replicas` and `roles` by
+    /// [`validate_fleet_events_for_roles`](moentwine_core::fleet::validate_fleet_events_for_roles)
     /// both at parse time and when the fleet is built.
     pub events: Vec<FleetEvent>,
     /// Per-replica roles for disaggregated serving (empty = every replica

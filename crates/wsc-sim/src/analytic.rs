@@ -3,9 +3,9 @@
 use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
-use wsc_topology::{DeviceId, Route, RouteTable, Topology};
+use wsc_topology::{DeviceId, LinkId, Route, RouteTable, Topology};
 
-use crate::flow::FlowSpec;
+use crate::flow::{FlowSpec, RoutedTransfer};
 use crate::schedule::FlowSchedule;
 
 /// Closed-form estimate for a set of concurrent flows.
@@ -83,6 +83,33 @@ pub struct AnalyticModel<'a> {
 struct LinkScratch {
     volume: Vec<f64>,
     touched: Vec<usize>,
+}
+
+impl LinkScratch {
+    /// Adds `bytes` to every link of `links` (`volume` must already
+    /// cover every link).
+    fn add(&mut self, links: &[LinkId], bytes: f64) {
+        for &l in links {
+            let v = &mut self.volume[l.index()];
+            if *v == 0.0 {
+                self.touched.push(l.index());
+            }
+            *v += bytes;
+        }
+    }
+
+    /// The bottleneck serialization time of the volumes added since the
+    /// last call, `max_l volume_l / bandwidth_l`, zeroing them.
+    fn take_serialization_time(&mut self, topo: &Topology) -> f64 {
+        let links = topo.links();
+        let mut serialization_time = 0.0_f64;
+        for &l in &self.touched {
+            serialization_time = serialization_time.max(self.volume[l] / links[l].bandwidth);
+            self.volume[l] = 0.0;
+        }
+        self.touched.clear();
+        serialization_time
+    }
 }
 
 impl<'a> AnalyticModel<'a> {
@@ -173,33 +200,41 @@ impl<'a> AnalyticModel<'a> {
         pairs: &[(DeviceId, DeviceId, f64)],
     ) -> f64 {
         let mut scratch = self.scratch.borrow_mut();
-        let LinkScratch { volume, touched } = &mut *scratch;
-        volume.resize(self.topo.num_links(), 0.0);
+        scratch.volume.resize(self.topo.num_links(), 0.0);
         let mut latency_time = 0.0_f64;
         for &(src, dst, bytes) in pairs {
             if bytes <= 0.0 {
                 continue;
             }
-            let route = table.route(src, dst);
+            let links = table.route(src, dst).links();
+            scratch.add(links, bytes);
             let mut lat = 0.0;
-            for &l in route.links() {
-                let v = &mut volume[l.index()];
-                if *v == 0.0 {
-                    touched.push(l.index());
-                }
-                *v += bytes;
+            for &l in links {
                 lat += self.topo.link(l).latency;
             }
             latency_time = latency_time.max(lat);
         }
-        let links = self.topo.links();
-        let mut serialization_time = 0.0_f64;
-        for &l in touched.iter() {
-            serialization_time = serialization_time.max(volume[l] / links[l].bandwidth);
-            volume[l] = 0.0;
+        scratch.take_serialization_time(self.topo) + latency_time
+    }
+
+    /// [`AnalyticModel::pairs_total_time`] over a route set's
+    /// `(bytes, transfer)` items (see [`RoutedTransfer`]): the same walk
+    /// with the same skip rule, taking each route's latency precomputed.
+    pub(crate) fn routes_total_time<'s, 'r: 's>(
+        &self,
+        transfers: impl Iterator<Item = (f64, &'s RoutedTransfer<'r>)>,
+    ) -> f64 {
+        let mut scratch = self.scratch.borrow_mut();
+        scratch.volume.resize(self.topo.num_links(), 0.0);
+        let mut latency_time = 0.0_f64;
+        for (bytes, transfer) in transfers {
+            if bytes <= 0.0 {
+                continue;
+            }
+            scratch.add(transfer.links, bytes);
+            latency_time = latency_time.max(transfer.latency);
         }
-        touched.clear();
-        serialization_time + latency_time
+        scratch.take_serialization_time(self.topo) + latency_time
     }
 
     /// Estimates a phased schedule: phases are sequential, so their

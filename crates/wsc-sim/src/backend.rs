@@ -29,8 +29,8 @@ use serde::{Deserialize, Serialize};
 use wsc_topology::{DeviceId, LinkId, RouteTable, Topology};
 
 use crate::analytic::{AnalyticEstimate, AnalyticModel};
-use crate::flow::FlowSpec;
-use crate::network::NetworkSim;
+use crate::flow::{routed_bytes, FlowSpec, RoutedTransfer};
+use crate::network::{NetworkSim, RunResult};
 use crate::schedule::FlowSchedule;
 
 /// Backend selection knob: which [`CongestionModel`] implementation an
@@ -46,8 +46,9 @@ pub enum CongestionBackend {
     /// Flow-level DES behind a memoizing schedule cache ([`CachedBackend`]):
     /// identical estimates to [`CongestionBackend::FlowSim`]. Full estimates
     /// are priced once per distinct schedule shape; the time-only
-    /// [`CongestionModel::price_pairs_time`], which the engine prices its
-    /// sampled per-step all-to-all through, is not memoised, because
+    /// [`CongestionModel::price_pairs_time`] and
+    /// [`CongestionModel::price_routes_time`], which the engine prices its
+    /// sampled per-step all-to-all through, are not memoised, because
     /// sampled shapes do not repeat. An engine on this tier therefore runs
     /// the DES on every stride layer, as [`CongestionBackend::FlowSim`]
     /// does.
@@ -168,6 +169,16 @@ pub trait CongestionModel: Send {
         self.price_pairs(table, pairs).total_time
     }
 
+    /// The [`CongestionModel::price_pairs_time`] of the pair list a route
+    /// set stands for (see [`RoutedTransfer`]), bit for bit, priced
+    /// straight from the precomputed routes: no pair list, no route-table
+    /// lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transfer's `index` is out of `volume`'s bounds.
+    fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64;
+
     /// Prices a phased schedule; phases are barrier-separated, so their
     /// estimates compose sequentially.
     fn price_schedule(&self, schedule: &FlowSchedule) -> AnalyticEstimate {
@@ -223,6 +234,10 @@ impl CongestionModel for AnalyticModel<'_> {
         self.pairs_total_time(table, pairs)
     }
 
+    fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64 {
+        self.routes_total_time(routed_bytes(routes, volume))
+    }
+
     fn price_schedule(&self, schedule: &FlowSchedule) -> AnalyticEstimate {
         self.estimate_schedule(schedule)
     }
@@ -264,14 +279,18 @@ impl<'a> FlowSimBackend<'a> {
         FlowSimBackend { topo }
     }
 
-    /// Shared estimate assembly for both pricing entry points:
-    /// `paths` yields `(bytes, route links)` for every flow.
+    /// Simulates `paths`, which yields `(bytes, route links)` for every
+    /// flow, all starting at time zero.
+    fn run<'r>(&self, paths: impl Iterator<Item = (f64, &'r [LinkId])>) -> RunResult {
+        NetworkSim::new(self.topo).run_paths(paths.map(|(bytes, links)| (0.0, bytes, links)))
+    }
+
+    /// Shared estimate assembly for both full-estimate entry points.
     fn price_paths<'r>(
         &self,
         paths: impl Iterator<Item = (f64, &'r [LinkId])> + Clone,
     ) -> AnalyticEstimate {
-        let result = NetworkSim::new(self.topo)
-            .run_paths(paths.clone().map(|(bytes, links)| (0.0, bytes, links)));
+        let result = self.run(paths.clone());
         let mut latency_time = 0.0_f64;
         let mut total_bytes = 0.0_f64;
         let mut max_hops = 0usize;
@@ -309,13 +328,34 @@ impl CongestionModel for FlowSimBackend<'_> {
         table: &RouteTable,
         pairs: &[(DeviceId, DeviceId, f64)],
     ) -> AnalyticEstimate {
-        self.price_paths(
-            pairs
-                .iter()
-                .filter(|&&(_, _, bytes)| bytes > 0.0)
-                .map(|&(src, dst, bytes)| (bytes, table.route(src, dst).links())),
-        )
+        self.price_paths(pair_paths(table, pairs))
     }
+
+    /// Time-only: the simulated completion time, with no second pass over
+    /// the paths for the estimate's latency, byte and hop fields.
+    fn price_pairs_time(&self, table: &RouteTable, pairs: &[(DeviceId, DeviceId, f64)]) -> f64 {
+        self.run(pair_paths(table, pairs)).total_time
+    }
+
+    fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64 {
+        self.run(
+            routed_bytes(routes, volume)
+                .filter(|&(bytes, _)| bytes > 0.0)
+                .map(|(bytes, r)| (bytes, r.links)),
+        )
+        .total_time
+    }
+}
+
+/// The `(bytes, route links)` of the positive-byte transfers in `pairs`.
+fn pair_paths<'r>(
+    table: &'r RouteTable,
+    pairs: &'r [(DeviceId, DeviceId, f64)],
+) -> impl Iterator<Item = (f64, &'r [LinkId])> + Clone {
+    pairs
+        .iter()
+        .filter(|&&(_, _, bytes)| bytes > 0.0)
+        .map(|&(src, dst, bytes)| (bytes, table.route(src, dst).links()))
 }
 
 /// Canonical shape of a pricing request — the memoization key of
@@ -448,8 +488,9 @@ pub struct CacheStats {
 ///
 /// Only repeated shapes pay off. Sampled gating gives every engine step a
 /// new `(src, dst, bytes)` shape, so the time-only
-/// [`CongestionModel::price_pairs_time`] the engine prices its all-to-all
-/// through goes straight to the inner backend: no key, no lookup, no
+/// [`CongestionModel::price_pairs_time`] and
+/// [`CongestionModel::price_routes_time`] the engine prices its all-to-all
+/// through go straight to the inner backend: no key, no lookup, no
 /// stored estimate. Before that bypass the cache answered 0 of 14,100
 /// pricings in the `wafer_ni_balance` benchmark replay, 5 of 3,207 on the
 /// `flow-sim-cached` golden trace and 148 of 44,898 in one
@@ -605,6 +646,12 @@ impl CongestionModel for CachedBackend<'_> {
     /// `O(links)` estimate per call would buy nothing.
     fn price_pairs_time(&self, table: &RouteTable, pairs: &[(DeviceId, DeviceId, f64)]) -> f64 {
         self.inner.price_pairs_time(table, pairs)
+    }
+
+    /// Not memoised, for the reason [`CongestionModel::price_pairs_time`]
+    /// is not.
+    fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64 {
+        self.inner.price_routes_time(routes, volume)
     }
 
     fn price_schedule(&self, schedule: &FlowSchedule) -> AnalyticEstimate {
@@ -859,7 +906,7 @@ mod tests {
         );
     }
 
-    /// The time-only path prices through the inner backend and leaves the
+    /// The time-only paths price through the inner backend and leave the
     /// cache untouched, while the full-estimate path still memoizes.
     #[test]
     fn price_pairs_time_bypasses_the_cache() {
@@ -868,11 +915,21 @@ mod tests {
         let a = topo.device_at_xy(0, 0).unwrap();
         let b = topo.device_at_xy(3, 1).unwrap();
         let pairs = vec![(a, b, 1.0e6), (b, a, 2.0e6)];
+        // The same two transfers as a route set over volumes `[1e6, 4e6]`.
+        let routes = [
+            RoutedTransfer::new(&topo, 0, 1.0, table.route(a, b).links()),
+            RoutedTransfer::new(&topo, 1, 0.5, table.route(b, a).links()),
+        ];
+        let volume = [1.0e6, 4.0e6];
         let cached = CachedBackend::new(Box::new(FlowSimBackend::new(&topo)));
         let uncached = FlowSimBackend::new(&topo).price_pairs(&table, &pairs);
         for _ in 0..3 {
             assert_eq!(
                 cached.price_pairs_time(&table, &pairs).to_bits(),
+                uncached.total_time.to_bits()
+            );
+            assert_eq!(
+                cached.price_routes_time(&routes, &volume).to_bits(),
                 uncached.total_time.to_bits()
             );
         }

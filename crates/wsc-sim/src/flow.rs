@@ -1,7 +1,7 @@
 //! Flow descriptions.
 
 use serde::{Deserialize, Serialize};
-use wsc_topology::Route;
+use wsc_topology::{LinkId, Route, Topology};
 
 /// Identifier of a flow within a single simulation run (dense index, in
 /// submission order).
@@ -47,10 +47,67 @@ impl FlowSpec {
     }
 }
 
+/// One transfer of a precomputed route set: `volume[index] × fraction`
+/// bytes over `links`, for the time-only
+/// [`CongestionModel::price_routes_time`](crate::CongestionModel::price_routes_time).
+///
+/// A route set is a transfer list whose routes are resolved once (the
+/// links are borrowed from a [`RouteTable`](wsc_topology::RouteTable))
+/// while its byte counts come from a volume vector that changes per call.
+/// It stands for the pair list `(src, dst, volume[index] × fraction)` of
+/// the same transfers in the same order, minus the entries with a
+/// non-positive volume.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct RoutedTransfer<'r> {
+    /// Index of the transfer's volume in the priced volume vector.
+    pub index: usize,
+    /// Share of that volume this transfer carries.
+    pub fraction: f64,
+    /// The route's links, in order.
+    pub links: &'r [LinkId],
+    /// The route's summed link latency, added in link order (as the
+    /// analytic pair pricing sums it).
+    pub latency: f64,
+}
+
+impl<'r> RoutedTransfer<'r> {
+    /// A transfer of `fraction` of `volume[index]` over `links` of `topo`.
+    pub fn new(topo: &Topology, index: usize, fraction: f64, links: &'r [LinkId]) -> Self {
+        let mut latency = 0.0;
+        for &l in links {
+            latency += topo.link(l).latency;
+        }
+        RoutedTransfer {
+            index,
+            fraction,
+            links,
+            latency,
+        }
+    }
+}
+
+/// The transfers of `routes` with their byte counts,
+/// `(volume[index] × fraction, transfer)`, skipping those whose volume is
+/// `<= 0` (as the flat all-to-all expansion skips an unloaded
+/// destination). A product that is not positive is still yielded; each
+/// backend skips it by its own pair rule.
+pub(crate) fn routed_bytes<'s, 'r>(
+    routes: &'s [RoutedTransfer<'r>],
+    volume: &'s [f64],
+) -> impl Iterator<Item = (f64, &'s RoutedTransfer<'r>)> {
+    routes.iter().filter_map(|r| {
+        let v = volume[r.index];
+        if v <= 0.0 {
+            None
+        } else {
+            Some((v * r.fraction, r))
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsc_topology::LinkId;
 
     #[test]
     fn local_flow_detection() {

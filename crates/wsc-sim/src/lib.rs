@@ -66,7 +66,7 @@ pub use backend::{
     DEFAULT_CACHE_ENTRIES,
 };
 pub use fairshare::{max_min_rates, IncrementalMaxMin};
-pub use flow::{FlowId, FlowSpec};
+pub use flow::{FlowId, FlowSpec, RoutedTransfer};
 pub use network::{NetworkSim, RunResult};
 pub use schedule::{FlowSchedule, Phase, ScheduleResult};
 pub use stats::LinkStats;

@@ -75,9 +75,9 @@ pub mod prelude {
         StreamingSummary, SummaryMode,
     };
     pub use moentwine_core::fleet::{
-        validate_fleet_events, validate_fleet_events_for_roles, Fleet, FleetAvailability,
-        FleetConfig, FleetEvent, FleetEventKind, FleetHandoff, FleetSummary, PlatformRefs,
-        ReplicaPool, ReplicaRole, ReplicaState, SerialReplicaPool,
+        validate_fleet_events_for_roles, Fleet, FleetAvailability, FleetConfig, FleetEvent,
+        FleetEventKind, FleetHandoff, FleetSummary, PlatformRefs, ReplicaPool, ReplicaRole,
+        ReplicaState, SerialReplicaPool,
     };
     pub use moentwine_core::mapping::{
         BaselineMapping, ErMapping, HierarchicalErMapping, MappingKind, MappingPlan, TpShape,

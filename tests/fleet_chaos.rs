@@ -128,7 +128,10 @@ proptest! {
         let rate = rate_ten_kilo as f64 * 1.0e4;
         let policy = policy_of(policy_tag);
         let events = chaos_timeline(replicas, crash_tag, stretch_tenths as f64 * 0.1);
-        prop_assert!(validate_fleet_events(replicas, &events).is_ok());
+        prop_assert!(
+            validate_fleet_events_for_roles(&vec![ReplicaRole::Colocated; replicas], &events)
+                .is_ok()
+        );
         let run = |pool: &dyn ReplicaPool| {
             let config = FleetConfig::new(replicas, policy, rate, engine_template(seed))
                 .with_events(events.clone());

@@ -90,13 +90,25 @@ fn live_bytes() -> i64 {
 
 /// Heap allocations made by `steps` steady-state steps of a fixed-batch,
 /// unbalanced, analytic engine over the tiny model with `sparse_layers`
-/// sparse layers.
-fn steady_state_allocations(sparse_layers: u32, steps: usize) -> u64 {
-    let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+/// sparse layers, on a 4×4 wafer (ER-Mapping, priced over precomputed
+/// route sets) or, with `dgx_nodes`, on a DGX cluster of that many nodes
+/// (node-aggregated, priced over pair lists).
+fn steady_state_allocations(dgx_nodes: Option<u16>, sparse_layers: u32, steps: usize) -> u64 {
+    let (topo, layout): (Topology, Box<dyn ParallelLayout>) = match dgx_nodes {
+        None => {
+            let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+            let plan = ErMapping::new(topo.mesh_dims().unwrap(), TpShape::new(2, 2))
+                .unwrap()
+                .plan();
+            (topo, Box::new(plan))
+        }
+        Some(nodes) => {
+            let topo = DgxCluster::new(nodes, PlatformParams::dgx_b200()).build();
+            let layout = ClusterLayout::new(&topo, 8);
+            (topo, Box::new(layout))
+        }
+    };
     let table = RouteTable::build(&topo);
-    let plan = ErMapping::new(topo.mesh_dims().unwrap(), TpShape::new(2, 2))
-        .unwrap()
-        .plan();
     let model = ModelConfig {
         num_layers: sparse_layers,
         num_sparse_layers: sparse_layers,
@@ -111,7 +123,7 @@ fn steady_state_allocations(sparse_layers: u32, steps: usize) -> u64 {
     });
     assert_eq!(config.balancer, BalancerKind::None);
     assert_eq!(config.backend, CongestionBackend::Analytic);
-    let mut engine = InferenceEngine::new(&topo, &table, &plan, config);
+    let mut engine = InferenceEngine::new(&topo, &table, layout.as_ref(), config);
     // Warm-up: grows every reused buffer to its steady-state size.
     for _ in 0..8 {
         engine.step();
@@ -127,12 +139,15 @@ fn steady_state_allocations(sparse_layers: u32, steps: usize) -> u64 {
 fn step_allocations_do_not_grow_with_layer_count() {
     let _serial = serial();
     let steps = 24;
-    let shallow = steady_state_allocations(4, steps);
-    let deep = steady_state_allocations(16, steps);
-    assert_eq!(
-        shallow, deep,
-        "{steps} steps allocate {shallow} times with 4 sparse layers but {deep} with 16"
-    );
+    for dgx_nodes in [None, Some(2)] {
+        let shallow = steady_state_allocations(dgx_nodes, 4, steps);
+        let deep = steady_state_allocations(dgx_nodes, 16, steps);
+        assert_eq!(
+            shallow, deep,
+            "{dgx_nodes:?}: {steps} steps allocate {shallow} times with 4 sparse layers \
+             but {deep} with 16"
+        );
+    }
 }
 
 /// Heap allocations made by `steps` steady-state steps of a fixed-batch,
