@@ -32,20 +32,22 @@
 //! # Seed sensitivity
 //!
 //! The headline is the claim that held at every seed measured. With the
-//! `--quick` grid run at each seed of 223–244, one at a time:
+//! `--quick` grid run at each seed of 223–244, under three
+//! gating samplers in turn (one shared stream; per-group streams with a
+//! Bernoulli exact tail; per-group streams with the categorical exact tail
+//! of today):
 //!
 //! * **disagg**: speculative dispatch is the best adaptive policy at every
-//!   seed, at 0.03–0.24 of the best snapshot policy's p99 TTFT (median
-//!   0.10) with the gating sampler of one shared stream and Box-Muller
-//!   normals, and at 0.03–0.25 (median 0.105) with the current per-group
-//!   streams and ziggurat normals.
-//! * **bursty**: an adaptive policy beats the best snapshot policy on 8 of
-//!   the 22 seeds under either sampler (median ratio 1.17 before, 1.04
-//!   now). That was this figure's headline until the sampler changed: it
-//!   asked for an adaptive win at the one pinned seed 223 (0.83 before),
-//!   which the new stream flipped (1.02). The manifest still reports the
-//!   bursty median, over [`SEEDS`] 1.76 now (0.83 before), but it is not
-//!   asserted.
+//!   seed under each sampler, at 0.03–0.24 of the best snapshot policy's
+//!   p99 TTFT (median 0.10), then 0.03–0.25 (median 0.105), and now
+//!   0.03–0.24 (median 0.10).
+//! * **bursty**: an adaptive policy beats the best snapshot policy on 8, 8
+//!   and now 10 of the 22 seeds (median ratio 1.17, 1.04, now 1.09). That
+//!   was this figure's headline until the sampler changed: it asked for an
+//!   adaptive win at the one pinned seed 223, whose ratio each sampler
+//!   change moved (0.83, 1.02, now 0.71). The manifest still reports the
+//!   bursty median, over [`SEEDS`] 0.79 now (0.83, then 1.76), but it is
+//!   not asserted.
 //!
 //! A second check was once seed-sensitive the same way, but because its
 //! claim was false: `run_until_reaches_horizon_and_skips_idle_work` in

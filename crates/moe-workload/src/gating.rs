@@ -6,7 +6,11 @@
 //! previous ones left, so one group's draws are serial; the groups' chains
 //! are independent, so the routine advances all of them expert by expert
 //! and the core overlaps their latencies. Large binomials are drawn by a
-//! normal approximation whose normals come from a 128-layer ziggurat.
+//! normal approximation whose normals come from a 128-layer ziggurat. Once
+//! a group has at most 64 trials left, the rest of its chain is a
+//! multinomial over the experts not yet drawn, and the group draws it as
+//! that many categorical draws over the distribution's cached cumulative
+//! weights.
 
 use std::sync::OnceLock;
 
@@ -16,18 +20,20 @@ use rand::{Rng, RngCore};
 /// `top_k` distinct experts from `dist`.
 ///
 /// Counts are drawn from the multinomial distribution over `tokens × top_k`
-/// selections (via the conditional-binomial decomposition) and then repaired
+/// selections (via the conditional-binomial decomposition, whose last at
+/// most 64 trials are drawn one categorical draw each) and then repaired
 /// so that no expert exceeds `tokens` — the top-k-without-replacement
 /// constraint. The repair step hands the overflow out one selection at a
 /// time, round-robin over the experts with spare capacity in
 /// descending-probability order (ties by index). It triggers whenever one
 /// expert draws more selections than there are tokens: under strongly
 /// skewed distributions, or when a batch has only a few tokens. This
-/// function derives the decomposition's conditional probabilities on every
-/// call and sorts the repair order afresh on every overflow; a
-/// [`TraceGenerator`](crate::TraceGenerator) derives both once per cached
-/// distribution and reuses them for every draw until the distribution
-/// changes. It runs the generator's sampling routine with one group.
+/// function derives the decomposition's conditional probabilities and
+/// cumulative weights on every call and sorts the repair order afresh on
+/// every overflow; a [`TraceGenerator`](crate::TraceGenerator) derives them
+/// once per cached distribution and reuses them for every draw until the
+/// distribution changes. It runs the generator's sampling routine with one
+/// group.
 ///
 /// Returns a vector of length `dist.len()` summing to `tokens * top_k`.
 ///
@@ -73,10 +79,12 @@ pub fn sample_gating_counts<R: Rng>(
 /// The conditional-binomial decomposition draws expert `e` with probability
 /// `p_e / (p_e + … + p_last)`. Those conditional probabilities depend on the
 /// distribution alone, so they are computed once per distribution rather
-/// than on every draw, with the same running subtraction (and so the same
-/// bits) a draw would compute. The cap repair's expert order is sorted on
-/// the first overflow and kept until the distribution changes; its buffer
-/// is reserved on [`GatingDist::set`], so sorting it never allocates.
+/// than on every draw, by a running subtraction of the mass. The exact tail
+/// draws a point on the cumulative weights, also derived here, and finds
+/// its expert by a binary search. The cap repair's expert order is sorted
+/// on the first overflow and kept until the distribution changes; its
+/// buffer is reserved on [`GatingDist::set`], so sorting it never
+/// allocates.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct GatingDist {
     probs: Vec<f64>,
@@ -86,6 +94,11 @@ pub(crate) struct GatingDist {
     /// exhausts the mass numerically, after which the last expert takes
     /// the remainder too.
     cond: Vec<f64>,
+    /// `cum[e]` = `(p_0 + … + p_(e-1)) / total` in fixed point with
+    /// [`CUM_ONE`] for 1: one entry per expert and a last of exactly
+    /// `CUM_ONE`, so expert `e` owns the integers `cum[e]..cum[e+1]`. An
+    /// expert of zero probability owns none.
+    cum: Vec<u64>,
     /// The cap repair's order (experts by descending probability, ties by
     /// index): empty until the first overflow after [`GatingDist::set`].
     order: Vec<usize>,
@@ -111,8 +124,40 @@ impl GatingDist {
                 break;
             }
         }
+        // Monotone in the running sum and clamped, so the fixed-point
+        // weights never decrease, and they end at exactly `CUM_ONE`.
+        let to_fixed = CUM_ONE as f64 / total;
+        self.cum.clear();
+        self.cum.push(0);
+        let mut sum = 0.0;
+        for &p in &self.probs {
+            sum += p;
+            self.cum.push(((sum * to_fixed) as u64).min(CUM_ONE));
+        }
+        *self.cum.last_mut().expect("one entry past the experts") = CUM_ONE;
         self.order.clear();
         self.order.reserve(self.probs.len());
+    }
+
+    /// One categorical draw over experts `e0..` by their probabilities,
+    /// renormalised: the random `bits` pick a point in `cum[e0]..cum[E]`,
+    /// and the draw is the expert whose interval holds it, found by a
+    /// binary search of the suffix's interval ends. Needs
+    /// `cum[e0] < cum[E]` (the suffix has mass). An expert of zero
+    /// probability owns no point, so it is never drawn.
+    ///
+    /// `partition_point` takes the same branch-free steps on every draw of
+    /// a tail, so nothing mispredicts. A guide table (Chen and Asau's
+    /// indexed search) drew the whole distribution faster, but it was
+    /// slower on resumed tails, whose suffix holds little of the mass, and
+    /// rebuilding it with every distribution slowed a mix that changes
+    /// each iteration on a 94-layer model by 11–22% end to end.
+    #[inline(always)]
+    fn draw_from(&self, e0: usize, bits: u64) -> usize {
+        let lo = self.cum[e0];
+        let span = self.cum[self.probs.len()] - lo;
+        let point = lo + ((u128::from(bits) * u128::from(span)) >> 64) as u64;
+        e0 + self.cum[e0 + 1..].partition_point(|&end| end <= point)
     }
 
     /// The distribution's probabilities.
@@ -155,8 +200,11 @@ impl<R> GroupStream<R> {
     }
 }
 
-/// Trials up to which a binomial is drawn exactly, as a sum of Bernoulli
-/// trials; above it, by the normal approximation.
+/// The fixed-point cumulative weight of the whole distribution.
+const CUM_ONE: u64 = 1 << 63;
+
+/// Trials up to which a group's chain is finished exactly, as categorical
+/// draws; above it, binomials are drawn by the normal approximation.
 const EXACT_TRIALS: u32 = 64;
 
 /// Draws one layer's counts for every DP group: `counts[g]` (one slot per
@@ -167,9 +215,15 @@ const EXACT_TRIALS: u32 = 64;
 /// The draw runs in two phases. Phase 1 walks the experts once and, at
 /// each, advances every group that still has more than [`EXACT_TRIALS`]
 /// trials by one normal-approximation binomial; the chains share no data,
-/// so their latencies overlap. Phase 2 finishes each group's short tail of
-/// exact binomials group by group (with `tokens × top_k` at most
-/// [`EXACT_TRIALS`], phase 1 is empty). Each group then repairs its cap.
+/// so their latencies overlap. Phase 2 finishes each group's exact tail
+/// group by group (with `tokens × top_k` at most [`EXACT_TRIALS`], phase 1
+/// is empty). The rest of a conditional-binomial chain resumed at expert
+/// `e0` with `n` trials is multinomial(`n`; the probabilities of experts
+/// `e0..`, renormalised), so the tail is `n` categorical draws over that
+/// suffix, one `next_u64` each (a binary search of [`GatingDist`]'s
+/// cumulative weights finds the expert). A suffix the chain's running
+/// subtraction found empty of mass hands its trials to the last expert.
+/// Each group then repairs its cap.
 /// Which stream a draw takes its randomness from depends only on its group,
 /// so every group's counts have the law of a draw on its own.
 ///
@@ -228,19 +282,16 @@ pub(crate) fn sample_layer_into<R: RngCore>(
     }
 
     for (stream, counts) in streams.iter_mut().zip(counts.iter_mut()) {
-        // Phase 2: the group's exact tail.
-        let (rng, mut trials) = (&mut stream.rng, stream.trials);
-        for (c, &q) in counts.iter_mut().zip(&dist.cond).skip(stream.next) {
-            if trials == 0 {
-                break;
+        // Phase 2: the group's exact tail, over the experts from `e0` on.
+        let (e0, trials) = (stream.next, stream.trials);
+        if e0 < dist.cond.len() && dist.cum[experts] > dist.cum[e0] {
+            for _ in 0..trials {
+                counts[dist.draw_from(e0, stream.rng.next_u64())] += 1;
             }
-            let drawn = exact_binomial(rng, trials, q);
-            *c = drawn;
-            trials -= drawn;
+        } else {
+            // The chain reached the last expert, or the mass ran out first.
+            counts[experts - 1] += trials;
         }
-        // The last expert takes what is left, whether the draws reached it
-        // or the mass ran out first.
-        counts[experts - 1] += trials;
         repair_cap(dist, tokens, counts);
     }
 }
@@ -304,31 +355,6 @@ fn normal_binomial<R: RngCore>(rng: &mut R, zig: &Ziggurat, n: u32, p: f64) -> u
     let mean = f64::from(n) * p;
     let sd = (mean * (1.0 - p)).sqrt();
     round_clamped(mean + sd * zig.normal(rng), n)
-}
-
-/// Samples from Binomial(n, p) for `n` up to [`EXACT_TRIALS`] exactly, as a
-/// sum of Bernoulli trials.
-fn exact_binomial<R: RngCore>(rng: &mut R, n: u32, p: f64) -> u32 {
-    if p <= 0.0 {
-        return 0;
-    }
-    if p >= 1.0 {
-        return n;
-    }
-    // `gen::<f64>() < p` without the float: the uniform is `k · 2^-53` for
-    // the integer `k = next_u64() >> 11`, and `p · 2^53` is exact, so
-    // `k · 2^-53 < p` holds exactly when `k < ⌈p · 2^53⌉`.
-    let threshold = ceil_below_2_pow_53(p * TWO_POW_53);
-    (0..n)
-        .map(|_| u32::from(rng.next_u64() >> 11 < threshold))
-        .sum()
-}
-
-/// `⌈x⌉` for `0 < x < 2^53`, where truncating to `i64` is exact
-/// (`f64::ceil` is a libm call on baseline x86-64).
-fn ceil_below_2_pow_53(x: f64) -> u64 {
-    let whole = x as i64;
-    (whole + i64::from((whole as f64) < x)) as u64
 }
 
 /// `x.round().clamp(0.0, n) as u32`, computed as clamp-then-round without
@@ -445,16 +471,15 @@ impl Ziggurat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
-    /// The sampler before its per-distribution cache and its per-group
-    /// streams, kept as the reference: it derives every conditional
-    /// probability on each draw, rounds with libm and a saturating cast,
-    /// tests Bernoulli trials in floating point and draws its normals by
-    /// Box-Muller. The sampler must reproduce it draw for draw where both
-    /// draw exactly (`tokens × top_k` at most [`EXACT_TRIALS`]) and match
-    /// its law everywhere.
+    /// The sampler before its per-distribution cache, its per-group streams
+    /// and its categorical tail, kept as the reference: it derives every
+    /// conditional probability on each draw, rounds with libm and a
+    /// saturating cast, draws up to [`EXACT_TRIALS`] trials as Bernoulli
+    /// trials tested in floating point, expert by expert, and draws its
+    /// normals by Box-Muller. The sampler must match its law.
     fn reference_sample_gating_counts_into<R: Rng>(
         rng: &mut R,
         dist: &[f64],
@@ -601,65 +626,6 @@ mod tests {
         GroupStream::new(rand::rngs::StdRng::seed_from_u64(seed))
     }
 
-    proptest! {
-        /// The cached conditional probabilities are the reference's bit for
-        /// bit. Where every binomial is exact (`tokens × top_k` at most
-        /// [`EXACT_TRIALS`]), each of 1–4 groups draws exactly what the
-        /// reference draws from that group's stream alone and leaves the
-        /// stream at the same position, over uniform, Zipf, one-hot,
-        /// exhausting and `q ≥ 1` distributions and top-k from 1 to the
-        /// expert count. Four draws per case share one cached distribution,
-        /// so the kept repair order is exercised too.
-        #[test]
-        fn cached_sampler_matches_reference(
-            shape in (0u8..5, 1usize..257, 0.0f64..1.0, 0usize..256),
-            top_k_frac in 0.0f64..1.0,
-            tokens_frac in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
-            groups in 1usize..5,
-            seed in 0u64..u64::MAX,
-        ) {
-            let (kind, experts, x, at) = shape;
-            let probs = test_dist(kind, experts, x, at);
-            let max_top_k = experts.min(EXACT_TRIALS as usize) as u32;
-            let top_k = 1 + ((top_k_frac * f64::from(max_top_k)) as u32).min(max_top_k - 1);
-            let max_tokens = EXACT_TRIALS / top_k;
-            let mut cached = GatingDist::default();
-            cached.set(|p| p.extend_from_slice(&probs));
-            let bits = |q: &[f64]| q.iter().map(|q| q.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&cached.cond), bits(&reference_conditionals(&probs)));
-            let seeds: Vec<u64> = (0..groups as u64).map(|g| seed ^ g).collect();
-            let mut streams: Vec<_> = seeds.iter().map(|&s| stream(s)).collect();
-            let mut reference_rngs: Vec<_> = seeds
-                .iter()
-                .map(|&s| rand::rngs::StdRng::seed_from_u64(s))
-                .collect();
-            let mut order = Vec::new();
-            let (mut got, mut want) = (vec![vec![0; experts]; groups], vec![0; experts]);
-            let (t0, t1, t2, t3) = tokens_frac;
-            for frac in [t0, t1, t2, t3] {
-                let tokens = 1 + ((frac * f64::from(max_tokens)) as u32).min(max_tokens - 1);
-                sample_layer_into(&mut streams, &mut cached, tokens, top_k, &mut got);
-                for (g, reference_rng) in reference_rngs.iter_mut().enumerate() {
-                    reference_sample_gating_counts_into(
-                        reference_rng,
-                        &probs,
-                        tokens,
-                        top_k,
-                        &mut want,
-                        &mut order,
-                    );
-                    prop_assert_eq!(
-                        &got[g], &want,
-                        "kind {} tokens {} top-k {} group {}", kind, tokens, top_k, g
-                    );
-                }
-            }
-            for (stream, reference_rng) in streams.iter_mut().zip(&mut reference_rngs) {
-                prop_assert_eq!(stream.rng().next_u64(), reference_rng.next_u64());
-            }
-        }
-    }
-
     /// Per-expert sample mean, variance and fourth central moment of
     /// `samples` (one count vector per draw).
     fn moments(samples: &[Vec<u32>]) -> Vec<(f64, f64, f64)> {
@@ -713,93 +679,198 @@ mod tests {
         (chi2, bounds.len() - 1)
     }
 
-    /// The χ² quantile with `df` degrees of freedom about 4 standard
-    /// deviations out (upper tail ≈ 3·10⁻⁵), by Wilson–Hilferty.
-    fn chi2_critical(df: usize) -> f64 {
+    /// Two-sample χ² of two equally sized samples of whole count vectors:
+    /// each vector drawn at least 20 times in the two samples together is
+    /// a bin of its own, the rest share one (folded into the smallest bin
+    /// if it holds fewer than 20 draws), with its degrees of freedom.
+    fn two_sample_vector_chi2(a: &[Vec<u32>], b: &[Vec<u32>]) -> (f64, usize) {
+        assert_eq!(a.len(), b.len());
+        let mut seen: BTreeMap<&[u32], (f64, f64)> = BTreeMap::new();
+        a.iter().for_each(|v| seen.entry(v).or_default().0 += 1.0);
+        b.iter().for_each(|v| seen.entry(v).or_default().1 += 1.0);
+        let (mut bins, mut rest) = (Vec::new(), (0.0, 0.0));
+        for &(x, y) in seen.values() {
+            if x + y >= 20.0 {
+                bins.push((x, y));
+            } else {
+                rest = (rest.0 + x, rest.1 + y);
+            }
+        }
+        match bins
+            .iter_mut()
+            .min_by(|p, q| (p.0 + p.1).total_cmp(&(q.0 + q.1)))
+        {
+            Some(smallest) if rest.0 + rest.1 < 20.0 => {
+                *smallest = (smallest.0 + rest.0, smallest.1 + rest.1)
+            }
+            _ => bins.push(rest),
+        }
+        bins.retain(|&(x, y)| x + y > 0.0);
+        let chi2 = bins.iter().map(|(x, y)| (x - y) * (x - y) / (x + y)).sum();
+        (chi2, bins.len().saturating_sub(1))
+    }
+
+    /// The χ² quantile with `df` degrees of freedom `z` standard deviations
+    /// out (upper tail ≈ 3·10⁻⁵ at 4, 3·10⁻⁷ at 5), by Wilson–Hilferty.
+    fn chi2_critical(df: usize, z: f64) -> f64 {
         let df = df as f64;
         let h = 2.0 / (9.0 * df);
-        df * (1.0 - h + 4.0 * h.sqrt()).powi(3)
+        df * (1.0 - h + z * h.sqrt()).powi(3)
+    }
+
+    /// Draws 2000 count vectors of `tokens` tokens and top-k `top_k` from
+    /// distribution `kind` over `experts` experts with the sampler (one
+    /// cached distribution, `groups` groups a layer, so the kept repair
+    /// order and the groups' interleaved chains are what is tested) and
+    /// 2000 with the reference, and checks that they have one law:
+    ///
+    /// * every sampler draw hands out `tokens × top_k` selections, at most
+    ///   `tokens` to an expert, and an expert of zero probability gets
+    ///   none unless the draw overflowed (some expert sits at the cap);
+    /// * every expert's mean and variance agree within 5 standard errors;
+    /// * every expert's counts pass a two-sample χ² at its 5σ quantile;
+    /// * the whole count vectors pass a two-sample χ² at its 4σ quantile.
+    fn assert_same_law(kind: u8, experts: usize, tokens: u32, top_k: u32, groups: usize) {
+        const DRAWS: usize = 2000;
+        let probs = test_dist(kind, experts, 0.4, 5);
+        let case =
+            format!("kind {kind} experts {experts} tokens {tokens} top-k {top_k} groups {groups}");
+        let salt = u64::from(kind) << 48
+            ^ (experts as u64) << 32
+            ^ u64::from(tokens) << 8
+            ^ u64::from(top_k)
+            ^ (groups as u64) << 56;
+        let mut cached = GatingDist::default();
+        cached.set(|p| p.extend_from_slice(&probs));
+        let mut streams: Vec<_> = (0..groups as u64).map(|g| stream(salt ^ g)).collect();
+        let mut layer = vec![vec![0; experts]; groups];
+        let mut new = Vec::with_capacity(DRAWS);
+        while new.len() < DRAWS {
+            sample_layer_into(&mut streams, &mut cached, tokens, top_k, &mut layer);
+            new.extend(layer.iter().cloned());
+        }
+        new.truncate(DRAWS);
+        for counts in &new {
+            assert_eq!(
+                counts.iter().sum::<u32>(),
+                tokens * top_k,
+                "{case}: {counts:?}"
+            );
+            assert!(counts.iter().all(|&c| c <= tokens), "{case}: {counts:?}");
+            let overflowed = counts.contains(&tokens);
+            for (e, (&c, &p)) in counts.iter().zip(&probs).enumerate() {
+                assert!(
+                    p > 0.0 || c == 0 || overflowed,
+                    "{case}: zero-probability expert {e} drew {c}"
+                );
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(!salt);
+        let (mut order, mut counts) = (Vec::new(), vec![0; experts]);
+        let old: Vec<Vec<u32>> = (0..DRAWS)
+            .map(|_| {
+                reference_sample_gating_counts_into(
+                    &mut rng,
+                    &probs,
+                    tokens,
+                    top_k,
+                    &mut counts,
+                    &mut order,
+                );
+                counts.clone()
+            })
+            .collect();
+        let n = DRAWS as f64;
+        for (e, (a, b)) in moments(&new).into_iter().zip(moments(&old)).enumerate() {
+            let mean_se = (a.1 / n + b.1 / n).sqrt();
+            assert!(
+                (a.0 - b.0).abs() <= 5.0 * mean_se + 1e-9,
+                "{case} expert {e}: mean {} vs {} (se {mean_se})",
+                a.0,
+                b.0
+            );
+            let var_se = ((a.2 - a.1 * a.1) / n + (b.2 - b.1 * b.1) / n)
+                .max(0.0)
+                .sqrt();
+            assert!(
+                (a.1 - b.1).abs() <= 5.0 * var_se + 1e-9,
+                "{case} expert {e}: variance {} vs {} (se {var_se})",
+                a.1,
+                b.1
+            );
+            let column = |s: &[Vec<u32>]| s.iter().map(|c| c[e]).collect::<Vec<_>>();
+            let (chi2, df) = two_sample_chi2(&column(&new), &column(&old));
+            assert!(
+                df == 0 || chi2 < chi2_critical(df, 5.0),
+                "{case} expert {e}: χ² {chi2} on {df} df"
+            );
+        }
+        let (chi2, df) = two_sample_vector_chi2(&new, &old);
+        assert!(
+            df == 0 || chi2 < chi2_critical(df, 4.0),
+            "{case}: count-vector χ² {chi2} on {df} df"
+        );
+    }
+
+    /// Where the whole draw is the exact tail (`tokens × top_k` at most
+    /// [`EXACT_TRIALS`]: n categorical draws from the first expert), the
+    /// sampler draws counts of the reference's law (see
+    /// [`assert_same_law`]) on uniform, Zipf, one-hot, exhausting and
+    /// heavy-head distributions (whose head's conditional probability
+    /// rounds to at least 1), over 32 and 128 experts with 1–4 groups. The
+    /// cached conditional probabilities are the reference's bit for bit.
+    #[test]
+    fn exact_tail_matches_reference_in_law() {
+        let mut case = 0;
+        for kind in 0..5 {
+            for (experts, tokens, top_k) in [
+                (32, 1, 1),
+                (32, 1, 2),
+                (32, 4, 1),
+                (32, 7, 2),
+                (32, 16, 2),
+                (32, 32, 2),
+                (32, 64, 1),
+                (128, 8, 8),
+            ] {
+                let probs = test_dist(kind, experts, 0.4, 5);
+                let mut cached = GatingDist::default();
+                cached.set(|p| p.extend_from_slice(&probs));
+                let bits = |q: &[f64]| q.iter().map(|q| q.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&cached.cond), bits(&reference_conditionals(&probs)));
+                assert_same_law(kind, experts, tokens, top_k, 1 + case % 4);
+                case += 1;
+            }
+        }
+    }
+
+    /// With 65–600 trials, phase 1 hands each group's chain to the exact
+    /// tail at an expert that varies from draw to draw and from group to
+    /// group, and the tail's categorical draws over the remaining experts
+    /// still give counts of the reference's law (see [`assert_same_law`]),
+    /// on the five kinds of [`exact_tail_matches_reference_in_law`] with
+    /// 1–4 groups.
+    #[test]
+    fn resumed_tail_matches_reference_in_law() {
+        let mut case = 0;
+        for kind in 0..5 {
+            for (tokens, top_k) in [(33, 2), (75, 2), (40, 8), (75, 8)] {
+                assert_same_law(kind, 32, tokens, top_k, 1 + case % 4);
+                case += 1;
+            }
+        }
     }
 
     /// On uniform, Zipf, one-hot and exhausting distributions over 32
     /// experts, with 1, 16, 473 and 4096 tokens and top-k 1, 2 and 8, the
-    /// sampler (four groups a layer, so the interleaved chains are what is
-    /// tested) and the reference draw counts of the same law: every
-    /// expert's mean and variance agree within 5 standard errors, and a
-    /// two-sample χ² on the head expert's counts stays below its 4σ
-    /// quantile.
+    /// sampler (four groups a layer) and the reference draw counts of the
+    /// same law (see [`assert_same_law`]).
     #[test]
     fn sampler_matches_reference_in_law() {
-        const DRAWS: usize = 2000;
-        const GROUPS: usize = 4;
-        let experts = 32;
-        for (kind, name) in [
-            (0, "uniform"),
-            (1, "zipf"),
-            (2, "one-hot"),
-            (3, "exhausting"),
-        ] {
-            let probs = test_dist(kind, experts, 0.4, 5);
-            let head = (0..experts)
-                .max_by(|&a, &b| probs[a].partial_cmp(&probs[b]).unwrap().then(b.cmp(&a)))
-                .unwrap();
-            let mut cached = GatingDist::default();
-            cached.set(|p| p.extend_from_slice(&probs));
+        for kind in 0..4 {
             for tokens in [1u32, 16, 473, 4096] {
                 for top_k in [1u32, 2, 8] {
-                    let case = format!("{name} tokens {tokens} top-k {top_k}");
-                    let salt = u64::from(kind) << 40 | u64::from(tokens) << 8 | u64::from(top_k);
-                    let mut streams: Vec<_> =
-                        (0..GROUPS as u64).map(|g| stream(salt ^ g)).collect();
-                    let mut layer = vec![vec![0; experts]; GROUPS];
-                    let mut new = Vec::with_capacity(DRAWS);
-                    while new.len() < DRAWS {
-                        sample_layer_into(&mut streams, &mut cached, tokens, top_k, &mut layer);
-                        new.extend(layer.iter().cloned());
-                    }
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(!salt);
-                    let (mut order, mut counts) = (Vec::new(), vec![0; experts]);
-                    let old: Vec<Vec<u32>> = (0..DRAWS)
-                        .map(|_| {
-                            reference_sample_gating_counts_into(
-                                &mut rng,
-                                &probs,
-                                tokens,
-                                top_k,
-                                &mut counts,
-                                &mut order,
-                            );
-                            counts.clone()
-                        })
-                        .collect();
-                    let n = DRAWS as f64;
-                    for (e, (a, b)) in moments(&new).into_iter().zip(moments(&old)).enumerate() {
-                        let mean_se = (a.1 / n + b.1 / n).sqrt();
-                        assert!(
-                            (a.0 - b.0).abs() <= 5.0 * mean_se + 1e-9,
-                            "{case} expert {e}: mean {} vs {} (se {mean_se})",
-                            a.0,
-                            b.0
-                        );
-                        let var_se = ((a.2 - a.1 * a.1) / n + (b.2 - b.1 * b.1) / n)
-                            .max(0.0)
-                            .sqrt();
-                        assert!(
-                            (a.1 - b.1).abs() <= 5.0 * var_se + 1e-9,
-                            "{case} expert {e}: variance {} vs {} (se {var_se})",
-                            a.1,
-                            b.1
-                        );
-                    }
-                    let head_counts =
-                        |s: &[Vec<u32>]| s.iter().map(|c| c[head]).collect::<Vec<_>>();
-                    let (chi2, df) = two_sample_chi2(&head_counts(&new), &head_counts(&old));
-                    if df > 0 {
-                        assert!(
-                            chi2 < chi2_critical(df),
-                            "{case}: head expert χ² {chi2} on {df} df"
-                        );
-                    }
+                    assert_same_law(kind, 32, tokens, top_k, 4);
                 }
             }
         }
@@ -859,7 +930,7 @@ mod tests {
                 (observed - expected).powi(2) / expected
             })
             .sum();
-        assert!(chi2 < chi2_critical(39), "χ² {chi2} on 39 df");
+        assert!(chi2 < chi2_critical(39, 4.0), "χ² {chi2} on 39 df");
         let tail_p = 2.0 * normal_mass(-12.0, -ZIG_R);
         let tail_se = (n * tail_p * (1.0 - tail_p)).sqrt();
         assert!(
@@ -909,34 +980,6 @@ mod tests {
                 x.round().clamp(0.0, n.into()) as u32,
                 "{x}"
             );
-        }
-    }
-
-    #[test]
-    fn bernoulli_threshold_matches_float_test() {
-        let unit = 1.0 / TWO_POW_53;
-        for p in [
-            unit,
-            0.5 * unit,
-            1.5 * unit,
-            0.1,
-            0.5,
-            1.0 - unit,
-            0.999_999_9,
-        ] {
-            let threshold = ceil_below_2_pow_53(p * TWO_POW_53);
-            assert_eq!(threshold, (p * TWO_POW_53).ceil() as u64, "p {p}");
-            for k in [
-                0,
-                1,
-                2,
-                threshold.saturating_sub(1),
-                threshold,
-                threshold + 1,
-                (1 << 53) - 1,
-            ] {
-                assert_eq!(k < threshold, (k as f64) * unit < p, "p {p} k {k}");
-            }
         }
     }
 
@@ -1010,8 +1053,6 @@ mod tests {
         let zig = ziggurat();
         assert_eq!(normal_binomial(&mut r, zig, 100, 0.0), 0);
         assert_eq!(normal_binomial(&mut r, zig, 100, 1.0), 100);
-        assert_eq!(exact_binomial(&mut r, 10, 0.0), 0);
-        assert_eq!(exact_binomial(&mut r, 10, 1.0), 10);
         let s = normal_binomial(&mut r, zig, 1_000_000, 0.5);
         assert!((s as f64 - 500_000.0).abs() < 5_000.0);
     }

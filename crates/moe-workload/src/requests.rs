@@ -471,6 +471,33 @@ mod tests {
         assert!((count as f64 - 5000.0).abs() < 400.0, "{count}");
     }
 
+    /// Lengths are lognormal around their median: over 20,000 draws at a
+    /// median large enough that rounding is negligible, the mean of
+    /// `ln(len / median)` is within 5 standard errors of 0 and its standard
+    /// deviation within 5 standard errors of `sigma`.
+    #[test]
+    fn lengths_are_lognormal_around_the_median() {
+        const DRAWS: usize = 20_000;
+        let (median, sigma) = (1.0e5, 0.8);
+        let mut g = RequestGenerator::new(
+            ArrivalProcess::new(10.0, 0.0, 60.0, 5),
+            vec![(Scenario::Chat, 1.0)],
+            5,
+        );
+        let logs: Vec<f64> = (0..DRAWS)
+            .map(|_| (f64::from(g.sample_lognormal(median, sigma)) / median).ln())
+            .collect();
+        let n = DRAWS as f64;
+        let mean = logs.iter().sum::<f64>() / n;
+        let sd = (logs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n).sqrt();
+        assert!(mean.abs() < 5.0 * sigma / n.sqrt(), "mean {mean}");
+        // The sample sd of a normal has standard error sigma / sqrt(2n).
+        assert!(
+            (sd - sigma).abs() < 5.0 * sigma / (2.0 * n).sqrt(),
+            "sd {sd} vs {sigma}"
+        );
+    }
+
     #[test]
     fn math_outputs_longer_than_privacy() {
         let arrivals = ArrivalProcess::new(10.0, 0.0, 60.0, 3);

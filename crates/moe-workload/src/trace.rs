@@ -134,8 +134,9 @@ pub struct TraceGenerator {
     uniform: bool,
     /// Sampling distributions cached across iterations: one mixed
     /// distribution per layer, or a single uniform one under uniform
-    /// gating. Each keeps the sampler's conditional probabilities and its
-    /// cap-repair order, both refreshed with the distribution.
+    /// gating. Each keeps what the sampler derives from it (conditional
+    /// probabilities, cumulative weights and their guide table, the
+    /// cap-repair order), refreshed with the distribution.
     dists: Vec<GatingDist>,
     /// The weights `dists` were mixed for (`None` until first use).
     dist_weights: Option<Vec<(Scenario, f64)>>,
@@ -230,9 +231,10 @@ impl TraceGenerator {
     /// when the mix weights change (every iteration for
     /// [`WorkloadMix::Cycling`], once for `Fixed` and `Blend`), so a caller
     /// reusing one trace samples without allocating per layer. Each cached
-    /// distribution also keeps the sampler's conditional probabilities and
-    /// the cap repair's expert order, sorted on its first overflow rather
-    /// than on every overflowing group.
+    /// distribution also keeps the sampler's conditional probabilities,
+    /// cumulative weights and guide table, and the cap repair's expert
+    /// order, sorted on its first overflow rather than on every
+    /// overflowing group.
     pub fn next_iteration_into(&mut self, trace: &mut IterationTrace) {
         self.begin_iteration(trace).sample(usize::MAX, |_| {});
     }
