@@ -58,9 +58,12 @@ impl GreedyBalancer {
 
 impl Balancer for GreedyBalancer {
     fn plan_layer(&mut self, ctx: &BalanceContext<'_>) -> Vec<BalanceAction> {
-        let (mut actions, placement, heats) = self.scratch.begin(ctx, self.release_threshold);
+        let Some((mut actions, mut plan)) = self.scratch.begin(ctx, self.release_threshold) else {
+            return Vec::new();
+        };
         for _ in 0..self.max_actions_per_layer {
-            placement.device_loads_into(ctx.expert_loads, heats);
+            let placement = plan.placement();
+            let heats = plan.heats();
             // Globally hottest per-replica expert.
             let Some((expert, _)) = (0..placement.num_experts())
                 .map(|e| (e, ctx.expert_loads[e] / placement.num_replicas(e) as f64))
@@ -82,9 +85,7 @@ impl Balancer for GreedyBalancer {
                 break;
             }
             let source = placement.primary_device(expert);
-            placement
-                .add_replica(expert, target)
-                .expect("target validated");
+            plan.replicate(expert, target);
             actions.push(BalanceAction::Replicate {
                 layer: ctx.layer,
                 expert,

@@ -64,9 +64,12 @@ impl TopologyAwareBalancer {
 
 impl Balancer for TopologyAwareBalancer {
     fn plan_layer(&mut self, ctx: &BalanceContext<'_>) -> Vec<BalanceAction> {
-        let (mut actions, placement, heats) = self.scratch.begin(ctx, self.release_threshold);
+        let Some((mut actions, mut plan)) = self.scratch.begin(ctx, self.release_threshold) else {
+            return Vec::new();
+        };
         for _ in 0..self.max_actions_per_layer {
-            placement.device_loads_into(ctx.expert_loads, heats);
+            let placement = plan.placement();
+            let heats = plan.heats();
             // Line 3: hottest device.
             let hottest = (0..placement.num_devices())
                 .map(|d| DeviceId(d as u32))
@@ -105,9 +108,7 @@ impl Balancer for TopologyAwareBalancer {
                 break;
             };
             // Lines 8–9: copy and update.
-            placement
-                .add_replica(src_e, target)
-                .expect("target validated");
+            plan.replicate(src_e, target);
             actions.push(BalanceAction::Replicate {
                 layer: ctx.layer,
                 expert: src_e,

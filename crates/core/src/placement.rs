@@ -30,12 +30,83 @@ pub struct ExpertPlacement {
     num_experts: usize,
     num_devices: usize,
     slots_per_device: usize,
-    /// `replicas[e]` — devices hosting expert `e`; the primary is first.
-    replicas: Vec<Vec<DeviceId>>,
-    /// `shadow[d]` — experts occupying shadow slots on device `d`.
-    shadow: Vec<Vec<ExpertId>>,
-    /// `primary[d]` — experts whose primary home is device `d`.
-    primary: Vec<Vec<ExpertId>>,
+    /// List `e` — devices hosting expert `e`; the primary is first.
+    replicas: Lists<DeviceId>,
+    /// List `d` — experts occupying shadow slots on device `d`.
+    shadow: Lists<ExpertId>,
+    /// List `d` — experts whose primary home is device `d`.
+    primary: Lists<ExpertId>,
+}
+
+/// One list per key, stored back to back: list `i` is
+/// `items[starts[i]..starts[i + 1]]`. Reading a list touches two
+/// contiguous buffers, and refilling a copy of the same shape with
+/// `clone_from` is two copies into kept buffers, where a vector per list
+/// would be one allocation and one copy per list. Adding to or removing
+/// from a list shifts the lists after it; a placement changes only when a
+/// replica is added or dropped.
+#[derive(PartialEq, Debug)]
+struct Lists<T> {
+    starts: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + PartialEq> Lists<T> {
+    /// The lists with `items[starts[i]..starts[i + 1]]` as list `i`.
+    fn from_parts(starts: Vec<usize>, items: Vec<T>) -> Self {
+        debug_assert_eq!(starts.last(), Some(&items.len()));
+        Lists { starts, items }
+    }
+
+    fn get(&self, i: usize) -> &[T] {
+        &self.items[self.starts[i]..self.starts[i + 1]]
+    }
+
+    fn len(&self, i: usize) -> usize {
+        self.starts[i + 1] - self.starts[i]
+    }
+
+    /// Every list, in key order.
+    fn iter(&self) -> impl Iterator<Item = &[T]> {
+        self.starts.windows(2).map(|w| &self.items[w[0]..w[1]])
+    }
+
+    /// Appends `item` to list `i`.
+    fn push(&mut self, i: usize, item: T) {
+        self.items.insert(self.starts[i + 1], item);
+        for start in &mut self.starts[i + 1..] {
+            *start += 1;
+        }
+    }
+
+    /// Removes the first `item` of list `i`, keeping the order of the
+    /// rest; returns whether list `i` held it.
+    fn remove(&mut self, i: usize, item: T) -> bool {
+        let Some(pos) = self.get(i).iter().position(|&x| x == item) else {
+            return false;
+        };
+        self.items.remove(self.starts[i] + pos);
+        for start in &mut self.starts[i + 1..] {
+            *start -= 1;
+        }
+        true
+    }
+}
+
+impl<T: Clone> Clone for Lists<T> {
+    fn clone(&self) -> Self {
+        Lists {
+            starts: self.starts.clone(),
+            items: self.items.clone(),
+        }
+    }
+
+    /// Reuses both buffers, so refilling a placement of the same shape
+    /// allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.starts.clone_from(&source.starts);
+        self.items.clone_from(&source.items);
+    }
 }
 
 /// Errors from placement mutation.
@@ -83,7 +154,7 @@ impl Clone for ExpertPlacement {
     }
 
     /// Field by field, so refilling a placement of the same shape reuses
-    /// every per-expert and per-device list instead of allocating new ones.
+    /// every buffer instead of allocating new ones.
     fn clone_from(&mut self, source: &Self) {
         self.num_experts = source.num_experts;
         self.num_devices = source.num_devices;
@@ -105,20 +176,24 @@ impl ExpertPlacement {
     pub fn balanced(num_experts: usize, num_devices: usize, slots_per_device: usize) -> Self {
         assert!(num_experts > 0, "need at least one expert");
         assert!(num_devices > 0, "need at least one device");
-        let mut replicas = Vec::with_capacity(num_experts);
-        let mut primary = vec![Vec::new(); num_devices];
+        let home = |e: usize| e * num_devices / num_experts;
+        let replicas = (0..num_experts).map(|e| DeviceId(home(e) as u32)).collect();
+        // Homes never decrease with `e`, so each device's primaries are one
+        // run of expert ids, in ascending order.
+        let mut primary_starts = vec![0; num_devices + 1];
         for e in 0..num_experts {
-            let d = DeviceId((e * num_devices / num_experts) as u32);
-            replicas.push(vec![d]);
-            primary[d.index()].push(e);
+            primary_starts[home(e) + 1] += 1;
+        }
+        for d in 0..num_devices {
+            primary_starts[d + 1] += primary_starts[d];
         }
         ExpertPlacement {
             num_experts,
             num_devices,
             slots_per_device,
-            replicas,
-            shadow: vec![Vec::new(); num_devices],
-            primary,
+            replicas: Lists::from_parts((0..=num_experts).collect(), replicas),
+            shadow: Lists::from_parts(vec![0; num_devices + 1], Vec::new()),
+            primary: Lists::from_parts(primary_starts, (0..num_experts).collect()),
         }
     }
 
@@ -139,37 +214,37 @@ impl ExpertPlacement {
 
     /// Devices hosting expert `e` (primary first).
     pub fn replicas(&self, e: ExpertId) -> &[DeviceId] {
-        &self.replicas[e]
+        self.replicas.get(e)
     }
 
     /// Number of devices hosting expert `e` (the `Num_e` of Algorithm 1).
     pub fn num_replicas(&self, e: ExpertId) -> usize {
-        self.replicas[e].len()
+        self.replicas.len(e)
     }
 
     /// The fixed primary home of expert `e`.
     pub fn primary_device(&self, e: ExpertId) -> DeviceId {
-        self.replicas[e][0]
+        self.replicas(e)[0]
     }
 
     /// Experts whose primary home is `d`.
     pub fn primary_experts(&self, d: DeviceId) -> &[ExpertId] {
-        &self.primary[d.index()]
+        self.primary.get(d.index())
     }
 
     /// Experts occupying shadow slots on `d`.
     pub fn shadow_experts(&self, d: DeviceId) -> &[ExpertId] {
-        &self.shadow[d.index()]
+        self.shadow.get(d.index())
     }
 
     /// Whether `d` hosts expert `e` (as primary or shadow).
     pub fn hosts(&self, d: DeviceId, e: ExpertId) -> bool {
-        self.replicas[e].contains(&d)
+        self.replicas(e).contains(&d)
     }
 
     /// Whether `d` has at least one unoccupied shadow slot.
     pub fn has_free_slot(&self, d: DeviceId) -> bool {
-        self.shadow[d.index()].len() < self.slots_per_device
+        self.shadow.len(d.index()) < self.slots_per_device
     }
 
     /// Installs a shadow replica of `e` on `d`.
@@ -187,8 +262,8 @@ impl ExpertPlacement {
         if !self.has_free_slot(d) {
             return Err(PlacementError::NoFreeSlot { device: d });
         }
-        self.shadow[d.index()].push(e);
-        self.replicas[e].push(d);
+        self.shadow.push(d.index(), e);
+        self.replicas.push(e, d);
         Ok(())
     }
 
@@ -196,16 +271,16 @@ impl ExpertPlacement {
     /// `false` if `d` held no shadow replica of `e` (primaries are never
     /// removed).
     pub fn remove_replica(&mut self, e: ExpertId, d: DeviceId) -> bool {
-        let Some(pos) = self.shadow[d.index()].iter().position(|&x| x == e) else {
+        if !self.shadow.remove(d.index(), e) {
             return false;
-        };
-        self.shadow[d.index()].remove(pos);
-        let rpos = self.replicas[e]
-            .iter()
-            .position(|&x| x == d)
-            .expect("replica list consistent with shadow list");
-        debug_assert!(rpos > 0, "primary replicas are not removable");
-        self.replicas[e].remove(rpos);
+        }
+        debug_assert_ne!(
+            self.primary_device(e),
+            d,
+            "primary replicas are not removable"
+        );
+        let removed = self.replicas.remove(e, d);
+        debug_assert!(removed, "replica list consistent with shadow list");
         true
     }
 
@@ -233,6 +308,25 @@ impl ExpertPlacement {
                 loads[d.index()] += share;
             }
         }
+    }
+
+    /// Device `d`'s slot of [`ExpertPlacement::device_loads_into`], bit for
+    /// bit: the shares of the experts `d` hosts, added in ascending expert
+    /// order. `hosted` is scratch space for that order; its contents are
+    /// overwritten.
+    pub(crate) fn device_load(
+        &self,
+        expert_loads: &[f64],
+        d: DeviceId,
+        hosted: &mut Vec<ExpertId>,
+    ) -> f64 {
+        hosted.clear();
+        hosted.extend_from_slice(self.primary_experts(d));
+        hosted.extend_from_slice(self.shadow_experts(d));
+        hosted.sort_unstable();
+        hosted.iter().fold(0.0, |load, &e| {
+            load + expert_loads[e] / self.num_replicas(e) as f64
+        })
     }
 }
 

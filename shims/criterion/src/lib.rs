@@ -7,8 +7,11 @@
 //! `black_box`, and the `criterion_group!` / `criterion_main!` macros — as a
 //! plain wall-clock harness: each benchmark is calibrated to a short target
 //! duration, then timed over a handful of samples, and the median per-call
-//! time is printed. No statistics, plots, or baselines; swap the path
-//! dependency for the real criterion to get those back.
+//! time is printed beside the fastest sample's. On a shared host the
+//! minimum is the steadier figure for a before/after: compare minima over
+//! alternating runs of the two binaries. No statistics, plots, or
+//! baselines; swap the path dependency for the real criterion to get those
+//! back.
 
 #![forbid(unsafe_code)]
 
@@ -81,8 +84,9 @@ impl From<String> for BenchmarkId {
 pub struct Bencher {
     samples: usize,
     target: Duration,
-    /// Median per-call time of the last `iter*` run, for reporting.
-    last_estimate: Option<Duration>,
+    /// Median and fastest per-call time of the last `iter*` run, for
+    /// reporting.
+    last_estimate: Option<Estimate>,
 }
 
 impl Bencher {
@@ -111,8 +115,7 @@ impl Bencher {
             }
             samples.push(start.elapsed() / per_sample as u32);
         }
-        samples.sort_unstable();
-        self.last_estimate = Some(samples[samples.len() / 2]);
+        self.last_estimate = Some(Estimate::of(samples));
     }
 
     /// Times `routine` over fresh inputs from `setup`; setup time is
@@ -132,8 +135,24 @@ impl Bencher {
             black_box(routine(input));
             samples.push(start.elapsed());
         }
+        self.last_estimate = Some(Estimate::of(samples));
+    }
+}
+
+/// The per-call times a benchmark reports.
+#[derive(Copy, Clone, Debug)]
+struct Estimate {
+    median: Duration,
+    min: Duration,
+}
+
+impl Estimate {
+    fn of(mut samples: Vec<Duration>) -> Self {
         samples.sort_unstable();
-        self.last_estimate = Some(samples[samples.len() / 2]);
+        Estimate {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+        }
     }
 }
 
@@ -154,7 +173,11 @@ fn run_one(full_id: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
     let mut b = Bencher::new(samples);
     f(&mut b);
     match b.last_estimate {
-        Some(est) => println!("bench {full_id:<50} {:>12}/iter", fmt_duration(est)),
+        Some(est) => println!(
+            "bench {full_id:<50} {:>12}/iter (min {})",
+            fmt_duration(est.median),
+            fmt_duration(est.min)
+        ),
         None => println!("bench {full_id:<50} (no measurement)"),
     }
 }

@@ -4,14 +4,15 @@
 //! In steady state `InferenceEngine::step` reuses its gating trace, its
 //! cached mixed distributions and one layer's scratch buffers, so the heap
 //! allocations a step makes must not grow with the number of sparse
-//! layers. A balancer plans on a reused scratch placement, so the
-//! allocations of one `plan_layer` call must not grow with the number of
-//! experts. The cached DES tier prices the engine's sampled all-to-all
+//! layers. A balancer reads the layer's placement in place and copies it
+//! into reused scratch only when its plan mutates it, so the allocations
+//! of one `plan_layer` call must not grow with the number of experts, and
+//! a plan that releases and replicates nothing must make none. The cached DES tier prices the engine's sampled all-to-all
 //! without memoising it, so a serving step on `flow-sim-cached` must cost
 //! no more allocations and leave no more live heap than on `flow-sim`. A
 //! step large enough to sample its gating on a helper thread must allocate
 //! on the calling thread only, and no more as its layers grow. A counting
-//! global allocator measures all four directly.
+//! global allocator measures all five directly.
 //!
 //! The per-thread counters are thread-local, so allocations made by other
 //! test threads (or the harness) never reach them. A process-wide counter
@@ -283,6 +284,51 @@ fn plan_allocations(balancer: &mut dyn Balancer, experts: usize) -> (u64, usize)
     let before = allocations();
     let actions = balancer.plan_layer(&ctx);
     (allocations() - before, actions.len())
+}
+
+/// Heap allocations of a `plan_layer` call that releases nothing and
+/// replicates nothing: every shadow slot of a 4x4 wafer holds a busy
+/// replica of one of 128 equally loaded experts. The balancer first plans
+/// [`plan_allocations`]' layer, which releases and replicates, so the
+/// measured plan starts from the scratch state a busy plan leaves.
+fn idle_plan_allocations(balancer: &mut dyn Balancer) -> (u64, usize) {
+    plan_allocations(balancer, 128);
+    let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+    let table = RouteTable::build(&topo);
+    let mut placement = ExpertPlacement::balanced(128, 16, 2);
+    for d in 0..16 {
+        // Two primaries of the next device: every expert has at most two
+        // replicas, so no shadow share falls below the release threshold.
+        for e in [0, 1] {
+            placement
+                .add_replica((8 * d + 8) % 128 + e, DeviceId(d as u32))
+                .unwrap();
+        }
+    }
+    let loads = vec![1.0; 128];
+    let before = allocations();
+    let actions = balancer.plan_layer(&BalanceContext {
+        layer: 1,
+        expert_loads: &loads,
+        placement: &placement,
+        table: &table,
+    });
+    (allocations() - before, actions.len())
+}
+
+#[test]
+fn plans_without_actions_do_not_allocate() {
+    let _serial = serial();
+    assert_eq!(
+        idle_plan_allocations(&mut TopologyAwareBalancer::new(4)),
+        (0, 0),
+        "topology-aware (allocations, actions)"
+    );
+    assert_eq!(
+        idle_plan_allocations(&mut GreedyBalancer::new(4)),
+        (0, 0),
+        "greedy (allocations, actions)"
+    );
 }
 
 #[test]
