@@ -9,16 +9,18 @@ use moentwine_core::comm::A2aModel;
 use moentwine_core::mapping::{ErMapping, TpShape};
 use moentwine_core::placement::ExpertPlacement;
 use wsc_collectives::{all_to_all_concurrent, ring_all_reduce, Ring, Transfer};
+use wsc_sim::{CongestionModel, FlowSimBackend};
 
 fn bench_ring_all_reduce(c: &mut Criterion) {
     let mut group = c.benchmark_group("ring_all_reduce_des");
     for n in [4u16, 8] {
         let platform = Platform::wsc(n);
         let ring = Ring::new(platform.topo.devices().take(n as usize).collect());
+        let des = FlowSimBackend::new(&platform.topo);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{n}x{n}")),
             &n,
-            |b, _| b.iter(|| ring_all_reduce(&platform.topo, &ring, 2.0e6).run(&platform.topo)),
+            |b, _| b.iter(|| des.price_schedule(&ring_all_reduce(&platform.topo, &ring, 2.0e6))),
         );
     }
     group.finish();
@@ -47,10 +49,13 @@ fn bench_all_to_all_des(c: &mut Criterion) {
             .into_iter()
             .map(|(s, d, b)| Transfer::new(s, d, b))
             .collect();
+        let des = FlowSimBackend::new(&platform.topo);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{n}x{n}")),
             &n,
-            |b, _| b.iter(|| all_to_all_concurrent(&platform.topo, &transfers).run(&platform.topo)),
+            |b, _| {
+                b.iter(|| des.price_schedule(&all_to_all_concurrent(&platform.topo, &transfers)))
+            },
         );
     }
     group.finish();

@@ -12,7 +12,7 @@
 //! all-reduce remains. On GPU clusters the ESP group is the node.
 
 use wsc_collectives::{ring_all_reduce, Ring};
-use wsc_sim::{AnalyticEstimate, FlowSchedule};
+use wsc_sim::{AnalyticEstimate, AnalyticModel, CongestionModel, FlowSchedule};
 use wsc_topology::{DeviceId, RouteTable, Topology};
 
 use crate::comm::ParallelLayout;
@@ -97,7 +97,8 @@ pub fn esp_estimate(
             }
         }
     }
-    let gather = wsc_sim::AnalyticModel::new(topo).estimate_pairs(table, pairs);
+    let analytic = AnalyticModel::new(topo);
+    let gather = analytic.price_pairs(table, &pairs);
 
     // All-reduce of partial outputs within each ESP group.
     let reduce_bytes = tokens_per_esp_from_tp * num_tp_groups as f64 * token_bytes;
@@ -109,8 +110,8 @@ pub fn esp_estimate(
     let reduce_time = if schedules.is_empty() {
         0.0
     } else {
-        wsc_sim::AnalyticModel::new(topo)
-            .estimate_schedule(&FlowSchedule::merge_lockstep(schedules.iter()))
+        analytic
+            .price_schedule(&FlowSchedule::merge_lockstep(schedules.iter()))
             .total_time
     };
 

@@ -2128,6 +2128,7 @@ impl<'a> Fleet<'a> {
 mod tests {
     use super::*;
     use crate::mapping::ErMapping;
+    use crate::over_seeds::over_seeds;
     use moe_model::ModelConfig;
     use moe_workload::{Scenario, SchedulingMode, WorkloadMix};
     use wsc_topology::{Mesh, MultiWafer, PlatformParams};
@@ -2728,39 +2729,40 @@ mod tests {
         let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
             .unwrap()
             .plan();
-        let config = FleetConfig::new(
-            3,
-            RouterPolicy::LeastQueueDepth,
-            2.0e5,
-            engine_template(53).with_summary(SummaryMode::Streaming),
-        )
-        .with_events(chaos_events());
-        let mut fleet = Fleet::new(&topo, &table, &plan, config);
-        fleet.run_until(2.0e-3);
-        assert_eq!(fleet.pending_events(), 0);
-        let summary = fleet.summary();
+        let run = |seed: u64| {
+            let config = FleetConfig::new(
+                3,
+                RouterPolicy::LeastQueueDepth,
+                2.0e5,
+                engine_template(seed).with_summary(SummaryMode::Streaming),
+            )
+            .with_events(chaos_events());
+            let mut fleet = Fleet::new(&topo, &table, &plan, config);
+            fleet.run_until(2.0e-3);
+            assert_eq!(fleet.pending_events(), 0);
+            fleet.summary()
+        };
+        let summary = run(53);
         let avail = &summary.availability;
         assert_eq!(avail.events_applied, 4);
-        assert_eq!(
-            avail.replica_states,
-            vec!["active", "active", "retired", "active"]
-        );
+        let states = &avail.replica_states;
+        assert_eq!(states.len(), 4);
+        for i in [0, 1, 3] {
+            assert_eq!(states[i], "active", "replica {i}");
+        }
         assert!(avail.crash_interruptions > 0);
         // Event-driven marks sit at exactly the configured times.
         assert_eq!(avail.goodput_windows[0].end, 3.0e-4);
         assert_eq!(avail.goodput_windows[2].start, 5.0e-4);
         assert!(summary.aggregate.completed > 0);
         // Determinism: the same run twice is bit-identical.
-        let config2 = FleetConfig::new(
-            3,
-            RouterPolicy::LeastQueueDepth,
-            2.0e5,
-            engine_template(53).with_summary(SummaryMode::Streaming),
-        )
-        .with_events(chaos_events());
-        let mut fleet2 = Fleet::new(&topo, &table, &plan, config2);
-        fleet2.run_until(2.0e-3);
-        assert_eq!(fleet2.summary(), summary);
+        assert_eq!(run(53), summary);
+        // Whether the drained replica empties by 2 ms depends on the
+        // request stream: it was retired on 35 of seeds 32..96 (else still
+        // draining). k = 9 of 32 is about n·p − 3·sd at that rate.
+        over_seeds(40..72, 9, |seed| {
+            run(seed).availability.replica_states[2] == "retired"
+        });
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! complementarity for any mapping.
 
 use moe_workload::LayerGating;
-use wsc_sim::AnalyticModel;
+use wsc_sim::{AnalyticModel, CongestionModel};
 use wsc_topology::{LinkId, RouteTable, Topology};
 
 use crate::comm::{A2aModel, ParallelLayout};
@@ -86,9 +86,7 @@ pub fn phase_heatmaps(
     // All-reduce volumes from the schedule.
     let ar_bytes = tokens_per_group as f64 * token_bytes;
     let sched = plan.all_reduce_schedule(topo, ar_bytes);
-    let ar = AnalyticModel::new(topo)
-        .estimate_schedule(&sched)
-        .link_volume;
+    let ar = AnalyticModel::new(topo).price_schedule(&sched).link_volume;
 
     // All-to-all volumes from a balanced gating outcome.
     let placement = ExpertPlacement::balanced(num_experts, topo.num_devices(), 1);

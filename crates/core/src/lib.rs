@@ -52,6 +52,8 @@ pub mod fleet;
 pub mod heatmap;
 pub mod mapping;
 pub mod migration;
+#[cfg(test)]
+mod over_seeds;
 pub mod placement;
 
 pub use config::ConfigError;

@@ -89,6 +89,7 @@ pub fn uniform_all_to_all_matrix(topo: &Topology, bytes_per_pair: f64) -> Vec<Tr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsc_sim::{CongestionModel, FlowSimBackend};
     use wsc_topology::{DgxCluster, Mesh, PlatformParams};
 
     #[test]
@@ -133,7 +134,9 @@ mod tests {
         let topo = Mesh::new(6, PlatformParams::dojo_like()).build();
         let m = uniform_all_to_all_matrix(&topo, 1.0e6);
         let sched = all_to_all_concurrent(&topo, &m);
-        let result = sched.run(&topo);
+        let volume = FlowSimBackend::new(&topo)
+            .price_schedule(&sched)
+            .link_volume;
         // Central horizontal link (2,2)->(3,2) vs edge link (0,0)->(1,0).
         let center_src = topo.device_at_xy(2, 2).unwrap();
         let center_dst = topo.device_at_xy(3, 2).unwrap();
@@ -145,9 +148,7 @@ mod tests {
         let edge_link = topo
             .link_between(topo.device_node(edge_src), topo.device_node(edge_dst))
             .unwrap();
-        assert!(
-            result.stats.bytes[center_link.index()] > 1.5 * result.stats.bytes[edge_link.index()]
-        );
+        assert!(volume[center_link.index()] > 1.5 * volume[edge_link.index()]);
     }
 
     #[test]
@@ -156,7 +157,7 @@ mod tests {
         let topo = DgxCluster::new(2, params).build();
         let m = uniform_all_to_all_matrix(&topo, 1.0e6);
         let sched = all_to_all_concurrent(&topo, &m);
-        let t = sched.run(&topo).total_time;
+        let t = FlowSimBackend::new(&topo).price_schedule(&sched).total_time;
         // 8 GPUs × 8 peers × 1 MB cross the single 400 GB/s uplink each way.
         let ib_bytes = 8.0 * 8.0 * 1.0e6;
         let lower_bound = ib_bytes / params.infiniband_bw;

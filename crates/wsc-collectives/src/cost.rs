@@ -1,21 +1,17 @@
 //! Closed-form α-β reference costs for validating schedules, plus
 //! backend-driven pricing of the schedules themselves.
 //!
-//! The closed forms are paper Eq. 1-style references; [`schedule_time`] and
-//! [`backend_disagreement`] price an actual [`FlowSchedule`] through any
-//! [`CongestionModel`] backend, so per-collective experiments can spot-check
-//! the fast analytic estimate against the DES on the same schedule. All
+//! The closed forms are paper Eq. 1-style references; [`backend_disagreement`]
+//! prices an actual [`FlowSchedule`] through two [`CongestionModel`]
+//! backends ([`CongestionModel::price_schedule`]), so per-collective
+//! experiments can spot-check the fast analytic estimate against the DES on
+//! the same schedule. All
 //! three fidelity tiers (analytic / cached DES / full DES — see
 //! `wsc_sim::CongestionBackend`) plug in here; collective sweeps that price
 //! the same schedule shape repeatedly should prefer the cached tier, whose
 //! estimates are bit-identical to the full DES.
 
 use wsc_sim::{CongestionModel, FlowSchedule};
-
-/// Total time of `schedule` under the supplied backend, seconds.
-pub fn schedule_time(backend: &dyn CongestionModel, schedule: &FlowSchedule) -> f64 {
-    backend.price_schedule(schedule).total_time
-}
 
 /// Relative disagreement between two backends on one schedule:
 /// `|t_a − t_b| / t_b` (with `t_b` from `reference`). Zero-time schedules
@@ -28,11 +24,11 @@ pub fn backend_disagreement(
     reference: &dyn CongestionModel,
     schedule: &FlowSchedule,
 ) -> f64 {
-    let t_ref = schedule_time(reference, schedule);
+    let t_ref = reference.price_schedule(schedule).total_time;
     if t_ref == 0.0 {
         return 0.0;
     }
-    (schedule_time(candidate, schedule) - t_ref).abs() / t_ref
+    (candidate.price_schedule(schedule).total_time - t_ref).abs() / t_ref
 }
 
 /// Closed-form time of a bidirectional 1-hop ring all-reduce of `n` members
@@ -87,7 +83,7 @@ mod tests {
     use super::*;
     use crate::alltoall::{all_to_all_concurrent, uniform_all_to_all_matrix};
     use crate::ring::{ring_all_reduce, Ring};
-    use wsc_sim::CongestionBackend;
+    use wsc_sim::{CongestionBackend, FlowSimBackend};
     use wsc_topology::{Mesh, PlatformParams};
 
     #[test]
@@ -105,7 +101,7 @@ mod tests {
         let sched = ring_all_reduce(&topo, &ring, bytes);
         let reference = ring_all_reduce_time(4, bytes, params.on_wafer_bw, params.on_wafer_latency);
         for kind in CongestionBackend::all() {
-            let t = schedule_time(kind.build(&topo).as_ref(), &sched);
+            let t = kind.build(&topo).price_schedule(&sched).total_time;
             assert!(
                 (t - reference).abs() / reference < 1e-6,
                 "{kind}: {t} vs closed form {reference}"
@@ -145,8 +141,8 @@ mod tests {
         );
         // Replay hits the cache and must return the very same number.
         assert_eq!(
-            schedule_time(cached.as_ref(), &sched),
-            schedule_time(des.as_ref(), &sched)
+            cached.price_schedule(&sched).total_time,
+            des.price_schedule(&sched).total_time
         );
     }
 
@@ -163,7 +159,7 @@ mod tests {
         let topo = Mesh::new(4, params).build();
         let bytes = 1.0e6;
         let sched = all_to_all_concurrent(&topo, &uniform_all_to_all_matrix(&topo, bytes));
-        let t = sched.run(&topo).total_time;
+        let t = FlowSimBackend::new(&topo).price_schedule(&sched).total_time;
         let bound = mesh_all_to_all_bisection_bound(4, bytes, params.on_wafer_bw);
         assert!(t >= bound * 0.99, "{t} vs bound {bound}");
     }
@@ -174,7 +170,7 @@ mod tests {
         let topo = Mesh::new(4, params).build();
         let bytes = 1.0e6;
         let sched = all_to_all_concurrent(&topo, &uniform_all_to_all_matrix(&topo, bytes));
-        let t = sched.run(&topo).total_time;
+        let t = FlowSimBackend::new(&topo).price_schedule(&sched).total_time;
         // Corner devices inject over 2 links.
         let bound = all_to_all_injection_bound(16, bytes, 2.0 * params.on_wafer_bw);
         assert!(t >= bound, "{t} vs {bound}");

@@ -99,6 +99,7 @@ pub fn hierarchical_all_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsc_sim::{CongestionModel, FlowSimBackend};
     use wsc_topology::{DgxCluster, Location, PlatformParams};
 
     fn node_of(topo: &Topology) -> impl Fn(DeviceId) -> u16 + '_ {
@@ -121,8 +122,10 @@ mod tests {
         let topo = DgxCluster::new(4, PlatformParams::dgx_b200()).build();
         let group: Vec<DeviceId> = topo.devices().collect();
         let bytes = 64.0e6;
-        let hier = hierarchical_all_reduce(&topo, &group, bytes, node_of(&topo)).run(&topo);
-        let flat = ring_all_reduce(&topo, &Ring::new(group), bytes).run(&topo);
+        let hier = hierarchical_all_reduce(&topo, &group, bytes, node_of(&topo));
+        let flat = ring_all_reduce(&topo, &Ring::new(group), bytes);
+        let des = FlowSimBackend::new(&topo);
+        let (hier, flat) = (des.price_schedule(&hier), des.price_schedule(&flat));
         assert!(
             hier.total_time < flat.total_time,
             "hierarchical {} vs flat {}",

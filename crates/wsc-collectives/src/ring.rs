@@ -185,7 +185,7 @@ pub fn ring_pass_unidirectional(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsc_sim::AnalyticModel;
+    use wsc_sim::{AnalyticModel, CongestionModel, FlowSimBackend};
     use wsc_topology::{Mesh, PlatformParams};
 
     /// A Hamiltonian cycle over an n×n mesh (n even): boustrophedon over
@@ -237,7 +237,7 @@ mod tests {
         let ring = hamiltonian_ring(&topo, 4);
         let bytes = 64.0e6;
         let sched = ring_all_reduce(&topo, &ring, bytes);
-        let result = sched.run(&topo);
+        let result = FlowSimBackend::new(&topo).price_schedule(&sched);
         let n = 16.0;
         let params = PlatformParams::dojo_like();
         let step = bytes / (2.0 * n) / params.on_wafer_bw + params.on_wafer_latency;
@@ -251,10 +251,8 @@ mod tests {
         let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
         let ring = hamiltonian_ring(&topo, 4);
         let sched = ring_all_reduce(&topo, &ring, 8.0e6);
-        let des = sched.run(&topo).total_time;
-        let est = AnalyticModel::new(&topo)
-            .estimate_schedule(&sched)
-            .total_time;
+        let des = FlowSimBackend::new(&topo).price_schedule(&sched).total_time;
+        let est = AnalyticModel::new(&topo).price_schedule(&sched).total_time;
         assert!((des - est).abs() / des < 1e-6, "{des} vs {est}");
     }
 

@@ -165,6 +165,7 @@ pub fn phases_are_link_disjoint(schedule: &FlowSchedule, topo: &Topology) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsc_sim::{CongestionModel, FlowSimBackend};
     use wsc_topology::{DeviceId, Mesh, PlatformParams};
 
     /// The paper's 4×4 / TP=(2,2) example: four entwined rings with stride-2
@@ -213,7 +214,8 @@ mod tests {
         let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
         let bytes = 16.0e6;
         let staggered = staggered_ring_all_reduce(&topo, &er_rings(&topo), bytes);
-        let t_staggered = staggered.run(&topo).total_time;
+        let des = FlowSimBackend::new(&topo);
+        let t_staggered = des.price_schedule(&staggered).total_time;
 
         // A single contiguous 4-member 1-hop ring of the baseline mapping.
         let dev = |x: u16, y: u16| topo.device_at_xy(x, y).unwrap();
@@ -222,7 +224,7 @@ mod tests {
             &Ring::new(vec![dev(0, 0), dev(1, 0), dev(1, 1), dev(0, 1)]),
             bytes,
         );
-        let t_base = base.run(&topo).total_time;
+        let t_base = des.price_schedule(&base).total_time;
         let ratio = t_staggered / t_base;
         assert!(
             (1.8..=2.3).contains(&ratio),

@@ -1,12 +1,12 @@
 //! Closed-form congestion estimation.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
-use wsc_topology::{DeviceId, LinkId, Route, RouteTable, Topology};
+use wsc_topology::{LinkId, Topology};
 
-use crate::flow::{FlowSpec, RoutedTransfer};
-use crate::schedule::FlowSchedule;
+use crate::flow::RoutedTransfer;
 
 /// Closed-form estimate for a set of concurrent flows.
 #[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
@@ -27,7 +27,7 @@ pub struct AnalyticEstimate {
 }
 
 impl AnalyticEstimate {
-    fn empty(num_links: usize) -> Self {
+    pub(crate) fn empty(num_links: usize) -> Self {
         AnalyticEstimate {
             link_volume: vec![0.0; num_links],
             ..Default::default()
@@ -62,19 +62,19 @@ impl AnalyticEstimate {
 ///
 /// ```
 /// use wsc_topology::{Mesh, PlatformParams};
-/// use wsc_sim::{AnalyticModel, FlowSpec};
+/// use wsc_sim::{AnalyticModel, CongestionModel, FlowSpec};
 ///
 /// let topo = Mesh::new(2, PlatformParams::dojo_like()).build();
 /// let a = topo.device_at_xy(0, 0).unwrap();
 /// let b = topo.device_at_xy(1, 0).unwrap();
 /// let model = AnalyticModel::new(&topo);
-/// let est = model.estimate_flows(&[FlowSpec::new(topo.route(a, b), 4.0e12)]);
+/// let est = model.price_flows(&[FlowSpec::new(topo.route(a, b), 4.0e12)]);
 /// assert!((est.serialization_time - 1.0).abs() < 1e-9);
 /// ```
 #[derive(Debug)]
 pub struct AnalyticModel<'a> {
     topo: &'a Topology,
-    /// Reused buffers of [`AnalyticModel::pairs_total_time`].
+    /// Reused buffers of the time-only walk.
     scratch: RefCell<LinkScratch>,
 }
 
@@ -126,103 +126,15 @@ impl<'a> AnalyticModel<'a> {
         self.topo
     }
 
-    /// Estimates a set of concurrent flows.
-    pub fn estimate_flows(&self, flows: &[FlowSpec]) -> AnalyticEstimate {
-        self.estimate_iter(flows.iter().map(|f| (&f.route, f.bytes)))
-    }
-
-    /// Estimates concurrent transfers given as `(route, bytes)` pairs,
-    /// avoiding `FlowSpec` allocation for hot paths.
-    pub fn estimate_iter<'r>(
+    /// The time-only walk: the `total_time` of [`estimate_paths`] over the
+    /// positive-byte transfers, bit for bit, taking each route's latency
+    /// precomputed (see [`RoutedTransfer`]). Link volumes accumulate in a
+    /// reused buffer and the bottleneck fold visits only the links the
+    /// transfers touch (an untouched link adds exactly 0 to a max that
+    /// starts at 0).
+    pub(crate) fn routes_total_time<'r, T: Borrow<RoutedTransfer<'r>>>(
         &self,
-        transfers: impl IntoIterator<Item = (&'r Route, f64)>,
-    ) -> AnalyticEstimate {
-        let mut est = AnalyticEstimate::empty(self.topo.num_links());
-        for (route, bytes) in transfers {
-            est.total_bytes += bytes;
-            est.max_hops = est.max_hops.max(route.hops());
-            let mut lat = 0.0;
-            for &l in route.links() {
-                est.link_volume[l.index()] += bytes;
-                lat += self.topo.link(l).latency;
-            }
-            est.latency_time = est.latency_time.max(lat);
-        }
-        est.serialization_time = est
-            .link_volume
-            .iter()
-            .zip(self.topo.links())
-            .map(|(&v, l)| v / l.bandwidth)
-            .fold(0.0, f64::max);
-        est.total_time = est.serialization_time + est.latency_time;
-        est
-    }
-
-    /// Estimates point-to-point transfers between devices using a
-    /// precomputed route table.
-    pub fn estimate_pairs(
-        &self,
-        table: &RouteTable,
-        pairs: impl IntoIterator<Item = (DeviceId, DeviceId, f64)>,
-    ) -> AnalyticEstimate {
-        let mut est = AnalyticEstimate::empty(self.topo.num_links());
-        for (src, dst, bytes) in pairs {
-            if bytes <= 0.0 {
-                continue;
-            }
-            let route = table.route(src, dst);
-            est.total_bytes += bytes;
-            est.max_hops = est.max_hops.max(route.hops());
-            let mut lat = 0.0;
-            for &l in route.links() {
-                est.link_volume[l.index()] += bytes;
-                lat += self.topo.link(l).latency;
-            }
-            est.latency_time = est.latency_time.max(lat);
-        }
-        est.serialization_time = est
-            .link_volume
-            .iter()
-            .zip(self.topo.links())
-            .map(|(&v, l)| v / l.bandwidth)
-            .fold(0.0, f64::max);
-        est.total_time = est.serialization_time + est.latency_time;
-        est
-    }
-
-    /// The `total_time` of [`AnalyticModel::estimate_pairs`], bit for bit,
-    /// without building an estimate: link volumes accumulate in a reused
-    /// buffer and the bottleneck fold visits only the links the pairs touch
-    /// (an untouched link adds exactly 0 to a max that starts at 0).
-    pub(crate) fn pairs_total_time(
-        &self,
-        table: &RouteTable,
-        pairs: &[(DeviceId, DeviceId, f64)],
-    ) -> f64 {
-        let mut scratch = self.scratch.borrow_mut();
-        scratch.volume.resize(self.topo.num_links(), 0.0);
-        let mut latency_time = 0.0_f64;
-        for &(src, dst, bytes) in pairs {
-            if bytes <= 0.0 {
-                continue;
-            }
-            let links = table.route(src, dst).links();
-            scratch.add(links, bytes);
-            let mut lat = 0.0;
-            for &l in links {
-                lat += self.topo.link(l).latency;
-            }
-            latency_time = latency_time.max(lat);
-        }
-        scratch.take_serialization_time(self.topo) + latency_time
-    }
-
-    /// [`AnalyticModel::pairs_total_time`] over a route set's
-    /// `(bytes, transfer)` items (see [`RoutedTransfer`]): the same walk
-    /// with the same skip rule, taking each route's latency precomputed.
-    pub(crate) fn routes_total_time<'s, 'r: 's>(
-        &self,
-        transfers: impl Iterator<Item = (f64, &'s RoutedTransfer<'r>)>,
+        transfers: impl Iterator<Item = (f64, T)>,
     ) -> f64 {
         let mut scratch = self.scratch.borrow_mut();
         scratch.volume.resize(self.topo.num_links(), 0.0);
@@ -231,29 +143,50 @@ impl<'a> AnalyticModel<'a> {
             if bytes <= 0.0 {
                 continue;
             }
+            let transfer = transfer.borrow();
             scratch.add(transfer.links, bytes);
             latency_time = latency_time.max(transfer.latency);
         }
         scratch.take_serialization_time(self.topo) + latency_time
     }
+}
 
-    /// Estimates a phased schedule: phases are sequential, so their
-    /// estimates add.
-    pub fn estimate_schedule(&self, schedule: &FlowSchedule) -> AnalyticEstimate {
-        let mut total = AnalyticEstimate::empty(self.topo.num_links());
-        for phase in schedule.phases() {
-            let phase_est = self.estimate_flows(&phase.flows);
-            total = total.then(&phase_est);
+/// The full-estimate walk: the [`AnalyticEstimate`] of concurrent transfers
+/// given as `(bytes, route links)` over `topo`. Every tier's full estimate
+/// takes its latency, bytes, hops and link volumes from here.
+pub(crate) fn estimate_paths<'r>(
+    topo: &Topology,
+    paths: impl IntoIterator<Item = (f64, &'r [LinkId])>,
+) -> AnalyticEstimate {
+    let mut est = AnalyticEstimate::empty(topo.num_links());
+    for (bytes, links) in paths {
+        est.total_bytes += bytes;
+        est.max_hops = est.max_hops.max(links.len());
+        let mut lat = 0.0;
+        for &l in links {
+            est.link_volume[l.index()] += bytes;
+            lat += topo.link(l).latency;
         }
-        total
+        est.latency_time = est.latency_time.max(lat);
     }
+    est.serialization_time = est
+        .link_volume
+        .iter()
+        .zip(topo.links())
+        .map(|(&v, l)| v / l.bandwidth)
+        .fold(0.0, f64::max);
+    est.total_time = est.serialization_time + est.latency_time;
+    est
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::CongestionModel;
+    use crate::flow::FlowSpec;
     use crate::network::NetworkSim;
-    use wsc_topology::{Mesh, PlatformParams};
+    use crate::schedule::FlowSchedule;
+    use wsc_topology::{Mesh, PlatformParams, RouteTable};
 
     #[test]
     fn matches_des_for_single_bottleneck() {
@@ -264,7 +197,7 @@ mod tests {
             FlowSpec::new(topo.route(a, b), 4.0e9),
             FlowSpec::new(topo.route(a, b), 4.0e9),
         ];
-        let est = AnalyticModel::new(&topo).estimate_flows(&flows);
+        let est = AnalyticModel::new(&topo).price_flows(&flows);
         let des = NetworkSim::new(&topo).run_concurrent(&flows);
         assert!((est.total_time - des.total_time).abs() / des.total_time < 1e-9);
     }
@@ -275,7 +208,7 @@ mod tests {
         let a = topo.device_at_xy(0, 0).unwrap();
         let b = topo.device_at_xy(1, 0).unwrap();
         let model = AnalyticModel::new(&topo);
-        let one = model.estimate_flows(&[FlowSpec::new(topo.route(a, b), 1e9)]);
+        let one = model.price_flows(&[FlowSpec::new(topo.route(a, b), 1e9)]);
         let two = one.clone().then(&one);
         assert!((two.total_time - 2.0 * one.total_time).abs() < 1e-15);
         assert_eq!(two.total_bytes, 2e9);
@@ -290,8 +223,8 @@ mod tests {
         sched.push_phase("p0", vec![FlowSpec::new(topo.route(a, b), 1e9)]);
         sched.push_phase("p1", vec![FlowSpec::new(topo.route(b, a), 1e9)]);
         let model = AnalyticModel::new(&topo);
-        let est = model.estimate_schedule(&sched);
-        let single = model.estimate_flows(&[FlowSpec::new(topo.route(a, b), 1e9)]);
+        let est = model.price_schedule(&sched);
+        let single = model.price_flows(&[FlowSpec::new(topo.route(a, b), 1e9)]);
         assert!((est.total_time - 2.0 * single.total_time).abs() < 1e-15);
     }
 
@@ -302,7 +235,7 @@ mod tests {
         let model = AnalyticModel::new(&topo);
         let a = topo.device_at_xy(0, 0).unwrap();
         let b = topo.device_at_xy(1, 0).unwrap();
-        let est = model.estimate_pairs(&table, [(a, b, 0.0), (a, b, 1e9)]);
+        let est = model.price_pairs(&table, &[(a, b, 0.0), (a, b, 1e9)]);
         assert_eq!(est.total_bytes, 1e9);
     }
 }

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 use wsc_topology::{DeviceId, LinkId, RouteTable, Topology};
 
-use crate::analytic::{AnalyticEstimate, AnalyticModel};
+use crate::analytic::{estimate_paths, AnalyticEstimate, AnalyticModel};
 use crate::flow::{routed_bytes, FlowSpec, RoutedTransfer};
 use crate::network::{NetworkSim, RunResult};
 use crate::schedule::FlowSchedule;
@@ -195,10 +195,7 @@ fn compose_schedule<M: CongestionModel + ?Sized>(
     model: &M,
     schedule: &FlowSchedule,
 ) -> AnalyticEstimate {
-    let mut total = AnalyticEstimate {
-        link_volume: vec![0.0; model.topology().num_links()],
-        ..Default::default()
-    };
+    let mut total = AnalyticEstimate::empty(model.topology().num_links());
     for phase in schedule.phases() {
         if phase.flows.is_empty() {
             continue;
@@ -219,7 +216,7 @@ impl CongestionModel for AnalyticModel<'_> {
     }
 
     fn price_flows(&self, flows: &[FlowSpec]) -> AnalyticEstimate {
-        self.estimate_flows(flows)
+        estimate_paths(self.topology(), flow_paths(flows))
     }
 
     fn price_pairs(
@@ -227,19 +224,19 @@ impl CongestionModel for AnalyticModel<'_> {
         table: &RouteTable,
         pairs: &[(DeviceId, DeviceId, f64)],
     ) -> AnalyticEstimate {
-        self.estimate_pairs(table, pairs.iter().copied())
+        estimate_paths(self.topology(), pair_paths(table, pairs))
     }
 
     fn price_pairs_time(&self, table: &RouteTable, pairs: &[(DeviceId, DeviceId, f64)]) -> f64 {
-        self.pairs_total_time(table, pairs)
+        let topo = self.topology();
+        self.routes_total_time(
+            pair_paths(table, pairs)
+                .map(|(bytes, links)| (bytes, RoutedTransfer::new(topo, 0, 1.0, links))),
+        )
     }
 
     fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64 {
         self.routes_total_time(routed_bytes(routes, volume))
-    }
-
-    fn price_schedule(&self, schedule: &FlowSchedule) -> AnalyticEstimate {
-        self.estimate_schedule(schedule)
     }
 }
 
@@ -248,11 +245,13 @@ impl CongestionModel for AnalyticModel<'_> {
 /// Each pricing call runs a fresh simulation (the simulator itself is
 /// stateless across runs) over the incremental fair-share allocator. Routes
 /// are borrowed — from the flows themselves or from the caller's shared CSR
-/// [`RouteTable`] — so pricing allocates no per-flow route storage. The
-/// returned estimate carries the simulated completion time as `total_time`,
-/// the DES per-link traffic as `link_volume`, and derives
-/// `serialization_time` as `total_time − latency_time` so that existing
-/// consumers of the analytic decomposition keep working.
+/// [`RouteTable`] — so pricing allocates no per-flow route storage. Only
+/// the time comes from the simulation: a full estimate takes its latency,
+/// bytes, hops and per-link volumes from the analytic tier's walk (they do
+/// not depend on how flows share bandwidth), carries the simulated
+/// completion time as `total_time`, and derives `serialization_time` as
+/// `total_time − latency_time` so that existing consumers of the analytic
+/// decomposition keep working.
 ///
 /// # Example
 ///
@@ -285,28 +284,19 @@ impl<'a> FlowSimBackend<'a> {
         NetworkSim::new(self.topo).run_paths(paths.map(|(bytes, links)| (0.0, bytes, links)))
     }
 
-    /// Shared estimate assembly for both full-estimate entry points.
+    /// The full estimate of `paths`: the analytic walk's latency, bytes,
+    /// hops and link volumes, with the simulated completion time as
+    /// `total_time`.
     fn price_paths<'r>(
         &self,
         paths: impl Iterator<Item = (f64, &'r [LinkId])> + Clone,
     ) -> AnalyticEstimate {
-        let result = self.run(paths.clone());
-        let mut latency_time = 0.0_f64;
-        let mut total_bytes = 0.0_f64;
-        let mut max_hops = 0usize;
-        for (bytes, links) in paths {
-            latency_time = latency_time.max(self.topo.path_latency(links));
-            total_bytes += bytes;
-            max_hops = max_hops.max(links.len());
-        }
-        AnalyticEstimate {
-            serialization_time: (result.total_time - latency_time).max(0.0),
-            latency_time: latency_time.min(result.total_time),
-            total_time: result.total_time,
-            link_volume: result.stats.bytes,
-            total_bytes,
-            max_hops,
-        }
+        let total_time = self.run(paths.clone()).total_time;
+        let mut est = estimate_paths(self.topo, paths);
+        est.serialization_time = (total_time - est.latency_time).max(0.0);
+        est.latency_time = est.latency_time.min(total_time);
+        est.total_time = total_time;
+        est
     }
 }
 
@@ -320,7 +310,7 @@ impl CongestionModel for FlowSimBackend<'_> {
     }
 
     fn price_flows(&self, flows: &[FlowSpec]) -> AnalyticEstimate {
-        self.price_paths(flows.iter().map(|f| (f.bytes, f.route.links())))
+        self.price_paths(flow_paths(flows))
     }
 
     fn price_pairs(
@@ -345,6 +335,11 @@ impl CongestionModel for FlowSimBackend<'_> {
         )
         .total_time
     }
+}
+
+/// The `(bytes, route links)` of every flow in `flows`.
+fn flow_paths(flows: &[FlowSpec]) -> impl Iterator<Item = (f64, &[LinkId])> + Clone {
+    flows.iter().map(|f| (f.bytes, f.route.links()))
 }
 
 /// The `(bytes, route links)` of the positive-byte transfers in `pairs`.
@@ -667,10 +662,98 @@ impl CongestionModel for CachedBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use wsc_topology::{Mesh, PlatformParams};
 
     fn mesh(n: u16) -> Topology {
         Mesh::new(n, PlatformParams::dojo_like()).build()
+    }
+
+    /// Random `(src, dst, bytes)` transfers on `topo` of one of four kinds:
+    /// mixed (some local, some zero-byte), all local, all zero-byte, or
+    /// empty.
+    fn random_pairs(rng: &mut StdRng, topo: &Topology) -> Vec<(DeviceId, DeviceId, f64)> {
+        let n = topo.num_devices() as u32;
+        let kind = rng.gen_range(0..4);
+        let len = if kind == 3 {
+            0
+        } else {
+            rng.gen_range(1usize..24)
+        };
+        (0..len)
+            .map(|_| {
+                let src = DeviceId(rng.gen_range(0..n));
+                let dst = if kind == 1 || rng.gen_range(0..6) == 0 {
+                    src
+                } else {
+                    DeviceId(rng.gen_range(0..n))
+                };
+                let bytes = if kind == 2 || rng.gen_range(0..6) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(1.0e3..1.0e8)
+                };
+                (src, dst, bytes)
+            })
+            .collect()
+    }
+
+    fn flows_of(topo: &Topology, pairs: &[(DeviceId, DeviceId, f64)]) -> Vec<FlowSpec> {
+        pairs
+            .iter()
+            .map(|&(s, d, bytes)| FlowSpec::new(topo.route(s, d), bytes))
+            .collect()
+    }
+
+    proptest! {
+        /// Each pricing question has one body. The flow-sim tier's full
+        /// estimate differs from the analytic tier's only in its times,
+        /// and on every tier the time-only pair price is the full
+        /// estimate's time and a schedule is the in-order sum of its
+        /// phases' flow-set prices, bit for bit.
+        #[test]
+        fn pricing_questions_have_one_body(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let topo = mesh(4);
+            let table = RouteTable::build(&topo);
+            let analytic = AnalyticModel::new(&topo);
+            let des = FlowSimBackend::new(&topo);
+            let pairs = random_pairs(&mut rng, &topo);
+            let flows = flows_of(&topo, &pairs);
+            for (a, d) in [
+                (analytic.price_flows(&flows), des.price_flows(&flows)),
+                (analytic.price_pairs(&table, &pairs), des.price_pairs(&table, &pairs)),
+            ] {
+                prop_assert_eq!(a.latency_time.to_bits(), d.latency_time.to_bits());
+                prop_assert_eq!(a.total_bytes.to_bits(), d.total_bytes.to_bits());
+                prop_assert_eq!(a.max_hops, d.max_hops);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&a.link_volume), bits(&d.link_volume));
+            }
+
+            let mut sched = FlowSchedule::new();
+            for p in 0..rng.gen_range(0..4) {
+                let phase = random_pairs(&mut rng, &topo);
+                sched.push_phase(format!("p{p}"), flows_of(&topo, &phase));
+            }
+            for kind in CongestionBackend::all() {
+                let backend = kind.build(&topo);
+                prop_assert_eq!(
+                    backend.price_pairs_time(&table, &pairs).to_bits(),
+                    backend.price_pairs(&table, &pairs).total_time.to_bits(),
+                    "{}",
+                    kind
+                );
+                let total = backend.price_schedule(&sched).total_time;
+                let mut sum = 0.0;
+                for phase in sched.phases() {
+                    sum += backend.price_flows(&phase.flows).total_time;
+                }
+                prop_assert_eq!(total.to_bits(), sum.to_bits(), "{}", kind);
+            }
+        }
     }
 
     /// Satellite contract: on a contention-free single-flow schedule all

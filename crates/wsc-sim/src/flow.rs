@@ -3,18 +3,6 @@
 use serde::{Deserialize, Serialize};
 use wsc_topology::{LinkId, Route, Topology};
 
-/// Identifier of a flow within a single simulation run (dense index, in
-/// submission order).
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-pub struct FlowId(pub u32);
-
-impl FlowId {
-    /// Returns the flow id as a `usize` suitable for indexing.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// A point-to-point transfer: a number of bytes pushed along a fixed route.
 ///
 /// A flow with an empty route models a device-local copy and completes

@@ -22,13 +22,19 @@
 //! [`FlowSchedule`]s: sequences of phases, each phase a set of concurrent
 //! flows, with a barrier between phases (step-synchronous collectives).
 //!
-//! Consumers that should work at any fidelity price schedules through the
-//! pluggable [`CongestionModel`] trait ([`backend`] module). Three
+//! Every pricing question goes through the pluggable [`CongestionModel`]
+//! trait ([`backend`] module), one body each: a schedule is priced by
+//! [`CongestionModel::price_schedule`], whose one composition adds the
+//! phases' [`CongestionModel::price_flows`] estimates on every tier. Three
 //! implementations form the fidelity ladder, selected by the
 //! [`CongestionBackend`] knob: the [`AnalyticModel`], the DES-wrapping
 //! [`FlowSimBackend`], and the memoizing [`CachedBackend`] decorator that
 //! replays full DES estimates for repeated schedule shapes (time-only
-//! pricing, whose sampled shapes do not repeat, is not memoised).
+//! pricing, whose sampled shapes do not repeat, is not memoised). A full
+//! estimate's latency, bytes, hops and per-link volumes come from the
+//! analytic walk on every tier; only the time depends on the tier. The
+//! hot/cold link split of the paper's Fig. 11 is computed from those
+//! volumes in `moentwine_core::heatmap`.
 //!
 //! # Example
 //!
@@ -58,7 +64,6 @@ pub mod fairshare;
 pub mod flow;
 pub mod network;
 pub mod schedule;
-pub mod stats;
 
 pub use analytic::{AnalyticEstimate, AnalyticModel};
 pub use backend::{
@@ -66,7 +71,6 @@ pub use backend::{
     DEFAULT_CACHE_ENTRIES,
 };
 pub use fairshare::{max_min_rates, IncrementalMaxMin};
-pub use flow::{FlowId, FlowSpec, RoutedTransfer};
+pub use flow::{FlowSpec, RoutedTransfer};
 pub use network::{NetworkSim, RunResult};
-pub use schedule::{FlowSchedule, Phase, ScheduleResult};
-pub use stats::LinkStats;
+pub use schedule::{FlowSchedule, Phase};

@@ -4,7 +4,6 @@ use wsc_topology::{LinkId, Topology};
 
 use crate::fairshare::{max_min_rates, IncrementalMaxMin};
 use crate::flow::FlowSpec;
-use crate::stats::LinkStats;
 
 /// Bytes below which a flow is considered fully drained (guards against
 /// floating-point residue).
@@ -19,8 +18,6 @@ pub struct RunResult {
     pub total_time: f64,
     /// Completion time of each flow, in submission order.
     pub completion_times: Vec<f64>,
-    /// Per-link traffic over the run.
-    pub stats: LinkStats,
 }
 
 /// Flow-level discrete-event network simulator over a fixed topology.
@@ -33,10 +30,8 @@ pub struct RunResult {
 /// incremental [`IncrementalMaxMin`] allocator (each arrival/completion
 /// reprices only the touched connected component of the contention graph),
 /// drain state is settled lazily so an event updates only the repriced
-/// component rather than every active flow, and per-link traffic/busy
-/// statistics are charged once per flow at completion instead of per event.
-/// Routes are copied once into the allocator's flat CSR store — no
-/// per-event route cloning.
+/// component rather than every active flow. Routes are copied once into the
+/// allocator's flat CSR store — no per-event route cloning.
 ///
 /// [`NetworkSim::use_reference_allocator`] switches to the PR-1
 /// full-recompute loop — [`max_min_rates`] over freshly cloned routes, a
@@ -166,7 +161,6 @@ impl<'a> NetworkSim<'a> {
             activations,
         } = table;
         let num_flows = bytes.len();
-        let mut stats = LinkStats::new(self.topo.num_links());
         let mut completion_times = vec![0.0_f64; num_flows];
         let pending = Self::pending_order(&activations);
         let mut next_pending = 0usize;
@@ -176,7 +170,6 @@ impl<'a> NetworkSim<'a> {
         let mut remaining = bytes.clone();
         let mut cur_rate = vec![0.0_f64; num_flows];
         let mut last_update = vec![0.0_f64; num_flows];
-        let mut start_time = vec![0.0_f64; num_flows];
         let mut finish = vec![f64::INFINITY; num_flows];
         let mut active: Vec<u32> = Vec::new();
 
@@ -213,7 +206,6 @@ impl<'a> NetworkSim<'a> {
                     last_completion = last_completion.max(completion_times[f]);
                 } else {
                     alloc.activate(idx);
-                    start_time[f] = now;
                     last_update[f] = now;
                     cur_rate[f] = 0.0;
                     finish[f] = f64::INFINITY;
@@ -241,14 +233,8 @@ impl<'a> NetworkSim<'a> {
                     i += 1;
                     continue;
                 }
-                // Complete: charge stats once for the whole active interval.
                 active.swap_remove(i);
                 alloc.deactivate(idx);
-                let busy = now - start_time[f];
-                for &l in alloc.route_links_of(idx) {
-                    stats.bytes[l as usize] += bytes[f];
-                    stats.busy_time[l as usize] += busy;
-                }
                 completion_times[f] = now;
                 last_completion = last_completion.max(now);
                 changed = true;
@@ -273,11 +259,9 @@ impl<'a> NetworkSim<'a> {
             }
         }
 
-        stats.duration = last_completion;
         RunResult {
             total_time: last_completion,
             completion_times,
-            stats,
         }
     }
 
@@ -290,7 +274,6 @@ impl<'a> NetworkSim<'a> {
             activations,
         } = table;
         let num_flows = bytes.len();
-        let mut stats = LinkStats::new(self.topo.num_links());
         let mut completion_times = vec![0.0_f64; num_flows];
         let pending = Self::pending_order(&activations);
         let mut next_pending = 0usize;
@@ -359,12 +342,6 @@ impl<'a> NetworkSim<'a> {
                     (rate * dt).min(remaining[f as usize])
                 };
                 remaining[f as usize] -= moved;
-                for &l in alloc.route_links_of(f) {
-                    stats.bytes[l as usize] += moved;
-                    if rate > 0.0 && dt > 0.0 {
-                        stats.busy_time[l as usize] += dt;
-                    }
-                }
             }
             now = horizon;
 
@@ -381,11 +358,9 @@ impl<'a> NetworkSim<'a> {
             }
         }
 
-        stats.duration = last_completion;
         RunResult {
             total_time: last_completion,
             completion_times,
-            stats,
         }
     }
 }
@@ -393,7 +368,10 @@ impl<'a> NetworkSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsc_topology::{Mesh, PlatformParams};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use wsc_topology::{DeviceId, Mesh, PlatformParams};
 
     fn mesh4() -> Topology {
         Mesh::new(4, PlatformParams::dojo_like()).build()
@@ -488,75 +466,58 @@ mod tests {
         assert_eq!(result.total_time, result.completion_times[1]);
     }
 
-    #[test]
-    fn link_stats_account_all_bytes() {
-        let topo = mesh4();
-        let a = topo.device_at_xy(0, 0).unwrap();
-        let c = topo.device_at_xy(2, 0).unwrap();
-        let mut sim = NetworkSim::new(&topo);
-        let bytes = 3.0e9;
-        let result = sim.run_concurrent(&[FlowSpec::new(topo.route(a, c), bytes)]);
-        let total: f64 = result.stats.bytes.iter().sum();
-        // Two hops → bytes counted on two links.
-        assert!((total - 2.0 * bytes).abs() < 1.0);
-    }
-
-    #[test]
-    fn busy_time_spans_the_active_interval() {
-        let topo = mesh4();
-        let a = topo.device_at_xy(0, 0).unwrap();
-        let b = topo.device_at_xy(1, 0).unwrap();
-        let route = topo.route(a, b);
-        let link = route.links()[0];
-        let mut sim = NetworkSim::new(&topo);
-        let result = sim.run_concurrent(&[FlowSpec::new(route.clone(), 4.0e9)]);
-        let active = 4.0e9 / 4.0e12;
-        assert!(
-            (result.stats.busy_time[link.index()] - active).abs() / active < 1e-9,
-            "busy {} vs active interval {}",
-            result.stats.busy_time[link.index()],
-            active
-        );
-    }
-
-    /// Differential contract: the incremental event loop reproduces the
-    /// full-recompute reference loop on a contended mixed-arrival schedule.
-    #[test]
-    fn incremental_matches_reference_allocator() {
-        let topo = mesh4();
-        let a = topo.device_at_xy(0, 0).unwrap();
-        let flows: Vec<(f64, FlowSpec)> = topo
-            .devices()
-            .filter(|&d| d != a)
-            .enumerate()
-            .map(|(i, d)| {
-                let stagger = (i % 4) as f64 * 2.0e-4;
-                (
-                    stagger,
-                    FlowSpec::new(topo.route(a, d), 1.0e8 * (1 + i % 3) as f64),
-                )
-            })
-            .collect();
-        let fast = NetworkSim::new(&topo).run_at(&flows);
-        let mut ref_sim = NetworkSim::new(&topo);
-        ref_sim.use_reference_allocator(true);
-        let slow = ref_sim.run_at(&flows);
-        assert!(
-            (fast.total_time - slow.total_time).abs() / slow.total_time < 1e-9,
-            "incremental {} vs reference {}",
-            fast.total_time,
-            slow.total_time
-        );
-        for (f, (x, y)) in fast
-            .completion_times
-            .iter()
-            .zip(&slow.completion_times)
-            .enumerate()
-        {
-            assert!((x - y).abs() / y.max(1e-30) < 1e-9, "flow {f}: {x} vs {y}");
-        }
-        for (l, (x, y)) in fast.stats.bytes.iter().zip(&slow.stats.bytes).enumerate() {
-            assert!((x - y).abs() < 1.0, "link {l} bytes: {x} vs {y}");
+    proptest! {
+        /// Differential contract, the oracle for any rewrite of the event
+        /// loop: the incremental loop reproduces the full-recompute
+        /// reference loop on random flow sets (mixed hop counts, staggered
+        /// starts, zero-byte and local flows), for the makespan and every
+        /// flow's completion time, at 1e-9 relative.
+        #[test]
+        fn incremental_matches_reference_allocator(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let topo = mesh4();
+            let n = topo.num_devices() as u32;
+            let num_flows = rng.gen_range(1usize..32);
+            let flows: Vec<(f64, FlowSpec)> = (0..num_flows)
+                .map(|_| {
+                    let src = DeviceId(rng.gen_range(0..n));
+                    let dst = if rng.gen_range(0..6) == 0 {
+                        src
+                    } else {
+                        DeviceId(rng.gen_range(0..n))
+                    };
+                    let bytes = if rng.gen_range(0..6) == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range(1.0e3..1.0e8)
+                    };
+                    let start = if rng.gen_range(0..2) == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..2.0e-4)
+                    };
+                    (start, FlowSpec::new(topo.route(src, dst), bytes))
+                })
+                .collect();
+            let fast = NetworkSim::new(&topo).run_at(&flows);
+            let slow = NetworkSim::new(&topo)
+                .use_reference_allocator(true)
+                .run_at(&flows);
+            let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(y.abs());
+            prop_assert!(
+                close(fast.total_time, slow.total_time),
+                "seed {seed}: incremental {} vs reference {}",
+                fast.total_time,
+                slow.total_time
+            );
+            for (f, (&x, &y)) in fast
+                .completion_times
+                .iter()
+                .zip(&slow.completion_times)
+                .enumerate()
+            {
+                prop_assert!(close(x, y), "seed {seed}, flow {f}: {x} vs {y}");
+            }
         }
     }
 }

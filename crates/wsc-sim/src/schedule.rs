@@ -1,11 +1,8 @@
 //! Phased flow schedules: how collectives are expressed to the simulator.
 
 use serde::{Deserialize, Serialize};
-use wsc_topology::Topology;
 
 use crate::flow::FlowSpec;
-use crate::network::NetworkSim;
-use crate::stats::LinkStats;
 
 /// One step of a step-synchronous collective: a set of flows that start
 /// together and must all finish before the next phase begins.
@@ -34,15 +31,15 @@ impl Phase {
 
 /// A sequence of phases with a barrier between consecutive phases.
 ///
-/// Collective builders (`wsc-collectives`) emit these; they can be run at
-/// full fidelity on a [`NetworkSim`] or estimated with
-/// [`AnalyticModel`](crate::AnalyticModel).
+/// Collective builders (`wsc-collectives`) emit these; any tier prices one
+/// through [`CongestionModel::price_schedule`](crate::CongestionModel::price_schedule),
+/// which prices each phase as a concurrent flow set and adds the phases.
 ///
 /// # Example
 ///
 /// ```
 /// use wsc_topology::{Mesh, PlatformParams};
-/// use wsc_sim::{FlowSchedule, FlowSpec};
+/// use wsc_sim::{CongestionModel, FlowSchedule, FlowSimBackend, FlowSpec};
 ///
 /// let topo = Mesh::new(2, PlatformParams::dojo_like()).build();
 /// let a = topo.device_at_xy(0, 0).unwrap();
@@ -50,8 +47,10 @@ impl Phase {
 /// let mut sched = FlowSchedule::new();
 /// sched.push_phase("step0", vec![FlowSpec::new(topo.route(a, b), 1e9)]);
 /// sched.push_phase("step1", vec![FlowSpec::new(topo.route(b, a), 1e9)]);
-/// let result = sched.run(&topo);
-/// assert_eq!(result.phase_times.len(), 2);
+/// let des = FlowSimBackend::new(&topo);
+/// let one = des.price_flows(&sched.phases()[0].flows).total_time;
+/// let both = des.price_schedule(&sched).total_time;
+/// assert_eq!(both, one + des.price_flows(&sched.phases()[1].flows).total_time);
 /// ```
 #[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
 pub struct FlowSchedule {
@@ -89,14 +88,6 @@ impl FlowSchedule {
         self.phases.iter().map(Phase::total_bytes).sum()
     }
 
-    /// The canonical shape of this schedule — the memoization key a
-    /// [`CachedBackend`](crate::CachedBackend) prices it under. Two
-    /// schedules with equal shapes (same phase structure, same per-phase
-    /// `(route, bytes)` multisets, labels ignored) share a cache entry.
-    pub fn shape(&self) -> crate::backend::ScheduleShape {
-        crate::backend::ScheduleShape::of_schedule(self)
-    }
-
     /// Merges several schedules that proceed in lock-step: phase `k` of the
     /// result contains the union of every input's phase `k`.
     ///
@@ -117,60 +108,30 @@ impl FlowSchedule {
         }
         merged
     }
-
-    /// Runs the schedule at full fidelity on a fresh simulator over `topo`.
-    pub fn run(&self, topo: &Topology) -> ScheduleResult {
-        let mut sim = NetworkSim::new(topo);
-        let mut stats = LinkStats::new(topo.num_links());
-        let mut phase_times = Vec::with_capacity(self.phases.len());
-        for phase in &self.phases {
-            if phase.flows.is_empty() {
-                phase_times.push(0.0);
-                continue;
-            }
-            let result = sim.run_concurrent(&phase.flows);
-            phase_times.push(result.total_time);
-            stats.merge(&result.stats);
-        }
-        ScheduleResult {
-            total_time: phase_times.iter().sum(),
-            phase_times,
-            stats,
-        }
-    }
-}
-
-/// Result of running a [`FlowSchedule`].
-#[derive(Clone, Debug)]
-pub struct ScheduleResult {
-    /// Sum of phase completion times, seconds.
-    pub total_time: f64,
-    /// Per-phase completion times, seconds.
-    pub phase_times: Vec<f64>,
-    /// Per-link traffic accumulated over all phases.
-    pub stats: LinkStats,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CongestionModel, FlowSimBackend, ScheduleShape};
     use wsc_topology::{Mesh, PlatformParams};
 
     #[test]
     fn phases_are_sequential() {
         let topo = Mesh::new(2, PlatformParams::dojo_like()).build();
+        let des = FlowSimBackend::new(&topo);
         let a = topo.device_at_xy(0, 0).unwrap();
         let b = topo.device_at_xy(1, 0).unwrap();
         let one = {
             let mut s = FlowSchedule::new();
             s.push_phase("p", vec![FlowSpec::new(topo.route(a, b), 4.0e9)]);
-            s.run(&topo).total_time
+            des.price_schedule(&s).total_time
         };
         let mut two = FlowSchedule::new();
         two.push_phase("p0", vec![FlowSpec::new(topo.route(a, b), 4.0e9)]);
         two.push_phase("p1", vec![FlowSpec::new(topo.route(a, b), 4.0e9)]);
-        let result = two.run(&topo);
-        assert!((result.total_time - 2.0 * one).abs() < 1e-12);
+        let total = des.price_schedule(&two).total_time;
+        assert!((total - 2.0 * one).abs() < 1e-12);
     }
 
     #[test]
@@ -203,15 +164,18 @@ mod tests {
         s1.push_phase("x", vec![f1.clone(), f2.clone()]);
         let mut s2 = FlowSchedule::new();
         s2.push_phase("completely different label", vec![f2, f1]);
-        assert_eq!(s1.shape(), s2.shape());
+        assert_eq!(
+            ScheduleShape::of_schedule(&s1),
+            ScheduleShape::of_schedule(&s2)
+        );
     }
 
     #[test]
     fn empty_schedule_runs_to_zero() {
         let topo = Mesh::new(2, PlatformParams::dojo_like()).build();
         let s = FlowSchedule::new();
-        let r = s.run(&topo);
-        assert_eq!(r.total_time, 0.0);
+        let total = FlowSimBackend::new(&topo).price_schedule(&s).total_time;
+        assert_eq!(total, 0.0);
         assert!(s.is_empty());
     }
 }

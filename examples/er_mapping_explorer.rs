@@ -53,9 +53,8 @@ fn main() {
 
         let measure = |plan: &MappingPlan| {
             let ar_bytes = 256.0 * token_bytes;
-            let ar = plan
-                .all_reduce_schedule(&topo, ar_bytes)
-                .run(&topo)
+            let ar = FlowSimBackend::new(&topo)
+                .price_schedule(&plan.all_reduce_schedule(&topo, ar_bytes))
                 .total_time;
             let placement =
                 ExpertPlacement::balanced(model.num_experts as usize, topo.num_devices(), 1);

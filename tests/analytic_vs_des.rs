@@ -1,16 +1,20 @@
 //! Validates the analytical bottleneck model against the flow-level DES —
 //! the methodological contract of DESIGN.md §5.
 
-use moentwine::collectives::cost::{backend_disagreement, schedule_time};
+use moentwine::collectives::cost::backend_disagreement;
 use moentwine::collectives::{all_to_all_concurrent, ring_all_reduce, Ring, Transfer};
 use moentwine::core::comm::{A2aModel, ParallelLayout};
 use moentwine::core::placement::ExpertPlacement;
 use moentwine::prelude::*;
-use moentwine::sim::AnalyticModel;
 use moentwine::workload::LayerGating;
 
 fn mesh(n: u16) -> Topology {
     Mesh::new(n, PlatformParams::dojo_like()).build()
+}
+
+/// The DES time of `sched` on `topo`.
+fn des_time(topo: &Topology, sched: &FlowSchedule) -> f64 {
+    FlowSimBackend::new(topo).price_schedule(sched).total_time
 }
 
 #[test]
@@ -25,10 +29,8 @@ fn ring_all_reduce_exact_agreement() {
     ]);
     for bytes in [1.0e3, 1.0e6, 64.0e6] {
         let sched = ring_all_reduce(&topo, &ring, bytes);
-        let des = sched.run(&topo).total_time;
-        let est = AnalyticModel::new(&topo)
-            .estimate_schedule(&sched)
-            .total_time;
+        let des = des_time(&topo, &sched);
+        let est = AnalyticModel::new(&topo).price_schedule(&sched).total_time;
         assert!(
             (des - est).abs() / des < 1e-9,
             "bytes={bytes}: {des} vs {est}"
@@ -44,10 +46,8 @@ fn mapping_all_reduce_agreement() {
             .unwrap()
             .plan();
         let sched = plan.all_reduce_schedule(&topo, 2.0e6);
-        let des = sched.run(&topo).total_time;
-        let est = AnalyticModel::new(&topo)
-            .estimate_schedule(&sched)
-            .total_time;
+        let des = des_time(&topo, &sched);
+        let est = AnalyticModel::new(&topo).price_schedule(&sched).total_time;
         let err = (des - est).abs() / des;
         assert!(err < 0.01, "n={n} tp={tp}: DES {des} vs analytic {est}");
     }
@@ -78,9 +78,7 @@ fn dispatch_a2a_within_bounded_factor() {
         .into_iter()
         .map(|(s, d, b)| Transfer::new(s, d, b))
         .collect();
-    let des = all_to_all_concurrent(&topo, &transfers)
-        .run(&topo)
-        .total_time;
+    let des = des_time(&topo, &all_to_all_concurrent(&topo, &transfers));
     let ratio = des / est.dispatch.total_time;
     assert!(
         (0.5..=2.0).contains(&ratio),
@@ -108,8 +106,8 @@ fn congestion_model_trait_cross_validates_er_all_reduce() {
             assert!(
                 gap < 0.01,
                 "n={n} tp={tp} {kind}: disagrees by {gap:.4} ({} vs {})",
-                schedule_time(candidate.as_ref(), &sched),
-                schedule_time(des.as_ref(), &sched)
+                candidate.price_schedule(&sched).total_time,
+                des.price_schedule(&sched).total_time
             );
         }
     }
@@ -201,10 +199,8 @@ fn analytic_is_conservative_on_uniform_mesh_a2a() {
     let topo = mesh(4);
     let transfers: Vec<Transfer> =
         moentwine::collectives::alltoall::uniform_all_to_all_matrix(&topo, 1.0e6);
-    let des = all_to_all_concurrent(&topo, &transfers)
-        .run(&topo)
-        .total_time;
-    let est = AnalyticModel::new(&topo).estimate_flows(
+    let des = des_time(&topo, &all_to_all_concurrent(&topo, &transfers));
+    let est = AnalyticModel::new(&topo).price_flows(
         &transfers
             .iter()
             .map(|t| moentwine::sim::FlowSpec::new(topo.route(t.src, t.dst), t.bytes))

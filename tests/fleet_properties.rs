@@ -6,6 +6,10 @@
 use moentwine::prelude::*;
 use proptest::prelude::*;
 
+#[path = "../crates/core/src/over_seeds.rs"]
+mod over_seeds;
+use over_seeds::over_seeds;
+
 fn engine_template(seed: u64) -> EngineConfig {
     let mut config = EngineConfig::new(ModelConfig::tiny())
         .with_seed(seed)
@@ -437,12 +441,6 @@ fn more_replicas_add_capacity_under_saturation() {
         four.aggregate.goodput_rps,
         one.aggregate.goodput_rps
     );
-    assert!(
-        four.aggregate.goodput_tokens_per_s > 1.2 * one.aggregate.goodput_tokens_per_s,
-        "token throughput did not scale: {} vs {}",
-        four.aggregate.goodput_tokens_per_s,
-        one.aggregate.goodput_tokens_per_s
-    );
     // The single replica saturates (long un-admitted backlog, near its
     // 128-active cap); the fleet absorbs the same stream without queueing.
     assert!(
@@ -457,4 +455,12 @@ fn more_replicas_add_capacity_under_saturation() {
         one.aggregate.mean_queue_depth
     );
     assert!(one.per_replica[0].mean_active_requests > 100.0);
+    // Token throughput grows by more than 1.2× on most seeds, not all: the
+    // ratio was above 1.2 on 56 of seeds 64..128 (1.03–2.17). k = 22 of
+    // 32 is about n·p − 3·sd at that rate.
+    over_seeds(80..112, 22, |seed| {
+        let one = run_fleet(&f, 1, RouterPolicy::LeastQueueDepth, 1.0e5, seed, 300);
+        let four = run_fleet(&f, 4, RouterPolicy::LeastQueueDepth, 1.0e5, seed, 300);
+        four.aggregate.goodput_tokens_per_s > 1.2 * one.aggregate.goodput_tokens_per_s
+    });
 }
