@@ -279,47 +279,45 @@ pub struct ClassServingSummary {
 }
 
 impl ServingSummary {
-    /// Builds a summary from completion records and the iteration history.
+    /// Builds a summary from completion records: the one exact read-out
+    /// the engine and the fleet share.
     ///
     /// * `records` — completed-request lifecycle records, any order.
-    /// * `history` — the run's per-iteration metrics (queue-depth /
-    ///   occupancy statistics; the last entry's `sim_time` is the covered
-    ///   simulated span).
+    /// * `history` — per-iteration metrics for the queue-depth and
+    ///   occupancy statistics (empty leaves them zero).
+    /// * `sim_seconds` — the simulated span goodput is measured against.
     /// * `admission_rejects` / `peak_kv_tokens` — queue counters.
+    /// * `(shed_by_class, rejected_by_class)` — per-class queue counters
+    ///   indexed by [`RequestClass::index`], as
+    ///   [`InferenceEngine::class_counters`](super::InferenceEngine::class_counters)
+    ///   returns them; they give the `shed` total and the class sections.
+    /// * `classes` — one [`ClassServingSummary`] per entry, in order
+    ///   (empty for a class-free summary).
     pub fn from_records(
         records: &[RequestRecord],
         history: &[IterationMetrics],
+        sim_seconds: f64,
         admission_rejects: u64,
         peak_kv_tokens: u64,
-    ) -> Self {
-        Self::from_records_with_workload(
-            records,
-            history,
-            admission_rejects,
-            peak_kv_tokens,
-            [0, 0],
-            [0, 0],
-            &[],
-        )
-    }
-
-    /// Like [`ServingSummary::from_records`], with the per-class workload
-    /// counters and the configured class list: the summary gains a total
-    /// `shed` count and one [`ClassServingSummary`] per configured class
-    /// (in configured order). `shed_by_class` / `rejected_by_class` are
-    /// indexed by [`RequestClass::index`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_records_with_workload(
-        records: &[RequestRecord],
-        history: &[IterationMetrics],
-        admission_rejects: u64,
-        peak_kv_tokens: u64,
-        shed_by_class: [u64; 2],
-        rejected_by_class: [u64; 2],
+        (shed_by_class, rejected_by_class): ([u64; 2], [u64; 2]),
         classes: &[ClassSpec],
     ) -> Self {
-        let mut s = Self::from_records_base(records, history, admission_rejects, peak_kv_tokens);
-        s.shed = shed_by_class.iter().sum();
+        let mut s = ServingSummary {
+            completed: records.len(),
+            admission_rejects,
+            sim_seconds,
+            peak_kv_tokens,
+            shed: shed_by_class.iter().sum(),
+            ..Default::default()
+        };
+        if !history.is_empty() {
+            let n = history.len() as f64;
+            for m in history {
+                s.mean_queue_depth += m.queue_depth as f64 / n;
+                s.mean_active_requests += m.active_requests as f64 / n;
+                s.max_queue_depth = s.max_queue_depth.max(m.queue_depth);
+            }
+        }
         for spec in classes {
             let class_records: Vec<&RequestRecord> =
                 records.iter().filter(|r| r.class == spec.class).collect();
@@ -349,31 +347,6 @@ impl ServingSummary {
             }
             s.classes.push(c);
         }
-        s
-    }
-
-    fn from_records_base(
-        records: &[RequestRecord],
-        history: &[IterationMetrics],
-        admission_rejects: u64,
-        peak_kv_tokens: u64,
-    ) -> Self {
-        let sim_seconds = history.last().map_or(0.0, |m| m.sim_time);
-        let mut s = ServingSummary {
-            completed: records.len(),
-            admission_rejects,
-            sim_seconds,
-            peak_kv_tokens,
-            ..Default::default()
-        };
-        if !history.is_empty() {
-            let n = history.len() as f64;
-            for m in history {
-                s.mean_queue_depth += m.queue_depth as f64 / n;
-                s.mean_active_requests += m.active_requests as f64 / n;
-                s.max_queue_depth = s.max_queue_depth.max(m.queue_depth);
-            }
-        }
         if records.is_empty() {
             return s;
         }
@@ -401,6 +374,10 @@ impl ServingSummary {
 mod tests {
     use super::*;
     use moe_workload::{RequestId, Scenario};
+
+    /// Per-class `(shed, rejected)` counters of a run that shed and
+    /// rejected nothing.
+    const ZERO_CLASS_COUNTERS: ([u64; 2], [u64; 2]) = ([0, 0], [0, 0]);
 
     fn metric(t: f64, stall: f64) -> IterationMetrics {
         IterationMetrics {
@@ -522,7 +499,15 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let s = ServingSummary::from_records(&records, &history, 7, 123);
+        let s = ServingSummary::from_records(
+            &records,
+            &history,
+            10.0,
+            7,
+            123,
+            ZERO_CLASS_COUNTERS,
+            &[],
+        );
         assert_eq!(s.completed, 4);
         assert_eq!(s.admission_rejects, 7);
         assert_eq!(s.peak_kv_tokens, 123);
@@ -549,14 +534,15 @@ mod tests {
             sim_time: 4.0,
             ..Default::default()
         }];
-        let s = ServingSummary::from_records(&records, &history, 0, 0);
+        let s =
+            ServingSummary::from_records(&records, &history, 4.0, 0, 0, ZERO_CLASS_COUNTERS, &[]);
         assert_eq!(s.tpot_p50, 1.0); // only the 3-token record contributes
         assert_eq!(s.tpot_p99, 1.0);
     }
 
     #[test]
     fn serving_summary_empty_is_safe() {
-        let s = ServingSummary::from_records(&[], &[], 0, 0);
+        let s = ServingSummary::from_records(&[], &[], 0.0, 0, 0, ZERO_CLASS_COUNTERS, &[]);
         assert_eq!(s.completed, 0);
         assert_eq!(s.goodput_rps, 0.0);
         assert_eq!(s.ttft_p99, 0.0);
@@ -583,13 +569,13 @@ mod tests {
             ClassSpec::interactive().with_slo(2.5, 1.0),
             ClassSpec::batch().with_slo(2.0, 0.1),
         ];
-        let s = ServingSummary::from_records_with_workload(
+        let s = ServingSummary::from_records(
             &records,
             &history,
+            10.0,
             1,
             0,
-            [0, 3],
-            [1, 0],
+            ([0, 3], [1, 0]),
             &classes,
         );
         assert_eq!(s.shed, 3);
@@ -608,8 +594,9 @@ mod tests {
         // Batch TPOT 2/3 > 0.1: missed.
         assert_eq!(b.tpot_attainment, 0.0);
         assert_eq!((b.ttft_slo, b.tpot_slo), (2.0, 0.1));
-        // The class-free constructor stays class-free.
-        let plain = ServingSummary::from_records(&records, &history, 1, 0);
+        // An empty class list stays class-free.
+        let plain =
+            ServingSummary::from_records(&records, &history, 10.0, 1, 0, ZERO_CLASS_COUNTERS, &[]);
         assert!(plain.classes.is_empty());
         assert_eq!(plain.shed, 0);
     }
@@ -620,15 +607,8 @@ mod tests {
     fn empty_class_attainment_is_zero() {
         let classes = vec![ClassSpec::interactive(), ClassSpec::batch()];
         let records = vec![record(0, 0.0, 1.0, 3.0, 4)];
-        let s = ServingSummary::from_records_with_workload(
-            &records,
-            &[],
-            0,
-            0,
-            [0, 0],
-            [0, 0],
-            &classes,
-        );
+        let s =
+            ServingSummary::from_records(&records, &[], 0.0, 0, 0, ZERO_CLASS_COUNTERS, &classes);
         let b = &s.classes[1];
         assert_eq!(b.completed, 0);
         assert_eq!(b.ttft_attainment, 0.0);

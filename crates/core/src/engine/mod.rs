@@ -31,8 +31,8 @@ use overlap::{sample_overlapped, CoreClaim, SAMPLING_RUN};
 
 use moe_model::{CostModel, InferencePhase, ModelConfig, Precision};
 use moe_workload::{
-    BatchScheduler, ClassPolicy, ClassSpec, IterationTrace, LayerGating, RequestClass,
-    RequestGenerator, RequestRecord, SchedulingMode, TraceGenerator, WorkloadMix, WorkloadProfile,
+    BatchScheduler, ClassPolicy, IterationTrace, LayerGating, RequestClass, RequestGenerator,
+    RequestRecord, SchedulingMode, TraceGenerator, WorkloadMix, WorkloadProfile,
 };
 use serde::{Deserialize, Serialize};
 use wsc_sim::{CongestionBackend, CongestionModel};
@@ -344,6 +344,15 @@ impl EngineConfig {
         self.workload_profile.validate()?;
         Ok(())
     }
+
+    /// The streaming accumulator a run under this config keeps: `None`
+    /// under [`SummaryMode::Exact`], otherwise one over the profile's
+    /// [reported classes](WorkloadProfile::reported_classes). The engine
+    /// and the fleet both build theirs here.
+    pub(crate) fn streaming_accumulator(&self) -> Option<StreamingSummary> {
+        (self.summary == SummaryMode::Streaming)
+            .then(|| StreamingSummary::with_classes(self.workload_profile.reported_classes()))
+    }
 }
 
 /// The end-to-end inference simulator. See the [module docs](self).
@@ -588,17 +597,7 @@ impl<'a> InferenceEngine<'a> {
             iteration: 0,
             clock: 0.0,
             completed: Vec::new(),
-            streaming: match config.summary {
-                SummaryMode::Exact => None,
-                // One P² sketch set per tenant class; the default profile
-                // keeps the class list empty so workload-free summaries are
-                // byte-identical to the pre-profile layout.
-                SummaryMode::Streaming => Some(if config.workload_profile.is_default() {
-                    StreamingSummary::new()
-                } else {
-                    StreamingSummary::with_classes(&config.workload_profile.classes)
-                }),
-            },
+            streaming: config.streaming_accumulator(),
             fresh: Vec::new(),
             ar_ser_per_byte: est.serialization_time,
             ar_latency: est.latency_time,
@@ -977,28 +976,18 @@ impl<'a> InferenceEngine<'a> {
         let (rejects, peak_kv) = self.scheduler.as_ref().map_or((0, 0), |s| {
             (s.queue().rejected(), s.queue().peak_kv_tokens())
         });
-        let (shed_by_class, rejected_by_class) = self.class_counters();
-        let classes: &[ClassSpec] = if self.config.workload_profile.is_default() {
-            &[]
-        } else {
-            &self.config.workload_profile.classes
-        };
         match self.streaming.as_ref() {
-            Some(streaming) => streaming.summary_with_workload(
-                rejects,
-                peak_kv,
-                self.clock,
-                shed_by_class,
-                rejected_by_class,
-            ),
-            None => ServingSummary::from_records_with_workload(
+            Some(streaming) => {
+                streaming.summary(self.clock, rejects, peak_kv, self.class_counters())
+            }
+            None => ServingSummary::from_records(
                 &self.completed,
                 &self.history,
+                self.history.last().map_or(0.0, |m| m.sim_time),
                 rejects,
                 peak_kv,
-                shed_by_class,
-                rejected_by_class,
-                classes,
+                self.class_counters(),
+                self.config.workload_profile.reported_classes(),
             ),
         }
     }

@@ -360,8 +360,10 @@ impl ClassSketch {
 }
 
 impl StreamingSummary {
-    /// An empty accumulator.
-    pub fn new() -> Self {
+    /// An empty accumulator with one sketch set (and the exact attainment
+    /// counters) per tenant class in `classes`, in order; empty tracks no
+    /// class sections.
+    pub fn with_classes(classes: &[ClassSpec]) -> Self {
         StreamingSummary {
             completed: 0,
             token_sum: 0.0,
@@ -379,16 +381,8 @@ impl StreamingSummary {
             queue_depth_sum: 0.0,
             active_sum: 0.0,
             max_queue_depth: 0,
-            classes: Vec::new(),
+            classes: classes.iter().map(|c| ClassSketch::new(*c)).collect(),
         }
-    }
-
-    /// An empty accumulator that additionally tracks one sketch set (and
-    /// the exact attainment counters) per configured tenant class.
-    pub fn with_classes(classes: &[ClassSpec]) -> Self {
-        let mut s = Self::new();
-        s.classes = classes.iter().map(|c| ClassSketch::new(*c)).collect();
-        s
     }
 
     /// Folds one completed request into every latency sketch and the
@@ -435,37 +429,18 @@ impl StreamingSummary {
         self.completed
     }
 
-    /// Materializes the summary. Queue counters and the simulated span are
-    /// owned by the caller (engine or fleet), exactly as in
-    /// [`ServingSummary::from_records`].
+    /// Materializes the summary: the streaming counterpart of
+    /// [`ServingSummary::from_records`], with the same caller-owned
+    /// arguments (the simulated span, the queue counters, and the per-class
+    /// `(shed, rejected)` counters indexed by
+    /// [`RequestClass::index`](moe_workload::RequestClass::index)); the
+    /// class list is the one the accumulator was built with.
     pub fn summary(
         &self,
+        sim_seconds: f64,
         admission_rejects: u64,
         peak_kv_tokens: u64,
-        sim_seconds: f64,
-    ) -> ServingSummary {
-        self.summary_with_workload(
-            admission_rejects,
-            peak_kv_tokens,
-            sim_seconds,
-            [0, 0],
-            [0, 0],
-        )
-    }
-
-    /// Like [`StreamingSummary::summary`], additionally stamping the
-    /// per-class shed/reject counters (indexed by
-    /// [`RequestClass::index`](moe_workload::RequestClass::index), owned by
-    /// the caller's queues) into the per-class sections. The streaming
-    /// counterpart of
-    /// [`ServingSummary::from_records_with_workload`].
-    pub fn summary_with_workload(
-        &self,
-        admission_rejects: u64,
-        peak_kv_tokens: u64,
-        sim_seconds: f64,
-        shed_by_class: [u64; 2],
-        rejected_by_class: [u64; 2],
+        (shed_by_class, rejected_by_class): ([u64; 2], [u64; 2]),
     ) -> ServingSummary {
         let mut s = ServingSummary {
             completed: self.completed as usize,
@@ -473,6 +448,7 @@ impl StreamingSummary {
             sim_seconds,
             peak_kv_tokens,
             max_queue_depth: self.max_queue_depth,
+            shed: shed_by_class.iter().sum(),
             ..Default::default()
         };
         if self.iterations > 0 {
@@ -480,7 +456,6 @@ impl StreamingSummary {
             s.mean_queue_depth = self.queue_depth_sum / n;
             s.mean_active_requests = self.active_sum / n;
         }
-        s.shed = shed_by_class.iter().sum();
         for class in &self.classes {
             let index = class.spec.class.index();
             s.classes
@@ -514,7 +489,7 @@ impl StreamingSummary {
 
 impl Default for StreamingSummary {
     fn default() -> Self {
-        StreamingSummary::new()
+        StreamingSummary::with_classes(&[])
     }
 }
 
@@ -640,13 +615,13 @@ mod tests {
         let records: Vec<RequestRecord> = (0..32)
             .map(|i| test_record(i, i as f64, 1.0 + i as f64, 3.0 + 2.0 * i as f64))
             .collect();
-        let mut streaming = StreamingSummary::new();
+        let mut streaming = StreamingSummary::default();
         for r in &records {
             streaming.observe_record(r);
         }
         streaming.observe_iteration(2, 3);
         streaming.observe_iteration(4, 1);
-        let s = streaming.summary(7, 123, 10.0);
+        let s = streaming.summary(10.0, 7, 123, ([0, 0], [0, 0]));
 
         let history = vec![
             crate::engine::IterationMetrics {
@@ -662,7 +637,8 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let exact = ServingSummary::from_records(&records, &history, 7, 123);
+        let exact =
+            ServingSummary::from_records(&records, &history, 10.0, 7, 123, ([0, 0], [0, 0]), &[]);
         // ≤ WARMUP samples: every percentile is bit-identical to exact.
         assert_eq!(s, exact);
     }
@@ -690,10 +666,9 @@ mod tests {
         streaming.observe_iteration(0, 0);
         let shed = [2, 5];
         let rejects = [1, 0];
-        let s = streaming.summary_with_workload(1, 0, 50.0, shed, rejects);
-        let exact = ServingSummary::from_records_with_workload(
-            &records, &history, 1, 0, shed, rejects, &classes,
-        );
+        let s = streaming.summary(50.0, 1, 0, (shed, rejects));
+        let exact =
+            ServingSummary::from_records(&records, &history, 50.0, 1, 0, (shed, rejects), &classes);
         assert_eq!(s, exact);
         assert_eq!(s.shed, 7);
         assert_eq!(s.classes.len(), 2);

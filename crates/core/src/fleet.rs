@@ -41,25 +41,30 @@
 //!   round. See DESIGN.md §10 for the heap invariants and the
 //!   determinism / tie-break contract.
 //!
+//! * **Lifecycle events** (scale-up, drain, crash, recover) move replicas
+//!   along one transition table, which the timeline validator and the
+//!   runtime both read (DESIGN.md §11).
+//!
 //! [`Fleet::summary`] reports per-replica and aggregate
 //! [`ServingSummary`]s plus the load-imbalance ratios a capacity planner
-//! reads ("how many wafers for this arrival rate at p99 TTFT ≤ X?").
+//! reads ("how many wafers for this arrival rate at p99 TTFT ≤ X?"). The
+//! aggregate goes through the same read-out as each engine's summary, and
+//! the availability, hand-off and speculative sections are the fleet's
+//! running counters themselves, completed at read-out.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 use moe_workload::{
-    CopyStatus, Decision, ReplicaSnapshot, Request, RequestGenerator, RequestRecord, Router,
-    RouterPolicy, SchedulingMode,
+    split_seed, CopyStatus, Decision, ReplicaSnapshot, Request, RequestGenerator, RequestRecord,
+    Router, RouterPolicy, SchedulingMode,
 };
 use wsc_sim::{CongestionBackend, CongestionModel};
 use wsc_topology::{DeviceId, RouteTable, Topology};
 
 use crate::comm::ParallelLayout;
 use crate::config::ConfigError;
-use crate::engine::{
-    BatchMode, EngineConfig, InferenceEngine, ServingSummary, StreamingSummary, SummaryMode,
-};
+use crate::engine::{BatchMode, EngineConfig, InferenceEngine, ServingSummary, StreamingSummary};
 
 /// Executes a batch of independent replica-step jobs. The contract is
 /// *completion*, not order: when [`ReplicaPool::run`] returns, every job
@@ -82,17 +87,6 @@ impl ReplicaPool for SerialReplicaPool {
             job();
         }
     }
-}
-
-/// SplitMix64 stream splitting: replica `stream` of master seed `master`.
-/// Each replica's engine (gating trace, request-length draws) gets an
-/// independent, reproducible stream; the arrival process and router draw
-/// from further streams of the same master.
-fn split_seed(master: u64, stream: u64) -> u64 {
-    let mut z = master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Serving role of one fleet replica (DESIGN.md §13). The default
@@ -265,6 +259,23 @@ impl ReplicaState {
     }
 }
 
+/// The replica lifecycle as one table: the state event `kind` moves a
+/// replica in `state` to, or `None` where the event has no edge from
+/// `state`. A scale-up moves no existing replica, and no event retires
+/// one: a drainer retires when it runs dry. The timeline validator rejects
+/// a missing edge as [`ConfigError::FleetEventNoOp`]; the runtime skips it
+/// (a crash on a drainer that has already retired).
+fn next_state(kind: FleetEventKind, state: ReplicaState) -> Option<ReplicaState> {
+    match (kind, state) {
+        (FleetEventKind::Drain { .. }, ReplicaState::Active) => Some(ReplicaState::Draining),
+        (FleetEventKind::Crash { .. }, ReplicaState::Active | ReplicaState::Draining) => {
+            Some(ReplicaState::Failed)
+        }
+        (FleetEventKind::Recover { .. }, ReplicaState::Failed) => Some(ReplicaState::Active),
+        _ => None,
+    }
+}
+
 /// The most replicas a fleet may ever hold, counting every scale-up in its
 /// timeline: 64× the largest shipped fleet (`mega_fleet`, 64 replicas).
 /// Each replica owns a whole engine, so a larger count is a typo or a
@@ -410,19 +421,10 @@ pub fn validate_fleet_events_for_roles(
                         replicas,
                     });
                 };
-                // A draining replica may still crash before it empties (the
-                // runtime treats a crash on an already-retired replica as a
-                // no-op); every other transition needs the one legal source
-                // state.
-                *state = match (event.kind, *state) {
-                    (FleetEventKind::Drain { .. }, ReplicaState::Active) => ReplicaState::Draining,
-                    (
-                        FleetEventKind::Crash { .. },
-                        ReplicaState::Active | ReplicaState::Draining,
-                    ) => ReplicaState::Failed,
-                    (FleetEventKind::Recover { .. }, ReplicaState::Failed) => ReplicaState::Active,
-                    _ => return Err(ConfigError::FleetEventNoOp { index }),
-                };
+                // The projection never retires a drainer, so a crash on one
+                // is legal here even if the runtime finds it retired.
+                *state =
+                    next_state(event.kind, *state).ok_or(ConfigError::FleetEventNoOp { index })?;
             }
         }
         if !states.iter().any(|s| s.admits()) {
@@ -662,21 +664,6 @@ struct SpecGroup {
     copies: Vec<SpecCopy>,
 }
 
-/// Running hand-off accounting inside [`Fleet`] (see [`FleetHandoff`],
-/// its public readout).
-#[derive(Clone, Debug, Default)]
-struct HandoffTracker {
-    kv_transfers: u64,
-    kv_transfer_bytes: f64,
-    kv_transfer_seconds: f64,
-    max_transfer_seconds: f64,
-    handoffs_completed: u64,
-    handoff_latency_seconds: f64,
-    max_handoff_latency: f64,
-    e2e_ttft_seconds: f64,
-    max_e2e_ttft: f64,
-}
-
 /// An entry of the fleet's two event heaps, ordered so that
 /// `BinaryHeap::pop` yields the *earliest* `time` (`f64::total_cmp`), ties
 /// to the lowest `tie` — the deterministic tie-break contract (DESIGN.md
@@ -767,24 +754,7 @@ pub struct FleetSummary {
     pub speculative: FleetSpeculative,
 }
 
-/// Failure/elasticity bookkeeping of a [`Fleet`] (see
-/// [`FleetAvailability`], its public readout).
-#[derive(Clone, Debug, Default)]
-struct ChaosTracker {
-    events_applied: u64,
-    crash_interruptions: u64,
-    drain_rerouted: u64,
-    crash_rerouted: u64,
-    requeued_tokens: u64,
-    replayed_prefill_tokens: u64,
-    /// ∫ (active replicas / replicas) dt accumulated up to `last_t`.
-    avail_integral: f64,
-    last_t: f64,
-    /// One mark per applied event: the goodput windows are the spans
-    /// between consecutive marks (plus start → first and last → clock).
-    marks: Vec<EventMark>,
-}
-
+/// A goodput-window boundary: one per applied timeline event.
 #[derive(Clone, Debug)]
 struct EventMark {
     /// `"<kind>@<configured time>"`.
@@ -876,17 +846,31 @@ pub struct Fleet<'a> {
     /// completes. A request re-queued off a crashed decode replica
     /// re-prefills and re-inserts (overwriting) under the same id.
     inflight: HashMap<u64, HandoffMeta>,
-    handoff: HandoffTracker,
+    /// Hand-off accounting as [`Fleet::summary`] reports it, less
+    /// `pending_transfers` and the two means, which it fills in.
+    handoff: FleetHandoff,
+    /// Σ hand-off latency over completed hand-offs, seconds.
+    handoff_latency_sum: f64,
+    /// Σ end-to-end TTFT over completed hand-offs, seconds.
+    e2e_ttft_sum: f64,
     /// Unapplied timeline events, in time order.
     pending_events: VecDeque<FleetEvent>,
-    chaos: ChaosTracker,
+    /// Failure/elasticity counters as [`Fleet::summary`] reports them,
+    /// less the available fraction, replica states and goodput windows,
+    /// which it fills in.
+    availability: FleetAvailability,
+    /// ∫ (admitting replicas / replicas) dt, accrued up to `accrued_to`.
+    avail_integral: f64,
+    accrued_to: f64,
+    /// One mark per applied event: the goodput windows are the spans
+    /// between consecutive marks (plus start → first and last → clock).
+    marks: Vec<EventMark>,
     /// Unresolved speculative dispatch groups by request id (empty for
     /// unicast policies, so snapshot fleets skip every speculative path).
     spec_groups: BTreeMap<u64, SpecGroup>,
-    /// Speculative groups dispatched so far.
-    spec_dispatched: u64,
-    /// Speculative loser copies cancelled so far.
-    spec_cancelled: u64,
+    /// Speculative accounting as [`Fleet::summary`] reports it, less
+    /// `open_groups` (the size of `spec_groups`), which it fills in.
+    speculative: FleetSpeculative,
     router: Router,
     generator: RequestGenerator,
     /// First generated arrival beyond the fleet clock.
@@ -901,6 +885,8 @@ pub struct Fleet<'a> {
     /// Fleet-wide streaming aggregate ([`SummaryMode::Streaming`] replicas
     /// only): P² sketches don't merge, so the fleet folds every replica's
     /// fresh completions into its own accumulator as they drain.
+    ///
+    /// [`SummaryMode::Streaming`]: crate::engine::SummaryMode::Streaming
     streaming: Option<StreamingSummary>,
     /// End-to-end completions booked so far, fleet-wide. Prefill records
     /// (hand-offs) and discarded speculative losers are not counted.
@@ -1118,14 +1104,6 @@ impl<'a> Fleet<'a> {
             config.replicas,
             split_seed(master, 0x0A5E_11A3),
         );
-        let streaming = match config.engine.summary {
-            SummaryMode::Exact => None,
-            SummaryMode::Streaming => Some(if config.engine.workload_profile.is_default() {
-                StreamingSummary::new()
-            } else {
-                StreamingSummary::with_classes(&config.engine.workload_profile.classes)
-            }),
-        };
         // The transfer model doubles as the disaggregation flag: built
         // only when some replica has a non-colocated role, so colocated
         // fleets never touch a hand-off code path. Transfers are priced
@@ -1156,18 +1134,22 @@ impl<'a> Fleet<'a> {
             pending_handoffs: BinaryHeap::new(),
             handoff_seq: 0,
             inflight: HashMap::new(),
-            handoff: HandoffTracker::default(),
+            handoff: FleetHandoff::default(),
+            handoff_latency_sum: 0.0,
+            e2e_ttft_sum: 0.0,
             pending_events: config.events.into(),
-            chaos: ChaosTracker::default(),
+            availability: FleetAvailability::default(),
+            avail_integral: 0.0,
+            accrued_to: 0.0,
+            marks: Vec::new(),
             spec_groups: BTreeMap::new(),
-            spec_dispatched: 0,
-            spec_cancelled: 0,
+            speculative: FleetSpeculative::default(),
             router,
             generator,
             lookahead: None,
             clock: 0.0,
             rounds: 0,
-            streaming,
+            streaming: config.engine.streaming_accumulator(),
             completed: 0,
         };
         for _ in 0..config.replicas {
@@ -1315,9 +1297,9 @@ impl<'a> Fleet<'a> {
     /// fraction. Called right before any state transition, so the integral
     /// is piecewise-exact (the fraction only changes at timeline events).
     fn accrue_availability(&mut self, now: f64) {
-        if now > self.chaos.last_t {
-            self.chaos.avail_integral += self.active_fraction() * (now - self.chaos.last_t);
-            self.chaos.last_t = now;
+        if now > self.accrued_to {
+            self.avail_integral += self.active_fraction() * (now - self.accrued_to);
+            self.accrued_to = now;
         }
     }
 
@@ -1337,42 +1319,45 @@ impl<'a> Fleet<'a> {
     /// both drives guarantee no engine is mid-iteration here.
     fn apply_event(&mut self, event: FleetEvent, now: f64) {
         self.accrue_availability(now);
-        self.chaos.marks.push(EventMark {
+        self.marks.push(EventMark {
             label: format!("{}@{}", event.kind.name(), event.time),
             time: now,
             completed: self.completed,
         });
-        self.chaos.events_applied += 1;
-        match event.kind {
+        self.availability.events_applied += 1;
+        let replica = match event.kind {
             FleetEventKind::ScaleUp { count } => {
                 for _ in 0..count {
                     self.roles.push(ReplicaRole::Colocated);
                     self.push_replica(now);
                 }
                 self.router.grow(count);
+                return;
             }
-            FleetEventKind::Drain { replica } => {
-                // Validated timelines only drain active replicas; treat
-                // anything else as a no-op for runtime robustness.
-                if self.states[replica] != ReplicaState::Active {
-                    return;
-                }
-                self.set_state(replica, ReplicaState::Draining);
+            FleetEventKind::Drain { replica }
+            | FleetEventKind::Crash { replica }
+            | FleetEventKind::Recover { replica } => replica,
+        };
+        // Validated timelines take only edges of the lifecycle table; a
+        // missing edge (a crash on a drainer that already retired) is a
+        // no-op.
+        let Some(next) = next_state(event.kind, self.states[replica]) else {
+            return;
+        };
+        self.set_state(replica, next);
+        match next {
+            ReplicaState::Draining => {
                 let evicted = self.engines[replica].evict_waiting_requests();
                 self.refresh(replica);
                 let waiting = self.strip_spec_copies(evicted, replica);
-                self.chaos.drain_rerouted += waiting.len() as u64;
+                self.availability.drain_rerouted += waiting.len() as u64;
                 self.reroute(waiting, replica, now);
                 if idle(&self.view.snapshots[replica]) {
                     // Nothing in flight: straight to retired.
                     self.set_state(replica, ReplicaState::Retired);
                 }
             }
-            FleetEventKind::Crash { replica } => {
-                if !self.states[replica].steppable() {
-                    return;
-                }
-                self.set_state(replica, ReplicaState::Failed);
+            ReplicaState::Failed => {
                 let evicted = self.engines[replica].evict_waiting_requests();
                 let resident_evicted = self.engines[replica].evict_resident_requests();
                 self.refresh(replica);
@@ -1384,13 +1369,13 @@ impl<'a> Fleet<'a> {
                     .into_iter()
                     .filter(|r| !self.drop_spec_copy(r.request.id.0, replica))
                     .collect();
-                self.chaos.crash_rerouted += waiting.len() as u64;
-                self.chaos.crash_interruptions += resident.len() as u64;
+                self.availability.crash_rerouted += waiting.len() as u64;
+                self.availability.crash_interruptions += resident.len() as u64;
                 // Interrupted requests lose their prefill progress: the
                 // re-admitting replica re-prefills those prompt tokens from
                 // scratch (priced through its congestion model like any
                 // admission), which is the KV re-admission cost.
-                self.chaos.replayed_prefill_tokens +=
+                self.availability.replayed_prefill_tokens +=
                     resident.iter().map(|r| u64::from(r.prefilled)).sum::<u64>();
                 self.reroute(waiting, replica, now);
                 self.reroute(
@@ -1399,14 +1384,12 @@ impl<'a> Fleet<'a> {
                     now,
                 );
             }
-            FleetEventKind::Recover { replica } => {
-                if self.states[replica] == ReplicaState::Failed {
-                    self.set_state(replica, ReplicaState::Active);
-                    // The replica was dark while failed: no phantom idle
-                    // iterations, it simply rejoins at the current time.
-                    self.engines[replica].fast_forward(now);
-                }
-            }
+            // Recovered: the replica was dark while failed, so it prices no
+            // phantom idle iterations and simply rejoins at the current
+            // time.
+            ReplicaState::Active => self.engines[replica].fast_forward(now),
+            // The table has no edge into `Retired`.
+            ReplicaState::Retired => {}
         }
     }
 
@@ -1417,7 +1400,7 @@ impl<'a> Fleet<'a> {
     /// per-queue arrival-order contract).
     fn reroute(&mut self, requests: Vec<Request>, from: usize, now: f64) {
         for mut request in requests {
-            self.chaos.requeued_tokens +=
+            self.availability.requeued_tokens +=
                 u64::from(request.input_len) + u64::from(request.output_len);
             request.arrival = now;
             let id = request.id.0;
@@ -1467,7 +1450,7 @@ impl<'a> Fleet<'a> {
             return false;
         }
         group.copies.remove(pos);
-        self.spec_cancelled += 1;
+        self.speculative.cancelled_copies += 1;
         true
     }
 
@@ -1560,7 +1543,7 @@ impl<'a> Fleet<'a> {
 
     /// Opens the first-token race for a speculatively multicast request.
     fn open_spec_group(&mut self, request: &Request, targets: &[usize]) {
-        self.spec_dispatched += 1;
+        self.speculative.groups_dispatched += 1;
         self.spec_groups.insert(
             request.id.0,
             SpecGroup {
@@ -1747,14 +1730,14 @@ impl<'a> Fleet<'a> {
                     // so the logical request counts once, including the
                     // copy an exact-mode engine retains.
                     self.engines[copy.replica].remove_completed(record.id);
-                    self.spec_cancelled += 1;
+                    self.speculative.cancelled_copies += 1;
                 }
                 None => {
                     // Cancel-on-first-token proper: tear the copy down on
                     // its queue through the eviction path (KV released,
                     // admitted-token accounting unwound).
                     if self.engines[copy.replica].cancel_request(rid) {
-                        self.spec_cancelled += 1;
+                        self.speculative.cancelled_copies += 1;
                         self.refresh(copy.replica);
                     }
                 }
@@ -1821,10 +1804,10 @@ impl<'a> Fleet<'a> {
         if let Some(meta) = self.inflight.remove(&r.id.0) {
             let latency = (r.first_token - meta.prefill_finish).max(0.0);
             self.handoff.handoffs_completed += 1;
-            self.handoff.handoff_latency_seconds += latency;
+            self.handoff_latency_sum += latency;
             self.handoff.max_handoff_latency = self.handoff.max_handoff_latency.max(latency);
             let ttft = (r.first_token - meta.arrival).max(0.0);
-            self.handoff.e2e_ttft_seconds += ttft;
+            self.e2e_ttft_sum += ttft;
             self.handoff.max_e2e_ttft = self.handoff.max_e2e_ttft.max(ttft);
         }
         self.router.observe_completion(i, r);
@@ -1869,6 +1852,8 @@ impl<'a> Fleet<'a> {
     /// The round-driven reference for the same horizon is
     /// `while fleet.sim_time() < horizon { fleet.run(1) }`: it prices an
     /// iteration on every replica every round, idle ones included.
+    ///
+    /// [`SummaryMode::Streaming`]: crate::engine::SummaryMode::Streaming
     pub fn run_until(&mut self, horizon: f64) {
         // Rebuild the step heap from scratch: any steppable replica with
         // work pending steps next at its own clock; the rest are parked.
@@ -1941,6 +1926,9 @@ impl<'a> Fleet<'a> {
     /// [`SummaryMode::Exact`]; bounded by the replica count under
     /// [`SummaryMode::Streaming`] (one history entry per replica, staged
     /// completions drained every round / step event).
+    ///
+    /// [`SummaryMode::Exact`]: crate::engine::SummaryMode::Exact
+    /// [`SummaryMode::Streaming`]: crate::engine::SummaryMode::Streaming
     pub fn retained_records(&self) -> usize {
         self.engines
             .iter()
@@ -1960,63 +1948,42 @@ impl<'a> Fleet<'a> {
         // Per-class admission counters are fleet-wide sums over the replica
         // queues (shed and rejected happen at the replica barrier, not at
         // the router).
-        let mut shed_by_class = [0u64; 2];
-        let mut rejected_by_class = [0u64; 2];
-        for e in &self.engines {
-            let (shed, rejected) = e.class_counters();
+        let mut class_counters = ([0u64; 2], [0u64; 2]);
+        for (shed, rejected) in self.engines.iter().map(InferenceEngine::class_counters) {
             for c in 0..2 {
-                shed_by_class[c] += shed[c];
-                rejected_by_class[c] += rejected[c];
+                class_counters.0[c] += shed[c];
+                class_counters.1[c] += rejected[c];
             }
         }
-        let classes: &[moe_workload::ClassSpec] = if self.template.workload_profile.is_default() {
-            &[]
-        } else {
-            &self.template.workload_profile.classes
-        };
+        // Goodput is measured against the fleet clock. The fleet's peak KV
+        // and occupancy are per-replica sums, added below.
         let mut aggregate = match self.streaming.as_ref() {
             // Streaming: the fleet's own sketch over the union of
             // completions (P² sketches don't merge, so it was fed as the
-            // replicas drained). Goodput is against the fleet clock.
-            Some(streaming) => streaming.summary_with_workload(
-                total_rejects,
-                0,
-                self.clock,
-                shed_by_class,
-                rejected_by_class,
-            ),
+            // replicas drained).
+            Some(streaming) => streaming.summary(self.clock, total_rejects, 0, class_counters),
             // Exact: percentiles over the union of retained records. In a
             // disaggregated fleet a prefill replica's records are
             // hand-offs, not end-to-end completions — only decode-capable
             // replicas' records aggregate (the hand-off section carries
             // the prefill-side accounting).
             None => {
-                let all_records: Vec<moe_workload::RequestRecord> = self
+                let all_records: Vec<RequestRecord> = self
                     .engines
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| self.roles[*i] != ReplicaRole::Prefill)
                     .flat_map(|(_, e)| e.completed_requests().iter().cloned())
                     .collect();
-                let mut aggregate = ServingSummary::from_records_with_workload(
+                ServingSummary::from_records(
                     &all_records,
                     &[],
+                    self.clock,
                     total_rejects,
                     0,
-                    shed_by_class,
-                    rejected_by_class,
-                    classes,
-                );
-                aggregate.sim_seconds = self.clock;
-                if self.clock > 0.0 {
-                    aggregate.goodput_rps = all_records.len() as f64 / self.clock;
-                    aggregate.goodput_tokens_per_s = all_records
-                        .iter()
-                        .map(|r| r.input_len as f64 + r.output_len as f64)
-                        .sum::<f64>()
-                        / self.clock;
-                }
-                aggregate
+                    class_counters,
+                    self.template.workload_profile.reported_classes(),
+                )
             }
         };
         // Occupancy aggregates are fleet-wide sums (max over replicas for
@@ -2029,6 +1996,14 @@ impl<'a> Fleet<'a> {
         }
 
         let completed = per_replica.iter().map(|s| s.completed as f64);
+        let mean = |sum: f64, n: u64| if n > 0 { sum / n as f64 } else { 0.0 };
+        // The available fraction accrues lazily to the current clock.
+        let available_fraction = if self.clock > 0.0 {
+            let tail = self.active_fraction() * (self.clock - self.accrued_to).max(0.0);
+            ((self.avail_integral + tail) / self.clock).min(1.0)
+        } else {
+            1.0
+        };
 
         FleetSummary {
             replicas: self.engines.len(),
@@ -2039,94 +2014,64 @@ impl<'a> Fleet<'a> {
             completion_imbalance: moe_workload::max_mean_imbalance(completed),
             per_replica,
             aggregate,
-            availability: self.availability(),
-            handoff: self.handoff_readout(),
+            availability: FleetAvailability {
+                available_fraction,
+                replica_states: self.states.iter().map(|s| s.name()).collect(),
+                goodput_windows: self.goodput_windows(),
+                ..self.availability.clone()
+            },
+            handoff: FleetHandoff {
+                pending_transfers: self.pending_handoffs.len() as u64,
+                mean_handoff_latency: mean(
+                    self.handoff_latency_sum,
+                    self.handoff.handoffs_completed,
+                ),
+                mean_e2e_ttft: mean(self.e2e_ttft_sum, self.handoff.handoffs_completed),
+                ..self.handoff.clone()
+            },
             speculative: FleetSpeculative {
-                groups_dispatched: self.spec_dispatched,
-                cancelled_copies: self.spec_cancelled,
                 open_groups: self.spec_groups.len() as u64,
+                ..self.speculative.clone()
             },
         }
     }
 
-    /// The hand-off section of [`Fleet::summary`] (all zeros for a
-    /// colocated fleet).
-    fn handoff_readout(&self) -> FleetHandoff {
-        let t = &self.handoff;
-        let mean = |sum: f64, n: u64| if n > 0 { sum / n as f64 } else { 0.0 };
-        FleetHandoff {
-            kv_transfers: t.kv_transfers,
-            kv_transfer_bytes: t.kv_transfer_bytes,
-            kv_transfer_seconds: t.kv_transfer_seconds,
-            max_transfer_seconds: t.max_transfer_seconds,
-            pending_transfers: self.pending_handoffs.len() as u64,
-            handoffs_completed: t.handoffs_completed,
-            mean_handoff_latency: mean(t.handoff_latency_seconds, t.handoffs_completed),
-            max_handoff_latency: t.max_handoff_latency,
-            mean_e2e_ttft: mean(t.e2e_ttft_seconds, t.handoffs_completed),
-            max_e2e_ttft: t.max_e2e_ttft,
+    /// Goodput between consecutive boundaries: the start, every event
+    /// mark, and the clock. An event-free run has none.
+    fn goodput_windows(&self) -> Vec<GoodputWindow> {
+        if self.marks.is_empty() {
+            return Vec::new();
         }
-    }
-
-    /// The availability section of [`Fleet::summary`]: chaos counters, the
-    /// time-weighted active-replica fraction (accrued lazily to the current
-    /// clock — non-mutating), per-replica lifecycle states, and the
-    /// goodput windows between event boundaries.
-    fn availability(&self) -> FleetAvailability {
-        let chaos = &self.chaos;
-        let available_fraction = if self.clock > 0.0 {
-            let tail = self.active_fraction() * (self.clock - chaos.last_t).max(0.0);
-            ((chaos.avail_integral + tail) / self.clock).min(1.0)
-        } else {
-            1.0
-        };
-        // One window per span between consecutive boundaries: the start,
-        // every event mark, and the clock. An event-free run has none.
         let starts = std::iter::once(("start", 0.0, 0)).chain(
-            chaos
-                .marks
+            self.marks
                 .iter()
                 .map(|m| (m.label.as_str(), m.time, m.completed)),
         );
-        let ends = chaos.marks.iter().map(|m| (m.time, m.completed));
-        let goodput_windows = if chaos.marks.is_empty() {
-            Vec::new()
-        } else {
-            starts
-                .zip(ends.chain([(self.clock, self.completed)]))
-                .map(|((after, start, before), (end, completed))| {
-                    let completed = completed - before;
-                    GoodputWindow {
-                        after: after.to_string(),
-                        start,
-                        end,
-                        completed,
-                        goodput_rps: if end > start {
-                            completed as f64 / (end - start)
-                        } else {
-                            0.0
-                        },
-                    }
-                })
-                .collect()
-        };
-        FleetAvailability {
-            events_applied: chaos.events_applied,
-            crash_interruptions: chaos.crash_interruptions,
-            drain_rerouted: chaos.drain_rerouted,
-            crash_rerouted: chaos.crash_rerouted,
-            requeued_tokens: chaos.requeued_tokens,
-            replayed_prefill_tokens: chaos.replayed_prefill_tokens,
-            available_fraction,
-            replica_states: self.states.iter().map(|s| s.name()).collect(),
-            goodput_windows,
-        }
+        let ends = self.marks.iter().map(|m| (m.time, m.completed));
+        starts
+            .zip(ends.chain([(self.clock, self.completed)]))
+            .map(|((after, start, before), (end, completed))| {
+                let completed = completed - before;
+                GoodputWindow {
+                    after: after.to_string(),
+                    start,
+                    end,
+                    completed,
+                    goodput_rps: if end > start {
+                        completed as f64 / (end - start)
+                    } else {
+                        0.0
+                    },
+                }
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{P2Quantile, SummaryMode};
     use crate::mapping::ErMapping;
     use crate::over_seeds::over_seeds;
     use moe_model::ModelConfig;
@@ -2763,6 +2708,57 @@ mod tests {
         over_seeds(40..72, 9, |seed| {
             run(seed).availability.replica_states[2] == "retired"
         });
+    }
+
+    /// The engine and the fleet read a serving summary through one path:
+    /// on the round drive, a one-replica colocated fleet with two tenant
+    /// classes reports an aggregate equal to its replica's summary field
+    /// for field (compared through `Debug`, so a sign or NaN difference in
+    /// a float shows too), under both summary modes.
+    #[test]
+    fn one_replica_aggregate_equals_its_replica_summary() {
+        let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+        let table = RouteTable::build(&topo);
+        let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
+            .unwrap()
+            .plan();
+        let profile = moe_workload::WorkloadProfile {
+            classes: vec![
+                moe_workload::ClassSpec::interactive().with_weight(3.0),
+                moe_workload::ClassSpec {
+                    shed_after: Some(2.0e-4),
+                    ..moe_workload::ClassSpec::batch()
+                },
+            ],
+            ..Default::default()
+        };
+        // The first run completes past the sketches' exact warm-up; the
+        // second's KV budget is below some footprints, so admission rejects
+        // them. Both shed batch requests past their deadline.
+        for (kv_hbm_fraction, rate, rounds) in [(4.0e-5, 6.0e4, 400), (1.0e-6, 1.0e4, 3000)] {
+            for mode in [SummaryMode::Exact, SummaryMode::Streaming] {
+                let mut template = engine_template(29)
+                    .with_workload_profile(profile.clone())
+                    .with_summary(mode);
+                template.kv_hbm_fraction = kv_hbm_fraction;
+                let config = FleetConfig::new(1, RouterPolicy::LeastQueueDepth, rate, template);
+                let mut fleet = Fleet::new(&topo, &table, &plan, config);
+                fleet.run(rounds);
+                let s = fleet.summary();
+                let (aggregate, replica) = (&s.aggregate, &s.per_replica[0]);
+                assert_eq!(format!("{aggregate:?}"), format!("{replica:?}"), "{mode}");
+                // The comparison covers every section it claims to.
+                assert!(aggregate.goodput_rps > 0.0 && aggregate.mean_active_requests > 0.0);
+                assert!(aggregate.shed > 0, "{mode}: nothing shed");
+                assert_eq!(aggregate.classes.len(), 2);
+                assert!(aggregate.classes.iter().all(|c| c.completed > 0), "{mode}");
+                if kv_hbm_fraction < 1.0e-5 {
+                    assert!(aggregate.admission_rejects > 0, "{mode}: nothing rejected");
+                } else {
+                    assert!(aggregate.completed > P2Quantile::WARMUP, "{mode}");
+                }
+            }
+        }
     }
 
     #[test]

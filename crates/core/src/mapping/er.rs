@@ -48,7 +48,8 @@ impl ErMapping {
     /// # Errors
     ///
     /// Returns [`MappingError::ShapeDoesNotTile`] if `tp` does not divide
-    /// the global die grid.
+    /// the global die grid, and [`MappingError::NoConflictFreeRing`] if its
+    /// groups cannot form link-disjoint staggered rings.
     pub fn new(dims: MeshDims, tp: TpShape) -> Result<Self, MappingError> {
         let w = dims.wafers_x * dims.n;
         let h = dims.wafers_y * dims.n;
@@ -58,6 +59,7 @@ impl ErMapping {
                 n: dims.n,
             });
         }
+        check_entwined_ring(tp)?;
         Ok(ErMapping { dims, tp })
     }
 
@@ -72,6 +74,25 @@ impl ErMapping {
     /// Resolves the full mapping plan.
     pub fn plan(&self) -> MappingPlan {
         build_er_plan(self.dims, self.tp, MappingKind::EntwinedRing)
+    }
+}
+
+/// Rejects a TP shape whose groups have no conflict-free staggered ring.
+/// A group's ring visits its `x × y` member grid in `grid_ring_order`,
+/// and every step of one ring transmits in the same parity sub-phase, so
+/// the stagger separates rings but never a ring from itself. The ring is
+/// link-disjoint only when every step is one stride: a two-member group
+/// (which exchanges directly) or a grid with both extents above 1 and one
+/// of them even (a snake cycle). A line of three or more members, or an
+/// odd × odd grid (no Hamiltonian cycle: the grid graph is bipartite with
+/// an odd vertex count), closes with a multi-stride hop over its own
+/// steps' links; a single member has no ring.
+pub(crate) fn check_entwined_ring(tp: TpShape) -> Result<(), MappingError> {
+    let unit_cycle = tp.x > 1 && tp.y > 1 && (tp.x.is_multiple_of(2) || tp.y.is_multiple_of(2));
+    if tp.size() == 2 || unit_cycle {
+        Ok(())
+    } else {
+        Err(MappingError::NoConflictFreeRing { shape: tp })
     }
 }
 
@@ -149,6 +170,7 @@ pub(crate) fn build_er_plan(dims: MeshDims, tp: TpShape, kind: MappingKind) -> M
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::HierarchicalErMapping;
     use wsc_collectives::stagger::{phases_are_link_disjoint, staggered_ring_all_reduce};
     use wsc_topology::{Mesh, MultiWafer, PlatformParams};
 
@@ -232,6 +254,54 @@ mod tests {
         assert_eq!(plan.num_groups(), 9);
         let sched = staggered_ring_all_reduce(&topo, plan.rings(), 1.0e6);
         assert!(phases_are_link_disjoint(&sched, &topo));
+    }
+
+    /// On 4×4, 6×6 and 8×8 wafers, every TP shape that tiles the wafer
+    /// (a superset of `TpShape::factor`'s pick for every degree) is either
+    /// rejected with the typed ring error or gets link-disjoint staggered
+    /// rings; the TP 4 and TP 8 shapes the figures use are accepted.
+    #[test]
+    fn every_tiling_shape_is_rejected_or_link_disjoint() {
+        for n in [4u16, 6, 8] {
+            let topo = Mesh::new(n, PlatformParams::dojo_like()).build();
+            let dims = topo.mesh_dims().unwrap();
+            let divisors: Vec<u16> = (1..=n).filter(|d| n.is_multiple_of(*d)).collect();
+            let shapes: Vec<TpShape> = divisors
+                .iter()
+                .flat_map(|&x| divisors.iter().map(move |&y| TpShape::new(x, y)))
+                .collect();
+            for tp in 1..=(n as usize).pow(2) {
+                if let Ok(shape) = TpShape::factor(tp, n) {
+                    assert!(shapes.contains(&shape), "{shape} on {n}x{n}");
+                }
+            }
+            for shape in shapes {
+                match ErMapping::new(dims, shape) {
+                    Ok(er) => {
+                        let sched = staggered_ring_all_reduce(&topo, er.plan().rings(), 1.0e6);
+                        assert!(
+                            phases_are_link_disjoint(&sched, &topo),
+                            "{shape} on {n}x{n}"
+                        );
+                    }
+                    Err(e) => assert_eq!(e, MappingError::NoConflictFreeRing { shape }),
+                }
+            }
+            for tp in [4, 8] {
+                if let Ok(shape) = TpShape::factor(tp, n) {
+                    assert!(ErMapping::new(dims, shape).is_ok(), "{shape} on {n}x{n}");
+                }
+            }
+        }
+        let six = MeshDims {
+            wafers_x: 1,
+            wafers_y: 1,
+            n: 6,
+        };
+        let odd = TpShape::new(3, 3);
+        let rejected = Err(MappingError::NoConflictFreeRing { shape: odd });
+        assert_eq!(ErMapping::new(six, odd).map(|_| ()), rejected);
+        assert_eq!(HierarchicalErMapping::new(six, odd).map(|_| ()), rejected);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use wsc_topology::{DeviceId, MeshDims, Topology};
 
-use super::er::build_er_plan;
+use super::er::{build_er_plan, check_entwined_ring};
 use super::ftd::Ftd;
 use super::{MappingError, MappingKind, MappingPlan, TpShape};
 
@@ -43,7 +43,8 @@ impl HierarchicalErMapping {
     /// # Errors
     ///
     /// Returns [`MappingError::ShapeDoesNotTile`] if `tp` does not divide a
-    /// single wafer.
+    /// single wafer, and [`MappingError::NoConflictFreeRing`] if its groups
+    /// cannot form link-disjoint staggered rings.
     pub fn new(dims: MeshDims, tp: TpShape) -> Result<Self, MappingError> {
         if !dims.n.is_multiple_of(tp.x) || !dims.n.is_multiple_of(tp.y) {
             return Err(MappingError::ShapeDoesNotTile {
@@ -51,6 +52,7 @@ impl HierarchicalErMapping {
                 n: dims.n,
             });
         }
+        check_entwined_ring(tp)?;
         Ok(HierarchicalErMapping { dims, tp })
     }
 

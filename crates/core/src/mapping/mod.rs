@@ -140,6 +140,15 @@ pub enum MappingError {
     },
     /// The topology is not a mesh (or has the wrong wafer count).
     NotAMesh,
+    /// An entwined (ER/HER) mapping cannot give TP groups of this shape
+    /// link-disjoint staggered rings. A single device has no ring at all;
+    /// a line of three or more, or a grid with both extents odd, has no
+    /// cycle of unit steps, so the ring's wrap-around hop retraces links
+    /// its own steps use in the same sub-phase, which no parity separates.
+    NoConflictFreeRing {
+        /// Requested shape.
+        shape: TpShape,
+    },
 }
 
 impl fmt::Display for MappingError {
@@ -152,6 +161,11 @@ impl fmt::Display for MappingError {
                 write!(f, "no factorization of TP={tp} tiles a {n}x{n} wafer")
             }
             MappingError::NotAMesh => f.write_str("topology is not a wafer mesh"),
+            MappingError::NoConflictFreeRing { shape } => write!(
+                f,
+                "TP shape {shape} has no conflict-free entwined ring \
+                 (a group needs exactly two members, or both extents above 1 and one even)"
+            ),
         }
     }
 }

@@ -508,6 +508,17 @@ impl WorkloadProfile {
         *self == WorkloadProfile::default()
     }
 
+    /// The classes a serving summary reports a section for: none for the
+    /// default profile, so workload-free summaries keep their pre-class
+    /// layout, otherwise the configured classes in order.
+    pub fn reported_classes(&self) -> &[ClassSpec] {
+        if self.is_default() {
+            &[]
+        } else {
+            &self.classes
+        }
+    }
+
     /// The configured spec for `class`, if present.
     pub fn class_spec(&self, class: RequestClass) -> Option<&ClassSpec> {
         self.classes.iter().find(|c| c.class == class)

@@ -249,10 +249,11 @@ pub enum Decision {
     Shed,
 }
 
-/// SplitMix64 stream splitting, mirroring the fleet's seed derivation, so
-/// a post-scale-up sampling stream is a pure function of `(seed, first new
-/// replica index)`.
-fn split_seed(master: u64, stream: u64) -> u64 {
+/// SplitMix64 stream splitting: stream `stream` of master seed `master`.
+/// The fleet derives each replica's engine seed and its arrival and router
+/// seeds with it; the router derives its post-scale-up sampling stream,
+/// so that stream is a pure function of `(seed, first new replica index)`.
+pub fn split_seed(master: u64, stream: u64) -> u64 {
     let mut z = master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -39,11 +39,16 @@ fn main() {
         let Ok(shape) = TpShape::factor(tp, n) else {
             continue;
         };
-        let (Ok(b), Ok(e)) = (
+        let (b, e) = match (
             BaselineMapping::new(dims, shape),
             ErMapping::new(dims, shape),
-        ) else {
-            continue;
+        ) {
+            (Ok(b), Ok(e)) => (b, e),
+            (_, Err(err)) => {
+                println!("{:>8} skipped: {err}", format!("{shape}"));
+                continue;
+            }
+            (Err(_), _) => continue,
         };
         let (base, er) = (b.plan(), e.plan());
 

@@ -454,7 +454,13 @@ fn more_replicas_add_capacity_under_saturation() {
         four.aggregate.mean_queue_depth,
         one.aggregate.mean_queue_depth
     );
-    assert!(one.per_replica[0].mean_active_requests > 100.0);
+    // The single replica runs near its 128-active cap on most seeds, not
+    // all: its mean active count was above 100 on 55 of seeds 64..128
+    // (87.6–119.3). k = 21 of 32 is about n·p − 3·sd at that rate.
+    over_seeds(80..112, 21, |seed| {
+        let one = run_fleet(&f, 1, RouterPolicy::LeastQueueDepth, 1.0e5, seed, 300);
+        one.per_replica[0].mean_active_requests > 100.0
+    });
     // Token throughput grows by more than 1.2× on most seeds, not all: the
     // ratio was above 1.2 on 56 of seeds 64..128 (1.03–2.17). k = 22 of
     // 32 is about n·p − 3·sd at that rate.
