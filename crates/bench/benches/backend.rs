@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the pluggable congestion-pricing backends:
 //! the cost of pricing the *same* collective with the closed-form analytic
 //! model, the flow-level DES, and the memoizing cached DES, at both
-//! collective and A2A scope — plus the incremental-vs-full-recompute
+//! collective, A2A and route-set scope — plus the incremental-vs-full-recompute
 //! allocator split inside the DES itself.
 //!
 //! This quantifies the fidelity/speed trade the `EngineConfig::backend` knob
@@ -68,6 +68,35 @@ fn bench_price_a2a(c: &mut Criterion) {
         let pricer = backend.build(&platform.topo);
         group.bench_function(BenchmarkId::from_parameter(backend.name()), |b| {
             b.iter(|| a2a.estimate_with(pricer.as_ref(), &gating, &placement, token_bytes, 256))
+        });
+    }
+    group.finish();
+}
+
+/// The route-set pricing the engine runs on every stride layer of a flat
+/// fabric: the dispatch route set of ER-Mapping on a 4x4 wafer with TP 4
+/// (48 transfers), every volume loaded. Each tier prices it through
+/// `price_routes_time` and through `price_route_set_time`, which keeps the
+/// flow-sim tier's simulator of the set across calls.
+fn bench_price_route_set(c: &mut Criterion) {
+    let mut group = c.benchmark_group("price_route_set");
+    let platform = Platform::wsc(4);
+    let plan = ErMapping::with_tp_degree(platform.topo.mesh_dims().unwrap(), 4)
+        .unwrap()
+        .plan();
+    let a2a = A2aModel::new(&platform.topo, &platform.table, &plan);
+    let routes = a2a.dispatch_routes();
+    let volume: Vec<f64> = (0..plan.num_groups() * platform.topo.num_devices())
+        .map(|i| 1.0e6 * (1.0 + (i % 7) as f64 / 7.0))
+        .collect();
+    for backend in [CongestionBackend::Analytic, CongestionBackend::FlowSim] {
+        let pricer = backend.build(&platform.topo);
+        group.bench_function(BenchmarkId::new("routes_time", backend.name()), |b| {
+            b.iter(|| pricer.price_routes_time(routes, &volume))
+        });
+        let mut sim = None;
+        group.bench_function(BenchmarkId::new("route_set_time", backend.name()), |b| {
+            b.iter(|| pricer.price_route_set_time(routes, &mut sim, &volume))
         });
     }
     group.finish();
@@ -144,6 +173,7 @@ criterion_group!(
     benches,
     bench_price_er_all_reduce,
     bench_price_a2a,
+    bench_price_route_set,
     bench_repeated_schedule,
     bench_des_allocators
 );

@@ -14,7 +14,7 @@ use moe_workload::LayerGating;
 use wsc_collectives::{
     hierarchical_all_reduce, ring_all_gather, ring_all_reduce, ring_reduce_scatter, StaggeredRings,
 };
-use wsc_sim::{AnalyticModel, CongestionModel, FlowSchedule, RoutedTransfer};
+use wsc_sim::{AnalyticModel, CongestionModel, FlowSchedule, RouteSetSim, RoutedTransfer};
 use wsc_topology::{DeviceId, Location, RouteTable, Topology};
 
 use crate::mapping::{MappingKind, MappingPlan, TokenSource};
@@ -285,6 +285,11 @@ pub(crate) struct LayerScratch {
     combine: PairList,
     /// Per-node destination buckets of the node-aggregated expansion.
     per_node: Vec<Vec<usize>>,
+    /// The backend's simulators of the dispatch and combine route sets
+    /// (flat fabrics on a simulating tier), built on the first priced
+    /// layer and reused by every later one.
+    dispatch_sim: Option<RouteSetSim>,
+    combine_sim: Option<RouteSetSim>,
 }
 
 /// Analytical all-to-all model with precomputed token-source tables.
@@ -354,6 +359,14 @@ impl<'a> A2aModel<'a> {
     /// Number of TP groups the model was built for.
     pub fn num_groups(&self) -> usize {
         self.num_groups
+    }
+
+    /// The dispatch route set a flat fabric's layers are priced over: one
+    /// transfer per non-local `(group, destination, source)`, carrying its
+    /// source's share of volume `[group * D + destination]`. Empty on a
+    /// node-aggregated fabric.
+    pub fn dispatch_routes(&self) -> &[RoutedTransfer<'a>] {
+        &self.dispatch_routes
     }
 
     /// Expands a gating outcome into the explicit dispatch transfer list
@@ -510,9 +523,15 @@ impl<'a> A2aModel<'a> {
         }
         self.expand(gating, placement, Some(token_bytes), scratch);
         cap_volumes(&mut scratch.volume, tokens_per_group as f64 * token_bytes);
+        let LayerScratch {
+            volume,
+            dispatch_sim,
+            combine_sim,
+            ..
+        } = scratch;
         (
-            backend.price_routes_time(&self.dispatch_routes, &scratch.volume),
-            backend.price_routes_time(&self.combine_routes, &scratch.volume),
+            backend.price_route_set_time(&self.dispatch_routes, dispatch_sim, volume),
+            backend.price_route_set_time(&self.combine_routes, combine_sim, volume),
         )
     }
 

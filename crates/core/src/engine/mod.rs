@@ -27,7 +27,7 @@ mod sketch;
 pub use metrics::{percentile, ClassServingSummary, IterationMetrics, RunSummary, ServingSummary};
 pub use sketch::{P2Quantile, StreamingSummary, SummaryMode};
 
-use overlap::{sample_overlapped, CoreClaim, SAMPLING_RUN};
+use overlap::{sample_overlapped, CallerCells, CoreClaim};
 
 use moe_model::{CostModel, InferencePhase, ModelConfig, Precision};
 use moe_workload::{
@@ -46,6 +46,9 @@ use crate::comm::{A2aModel, LayerScratch, ParallelLayout};
 use crate::config::ConfigError;
 use crate::migration::{enqueue_replications, invasive_stall, MigrationEngine, MigrationPhase};
 use crate::placement::ExpertPlacement;
+
+/// Layers the serial driver draws before running them.
+const SAMPLING_RUN: usize = 8;
 
 pub use crate::balancer::cumulative_imbalance as imbalance_statistic;
 
@@ -632,13 +635,14 @@ impl<'a> InferenceEngine<'a> {
     /// Executes one iteration and records its metrics.
     pub fn step(&mut self) -> &IterationMetrics {
         let cores = CoreClaim::take(self.overlap_sampling);
-        self.step_with(cores.helper())
+        self.step_with(cores.helper().then_some(CallerCells::WhenWaiting))
     }
 
-    /// [`InferenceEngine::step`], sampling gating on a helper thread
-    /// overlapped with the layer loop if `overlapped`, on this thread
-    /// otherwise. Both drivers give the same bits.
-    fn step_with(&mut self, overlapped: bool) -> &IterationMetrics {
+    /// [`InferenceEngine::step`], sampling gating on this thread, or, given
+    /// `shared`, sharing the draw with a helper thread overlapped with the
+    /// layer loop, this thread drawing the cells `shared` says. Every
+    /// driver gives the same bits.
+    fn step_with(&mut self, shared: Option<CallerCells>) -> &IterationMetrics {
         let config = &self.config;
         let model = &config.model;
         let tp = self.layout.tp_degree();
@@ -685,7 +689,7 @@ impl<'a> InferenceEngine<'a> {
         let attn_phase = config.overlap(attn.total(), ar_time);
 
         // 3. Per-layer MoE phases: gating sampling feeds the layer loop in
-        // layer order, on this thread or overlapped on a helper.
+        // layer order, on this thread or shared with a helper.
         let mut metrics = IterationMetrics {
             iteration: self.iteration,
             tokens_per_group,
@@ -716,10 +720,11 @@ impl<'a> InferenceEngine<'a> {
             next: 0,
         };
         let sampler = self.trace.begin_iteration(&mut self.gating);
-        if overlapped {
-            sample_overlapped(sampler, |run| layer_loop.run(run));
-        } else {
-            sampler.sample(SAMPLING_RUN, |run| layer_loop.run(run));
+        match shared {
+            Some(split) => sample_overlapped(sampler, split, |gating| layer_loop.layer(gating)),
+            None => sampler.sample(SAMPLING_RUN, |run| {
+                run.iter().for_each(|g| layer_loop.layer(g))
+            }),
         }
         debug_assert_eq!(layer_loop.next, num_layers, "every layer ran");
         let num_devices = self.topo.num_devices();
@@ -1039,13 +1044,6 @@ struct LayerLoop<'s, 'a> {
 }
 
 impl LayerLoop<'_, '_> {
-    /// Runs the layers of `run`, which continue where the last run ended.
-    fn run(&mut self, run: &[LayerGating]) {
-        for gating in run {
-            self.layer(gating);
-        }
-    }
-
     /// Runs the next layer on its gating.
     fn layer(&mut self, gating: &LayerGating) {
         let (config, l) = (self.config, self.next);
@@ -1316,9 +1314,11 @@ mod tests {
     }
 
     /// A Qwen3-235B-shaped engine (above the overlap size rule) with the
-    /// NI-Balancer on steps through the serial driver and the overlapped
-    /// one to the same bits, while cold-link migrations land in the middle
-    /// of the layer loop and change the placements later layers load.
+    /// NI-Balancer on steps through the serial driver and the shared one
+    /// to the same bits, while cold-link migrations land in the middle of
+    /// the layer loop and change the placements later layers load. The
+    /// shared driver runs with the production claims and with the caller
+    /// forced to draw no cell, every cell, and every other cell.
     #[test]
     fn overlapped_sampling_matches_the_serial_driver() {
         let (topo, table, plan) = fixture();
@@ -1335,24 +1335,33 @@ mod tests {
                 .with_balancer(BalancerKind::NonInvasive)
                 .with_seed(5)
         };
-        let run = |overlapped: bool| {
+        let run = |shared: Option<CallerCells>| {
             let mut engine = InferenceEngine::new(&topo, &table, &plan, config.clone());
             for _ in 0..12 {
-                engine.step_with(overlapped);
+                engine.step_with(shared);
             }
             (engine.history, engine.placements)
         };
-        let (serial_history, serial_placements) = run(false);
-        let (overlapped_history, overlapped_placements) = run(true);
+        let (serial_history, serial_placements) = run(None);
         assert!(
             serial_history.iter().any(|m| m.migrations_completed > 0),
             "no migration completed inside a layer loop"
         );
-        assert_eq!(
-            format!("{overlapped_history:?}"),
-            format!("{serial_history:?}")
-        );
-        assert_eq!(overlapped_placements, serial_placements);
+        let splits = [
+            CallerCells::WhenWaiting,
+            CallerCells::Fixed(|_| false),
+            CallerCells::Fixed(|_| true),
+            CallerCells::Fixed(|cell| cell % 2 == 0),
+        ];
+        for split in splits {
+            let (history, placements) = run(Some(split));
+            assert_eq!(
+                format!("{history:?}"),
+                format!("{serial_history:?}"),
+                "{split:?}"
+            );
+            assert_eq!(placements, serial_placements, "{split:?}");
+        }
     }
 
     #[test]

@@ -1,21 +1,23 @@
-//! Gating sampling on a helper thread, overlapped with the layer loop.
+//! Gating sampling shared with a helper thread, overlapped with the layer
+//! loop.
 //!
 //! Layer `l` of a step needs only layers `..=l` sampled, and the sampler
 //! owns its random streams and cached distributions and reads nothing the
-//! layer loop writes. So a step can sample on one scoped helper thread,
-//! which hands finished runs of [`SAMPLING_RUN`] layers to the calling
-//! thread, while the calling thread runs the layer loop on them in layer
-//! order. Both threads do exactly the work the serial driver does, in the
-//! same order each, so the step's output is the same bit for bit.
+//! layer loop writes. So a step can share the draw with one scoped helper
+//! thread while the calling thread runs the layer loop in layer order. The
+//! draw is split into cells of (layer, block of DP groups; a whole layer
+//! below 8 groups), and a thread draws the next cell of a block the other
+//! is not drawing
+//! ([`moe_workload::SharedDraw`]): the helper draws cells until none is
+//! left, and the calling thread, whenever the layer it needs next is not
+//! drawn yet, draws a cell itself instead of waiting. Each group's stream
+//! is consumed in layer order whichever thread draws it, so the step's
+//! output is the same bit for bit as the serial driver's.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-use moe_workload::{LayerGating, LayerSampler};
-
-/// Layers the sampler hands to the layer loop at a time.
-pub(super) const SAMPLING_RUN: usize = 8;
+use moe_workload::{CellDraw, LayerGating, LayerSampler};
 
 /// Gating counts (sparse layers × DP groups × experts) above which a step
 /// samples on a helper thread when a core is free. On a 2-core x86-64 host
@@ -85,135 +87,98 @@ fn claim_free_core(busy: &AtomicUsize, cores: usize) -> bool {
     .is_ok()
 }
 
-/// Finished runs the queue holds before the sampler waits for the layer
-/// loop.
-const HANDOFF_DEPTH: usize = 4;
+/// Which cells of a shared draw the calling thread draws.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum CallerCells {
+    /// Any free cell, whenever the layer the caller needs next is not
+    /// drawn yet; the helper draws the others.
+    WhenWaiting,
+    /// The cells the predicate picks; the helper draws the rest. A fixed
+    /// split, so that a test can check that the output does not depend on
+    /// who draws what.
+    #[cfg_attr(not(test), allow(dead_code))]
+    Fixed(fn(usize) -> bool),
+}
 
-/// How long the layer loop spins for the next run before it sleeps: about
-/// the time the sampler takes to draw one run on the wafer workloads. A
-/// thread that sleeps and is woken for every run tends to be woken on the
-/// sampler's core, where the two then share one core while the other idles.
-/// The spin burns only the step's own core: the helper runs only while
-/// [`CoreClaim`] finds another free.
-const SPIN_BEFORE_SLEEP: Duration = Duration::from_micros(250);
-
-/// Draws `sampler`'s layers on a scoped helper thread and passes each
-/// finished run to `consume` on the calling thread, in layer order.
-pub(super) fn sample_overlapped<'t>(
-    sampler: LayerSampler<'t>,
-    mut consume: impl FnMut(&'t [LayerGating]),
-) {
-    let handoff = Handoff::default();
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let _close = CloseOnDrop(&handoff);
-            sampler.sample(SAMPLING_RUN, |run| handoff.send(run));
-        });
-        let _close = CloseOnDrop(&handoff);
-        while let Some(run) = handoff.recv() {
-            consume(run);
+impl CallerCells {
+    /// Whether the thread (the caller if `caller`) may draw `cell`.
+    fn mine(self, caller: bool, cell: usize) -> bool {
+        match self {
+            CallerCells::WhenWaiting => true,
+            CallerCells::Fixed(callers) => callers(cell) == caller,
         }
-    });
-}
-
-/// A bounded queue of finished layer runs from the sampling helper to the
-/// calling thread. It is a mutex and a condition variable over a fixed
-/// ring, so neither side allocates: the helper's first allocation would
-/// give it a malloc arena of its own. Either side closes it when it stops,
-/// by panicking too, so the other never waits on it for ever.
-#[derive(Default)]
-struct Handoff<'t> {
-    state: Mutex<HandoffState<'t>>,
-    /// Signalled on every change of `state`.
-    changed: Condvar,
-    /// Whether a run is queued or the queue is closed: written under the
-    /// lock, read without it by the spinning consumer. Only a hint (the
-    /// consumer then reads the runs under the lock), so it orders nothing
-    /// and is `Relaxed`.
-    ready: AtomicBool,
-}
-
-#[derive(Default)]
-struct HandoffState<'t> {
-    ring: [&'t [LayerGating]; HANDOFF_DEPTH],
-    /// Index in `ring` of the oldest queued run.
-    head: usize,
-    queued: usize,
-    closed: bool,
-}
-
-impl<'t> Handoff<'t> {
-    fn lock(&self) -> MutexGuard<'_, HandoffState<'t>> {
-        // Nothing panics while holding the lock, and every update leaves
-        // the state valid; `CloseOnDrop` must not panic either way.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
+}
 
-    /// Queues `run`, waiting while the ring is full. Drops it if the
-    /// consumer has closed the queue.
-    fn send(&self, run: &'t [LayerGating]) {
-        let mut state = self
-            .changed
-            .wait_while(self.lock(), |s| s.queued == HANDOFF_DEPTH && !s.closed)
-            .unwrap_or_else(PoisonError::into_inner);
-        if state.closed {
+/// Waits before a thread that found no free cell tries again: a burst of
+/// spin-loop hints that ends early once `done`, or, once the thread has
+/// waited long, a yield of its core. The burst reads only what `done`
+/// reads: a try at a block's lock would write the lock's cache line while
+/// the other thread holds and releases it.
+fn pause(waited: &mut u32, done: impl Fn() -> bool) {
+    if *waited >= SPINS_BEFORE_YIELD {
+        std::thread::yield_now();
+        return;
+    }
+    for _ in 0..SPIN_BURST {
+        if done() {
             return;
         }
-        let tail = (state.head + state.queued) % HANDOFF_DEPTH;
-        state.ring[tail] = run;
-        state.queued += 1;
-        self.ready.store(true, Ordering::Relaxed);
-        drop(state);
-        self.changed.notify_one();
+        std::hint::spin_loop();
     }
-
-    /// The oldest queued run, waiting for one while the queue is open
-    /// (spinning first, then asleep); `None` once it is closed and drained.
-    fn recv(&self) -> Option<&'t [LayerGating]> {
-        let spin_start = Instant::now();
-        while !self.ready.load(Ordering::Relaxed) && spin_start.elapsed() < SPIN_BEFORE_SLEEP {
-            std::hint::spin_loop();
-        }
-        let mut state = self
-            .changed
-            .wait_while(self.lock(), |s| s.queued == 0 && !s.closed)
-            .unwrap_or_else(PoisonError::into_inner);
-        if state.queued == 0 {
-            return None;
-        }
-        let run = state.ring[state.head];
-        state.head = (state.head + 1) % HANDOFF_DEPTH;
-        state.queued -= 1;
-        self.ready
-            .store(state.queued > 0 || state.closed, Ordering::Relaxed);
-        drop(state);
-        self.changed.notify_one();
-        Some(run)
-    }
+    *waited += SPIN_BURST;
 }
 
-/// Closes a [`Handoff`] when dropped.
-struct CloseOnDrop<'h, 't>(&'h Handoff<'t>);
+/// Spin-loop hints between two tries for a free cell.
+const SPIN_BURST: u32 = 64;
 
-impl Drop for CloseOnDrop<'_, '_> {
-    fn drop(&mut self) {
-        self.0.lock().closed = true;
-        self.0.ready.store(true, Ordering::Relaxed);
-        self.0.changed.notify_one();
-    }
+/// Spin-loop hints a waiting thread issues before it yields its core. A
+/// wait normally lasts the rest of one cell the other thread is drawing,
+/// a few microseconds.
+const SPINS_BEFORE_YIELD: u32 = 1 << 12;
+
+/// Draws `sampler`'s layers on this thread and a scoped helper thread, and
+/// passes each drawn layer to `consume` on this thread, in layer order.
+/// `split` says which cells this thread draws.
+pub(super) fn sample_overlapped(
+    sampler: LayerSampler<'_>,
+    split: CallerCells,
+    mut consume: impl FnMut(&LayerGating),
+) {
+    let (draw, mut outlet) = sampler.share();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _abandon = draw.abandon_on_panic();
+            let mut waited = 0;
+            loop {
+                match draw.draw_free_cell(|cell| split.mine(false, cell)) {
+                    CellDraw::Drawn => waited = 0,
+                    CellDraw::Busy => pause(&mut waited, || false),
+                    CellDraw::Finished => return,
+                }
+            }
+        });
+        let _abandon = draw.abandon_on_panic();
+        for layer in 0..outlet.num_layers() {
+            let mut waited = 0;
+            while !draw.layer_drawn(layer) {
+                match draw.draw_free_cell(|cell| split.mine(true, cell)) {
+                    CellDraw::Drawn => waited = 0,
+                    CellDraw::Busy => pause(&mut waited, || draw.layer_drawn(layer)),
+                    // Every cell is drawn (the layer is too, by now), or
+                    // the helper panicked and the scope re-raises it.
+                    CellDraw::Finished if draw.abandoned() => return,
+                    CellDraw::Finished => {}
+                }
+            }
+            consume(outlet.next_layer());
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn layers(n: usize) -> Vec<LayerGating> {
-        (0..n)
-            .map(|i| LayerGating {
-                counts: vec![vec![i as u32]],
-            })
-            .collect()
-    }
 
     #[test]
     fn a_helper_core_is_claimed_only_while_one_is_free() {
@@ -222,41 +187,5 @@ mod tests {
         assert!(!claim_free_core(&busy, 2));
         assert_eq!(busy.load(Ordering::Relaxed), 2);
         assert!(!claim_free_core(&AtomicUsize::new(1), 1));
-    }
-
-    #[test]
-    fn handoff_delivers_runs_in_order_past_its_depth() {
-        let all = layers(3 * HANDOFF_DEPTH + 1);
-        let handoff = Handoff::default();
-        let mut seen = Vec::new();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _close = CloseOnDrop(&handoff);
-                for run in all.chunks(1) {
-                    handoff.send(run);
-                }
-            });
-            while let Some(run) = handoff.recv() {
-                seen.extend(run.iter().map(|g| g.counts[0][0]));
-            }
-        });
-        assert_eq!(seen, (0..all.len() as u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn a_closed_consumer_releases_a_blocked_producer() {
-        let all = layers(3 * HANDOFF_DEPTH);
-        let handoff = Handoff::default();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for run in all.chunks(1) {
-                    handoff.send(run);
-                }
-            });
-            // Take one run, then stop: the producer must not block for
-            // ever on the full ring.
-            assert!(handoff.recv().is_some());
-            drop(CloseOnDrop(&handoff));
-        });
     }
 }

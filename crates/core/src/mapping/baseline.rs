@@ -43,7 +43,8 @@ impl BaselineMapping {
     /// # Errors
     ///
     /// Returns [`MappingError::ShapeDoesNotTile`] if `tp` does not divide
-    /// the global die grid.
+    /// the global die grid, and [`MappingError::SingleDeviceGroup`] if it
+    /// is one device.
     pub fn new(dims: MeshDims, tp: TpShape) -> Result<Self, MappingError> {
         let w = dims.wafers_x * dims.n;
         let h = dims.wafers_y * dims.n;
@@ -52,6 +53,9 @@ impl BaselineMapping {
                 shape: tp,
                 n: dims.n,
             });
+        }
+        if tp.size() < 2 {
+            return Err(MappingError::SingleDeviceGroup { shape: tp });
         }
         Ok(BaselineMapping { dims, tp })
     }
@@ -145,6 +149,27 @@ mod tests {
         )
         .unwrap()
         .plan()
+    }
+
+    #[test]
+    fn one_device_groups_are_a_typed_error() {
+        let dims = mesh4().mesh_dims().unwrap();
+        let shape = TpShape::new(1, 1);
+        assert_eq!(
+            BaselineMapping::new(dims, shape).unwrap_err(),
+            MappingError::SingleDeviceGroup { shape }
+        );
+        assert!(BaselineMapping::with_tp_degree(dims, 1).is_err());
+    }
+
+    #[test]
+    fn a_single_group_has_no_ftd_hops() {
+        let topo = mesh4();
+        let plan = BaselineMapping::new(topo.mesh_dims().unwrap(), TpShape::new(4, 4))
+            .unwrap()
+            .plan();
+        assert_eq!(plan.num_groups(), 1);
+        assert_eq!(plan.average_ftd_hops(&topo), 0.0);
     }
 
     #[test]

@@ -149,6 +149,11 @@ pub enum MappingError {
         /// Requested shape.
         shape: TpShape,
     },
+    /// A TP group of one device has no all-reduce ring to build.
+    SingleDeviceGroup {
+        /// Requested shape.
+        shape: TpShape,
+    },
 }
 
 impl fmt::Display for MappingError {
@@ -165,6 +170,10 @@ impl fmt::Display for MappingError {
                 f,
                 "TP shape {shape} has no conflict-free entwined ring \
                  (a group needs exactly two members, or both extents above 1 and one even)"
+            ),
+            MappingError::SingleDeviceGroup { shape } => write!(
+                f,
+                "TP shape {shape} gives one-device groups, which have no all-reduce ring"
             ),
         }
     }
@@ -353,7 +362,8 @@ impl MappingPlan {
 
     /// The paper's FTD hop metric: the average, over every device and every
     /// *other* TP group, of the hop distance to the nearest token source.
-    /// Baseline 4×4/TP4 yields 2.67; ER yields 1.33 (paper Fig. 8).
+    /// Baseline 4×4/TP4 yields 2.67; ER yields 1.33 (paper Fig. 8). A plan
+    /// of one group has no cross-group traffic and yields 0.
     pub fn average_ftd_hops(&self, topo: &Topology) -> f64 {
         let mut total = 0.0;
         let mut count = 0.0;
@@ -371,6 +381,9 @@ impl MappingPlan {
                 total += hops;
                 count += 1.0;
             }
+        }
+        if count == 0.0 {
+            return 0.0;
         }
         total / count
     }

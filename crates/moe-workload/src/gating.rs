@@ -12,7 +12,7 @@
 //! that many categorical draws over the distribution's cached cumulative
 //! weights.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use rand::{Rng, RngCore};
 
@@ -64,7 +64,7 @@ pub fn sample_gating_counts<R: Rng>(
     let mut counts = [vec![0u32; dist.len()]];
     sample_layer_into(
         &mut [GroupStream::new(rng)],
-        &mut cached,
+        &cached,
         tokens,
         top_k,
         &mut counts,
@@ -82,10 +82,12 @@ pub fn sample_gating_counts<R: Rng>(
 /// than on every draw, by a running subtraction of the mass. The exact tail
 /// draws a point on the cumulative weights, also derived here, and finds
 /// its expert by a binary search. The cap repair's expert order is sorted
-/// on the first overflow and kept until the distribution changes; its
-/// buffer is reserved on [`GatingDist::set`], so sorting it never
+/// on the first overflow and kept until the distribution changes. It is a
+/// lazily set cell, so threads drawing different groups from one
+/// distribution share it, and whichever overflows first sorts it; the
+/// sort fills a buffer reserved on [`GatingDist::set`], so it never
 /// allocates.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct GatingDist {
     probs: Vec<f64>,
     /// `cond[e]` = `p_e` over the mass of experts `e..`, clamped to
@@ -100,11 +102,38 @@ pub(crate) struct GatingDist {
     /// expert of zero probability owns none.
     cum: Vec<u64>,
     /// The cap repair's order (experts by descending probability, ties by
-    /// index): empty until the first overflow after [`GatingDist::set`].
-    order: Vec<usize>,
+    /// index): unset until the first overflow after [`GatingDist::set`].
+    order: OnceLock<Vec<usize>>,
+    /// The buffer the next sort of `order` fills, with room for every
+    /// expert: only the sort takes it, and only `set` puts it back.
+    spare: Mutex<Vec<usize>>,
+}
+
+impl Clone for GatingDist {
+    fn clone(&self) -> Self {
+        GatingDist {
+            probs: self.probs.clone(),
+            cond: self.cond.clone(),
+            cum: self.cum.clone(),
+            order: self.order.clone(),
+            spare: Mutex::new(Vec::with_capacity(self.probs.len())),
+        }
+    }
 }
 
 impl GatingDist {
+    /// An unset distribution with room for `experts` experts in every
+    /// buffer, so that setting it allocates nothing.
+    pub(crate) fn with_capacity(experts: usize) -> Self {
+        GatingDist {
+            probs: Vec::with_capacity(experts),
+            cond: Vec::with_capacity(experts),
+            cum: Vec::with_capacity(experts + 1),
+            order: OnceLock::new(),
+            spare: Mutex::new(Vec::with_capacity(experts)),
+        }
+    }
+
     /// The distribution `fill` writes into the probability buffer (which
     /// it must overwrite), with the derived state recomputed.
     ///
@@ -135,8 +164,31 @@ impl GatingDist {
             self.cum.push(((sum * to_fixed) as u64).min(CUM_ONE));
         }
         *self.cum.last_mut().expect("one entry past the experts") = CUM_ONE;
-        self.order.clear();
-        self.order.reserve(self.probs.len());
+        let spare = self.spare.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(order) = self.order.take() {
+            *spare = order;
+        }
+        spare.clear();
+        spare.reserve(self.probs.len());
+    }
+
+    /// The cap repair's order, sorted into the spare buffer on the first
+    /// call after [`GatingDist::set`]. Ties break by index, so the
+    /// comparator is a strict total order and the unstable sort yields the
+    /// one permutation a stable sort would.
+    fn repair_order(&self) -> &[usize] {
+        self.order.get_or_init(|| {
+            // Only this initialiser takes the buffer, and a panic in it
+            // leaves the cell unset and the buffer merely empty.
+            let mut order =
+                std::mem::take(&mut *self.spare.lock().unwrap_or_else(PoisonError::into_inner));
+            let probs = &self.probs;
+            order.extend(0..probs.len());
+            order.sort_unstable_by(|&a, &b| {
+                probs[b].partial_cmp(&probs[a]).unwrap().then(a.cmp(&b))
+            });
+            order
+        })
     }
 
     /// One categorical draw over experts `e0..` by their probabilities,
@@ -170,7 +222,7 @@ impl GatingDist {
     /// [`GatingDist::set`].
     #[cfg(test)]
     pub(crate) fn order(&self) -> &[usize] {
-        &self.order
+        self.order.get().map_or(&[], Vec::as_slice)
     }
 }
 
@@ -234,7 +286,7 @@ const EXACT_TRIALS: u32 = 64;
 /// `u32::MAX`.
 pub(crate) fn sample_layer_into<R: RngCore>(
     streams: &mut [GroupStream<R>],
-    dist: &mut GatingDist,
+    dist: &GatingDist,
     tokens: u32,
     top_k: u32,
     counts: &mut [Vec<u32>],
@@ -298,7 +350,7 @@ pub(crate) fn sample_layer_into<R: RngCore>(
 
 /// Repairs the top-k-without-replacement cap on one group's `counts`: no
 /// expert can receive more than one selection per token.
-fn repair_cap(dist: &mut GatingDist, tokens: u32, counts: &mut [u32]) {
+fn repair_cap(dist: &GatingDist, tokens: u32, counts: &mut [u32]) {
     let cap = tokens;
     let mut overflow: u64 = 0;
     for c in counts.iter_mut() {
@@ -311,17 +363,11 @@ fn repair_cap(dist: &mut GatingDist, tokens: u32, counts: &mut [u32]) {
         return;
     }
     // Round-robin the overflow into experts with spare capacity, preferring
-    // higher-probability ones. Ties break by index, so the comparator is a
-    // strict total order and the unstable sort yields the one permutation a
-    // stable sort would.
-    let (probs, order) = (&dist.probs, &mut dist.order);
-    if order.is_empty() {
-        order.extend(0..probs.len());
-        order.sort_unstable_by(|&a, &b| probs[b].partial_cmp(&probs[a]).unwrap().then(a.cmp(&b)));
-    }
+    // higher-probability ones.
+    let order = dist.repair_order();
     'outer: loop {
         let mut progressed = false;
-        for &e in order.iter() {
+        for &e in order {
             if overflow == 0 {
                 break 'outer;
             }
@@ -746,7 +792,7 @@ mod tests {
         let mut layer = vec![vec![0; experts]; groups];
         let mut new = Vec::with_capacity(DRAWS);
         while new.len() < DRAWS {
-            sample_layer_into(&mut streams, &mut cached, tokens, top_k, &mut layer);
+            sample_layer_into(&mut streams, &cached, tokens, top_k, &mut layer);
             new.extend(layer.iter().cloned());
         }
         new.truncate(DRAWS);

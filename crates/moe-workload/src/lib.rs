@@ -64,4 +64,7 @@ pub use scheduler::{BatchEntry, BatchScheduler, BatchSpec, SchedulingMode, MAX_A
 pub use serving::{
     ClassPolicy, CopyStatus, InterruptedRequest, RequestRecord, ServingQueue, TokenAccounting,
 };
-pub use trace::{IterationTrace, LayerGating, LayerSampler, TraceGenerator, WorkloadMix};
+pub use trace::{
+    CellDraw, IterationTrace, LayerGating, LayerOutlet, LayerSampler, SharedDraw, TraceGenerator,
+    WorkloadMix,
+};

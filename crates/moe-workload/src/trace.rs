@@ -1,5 +1,9 @@
 //! Iteration-by-iteration expert-selection traces.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
+
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
@@ -129,17 +133,14 @@ pub struct TraceGenerator {
     tokens_per_group: u32,
     top_k: u32,
     /// One random stream per DP group, with that group's place in a draw.
-    streams: Vec<GroupStream<rand::rngs::StdRng>>,
+    streams: Vec<GroupStream<StdRng>>,
     iteration: u64,
     uniform: bool,
-    /// Sampling distributions cached across iterations: one mixed
-    /// distribution per layer, or a single uniform one under uniform
-    /// gating. Each keeps what the sampler derives from it (conditional
-    /// probabilities, cumulative weights and their guide table, the
-    /// cap-repair order), refreshed with the distribution.
-    dists: Vec<GatingDist>,
-    /// The weights `dists` were mixed for (`None` until first use).
-    dist_weights: Option<Vec<(Scenario, f64)>>,
+    /// Sampling distributions cached across iterations.
+    dists: LayerDists,
+    /// The cells of a shared draw ([`LayerSampler::share`]), kept for
+    /// their buffers.
+    cells: DrawCells,
 }
 
 impl TraceGenerator {
@@ -171,7 +172,7 @@ impl TraceGenerator {
             top_k: config.experts_per_token,
             streams: (0..num_groups as u64)
                 .map(|g| {
-                    GroupStream::new(rand::rngs::StdRng::seed_from_u64(
+                    GroupStream::new(StdRng::seed_from_u64(
                         seed.wrapping_mul(0xA24B_AED4_963E_E407)
                             .wrapping_add(g.wrapping_mul(0xD1B5_4A32_D192_ED03)),
                     ))
@@ -179,8 +180,8 @@ impl TraceGenerator {
                 .collect(),
             iteration: 0,
             uniform: false,
-            dists: Vec::new(),
-            dist_weights: None,
+            dists: LayerDists::default(),
+            cells: DrawCells::default(),
         }
     }
 
@@ -239,17 +240,29 @@ impl TraceGenerator {
         self.begin_iteration(trace).sample(usize::MAX, |_| {});
     }
 
-    /// Starts the next iteration: mixes its weights, brings the cached
-    /// distributions up to date, sizes `trace` for every layer and group
-    /// and stamps its iteration and weights. Every allocation of an
-    /// iteration happens here, on the calling thread; the returned
-    /// [`LayerSampler`] then draws the counts without allocating, and may
-    /// do so on another thread. Together the two are
+    /// Starts the next iteration: mixes its weights, marks the cached
+    /// distributions stale if they changed (each is mixed again by the
+    /// first draw of its layer, on whichever thread draws it), sizes
+    /// `trace` for every layer and group and stamps its iteration and
+    /// weights. Every allocation of an
+    /// iteration happens here, on the calling thread (and, on the first
+    /// [`LayerSampler::share`], there); the returned [`LayerSampler`] then
+    /// draws the counts without allocating, and may share the draw with
+    /// another thread. Together the two are
     /// [`TraceGenerator::next_iteration_into`].
     pub fn begin_iteration<'t>(&'t mut self, trace: &'t mut IterationTrace) -> LayerSampler<'t> {
         let weights = self.mix.weights(self.iteration);
-        self.refresh_dists(&weights);
+        let num_dists = if self.uniform {
+            1
+        } else {
+            self.affinity.num_layers()
+        };
         let num_experts = self.affinity.num_experts();
+        self.dists.update(
+            num_dists,
+            num_experts,
+            (!self.uniform).then_some(&weights[..]),
+        );
         trace
             .layers
             .resize_with(self.affinity.num_layers(), || LayerGating {
@@ -266,26 +279,64 @@ impl TraceGenerator {
         self.iteration += 1;
         LayerSampler {
             streams: &mut self.streams,
-            dists: &mut self.dists,
-            uniform: self.uniform,
+            dists: DistsView {
+                dists: &self.dists,
+                affinity: &self.affinity,
+                uniform: self.uniform,
+            },
+            cells: &mut self.cells,
             tokens_per_group: self.tokens_per_group,
             top_k: self.top_k,
             layers: &mut trace.layers,
         }
     }
+}
 
-    /// Brings the cached sampling distributions up to date for `weights`.
-    fn refresh_dists(&mut self, weights: &[(Scenario, f64)]) {
-        if self.uniform {
-            if self.dists.is_empty() {
-                let mut dist = GatingDist::default();
-                dist.set(|probs| *probs = self.affinity.uniform());
-                self.dists.push(dist);
-            }
-            return;
+/// The sampling distributions a generator caches across iterations: one
+/// mixed distribution per layer, or a single uniform one under uniform
+/// gating. Each keeps what the sampler derives from it (conditional
+/// probabilities, cumulative weights, the cap-repair order), refreshed
+/// with the distribution.
+///
+/// When the weights change, every distribution becomes unset, and the first
+/// draw of its layer mixes it again, into the buffers it last used. A
+/// layer is so mixed on the thread that draws it, just before its draw,
+/// rather than all of them on the calling thread before any is drawn.
+#[derive(Debug, Default)]
+struct LayerDists {
+    /// Unset from a change of the weights to the first draw of the layer.
+    dists: Vec<OnceLock<GatingDist>>,
+    /// Per entry of `dists`: the buffers it is mixed into while unset.
+    spares: Vec<Mutex<GatingDist>>,
+    /// The weights `dists` are mixed for (`None` until first use).
+    weights: Option<Vec<(Scenario, f64)>>,
+}
+
+/// A clone keeps the mixed distributions, with fresh spare buffers.
+impl Clone for LayerDists {
+    fn clone(&self) -> Self {
+        LayerDists {
+            dists: self.dists.clone(),
+            spares: self.spares.iter().map(|_| Mutex::default()).collect(),
+            weights: self.weights.clone(),
         }
+    }
+}
+
+impl LayerDists {
+    /// Keeps `len` distributions of `experts` experts, unsetting them if
+    /// `weights` changed (`None` under uniform gating, whose distribution
+    /// never changes). New ones get buffers here, on the calling thread,
+    /// so that mixing them on another allocates nothing.
+    fn update(&mut self, len: usize, experts: usize, weights: Option<&[(Scenario, f64)]>) {
+        self.dists.resize_with(len, OnceLock::new);
+        self.spares
+            .resize_with(len, || Mutex::new(GatingDist::with_capacity(experts)));
+        let Some(weights) = weights else {
+            return;
+        };
         // Bitwise, so the cache never hides a change `==` would miss.
-        let unchanged = self.dist_weights.as_deref().is_some_and(|cached| {
+        let unchanged = self.weights.as_deref().is_some_and(|cached| {
             cached.len() == weights.len()
                 && cached
                     .iter()
@@ -295,14 +346,42 @@ impl TraceGenerator {
         if unchanged {
             return;
         }
-        self.dists
-            .resize_with(self.affinity.num_layers(), GatingDist::default);
-        for (layer, dist) in self.dists.iter_mut().enumerate() {
-            dist.set(|probs| self.affinity.mixed_distribution_into(layer, weights, probs));
+        for (dist, spare) in self.dists.iter_mut().zip(&mut self.spares) {
+            if let Some(dist) = dist.take() {
+                *spare.get_mut().unwrap_or_else(PoisonError::into_inner) = dist;
+            }
         }
-        let cached = self.dist_weights.get_or_insert_with(Vec::new);
+        let cached = self.weights.get_or_insert_with(Vec::new);
         cached.clear();
         cached.extend_from_slice(weights);
+    }
+}
+
+/// A generator's distributions as a draw reads them, mixing each on
+/// first use.
+#[derive(Clone, Copy)]
+struct DistsView<'t> {
+    dists: &'t LayerDists,
+    affinity: &'t AffinityModel,
+    uniform: bool,
+}
+
+impl<'t> DistsView<'t> {
+    /// Layer `layer`'s distribution, mixed into its spare buffers by the
+    /// first call since the weights changed; a concurrent call waits for
+    /// that one.
+    fn get(self, layer: usize) -> &'t GatingDist {
+        let i = if self.uniform { 0 } else { layer };
+        self.dists.dists[i].get_or_init(|| {
+            let mut dist = std::mem::take(&mut *lock(&self.dists.spares[i]));
+            match self.dists.weights.as_deref() {
+                Some(weights) if !self.uniform => {
+                    dist.set(|probs| self.affinity.mixed_distribution_into(i, weights, probs))
+                }
+                _ => dist.set(|probs| *probs = self.affinity.uniform()),
+            }
+            dist
+        })
     }
 }
 
@@ -314,20 +393,18 @@ impl TraceGenerator {
 /// generator's state, whatever a consumer of finished layers does
 /// meanwhile.
 pub struct LayerSampler<'t> {
-    streams: &'t mut [GroupStream<rand::rngs::StdRng>],
-    /// One distribution per layer, or a single one under uniform gating.
-    dists: &'t mut [GatingDist],
-    uniform: bool,
+    streams: &'t mut Vec<GroupStream<StdRng>>,
+    dists: DistsView<'t>,
+    cells: &'t mut DrawCells,
     tokens_per_group: u32,
     top_k: u32,
     layers: &'t mut [LayerGating],
 }
 
 impl<'t> LayerSampler<'t> {
-    /// Draws every layer in layer order and hands each finished run of
-    /// `chunk` consecutive layers (the last run may be shorter) to `emit`
-    /// as soon as it is drawn. The runs borrow the trace for as long as
-    /// the sampler did, so `emit` may pass them to another thread.
+    /// Draws every layer in layer order on this thread and hands each
+    /// finished run of `chunk` consecutive layers (the last run may be
+    /// shorter) to `emit` as soon as it is drawn.
     ///
     /// # Panics
     ///
@@ -336,19 +413,363 @@ impl<'t> LayerSampler<'t> {
         let LayerSampler {
             streams,
             dists,
-            uniform,
             tokens_per_group,
             top_k,
             layers,
+            ..
         } = self;
         let mut layer = 0;
         for run in layers.chunks_mut(chunk) {
             for gating in run.iter_mut() {
-                let dist = &mut dists[if uniform { 0 } else { layer }];
+                let dist = dists.get(layer);
                 sample_layer_into(streams, dist, tokens_per_group, top_k, &mut gating.counts);
                 layer += 1;
             }
             emit(run);
+        }
+    }
+
+    /// Splits the draw into cells that several threads can draw, and the
+    /// outlet the drawn layers come out of, in layer order.
+    ///
+    /// A cell is one layer of one block of the DP groups: a layer's groups
+    /// are one block, or two blocks of consecutive groups from 8 groups on.
+    /// A block's cells are drawn in layer order, because its groups'
+    /// streams are consumed in that order. Each group draws from its own
+    /// stream, and its counts do not depend on which groups share a block
+    /// with it, so the counts are those of [`LayerSampler::sample`], bit
+    /// for bit, whichever thread draws which cell.
+    pub fn share(self) -> (SharedDraw<'t>, LayerOutlet<'t>) {
+        let LayerSampler {
+            streams,
+            dists,
+            cells,
+            tokens_per_group,
+            top_k,
+            layers,
+        } = self;
+        cells.load(streams, layers);
+        let cells = &*cells;
+        (
+            SharedDraw {
+                cells,
+                dists,
+                tokens_per_group,
+                top_k,
+            },
+            LayerOutlet {
+                cells,
+                layers,
+                streams,
+                taken: 0,
+            },
+        )
+    }
+}
+
+/// The fewest groups a block of a shared draw holds when a layer's groups
+/// are split. A draw interleaves its groups' chains, and fewer overlap
+/// worse: on Qwen3-235B shapes a layer drawn as two blocks of 2 groups
+/// cost about 1.45 times one draw of 4, and on a 4-group wafer
+/// (perfbench's `wafer_ni_balance`) whole-layer cells gave the lower
+/// `wall_s` in alternating runs. So a layer splits in two only from twice
+/// this many groups.
+const MIN_BLOCK_GROUPS: usize = 4;
+
+/// The cells of a shared draw, kept by the generator across iterations
+/// for their buffers. While a draw is shared they hold the generator's
+/// streams (by block) and the trace's count vectors (by cell); the
+/// [`LayerOutlet`] moves both back.
+#[derive(Debug, Default)]
+struct DrawCells {
+    /// Each block's streams, and the next layer the block draws. A thread
+    /// holds a block's lock for as long as it draws one of its cells.
+    blocks: Vec<Mutex<StreamBlock>>,
+    /// Per block: layers drawn, stored with `Release` after a cell's
+    /// counts are written and read with `Acquire` before they are taken
+    /// (the cell's lock orders them too).
+    progress: Vec<AtomicUsize>,
+    /// `[layer × blocks + block]`: the block's count vectors for the
+    /// layer.
+    counts: Vec<Mutex<Vec<Vec<u32>>>>,
+    /// Set when a thread panics while taking part in the draw, so that no
+    /// other waits for a cell it will never draw. Only a flag: `Relaxed`.
+    abandoned: AtomicBool,
+}
+
+#[derive(Debug, Default)]
+struct StreamBlock {
+    streams: Vec<GroupStream<StdRng>>,
+    next_layer: usize,
+}
+
+/// A clone of a generator starts with no cells: they hold nothing between
+/// draws.
+impl Clone for DrawCells {
+    fn clone(&self) -> Self {
+        DrawCells::default()
+    }
+}
+
+/// Locks `mutex`, recovering the guard if a thread panicked holding it.
+/// That thread abandoned the draw first, and after that the cells' data
+/// is only moved back, never read as counts.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl DrawCells {
+    /// Sizes the cells for `layers` and the groups of `streams`, and moves
+    /// the streams into their blocks and the layers' count vectors into
+    /// their cells. Allocates only on the first call for a shape.
+    fn load(&mut self, streams: &mut Vec<GroupStream<StdRng>>, layers: &mut [LayerGating]) {
+        let blocks = if streams.len() >= 2 * MIN_BLOCK_GROUPS {
+            2
+        } else {
+            1
+        };
+        let per_block = streams.len().div_ceil(blocks);
+        self.blocks.resize_with(blocks, Default::default);
+        self.progress.resize_with(blocks, Default::default);
+        self.counts
+            .resize_with(layers.len() * blocks, Default::default);
+        // Room for every group in each block and cell, so that a merged
+        // draw (`SharedDraw::draw_free_cell`) only moves.
+        let groups = streams.len();
+        for (block, progress) in self.blocks.iter_mut().zip(&mut self.progress) {
+            let block = block.get_mut().unwrap_or_else(PoisonError::into_inner);
+            block.next_layer = 0;
+            block.streams.reserve(groups);
+            *progress.get_mut() = 0;
+        }
+        for (g, stream) in streams.drain(..).enumerate() {
+            self.blocks[g / per_block]
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .streams
+                .push(stream);
+        }
+        let mut cells = self.counts.iter_mut();
+        for gating in layers.iter_mut() {
+            for group_counts in gating.counts.chunks_mut(per_block) {
+                let cell = cells
+                    .next()
+                    .expect("one cell per layer and block")
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner);
+                cell.reserve(groups.saturating_sub(cell.len()));
+                cell.resize_with(group_counts.len(), Vec::new);
+                for (mine, theirs) in cell.iter_mut().zip(group_counts) {
+                    std::mem::swap(mine, theirs);
+                }
+            }
+        }
+        *self.abandoned.get_mut() = false;
+    }
+}
+
+/// What [`SharedDraw::draw_free_cell`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CellDraw {
+    /// It drew a cell.
+    Drawn,
+    /// It drew nothing: every block with a cell left is being drawn by
+    /// another thread, or its next cell is not this thread's.
+    Busy,
+    /// Every cell is drawn, or the draw was abandoned.
+    Finished,
+}
+
+/// The cells of a shared draw ([`LayerSampler::share`]), which any number
+/// of threads may draw at once, each through
+/// [`SharedDraw::draw_free_cell`].
+#[derive(Clone, Copy)]
+pub struct SharedDraw<'t> {
+    cells: &'t DrawCells,
+    dists: DistsView<'t>,
+    tokens_per_group: u32,
+    top_k: u32,
+}
+
+impl SharedDraw<'_> {
+    /// Draws the next cell of a block no other thread is drawing, if
+    /// `mine` picks it: of the block with the fewest layers drawn first,
+    /// so that the next layer a consumer needs is finished soonest. If the
+    /// other block is free too, at the same layer, and its cell is `mine`,
+    /// both are drawn together, their groups interleaved as in the serial
+    /// draw: one thread alone draws whole layers, and a second takes a
+    /// block only when it finds one free. A block's cells are drawn in
+    /// layer order, one thread at a time, so each group's stream is
+    /// consumed as the serial draw consumes it. `mine` takes a cell's
+    /// index, `layer × blocks + block`.
+    pub fn draw_free_cell(&self, mine: impl Fn(usize) -> bool) -> CellDraw {
+        let (blocks, progress) = (&self.cells.blocks, &self.cells.progress);
+        let num_layers = self.cells.counts.len() / blocks.len();
+        let behind = (0..blocks.len())
+            .min_by_key(|&b| progress[b].load(Ordering::Relaxed))
+            .expect("at least one block");
+        let mut finished = true;
+        for b in (behind..blocks.len()).chain(0..behind) {
+            if self.abandoned() {
+                return CellDraw::Finished;
+            }
+            let Some(mut block) = self.try_lock_block(b, &mut finished) else {
+                continue;
+            };
+            let layer = block.next_layer;
+            if layer == num_layers {
+                continue;
+            }
+            finished = false;
+            let cell = layer * blocks.len() + b;
+            if !mine(cell) {
+                continue;
+            }
+            // The other block's cell of the same layer, if it is free.
+            let other = (blocks.len() == 2)
+                .then(|| {
+                    let b2 = 1 - b;
+                    let block2 = self.try_lock_block(b2, &mut finished)?;
+                    let cell2 = layer * 2 + b2;
+                    (block2.next_layer == layer && mine(cell2)).then_some((b2, block2, cell2))
+                })
+                .flatten();
+            let mut counts = lock(&self.cells.counts[cell]);
+            // Dropped before the locks: a panicking draw is abandoned
+            // before another thread can take its block.
+            let abandon = self.abandon_on_panic();
+            let dist = self.dists.get(layer);
+            let (tokens, top_k) = (self.tokens_per_group, self.top_k);
+            match other {
+                None => sample_layer_into(&mut block.streams, dist, tokens, top_k, &mut counts),
+                Some((b2, mut block2, cell2)) => {
+                    let mut counts2 = lock(&self.cells.counts[cell2]);
+                    // Moves only: `load` reserved room for every group.
+                    let groups = block.streams.len();
+                    block.streams.append(&mut block2.streams);
+                    counts.append(&mut counts2);
+                    sample_layer_into(&mut block.streams, dist, tokens, top_k, &mut counts);
+                    block2.streams.extend(block.streams.drain(groups..));
+                    counts2.extend(counts.drain(groups..));
+                    block2.next_layer += 1;
+                    drop(counts2);
+                    progress[b2].store(layer + 1, Ordering::Release);
+                }
+            }
+            block.next_layer += 1;
+            drop(abandon);
+            drop(counts);
+            progress[b].store(layer + 1, Ordering::Release);
+            return CellDraw::Drawn;
+        }
+        if finished {
+            CellDraw::Finished
+        } else {
+            CellDraw::Busy
+        }
+    }
+
+    /// Block `b`'s lock if no other thread holds it, clearing `finished`
+    /// if one does. A poisoned lock is taken too: its thread abandoned
+    /// the draw, which the caller checks before its next cell.
+    fn try_lock_block(&self, b: usize, finished: &mut bool) -> Option<MutexGuard<'_, StreamBlock>> {
+        match self.cells.blocks[b].try_lock() {
+            Ok(block) => Some(block),
+            Err(TryLockError::Poisoned(block)) => Some(block.into_inner()),
+            Err(TryLockError::WouldBlock) => {
+                *finished = false;
+                None
+            }
+        }
+    }
+
+    /// Whether every cell of `layer` is drawn.
+    pub fn layer_drawn(&self, layer: usize) -> bool {
+        self.cells
+            .progress
+            .iter()
+            .all(|p| p.load(Ordering::Acquire) > layer)
+    }
+
+    /// Whether a thread taking part in the draw panicked.
+    pub fn abandoned(&self) -> bool {
+        self.cells.abandoned.load(Ordering::Relaxed)
+    }
+
+    /// A guard that abandons the draw if it is dropped while its thread
+    /// panics. Every thread taking part holds one, so that none waits for
+    /// ever on a layer a panicked thread would have drawn.
+    pub fn abandon_on_panic(&self) -> impl Drop + '_ {
+        AbandonOnPanic(&self.cells.abandoned)
+    }
+}
+
+struct AbandonOnPanic<'c>(&'c AtomicBool);
+
+impl Drop for AbandonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The drawn layers of a shared draw, on the thread that owns the trace.
+/// Dropping it moves the count vectors of every layer it did not hand out
+/// back into the trace, and the streams back into the generator.
+pub struct LayerOutlet<'t> {
+    cells: &'t DrawCells,
+    layers: &'t mut [LayerGating],
+    streams: &'t mut Vec<GroupStream<StdRng>>,
+    /// Layers handed out so far.
+    taken: usize,
+}
+
+impl LayerOutlet<'_> {
+    /// Number of sparse layers.
+    pub fn num_layers(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// The next layer's gating, moved from its cells into the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer is not drawn yet ([`SharedDraw::layer_drawn`])
+    /// or every layer was handed out.
+    pub fn next_layer(&mut self) -> &LayerGating {
+        let layer = self.taken;
+        assert!(
+            self.cells
+                .progress
+                .iter()
+                .all(|p| p.load(Ordering::Acquire) > layer),
+            "layer {layer} is not drawn yet"
+        );
+        self.put_back(layer);
+        self.taken += 1;
+        &self.layers[layer]
+    }
+
+    /// Swaps `layer`'s count vectors between its cells and the trace.
+    fn put_back(&mut self, layer: usize) {
+        let blocks = self.cells.blocks.len();
+        let mut groups = self.layers[layer].counts.iter_mut();
+        for cell in &self.cells.counts[layer * blocks..][..blocks] {
+            for (drawn, trace) in lock(cell).iter_mut().zip(groups.by_ref()) {
+                std::mem::swap(drawn, trace);
+            }
+        }
+    }
+}
+
+impl Drop for LayerOutlet<'_> {
+    fn drop(&mut self) {
+        for layer in self.taken..self.layers.len() {
+            self.put_back(layer);
+        }
+        for block in &self.cells.blocks {
+            self.streams.append(&mut lock(block).streams);
         }
     }
 }
@@ -529,7 +950,8 @@ mod tests {
                         assert_eq!(fresh.next_iteration(), expect, "{case}: fresh trace");
                         // Every cached order is the fresh sort of its
                         // distribution as it is now.
-                        for (dist, order) in reused.dists.iter().map(|d| (d.probs(), d.order())) {
+                        let dists = reused.dists.dists.iter().filter_map(OnceLock::get);
+                        for (dist, order) in dists.map(|d| (d.probs(), d.order())) {
                             if order.is_empty() {
                                 continue;
                             }
@@ -543,6 +965,50 @@ mod tests {
                     }
                     assert!(repaired > 0, "{} {mix:?}: no cap repair ran", model.name);
                 }
+            }
+        }
+    }
+
+    /// A shared draw's cells, drawn in any order that keeps each block's
+    /// layers in order, alone or merged, give the serial draw's counts bit
+    /// for bit: here one thread draws half the layers of the last block,
+    /// then the first block's up to there, then both blocks together, for
+    /// 1 to 9 groups (one block up to 7 groups, two from 8, of unequal
+    /// sizes when the groups are odd), on a mix whose distributions change every
+    /// iteration and with few tokens, so that the shared repair orders are
+    /// sorted inside the draw. The trace is handed out layer by layer, and
+    /// the streams are moved back for the next iteration.
+    #[test]
+    fn shared_cells_in_any_block_order_match_the_serial_draw() {
+        let model = ModelConfig {
+            num_layers: 6,
+            num_sparse_layers: 6,
+            ..ModelConfig::qwen3_235b()
+        };
+        for groups in [1, 3, 4, 8, 9] {
+            let mk = || TraceGenerator::new(&model, WorkloadMix::mixed(3.0), groups, 4, 8);
+            let (mut serial, mut shared) = (mk(), mk());
+            let (mut expect, mut got) = (serial.next_iteration(), shared.next_iteration());
+            for tokens in [3, 200, 1] {
+                serial.set_tokens_per_group(tokens);
+                shared.set_tokens_per_group(tokens);
+                serial.next_iteration_into(&mut expect);
+                let (draw, mut outlet) = shared.begin_iteration(&mut got).share();
+                let blocks = if groups >= 2 * MIN_BLOCK_GROUPS { 2 } else { 1 };
+                let last_block = |cell: usize| cell % blocks == blocks - 1;
+                // Half the layers of the last block alone, then the first
+                // block up to it alone, then both blocks merged.
+                for _ in 0..outlet.num_layers() / 2 {
+                    assert_eq!(draw.draw_free_cell(last_block), CellDraw::Drawn);
+                }
+                while draw.draw_free_cell(|_| true) == CellDraw::Drawn {}
+                assert_eq!(draw.draw_free_cell(|_| true), CellDraw::Finished);
+                for layer in 0..outlet.num_layers() {
+                    assert!(draw.layer_drawn(layer));
+                    assert_eq!(outlet.next_layer(), &expect.layers[layer]);
+                }
+                drop(outlet);
+                assert_eq!(got, expect, "{groups} groups, {tokens} tokens");
             }
         }
     }

@@ -31,6 +31,7 @@ use wsc_topology::{DeviceId, LinkId, RouteTable, Topology};
 use crate::analytic::{estimate_paths, AnalyticEstimate, AnalyticModel};
 use crate::flow::{routed_bytes, FlowSpec, RoutedTransfer};
 use crate::network::{NetworkSim, RunResult};
+use crate::route_set::RouteSetSim;
 use crate::schedule::FlowSchedule;
 
 /// Backend selection knob: which [`CongestionModel`] implementation an
@@ -178,6 +179,26 @@ pub trait CongestionModel: Send {
     ///
     /// Panics if a transfer's `index` is out of `volume`'s bounds.
     fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64;
+
+    /// [`CongestionModel::price_routes_time`], bit for bit, for a caller
+    /// that prices the same route set many times. `sim` is the caller's
+    /// slot for this route set's simulator: a simulating backend builds it
+    /// on the first call and reuses it on every later one, so the caller
+    /// must pass a slot only ever with the same `routes`. The default
+    /// ignores it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transfer's `index` is out of `volume`'s bounds.
+    fn price_route_set_time(
+        &self,
+        routes: &[RoutedTransfer<'_>],
+        sim: &mut Option<RouteSetSim>,
+        volume: &[f64],
+    ) -> f64 {
+        let _ = sim;
+        self.price_routes_time(routes, volume)
+    }
 
     /// Prices a phased schedule; phases are barrier-separated, so their
     /// estimates compose sequentially.
@@ -334,6 +355,17 @@ impl CongestionModel for FlowSimBackend<'_> {
                 .map(|(bytes, r)| (bytes, r.links)),
         )
         .total_time
+    }
+
+    fn price_route_set_time(
+        &self,
+        routes: &[RoutedTransfer<'_>],
+        sim: &mut Option<RouteSetSim>,
+        volume: &[f64],
+    ) -> f64 {
+        let sim = sim.get_or_insert_with(|| RouteSetSim::new(self.topo, routes));
+        debug_assert_eq!(sim.len(), routes.len(), "a slot serves one route set");
+        sim.run(volume)
     }
 }
 
@@ -647,6 +679,17 @@ impl CongestionModel for CachedBackend<'_> {
     /// is not.
     fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64 {
         self.inner.price_routes_time(routes, volume)
+    }
+
+    /// Not memoised either, and forwarded, so the inner tier keeps its
+    /// route-set simulator.
+    fn price_route_set_time(
+        &self,
+        routes: &[RoutedTransfer<'_>],
+        sim: &mut Option<RouteSetSim>,
+        volume: &[f64],
+    ) -> f64 {
+        self.inner.price_route_set_time(routes, sim, volume)
     }
 
     fn price_schedule(&self, schedule: &FlowSchedule) -> AnalyticEstimate {

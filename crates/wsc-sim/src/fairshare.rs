@@ -442,54 +442,64 @@ impl IncrementalMaxMin {
             }
         }
 
-        // 2. Water-fill the component: progressive filling driven by an
-        //    indexed lazy-deletion min-heap of (fair share, link).
-        heap.clear();
-        for &l in comp_links.iter() {
-            residual[l as usize] = capacity[l as usize];
-            let count = flows_on_link[l as usize].len() as u32;
-            unfixed[l as usize] = count;
-            if count > 0 {
-                heap.push(Bottleneck {
-                    fair: residual[l as usize] / count as f64,
-                    link: l,
-                });
+        // 2. Water-fill the component. A flow alone in it is fixed at the
+        //    least fair share on its route, `capacity / crossings`, which
+        //    is the fill's first bottleneck: no heap needed.
+        if let [f] = comp_flows[..] {
+            rates[f as usize] = Self::route(route_offsets, route_links, f)
+                .iter()
+                .map(|&l| capacity[l as usize] / flows_on_link[l as usize].len() as f64)
+                .fold(f64::INFINITY, f64::min);
+        } else {
+            // Progressive filling driven by an indexed lazy-deletion
+            // min-heap of (fair share, link).
+            heap.clear();
+            for &l in comp_links.iter() {
+                residual[l as usize] = capacity[l as usize];
+                let count = flows_on_link[l as usize].len() as u32;
+                unfixed[l as usize] = count;
+                if count > 0 {
+                    heap.push(Bottleneck {
+                        fair: residual[l as usize] / count as f64,
+                        link: l,
+                    });
+                }
             }
-        }
-        // Lazy-deletion pops: fixing flows at a bottleneck leaves the other
-        // touched links' heap entries stale, but water-filling fair shares
-        // are non-decreasing over the fill (fixing at the minimum `f*`
-        // turns `r/c ≥ f*` into `(r−kf*)/(c−k) ≥ r/c`), so stale entries
-        // only under-estimate: popping one and re-pushing the corrected
-        // value never skips the true bottleneck.
-        while let Some(Bottleneck { fair, link }) = heap.pop() {
-            let l = link as usize;
-            if unfixed[l] == 0 {
-                continue;
-            }
-            let current = residual[l] / unfixed[l] as f64;
-            if current != fair {
-                heap.push(Bottleneck {
-                    fair: current,
-                    link,
-                });
-                continue;
-            }
-            // Fix every unfixed flow crossing the bottleneck at `fair`.
-            for &f in &flows_on_link[l] {
-                if flow_fixed[f as usize] {
+            // Lazy-deletion pops: fixing flows at a bottleneck leaves the other
+            // touched links' heap entries stale, but water-filling fair shares
+            // are non-decreasing over the fill (fixing at the minimum `f*`
+            // turns `r/c ≥ f*` into `(r−kf*)/(c−k) ≥ r/c`), so stale entries
+            // only under-estimate: popping one and re-pushing the corrected
+            // value never skips the true bottleneck.
+            while let Some(Bottleneck { fair, link }) = heap.pop() {
+                let l = link as usize;
+                if unfixed[l] == 0 {
                     continue;
                 }
-                flow_fixed[f as usize] = true;
-                rates[f as usize] = fair;
-                for &m in Self::route(route_offsets, route_links, f) {
-                    residual[m as usize] -= fair;
-                    unfixed[m as usize] -= 1;
+                let current = residual[l] / unfixed[l] as f64;
+                if current != fair {
+                    heap.push(Bottleneck {
+                        fair: current,
+                        link,
+                    });
+                    continue;
                 }
+                // Fix every unfixed flow crossing the bottleneck at `fair`.
+                for &f in &flows_on_link[l] {
+                    if flow_fixed[f as usize] {
+                        continue;
+                    }
+                    flow_fixed[f as usize] = true;
+                    rates[f as usize] = fair;
+                    for &m in Self::route(route_offsets, route_links, f) {
+                        residual[m as usize] -= fair;
+                        unfixed[m as usize] -= 1;
+                    }
+                }
+                // Guard against pathological floating-point residue.
+                residual[l] = residual[l].max(0.0);
+                debug_assert_eq!(unfixed[l], 0);
             }
-            // Guard against pathological floating-point residue.
-            residual[l] = residual[l].max(0.0);
-            debug_assert_eq!(unfixed[l], 0);
         }
 
         // 3. Reset the component marks for the next rebalance.

@@ -63,6 +63,7 @@ pub mod backend;
 pub mod fairshare;
 pub mod flow;
 pub mod network;
+pub mod route_set;
 pub mod schedule;
 
 pub use analytic::{AnalyticEstimate, AnalyticModel};
@@ -73,4 +74,5 @@ pub use backend::{
 pub use fairshare::{max_min_rates, IncrementalMaxMin};
 pub use flow::{FlowSpec, RoutedTransfer};
 pub use network::{NetworkSim, RunResult};
+pub use route_set::RouteSetSim;
 pub use schedule::{FlowSchedule, Phase};

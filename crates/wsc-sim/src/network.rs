@@ -7,9 +7,9 @@ use crate::flow::FlowSpec;
 
 /// Bytes below which a flow is considered fully drained (guards against
 /// floating-point residue).
-const EPS_BYTES: f64 = 1e-6;
+pub(crate) const EPS_BYTES: f64 = 1e-6;
 /// Seconds below which two event times are considered simultaneous.
-const EPS_TIME: f64 = 1e-15;
+pub(crate) const EPS_TIME: f64 = 1e-15;
 
 /// Result of simulating a set of flows.
 #[derive(Clone, Debug)]

@@ -11,8 +11,10 @@
 //! without memoising it, so a serving step on `flow-sim-cached` must cost
 //! no more allocations and leave no more live heap than on `flow-sim`. A
 //! step large enough to sample its gating on a helper thread must allocate
-//! on the calling thread only, and no more as its layers grow. A counting
-//! global allocator measures all five directly.
+//! on the calling thread only, and no more as its layers grow, however the
+//! two threads share the draw. The flow-sim tier keeps a route set's
+//! simulator across calls, so its steady-state all-to-all pricing makes no
+//! allocation. A counting global allocator measures all six directly.
 //!
 //! The per-thread counters are thread-local, so allocations made by other
 //! test threads (or the harness) never reach them. A process-wide counter
@@ -210,6 +212,53 @@ fn overlapped_steps_allocate_on_the_caller_only() {
         shallow, deep,
         "{steps} steps allocate {shallow} times with 48 sparse layers but {deep} with 96"
     );
+}
+
+/// Heap allocations made by `steps` steady-state steps of a fixed-batch
+/// engine over the tiny model on a 4×4 wafer (ER-Mapping, TP 2×2) that
+/// prices every layer's all-to-all over its route sets on `backend`.
+fn route_set_step_allocations(backend: CongestionBackend, steps: usize) -> u64 {
+    let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+    let table = RouteTable::build(&topo);
+    let plan = ErMapping::new(topo.mesh_dims().unwrap(), TpShape::new(2, 2))
+        .unwrap()
+        .plan();
+    let config = EngineConfig::new(ModelConfig::tiny())
+        .with_backend(backend)
+        .with_batch(BatchMode::Fixed {
+            tokens_per_group: 64,
+            avg_context: 512.0,
+            phase: InferencePhase::Decode,
+        });
+    assert_eq!(config.comm_layer_stride, 1);
+    let mut engine = InferenceEngine::new(&topo, &table, &plan, config);
+    // The first step builds the route-set simulators; the rest reuse them.
+    for _ in 0..8 {
+        engine.step();
+    }
+    let before = allocations();
+    for _ in 0..steps {
+        engine.step();
+    }
+    allocations() - before
+}
+
+/// The flow-sim tier keeps each route set's DES across calls, so a wafer
+/// engine's steady-state step allocates no more on it than on the
+/// analytic tier, whose route-set pricing allocates nothing: the DES
+/// calls make no allocation. So does the cached tier, which forwards them.
+#[test]
+fn route_set_des_calls_do_not_allocate() {
+    let _serial = serial();
+    let steps = 16;
+    let analytic = route_set_step_allocations(CongestionBackend::Analytic, steps);
+    for backend in [CongestionBackend::FlowSim, CongestionBackend::FlowSimCached] {
+        let des = route_set_step_allocations(backend, steps);
+        assert_eq!(
+            des, analytic,
+            "{steps} steps allocate {des} times on {backend} but {analytic} on analytic"
+        );
+    }
 }
 
 /// Heap allocations made, and live heap bytes left behind, by `steps`
