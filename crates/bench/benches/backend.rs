@@ -76,8 +76,9 @@ fn bench_price_a2a(c: &mut Criterion) {
 /// The route-set pricing the engine runs on every stride layer of a flat
 /// fabric: the dispatch route set of ER-Mapping on a 4x4 wafer with TP 4
 /// (48 transfers), every volume loaded. Each tier prices it through
-/// `price_routes_time` and through `price_route_set_time`, which keeps the
-/// flow-sim tier's simulator of the set across calls.
+/// `price_route_set_time` once with a fresh simulator slot per call
+/// (`one_shot`) and once with one slot kept across calls (`reused`), as
+/// the engine keeps it; only the flow-sim tier uses the slot.
 fn bench_price_route_set(c: &mut Criterion) {
     let mut group = c.benchmark_group("price_route_set");
     let platform = Platform::wsc(4);
@@ -91,11 +92,11 @@ fn bench_price_route_set(c: &mut Criterion) {
         .collect();
     for backend in [CongestionBackend::Analytic, CongestionBackend::FlowSim] {
         let pricer = backend.build(&platform.topo);
-        group.bench_function(BenchmarkId::new("routes_time", backend.name()), |b| {
-            b.iter(|| pricer.price_routes_time(routes, &volume))
+        group.bench_function(BenchmarkId::new("one_shot", backend.name()), |b| {
+            b.iter(|| pricer.price_route_set_time(routes, &mut None, &volume))
         });
         let mut sim = None;
-        group.bench_function(BenchmarkId::new("route_set_time", backend.name()), |b| {
+        group.bench_function(BenchmarkId::new("reused", backend.name()), |b| {
             b.iter(|| pricer.price_route_set_time(routes, &mut sim, &volume))
         });
     }

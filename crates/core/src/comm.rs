@@ -493,8 +493,8 @@ impl<'a> A2aModel<'a> {
     ///
     /// A flat fabric builds no pair list: the capped per-(group,
     /// destination) volumes are priced over the precomputed route sets
-    /// ([`CongestionModel::price_routes_time`]), which add the same bytes to
-    /// the same links in the same order as the pair lists would. A
+    /// ([`CongestionModel::price_route_set_time`]), which add the same
+    /// bytes to the same links in the same order as the pair lists would. A
     /// node-aggregated fabric picks its aggregation points from the loaded
     /// destinations, so it still builds and prices the pair lists.
     ///

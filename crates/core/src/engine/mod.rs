@@ -1351,7 +1351,7 @@ mod tests {
             CallerCells::WhenWaiting,
             CallerCells::Fixed(|_| false),
             CallerCells::Fixed(|_| true),
-            CallerCells::Fixed(|cell| cell % 2 == 0),
+            CallerCells::Fixed(|layer| layer % 2 == 0),
         ];
         for split in splits {
             let (history, placements) = run(Some(split));

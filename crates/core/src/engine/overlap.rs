@@ -5,9 +5,8 @@
 //! owns its random streams and cached distributions and reads nothing the
 //! layer loop writes. So a step can share the draw with one scoped helper
 //! thread while the calling thread runs the layer loop in layer order. The
-//! draw is split into cells of (layer, block of DP groups; a whole layer
-//! below 8 groups), and a thread draws the next cell of a block the other
-//! is not drawing
+//! draw is split into cells of one layer each, drawn in layer order by
+//! whichever thread takes the next one first
 //! ([`moe_workload::SharedDraw`]): the helper draws cells until none is
 //! left, and the calling thread, whenever the layer it needs next is not
 //! drawn yet, draws a cell itself instead of waiting. Each group's stream
@@ -93,19 +92,20 @@ pub(crate) enum CallerCells {
     /// Any free cell, whenever the layer the caller needs next is not
     /// drawn yet; the helper draws the others.
     WhenWaiting,
-    /// The cells the predicate picks; the helper draws the rest. A fixed
-    /// split, so that a test can check that the output does not depend on
-    /// who draws what.
+    /// The cells whose layer the predicate picks; the helper draws the
+    /// rest. A fixed split, so that a test can check that the output does
+    /// not depend on who draws what.
     #[cfg_attr(not(test), allow(dead_code))]
     Fixed(fn(usize) -> bool),
 }
 
 impl CallerCells {
-    /// Whether the thread (the caller if `caller`) may draw `cell`.
-    fn mine(self, caller: bool, cell: usize) -> bool {
+    /// Whether the thread (the caller if `caller`) may draw the cell of
+    /// `layer`.
+    fn mine(self, caller: bool, layer: usize) -> bool {
         match self {
             CallerCells::WhenWaiting => true,
-            CallerCells::Fixed(callers) => callers(cell) == caller,
+            CallerCells::Fixed(callers) => callers(layer) == caller,
         }
     }
 }
@@ -113,8 +113,8 @@ impl CallerCells {
 /// Waits before a thread that found no free cell tries again: a burst of
 /// spin-loop hints that ends early once `done`, or, once the thread has
 /// waited long, a yield of its core. The burst reads only what `done`
-/// reads: a try at a block's lock would write the lock's cache line while
-/// the other thread holds and releases it.
+/// reads: a try at the streams' lock would write the lock's cache line
+/// while the other thread holds and releases it.
 fn pause(waited: &mut u32, done: impl Fn() -> bool) {
     if *waited >= SPINS_BEFORE_YIELD {
         std::thread::yield_now();
@@ -151,7 +151,7 @@ pub(super) fn sample_overlapped(
             let _abandon = draw.abandon_on_panic();
             let mut waited = 0;
             loop {
-                match draw.draw_free_cell(|cell| split.mine(false, cell)) {
+                match draw.draw_free_cell(|layer| split.mine(false, layer)) {
                     CellDraw::Drawn => waited = 0,
                     CellDraw::Busy => pause(&mut waited, || false),
                     CellDraw::Finished => return,
@@ -162,7 +162,7 @@ pub(super) fn sample_overlapped(
         for layer in 0..outlet.num_layers() {
             let mut waited = 0;
             while !draw.layer_drawn(layer) {
-                match draw.draw_free_cell(|cell| split.mine(true, cell)) {
+                match draw.draw_free_cell(|next| split.mine(true, next)) {
                     CellDraw::Drawn => waited = 0,
                     CellDraw::Busy => pause(&mut waited, || draw.layer_drawn(layer)),
                     // Every cell is drawn (the layer is too, by now), or

@@ -432,12 +432,9 @@ impl<'t> LayerSampler<'t> {
     /// Splits the draw into cells that several threads can draw, and the
     /// outlet the drawn layers come out of, in layer order.
     ///
-    /// A cell is one layer of one block of the DP groups: a layer's groups
-    /// are one block, or two blocks of consecutive groups from 8 groups on.
-    /// A block's cells are drawn in layer order, because its groups'
-    /// streams are consumed in that order. Each group draws from its own
-    /// stream, and its counts do not depend on which groups share a block
-    /// with it, so the counts are those of [`LayerSampler::sample`], bit
+    /// A cell is one whole layer, and the cells are drawn in layer order,
+    /// one thread at a time, because every group's stream is consumed in
+    /// that order. So the counts are those of [`LayerSampler::sample`], bit
     /// for bit, whichever thread draws which cell.
     pub fn share(self) -> (SharedDraw<'t>, LayerOutlet<'t>) {
         let LayerSampler {
@@ -467,30 +464,20 @@ impl<'t> LayerSampler<'t> {
     }
 }
 
-/// The fewest groups a block of a shared draw holds when a layer's groups
-/// are split. A draw interleaves its groups' chains, and fewer overlap
-/// worse: on Qwen3-235B shapes a layer drawn as two blocks of 2 groups
-/// cost about 1.45 times one draw of 4, and on a 4-group wafer
-/// (perfbench's `wafer_ni_balance`) whole-layer cells gave the lower
-/// `wall_s` in alternating runs. So a layer splits in two only from twice
-/// this many groups.
-const MIN_BLOCK_GROUPS: usize = 4;
-
 /// The cells of a shared draw, kept by the generator across iterations
 /// for their buffers. While a draw is shared they hold the generator's
-/// streams (by block) and the trace's count vectors (by cell); the
+/// streams and the trace's count vectors (one cell a layer); the
 /// [`LayerOutlet`] moves both back.
 #[derive(Debug, Default)]
 struct DrawCells {
-    /// Each block's streams, and the next layer the block draws. A thread
-    /// holds a block's lock for as long as it draws one of its cells.
-    blocks: Vec<Mutex<StreamBlock>>,
-    /// Per block: layers drawn, stored with `Release` after a cell's
-    /// counts are written and read with `Acquire` before they are taken
-    /// (the cell's lock orders them too).
-    progress: Vec<AtomicUsize>,
-    /// `[layer × blocks + block]`: the block's count vectors for the
-    /// layer.
+    /// The streams, and the next layer they draw. A thread holds the lock
+    /// for as long as it draws one cell.
+    streams: Mutex<DrawStreams>,
+    /// Layers drawn, stored with `Release` after a cell's counts are
+    /// written and read with `Acquire` before they are taken (the cell's
+    /// lock orders them too).
+    progress: AtomicUsize,
+    /// Per layer: its count vectors, one per group.
     counts: Vec<Mutex<Vec<Vec<u32>>>>,
     /// Set when a thread panics while taking part in the draw, so that no
     /// other waits for a cell it will never draw. Only a flag: `Relaxed`.
@@ -498,7 +485,7 @@ struct DrawCells {
 }
 
 #[derive(Debug, Default)]
-struct StreamBlock {
+struct DrawStreams {
     streams: Vec<GroupStream<StdRng>>,
     next_layer: usize,
 }
@@ -519,50 +506,21 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl DrawCells {
-    /// Sizes the cells for `layers` and the groups of `streams`, and moves
-    /// the streams into their blocks and the layers' count vectors into
-    /// their cells. Allocates only on the first call for a shape.
+    /// Moves the generator's streams and the layers' count vectors into
+    /// the cells, by swapping the vectors. Allocates only on the first
+    /// call for a number of layers.
     fn load(&mut self, streams: &mut Vec<GroupStream<StdRng>>, layers: &mut [LayerGating]) {
-        let blocks = if streams.len() >= 2 * MIN_BLOCK_GROUPS {
-            2
-        } else {
-            1
-        };
-        let per_block = streams.len().div_ceil(blocks);
-        self.blocks.resize_with(blocks, Default::default);
-        self.progress.resize_with(blocks, Default::default);
-        self.counts
-            .resize_with(layers.len() * blocks, Default::default);
-        // Room for every group in each block and cell, so that a merged
-        // draw (`SharedDraw::draw_free_cell`) only moves.
-        let groups = streams.len();
-        for (block, progress) in self.blocks.iter_mut().zip(&mut self.progress) {
-            let block = block.get_mut().unwrap_or_else(PoisonError::into_inner);
-            block.next_layer = 0;
-            block.streams.reserve(groups);
-            *progress.get_mut() = 0;
-        }
-        for (g, stream) in streams.drain(..).enumerate() {
-            self.blocks[g / per_block]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .streams
-                .push(stream);
-        }
-        let mut cells = self.counts.iter_mut();
-        for gating in layers.iter_mut() {
-            for group_counts in gating.counts.chunks_mut(per_block) {
-                let cell = cells
-                    .next()
-                    .expect("one cell per layer and block")
-                    .get_mut()
-                    .unwrap_or_else(PoisonError::into_inner);
-                cell.reserve(groups.saturating_sub(cell.len()));
-                cell.resize_with(group_counts.len(), Vec::new);
-                for (mine, theirs) in cell.iter_mut().zip(group_counts) {
-                    std::mem::swap(mine, theirs);
-                }
-            }
+        let held = self
+            .streams
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        std::mem::swap(&mut held.streams, streams);
+        held.next_layer = 0;
+        *self.progress.get_mut() = 0;
+        self.counts.resize_with(layers.len(), Default::default);
+        for (cell, gating) in self.counts.iter_mut().zip(layers) {
+            let cell = cell.get_mut().unwrap_or_else(PoisonError::into_inner);
+            std::mem::swap(cell, &mut gating.counts);
         }
         *self.abandoned.get_mut() = false;
     }
@@ -573,15 +531,15 @@ impl DrawCells {
 pub enum CellDraw {
     /// It drew a cell.
     Drawn,
-    /// It drew nothing: every block with a cell left is being drawn by
-    /// another thread, or its next cell is not this thread's.
+    /// It drew nothing: another thread is drawing a cell, or the next cell
+    /// is not this thread's.
     Busy,
     /// Every cell is drawn, or the draw was abandoned.
     Finished,
 }
 
 /// The cells of a shared draw ([`LayerSampler::share`]), which any number
-/// of threads may draw at once, each through
+/// of threads may draw, one cell at a time, each through
 /// [`SharedDraw::draw_free_cell`].
 #[derive(Clone, Copy)]
 pub struct SharedDraw<'t> {
@@ -592,103 +550,43 @@ pub struct SharedDraw<'t> {
 }
 
 impl SharedDraw<'_> {
-    /// Draws the next cell of a block no other thread is drawing, if
-    /// `mine` picks it: of the block with the fewest layers drawn first,
-    /// so that the next layer a consumer needs is finished soonest. If the
-    /// other block is free too, at the same layer, and its cell is `mine`,
-    /// both are drawn together, their groups interleaved as in the serial
-    /// draw: one thread alone draws whole layers, and a second takes a
-    /// block only when it finds one free. A block's cells are drawn in
-    /// layer order, one thread at a time, so each group's stream is
-    /// consumed as the serial draw consumes it. `mine` takes a cell's
-    /// index, `layer × blocks + block`.
+    /// Draws the next cell, the first layer not drawn yet, if no other
+    /// thread is drawing one and `mine` picks it. `mine` takes the cell's
+    /// layer.
     pub fn draw_free_cell(&self, mine: impl Fn(usize) -> bool) -> CellDraw {
-        let (blocks, progress) = (&self.cells.blocks, &self.cells.progress);
-        let num_layers = self.cells.counts.len() / blocks.len();
-        let behind = (0..blocks.len())
-            .min_by_key(|&b| progress[b].load(Ordering::Relaxed))
-            .expect("at least one block");
-        let mut finished = true;
-        for b in (behind..blocks.len()).chain(0..behind) {
-            if self.abandoned() {
-                return CellDraw::Finished;
-            }
-            let Some(mut block) = self.try_lock_block(b, &mut finished) else {
-                continue;
-            };
-            let layer = block.next_layer;
-            if layer == num_layers {
-                continue;
-            }
-            finished = false;
-            let cell = layer * blocks.len() + b;
-            if !mine(cell) {
-                continue;
-            }
-            // The other block's cell of the same layer, if it is free.
-            let other = (blocks.len() == 2)
-                .then(|| {
-                    let b2 = 1 - b;
-                    let block2 = self.try_lock_block(b2, &mut finished)?;
-                    let cell2 = layer * 2 + b2;
-                    (block2.next_layer == layer && mine(cell2)).then_some((b2, block2, cell2))
-                })
-                .flatten();
-            let mut counts = lock(&self.cells.counts[cell]);
-            // Dropped before the locks: a panicking draw is abandoned
-            // before another thread can take its block.
-            let abandon = self.abandon_on_panic();
-            let dist = self.dists.get(layer);
-            let (tokens, top_k) = (self.tokens_per_group, self.top_k);
-            match other {
-                None => sample_layer_into(&mut block.streams, dist, tokens, top_k, &mut counts),
-                Some((b2, mut block2, cell2)) => {
-                    let mut counts2 = lock(&self.cells.counts[cell2]);
-                    // Moves only: `load` reserved room for every group.
-                    let groups = block.streams.len();
-                    block.streams.append(&mut block2.streams);
-                    counts.append(&mut counts2);
-                    sample_layer_into(&mut block.streams, dist, tokens, top_k, &mut counts);
-                    block2.streams.extend(block.streams.drain(groups..));
-                    counts2.extend(counts.drain(groups..));
-                    block2.next_layer += 1;
-                    drop(counts2);
-                    progress[b2].store(layer + 1, Ordering::Release);
-                }
-            }
-            block.next_layer += 1;
-            drop(abandon);
-            drop(counts);
-            progress[b].store(layer + 1, Ordering::Release);
-            return CellDraw::Drawn;
+        if self.abandoned() {
+            return CellDraw::Finished;
         }
-        if finished {
-            CellDraw::Finished
-        } else {
-            CellDraw::Busy
+        let mut streams = match self.cells.streams.try_lock() {
+            Ok(streams) => streams,
+            Err(TryLockError::WouldBlock) => return CellDraw::Busy,
+            // Its thread abandoned the draw before it released the lock.
+            Err(TryLockError::Poisoned(_)) => return CellDraw::Finished,
+        };
+        let layer = streams.next_layer;
+        if layer == self.cells.counts.len() {
+            return CellDraw::Finished;
         }
+        if !mine(layer) {
+            return CellDraw::Busy;
+        }
+        let mut counts = lock(&self.cells.counts[layer]);
+        // Dropped before the locks: a panicking draw is abandoned before
+        // another thread can take the streams.
+        let abandon = self.abandon_on_panic();
+        let dist = self.dists.get(layer);
+        let (tokens, top_k) = (self.tokens_per_group, self.top_k);
+        sample_layer_into(&mut streams.streams, dist, tokens, top_k, &mut counts);
+        streams.next_layer += 1;
+        drop(abandon);
+        drop(counts);
+        self.cells.progress.store(layer + 1, Ordering::Release);
+        CellDraw::Drawn
     }
 
-    /// Block `b`'s lock if no other thread holds it, clearing `finished`
-    /// if one does. A poisoned lock is taken too: its thread abandoned
-    /// the draw, which the caller checks before its next cell.
-    fn try_lock_block(&self, b: usize, finished: &mut bool) -> Option<MutexGuard<'_, StreamBlock>> {
-        match self.cells.blocks[b].try_lock() {
-            Ok(block) => Some(block),
-            Err(TryLockError::Poisoned(block)) => Some(block.into_inner()),
-            Err(TryLockError::WouldBlock) => {
-                *finished = false;
-                None
-            }
-        }
-    }
-
-    /// Whether every cell of `layer` is drawn.
+    /// Whether `layer` is drawn.
     pub fn layer_drawn(&self, layer: usize) -> bool {
-        self.cells
-            .progress
-            .iter()
-            .all(|p| p.load(Ordering::Acquire) > layer)
+        self.cells.progress.load(Ordering::Acquire) > layer
     }
 
     /// Whether a thread taking part in the draw panicked.
@@ -731,7 +629,7 @@ impl LayerOutlet<'_> {
         self.layers.len()
     }
 
-    /// The next layer's gating, moved from its cells into the trace.
+    /// The next layer's gating, moved from its cell into the trace.
     ///
     /// # Panics
     ///
@@ -740,10 +638,7 @@ impl LayerOutlet<'_> {
     pub fn next_layer(&mut self) -> &LayerGating {
         let layer = self.taken;
         assert!(
-            self.cells
-                .progress
-                .iter()
-                .all(|p| p.load(Ordering::Acquire) > layer),
+            self.cells.progress.load(Ordering::Acquire) > layer,
             "layer {layer} is not drawn yet"
         );
         self.put_back(layer);
@@ -751,15 +646,12 @@ impl LayerOutlet<'_> {
         &self.layers[layer]
     }
 
-    /// Swaps `layer`'s count vectors between its cells and the trace.
+    /// Swaps `layer`'s count vectors between its cell and the trace.
     fn put_back(&mut self, layer: usize) {
-        let blocks = self.cells.blocks.len();
-        let mut groups = self.layers[layer].counts.iter_mut();
-        for cell in &self.cells.counts[layer * blocks..][..blocks] {
-            for (drawn, trace) in lock(cell).iter_mut().zip(groups.by_ref()) {
-                std::mem::swap(drawn, trace);
-            }
-        }
+        std::mem::swap(
+            &mut *lock(&self.cells.counts[layer]),
+            &mut self.layers[layer].counts,
+        );
     }
 }
 
@@ -768,9 +660,7 @@ impl Drop for LayerOutlet<'_> {
         for layer in self.taken..self.layers.len() {
             self.put_back(layer);
         }
-        for block in &self.cells.blocks {
-            self.streams.append(&mut lock(block).streams);
-        }
+        std::mem::swap(&mut lock(&self.cells.streams).streams, self.streams);
     }
 }
 
@@ -969,17 +859,14 @@ mod tests {
         }
     }
 
-    /// A shared draw's cells, drawn in any order that keeps each block's
-    /// layers in order, alone or merged, give the serial draw's counts bit
-    /// for bit: here one thread draws half the layers of the last block,
-    /// then the first block's up to there, then both blocks together, for
-    /// 1 to 9 groups (one block up to 7 groups, two from 8, of unequal
-    /// sizes when the groups are odd), on a mix whose distributions change every
-    /// iteration and with few tokens, so that the shared repair orders are
-    /// sorted inside the draw. The trace is handed out layer by layer, and
-    /// the streams are moved back for the next iteration.
+    /// A shared draw's cells give the serial draw's counts bit for bit,
+    /// drawn one by one and handed out as they finish, for 1 to 9 groups,
+    /// on a mix whose distributions change every iteration and with few
+    /// tokens, so that the shared repair orders are sorted inside the draw.
+    /// A cell is drawn only when `mine` picks it, and the streams are moved
+    /// back for the next iteration.
     #[test]
-    fn shared_cells_in_any_block_order_match_the_serial_draw() {
+    fn shared_cells_match_the_serial_draw() {
         let model = ModelConfig {
             num_layers: 6,
             num_sparse_layers: 6,
@@ -994,19 +881,14 @@ mod tests {
                 shared.set_tokens_per_group(tokens);
                 serial.next_iteration_into(&mut expect);
                 let (draw, mut outlet) = shared.begin_iteration(&mut got).share();
-                let blocks = if groups >= 2 * MIN_BLOCK_GROUPS { 2 } else { 1 };
-                let last_block = |cell: usize| cell % blocks == blocks - 1;
-                // Half the layers of the last block alone, then the first
-                // block up to it alone, then both blocks merged.
-                for _ in 0..outlet.num_layers() / 2 {
-                    assert_eq!(draw.draw_free_cell(last_block), CellDraw::Drawn);
-                }
-                while draw.draw_free_cell(|_| true) == CellDraw::Drawn {}
-                assert_eq!(draw.draw_free_cell(|_| true), CellDraw::Finished);
                 for layer in 0..outlet.num_layers() {
+                    assert!(!draw.layer_drawn(layer));
+                    assert_eq!(draw.draw_free_cell(|l| l != layer), CellDraw::Busy);
+                    assert_eq!(draw.draw_free_cell(|l| l == layer), CellDraw::Drawn);
                     assert!(draw.layer_drawn(layer));
                     assert_eq!(outlet.next_layer(), &expect.layers[layer]);
                 }
+                assert_eq!(draw.draw_free_cell(|_| true), CellDraw::Finished);
                 drop(outlet);
                 assert_eq!(got, expect, "{groups} groups, {tokens} tokens");
             }

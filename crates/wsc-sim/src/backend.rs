@@ -48,7 +48,7 @@ pub enum CongestionBackend {
     /// identical estimates to [`CongestionBackend::FlowSim`]. Full estimates
     /// are priced once per distinct schedule shape; the time-only
     /// [`CongestionModel::price_pairs_time`] and
-    /// [`CongestionModel::price_routes_time`], which the engine prices its
+    /// [`CongestionModel::price_route_set_time`], which the engine prices its
     /// sampled per-step all-to-all through, are not memoised, because
     /// sampled shapes do not repeat. An engine on this tier therefore runs
     /// the DES on every stride layer, as [`CongestionBackend::FlowSim`]
@@ -175,17 +175,11 @@ pub trait CongestionModel: Send {
     /// straight from the precomputed routes: no pair list, no route-table
     /// lookup.
     ///
-    /// # Panics
-    ///
-    /// Panics if a transfer's `index` is out of `volume`'s bounds.
-    fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64;
-
-    /// [`CongestionModel::price_routes_time`], bit for bit, for a caller
-    /// that prices the same route set many times. `sim` is the caller's
-    /// slot for this route set's simulator: a simulating backend builds it
-    /// on the first call and reuses it on every later one, so the caller
-    /// must pass a slot only ever with the same `routes`. The default
-    /// ignores it.
+    /// `sim` is the caller's slot for this route set's simulator: a
+    /// simulating backend builds it on the first call and reuses it on
+    /// every later one, so the caller must pass a slot only ever with the
+    /// same `routes` (a fresh `&mut None` prices the set once). The
+    /// analytic tier ignores it.
     ///
     /// # Panics
     ///
@@ -195,10 +189,7 @@ pub trait CongestionModel: Send {
         routes: &[RoutedTransfer<'_>],
         sim: &mut Option<RouteSetSim>,
         volume: &[f64],
-    ) -> f64 {
-        let _ = sim;
-        self.price_routes_time(routes, volume)
-    }
+    ) -> f64;
 
     /// Prices a phased schedule; phases are barrier-separated, so their
     /// estimates compose sequentially.
@@ -256,7 +247,12 @@ impl CongestionModel for AnalyticModel<'_> {
         )
     }
 
-    fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64 {
+    fn price_route_set_time(
+        &self,
+        routes: &[RoutedTransfer<'_>],
+        _sim: &mut Option<RouteSetSim>,
+        volume: &[f64],
+    ) -> f64 {
         self.routes_total_time(routed_bytes(routes, volume))
     }
 }
@@ -264,7 +260,8 @@ impl CongestionModel for AnalyticModel<'_> {
 /// Full-fidelity pricing backend wrapping the discrete-event [`NetworkSim`].
 ///
 /// Each pricing call runs a fresh simulation (the simulator itself is
-/// stateless across runs) over the incremental fair-share allocator. Routes
+/// stateless across runs) over the incremental fair-share allocator,
+/// except a route-set call, which runs on the caller's [`RouteSetSim`]. Routes
 /// are borrowed — from the flows themselves or from the caller's shared CSR
 /// [`RouteTable`] — so pricing allocates no per-flow route storage. Only
 /// the time comes from the simulation: a full estimate takes its latency,
@@ -346,15 +343,6 @@ impl CongestionModel for FlowSimBackend<'_> {
     /// the paths for the estimate's latency, byte and hop fields.
     fn price_pairs_time(&self, table: &RouteTable, pairs: &[(DeviceId, DeviceId, f64)]) -> f64 {
         self.run(pair_paths(table, pairs)).total_time
-    }
-
-    fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64 {
-        self.run(
-            routed_bytes(routes, volume)
-                .filter(|&(bytes, _)| bytes > 0.0)
-                .map(|(bytes, r)| (bytes, r.links)),
-        )
-        .total_time
     }
 
     fn price_route_set_time(
@@ -516,7 +504,7 @@ pub struct CacheStats {
 /// Only repeated shapes pay off. Sampled gating gives every engine step a
 /// new `(src, dst, bytes)` shape, so the time-only
 /// [`CongestionModel::price_pairs_time`] and
-/// [`CongestionModel::price_routes_time`] the engine prices its all-to-all
+/// [`CongestionModel::price_route_set_time`] the engine prices its all-to-all
 /// through go straight to the inner backend: no key, no lookup, no
 /// stored estimate. Before that bypass the cache answered 0 of 14,100
 /// pricings in the `wafer_ni_balance` benchmark replay, 5 of 3,207 on the
@@ -676,13 +664,8 @@ impl CongestionModel for CachedBackend<'_> {
     }
 
     /// Not memoised, for the reason [`CongestionModel::price_pairs_time`]
-    /// is not.
-    fn price_routes_time(&self, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64 {
-        self.inner.price_routes_time(routes, volume)
-    }
-
-    /// Not memoised either, and forwarded, so the inner tier keeps its
-    /// route-set simulator.
+    /// is not, and forwarded, so the inner tier keeps its route-set
+    /// simulator.
     fn price_route_set_time(
         &self,
         routes: &[RoutedTransfer<'_>],
@@ -1047,6 +1030,7 @@ mod tests {
             RoutedTransfer::new(&topo, 1, 0.5, table.route(b, a).links()),
         ];
         let volume = [1.0e6, 4.0e6];
+        let mut sim = None;
         let cached = CachedBackend::new(Box::new(FlowSimBackend::new(&topo)));
         let uncached = FlowSimBackend::new(&topo).price_pairs(&table, &pairs);
         for _ in 0..3 {
@@ -1055,7 +1039,9 @@ mod tests {
                 uncached.total_time.to_bits()
             );
             assert_eq!(
-                cached.price_routes_time(&routes, &volume).to_bits(),
+                cached
+                    .price_route_set_time(&routes, &mut sim, &volume)
+                    .to_bits(),
                 uncached.total_time.to_bits()
             );
         }

@@ -37,7 +37,7 @@ impl FlowSpec {
 
 /// One transfer of a precomputed route set: `volume[index] × fraction`
 /// bytes over `links`, for the time-only
-/// [`CongestionModel::price_routes_time`](crate::CongestionModel::price_routes_time).
+/// [`CongestionModel::price_route_set_time`](crate::CongestionModel::price_route_set_time).
 ///
 /// A route set is a transfer list whose routes are resolved once (the
 /// links are borrowed from a [`RouteTable`](wsc_topology::RouteTable))
@@ -77,8 +77,8 @@ impl<'r> RoutedTransfer<'r> {
 /// The transfers of `routes` with their byte counts,
 /// `(volume[index] × fraction, transfer)`, skipping those whose volume is
 /// `<= 0` (as the flat all-to-all expansion skips an unloaded
-/// destination). A product that is not positive is still yielded; each
-/// backend skips it by its own pair rule.
+/// destination). A product that is not positive is still yielded; the
+/// analytic walk skips it by its pair rule.
 pub(crate) fn routed_bytes<'s, 'r>(
     routes: &'s [RoutedTransfer<'r>],
     volume: &'s [f64],
