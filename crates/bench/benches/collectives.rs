@@ -8,7 +8,7 @@ use moentwine_bench::platforms::{balanced_gating, Platform};
 use moentwine_core::comm::A2aModel;
 use moentwine_core::mapping::{ErMapping, TpShape};
 use moentwine_core::placement::ExpertPlacement;
-use wsc_collectives::{all_to_all_concurrent, ring_all_reduce, Ring, Transfer};
+use wsc_collectives::{ring_all_reduce, Ring};
 use wsc_sim::{CongestionModel, FlowSimBackend};
 
 fn bench_ring_all_reduce(c: &mut Criterion) {
@@ -44,18 +44,12 @@ fn bench_all_to_all_des(c: &mut Criterion) {
             model.experts_per_token,
         );
         let a2a = A2aModel::new(&platform.topo, &platform.table, &plan);
-        let transfers: Vec<Transfer> = a2a
-            .dispatch_transfers(&gating, &placement, model.token_bytes(Precision::Fp16))
-            .into_iter()
-            .map(|(s, d, b)| Transfer::new(s, d, b))
-            .collect();
         let des = FlowSimBackend::new(&platform.topo);
+        let token_bytes = model.token_bytes(Precision::Fp16);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{n}x{n}")),
             &n,
-            |b, _| {
-                b.iter(|| des.price_schedule(&all_to_all_concurrent(&platform.topo, &transfers)))
-            },
+            |b, _| b.iter(|| a2a.estimate_with(&des, &gating, &placement, token_bytes, 256)),
         );
     }
     group.finish();

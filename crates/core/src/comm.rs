@@ -369,23 +369,6 @@ impl<'a> A2aModel<'a> {
         &self.dispatch_routes
     }
 
-    /// Expands a gating outcome into the explicit dispatch transfer list
-    /// (for full-fidelity flow-level simulation). Combine transfers are the
-    /// same pairs reversed.
-    pub fn dispatch_transfers(
-        &self,
-        gating: &LayerGating,
-        placement: &ExpertPlacement,
-        token_bytes: f64,
-    ) -> Vec<(DeviceId, DeviceId, f64)> {
-        let mut scratch = LayerScratch::default();
-        self.expand(gating, placement, Some(token_bytes), &mut scratch);
-        for g in 0..self.num_groups {
-            self.flat_pairs(g, &mut scratch);
-        }
-        scratch.dispatch
-    }
-
     /// Prices one layer's dispatch and combine with the fast analytical
     /// backend: shorthand for [`A2aModel::estimate_with`] over an
     /// [`AnalyticModel`].

@@ -42,6 +42,29 @@ pub enum ConfigError {
     /// `cache_entries` must be ≥ 1: the memoizing backend needs at least
     /// one schedule slot.
     CacheEntriesZero,
+    /// `cold_bandwidth` must be positive: non-invasive migration drains
+    /// at it.
+    ColdBandwidthNotPositive {
+        /// The rejected value.
+        value: f64,
+    },
+    /// `trigger_alpha_per_layer` must be ≥ 0, and its product with the
+    /// model's sparse-layer count (the Eq. 2 threshold) finite.
+    TriggerAlphaOutOfRange {
+        /// The rejected value.
+        value: f64,
+    },
+    /// A batch budget is zero: a fixed batch's `tokens_per_group`, or a
+    /// serving batch's `max_batch_tokens` or `max_active`.
+    BatchBudgetZero {
+        /// The zero field.
+        field: &'static str,
+    },
+    /// A scheduled batch's `iteration_period` must be positive.
+    IterationPeriodNotPositive {
+        /// The rejected value.
+        value: f64,
+    },
     /// The model's gating shape cannot be sampled: it needs at least one
     /// routed expert and at most `num_experts` experts per token.
     TopKOutOfRange {
@@ -212,6 +235,18 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::CacheEntriesZero => {
                 write!(f, "cache_entries must be ≥ 1")
+            }
+            ConfigError::ColdBandwidthNotPositive { value } => {
+                write!(f, "cold_bandwidth must be positive, got {value}")
+            }
+            ConfigError::TriggerAlphaOutOfRange { value } => write!(
+                f,
+                "trigger_alpha_per_layer must be ≥ 0 and finite times the sparse layer \
+                 count, got {value}"
+            ),
+            ConfigError::BatchBudgetZero { field } => write!(f, "batch: {field} must be ≥ 1"),
+            ConfigError::IterationPeriodNotPositive { value } => {
+                write!(f, "batch: iteration_period must be positive, got {value}")
             }
             ConfigError::TopKOutOfRange {
                 experts_per_token,

@@ -271,7 +271,10 @@ impl EngineConfig {
 
     /// Checks the configuration's internal consistency: stride and
     /// micro-batch counts ≥ 1, `load_ema` and `kv_hbm_fraction` in
-    /// `(0, 1]`, at least one schedule-cache entry, and a model whose
+    /// `(0, 1]`, at least one schedule-cache entry, a positive
+    /// `cold_bandwidth`, a non-negative `trigger_alpha_per_layer` whose
+    /// product with the sparse-layer count is finite, non-zero batch
+    /// budgets and a positive `iteration_period`, and a model whose
     /// top-k gating can be sampled (at least one sparse layer,
     /// `1 ≤ num_experts`, `experts_per_token ≤ num_experts`,
     /// `num_sparse_layers × num_experts` at most [`MAX_EXPERT_SLOTS`], and
@@ -304,6 +307,15 @@ impl EngineConfig {
         if self.cache_entries < 1 {
             return Err(ConfigError::CacheEntriesZero);
         }
+        if self.cold_bandwidth.is_nan() || self.cold_bandwidth <= 0.0 {
+            return Err(ConfigError::ColdBandwidthNotPositive {
+                value: self.cold_bandwidth,
+            });
+        }
+        let alpha = self.trigger_alpha_per_layer;
+        if !(alpha >= 0.0 && (alpha * f64::from(self.model.num_sparse_layers)).is_finite()) {
+            return Err(ConfigError::TriggerAlphaOutOfRange { value: alpha });
+        }
         let (experts_per_token, num_experts) =
             (self.model.experts_per_token, self.model.num_experts);
         if num_experts == 0 || experts_per_token > num_experts {
@@ -323,10 +335,16 @@ impl EngineConfig {
                 max: MAX_EXPERT_SLOTS,
             });
         }
+        let zero = |field| Err(ConfigError::BatchBudgetZero { field });
         let tokens = match self.batch {
             BatchMode::Fixed {
                 tokens_per_group, ..
-            } => u64::from(tokens_per_group),
+            } => {
+                if tokens_per_group == 0 {
+                    return zero("tokens_per_group");
+                }
+                u64::from(tokens_per_group)
+            }
             BatchMode::Scheduled {
                 max_batch_tokens,
                 max_active,
@@ -336,8 +354,26 @@ impl EngineConfig {
                 max_batch_tokens,
                 max_active,
                 ..
-            } => u64::from(max_batch_tokens).saturating_add(max_active as u64),
+            } => {
+                if max_batch_tokens == 0 {
+                    return zero("max_batch_tokens");
+                }
+                if max_active == 0 {
+                    return zero("max_active");
+                }
+                u64::from(max_batch_tokens).saturating_add(max_active as u64)
+            }
         };
+        if let BatchMode::Scheduled {
+            iteration_period, ..
+        } = self.batch
+        {
+            if iteration_period.is_nan() || iteration_period <= 0.0 {
+                return Err(ConfigError::IterationPeriodNotPositive {
+                    value: iteration_period,
+                });
+            }
+        }
         if tokens.saturating_mul(u64::from(experts_per_token)) > u64::from(u32::MAX) {
             return Err(ConfigError::BatchTokensOutOfRange {
                 tokens,
@@ -1684,6 +1720,29 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::CacheEntriesZero));
 
         let mut c = base();
+        for value in [0.0, -1.0] {
+            c.cold_bandwidth = value;
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::ColdBandwidthNotPositive { value })
+            );
+        }
+
+        // The threshold is alpha × sparse layers: 1e308 is finite alone
+        // but overflows times the layer count.
+        let mut c = base();
+        assert!(c.model.num_sparse_layers > 1);
+        for value in [-1.0, 1e308, f64::INFINITY] {
+            c.trigger_alpha_per_layer = value;
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::TriggerAlphaOutOfRange { value })
+            );
+        }
+        c.trigger_alpha_per_layer = 0.0;
+        assert_eq!(c.validate(), Ok(()));
+
+        let mut c = base();
         c.model.experts_per_token = c.model.num_experts + 1;
         assert_eq!(
             c.validate(),
@@ -1767,6 +1826,53 @@ mod tests {
             Err(ConfigError::BatchTokensOutOfRange {
                 tokens: u64::from(u32::MAX / 2) + 1,
                 experts_per_token: 2,
+            })
+        );
+
+        // Zero batch budgets and a non-positive iteration period.
+        assert_eq!(
+            fixed(0).validate(),
+            Err(ConfigError::BatchBudgetZero {
+                field: "tokens_per_group"
+            })
+        );
+        let scheduled = |max_batch_tokens, max_active, iteration_period| {
+            base().with_batch(BatchMode::Scheduled {
+                mode: SchedulingMode::Hybrid,
+                max_batch_tokens,
+                max_active,
+                request_rate: 100.0,
+                iteration_period,
+            })
+        };
+        assert_eq!(scheduled(64, 8, 0.02).validate(), Ok(()));
+        assert_eq!(
+            scheduled(0, 8, 0.02).validate(),
+            Err(ConfigError::BatchBudgetZero {
+                field: "max_batch_tokens"
+            })
+        );
+        assert_eq!(
+            scheduled(64, 0, 0.02).validate(),
+            Err(ConfigError::BatchBudgetZero {
+                field: "max_active"
+            })
+        );
+        for value in [0.0, -1.0] {
+            assert_eq!(
+                scheduled(64, 8, value).validate(),
+                Err(ConfigError::IterationPeriodNotPositive { value })
+            );
+        }
+        let external = base().with_batch(BatchMode::External {
+            mode: SchedulingMode::Hybrid,
+            max_batch_tokens: 64,
+            max_active: 0,
+        });
+        assert_eq!(
+            external.validate(),
+            Err(ConfigError::BatchBudgetZero {
+                field: "max_active"
             })
         );
     }

@@ -14,9 +14,11 @@
 //!   canonicalized schedule shape, for callers whose schedules repeat. The
 //!   engine's per-step all-to-all (sampled, so it never repeats) goes
 //!   through the unmemoised time-only path.
-//! * [`FlowSimBackend`] — uncached flow-level discrete-event simulation
-//!   ([`NetworkSim`]); every call re-simulates, modelling flows completing
-//!   at different times and freeing bandwidth.
+//! * [`FlowSimBackend`] — uncached flow-level discrete-event simulation,
+//!   modelling flows completing at different times and freeing bandwidth.
+//!   Every call re-simulates: a flow set or pair list on a fresh
+//!   [`NetworkSim`], a route set on the caller's reused [`RouteSetSim`]
+//!   (the same event loop, with the routes registered once).
 //!
 //! All three return the same [`AnalyticEstimate`] shape, so callers compose
 //! and report results identically regardless of fidelity, and the cached

@@ -7,9 +7,9 @@ use crate::flow::FlowSpec;
 
 /// Bytes below which a flow is considered fully drained (guards against
 /// floating-point residue).
-pub(crate) const EPS_BYTES: f64 = 1e-6;
+const EPS_BYTES: f64 = 1e-6;
 /// Seconds below which two event times are considered simultaneous.
-pub(crate) const EPS_TIME: f64 = 1e-15;
+const EPS_TIME: f64 = 1e-15;
 
 /// Result of simulating a set of flows.
 #[derive(Clone, Debug)]
@@ -31,25 +31,19 @@ pub struct RunResult {
 /// reprices only the touched connected component of the contention graph),
 /// drain state is settled lazily so an event updates only the repriced
 /// component rather than every active flow. Routes are copied once into the
-/// allocator's flat CSR store — no per-event route cloning.
+/// allocator's flat CSR store — no per-event route cloning. The same event
+/// loop runs [`RouteSetSim`](crate::RouteSetSim).
 ///
-/// [`NetworkSim::use_reference_allocator`] switches to the PR-1
-/// full-recompute loop — [`max_min_rates`] over freshly cloned routes, a
-/// full drain and horizon scan on every event — kept for differential tests
-/// and before/after benchmarks.
+/// [`NetworkSim::use_reference_allocator`] switches to the full-recompute
+/// loop — [`max_min_rates`] over freshly cloned routes, a full drain and
+/// horizon scan on every event — kept for differential tests and
+/// before/after benchmarks.
 ///
 /// See the [crate-level documentation](crate) for the modelling rationale.
 #[derive(Debug)]
 pub struct NetworkSim<'a> {
     topo: &'a Topology,
     reference: bool,
-}
-
-/// Per-run flow bookkeeping shared by both event loops.
-struct FlowTable {
-    alloc: IncrementalMaxMin,
-    bytes: Vec<f64>,
-    activations: Vec<f64>,
 }
 
 impl<'a> NetworkSim<'a> {
@@ -108,104 +102,169 @@ impl<'a> NetworkSim<'a> {
         &mut self,
         flows: impl IntoIterator<Item = (f64, f64, &'r [LinkId])>,
     ) -> RunResult {
-        let capacities: Vec<f64> = self.topo.links().iter().map(|l| l.bandwidth).collect();
-        let mut alloc = IncrementalMaxMin::new(capacities);
-        let mut bytes: Vec<f64> = Vec::new();
-        let mut activations: Vec<f64> = Vec::new();
-        let mut link_scratch: Vec<u32> = Vec::new();
-        for (start, payload, links) in flows {
-            assert!(
-                start.is_finite() && start >= 0.0,
-                "submission time must be non-negative, got {start}"
-            );
-            link_scratch.clear();
-            link_scratch.extend(links.iter().map(|l| l.0));
-            alloc.register(&link_scratch);
-            bytes.push(payload);
-            activations.push(start + self.topo.path_latency(links));
-        }
-        let table = FlowTable {
-            alloc,
-            bytes,
-            activations,
-        };
+        let topo = self.topo;
+        let mut bytes = Vec::new();
+        let mut flows = EventLoop::new(
+            topo,
+            flows.into_iter().map(|(start, payload, links)| {
+                assert!(
+                    start.is_finite() && start >= 0.0,
+                    "submission time must be non-negative, got {start}"
+                );
+                bytes.push(payload);
+                (start + topo.path_latency(links), links)
+            }),
+        );
         if self.reference {
-            self.run_reference(table)
-        } else {
-            self.run_incremental(table)
+            return flows.run_reference(&bytes);
+        }
+        let mut completion_times = vec![0.0_f64; bytes.len()];
+        let total_time = flows.run(|f| Some(bytes[f]), |f, at| completion_times[f] = at);
+        RunResult {
+            total_time,
+            completion_times,
         }
     }
+}
 
-    /// Pending-activation order: by activation time, ties by submission
-    /// index.
-    fn pending_order(activations: &[f64]) -> Vec<u32> {
-        let mut pending: Vec<u32> = (0..activations.len() as u32).collect();
+/// A set of flows registered for the incremental event loop, with the
+/// loop's per-flow buffers: the one body that runs both
+/// [`NetworkSim::run_paths`] and [`RouteSetSim`](crate::RouteSetSim).
+///
+/// Construction registers every route in one [`IncrementalMaxMin`] and
+/// sorts the activation order once; [`EventLoop::run`] reuses both and
+/// every buffer, so a caller that runs the same flows again with other
+/// byte counts allocates nothing.
+#[derive(Debug)]
+pub(crate) struct EventLoop {
+    alloc: IncrementalMaxMin,
+    /// Per flow: its submission time plus its route's latency.
+    activation: Vec<f64>,
+    /// Every flow, by activation time, ties by flow index.
+    pending: Vec<u32>,
+    // Per-run state, kept for its buffers.
+    /// The flows `pending` lists that take part in the run, in its order.
+    order: Vec<u32>,
+    bytes: Vec<f64>,
+    remaining: Vec<f64>,
+    cur_rate: Vec<f64>,
+    last_update: Vec<f64>,
+    /// Predicted finish time of each active flow, exact while its rate is
+    /// unchanged.
+    finish: Vec<f64>,
+    /// The active flows.
+    active: Vec<u32>,
+}
+
+impl EventLoop {
+    /// Registers `flows`, each `(activation time, route links)`, over
+    /// `topo`'s links.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a route has a link outside `topo` or an activation time
+    /// is NaN.
+    pub(crate) fn new<'r>(
+        topo: &Topology,
+        flows: impl IntoIterator<Item = (f64, &'r [LinkId])>,
+    ) -> Self {
+        let mut alloc = IncrementalMaxMin::new(topo.links().iter().map(|l| l.bandwidth).collect());
+        let mut activation = Vec::new();
+        let mut links = Vec::new();
+        for (at, route) in flows {
+            links.clear();
+            links.extend(route.iter().map(|l| l.0));
+            alloc.register(&links);
+            activation.push(at);
+        }
+        let mut pending: Vec<u32> = (0..activation.len() as u32).collect();
         pending.sort_by(|&a, &b| {
-            activations[a as usize]
-                .partial_cmp(&activations[b as usize])
-                .unwrap()
+            activation[a as usize]
+                .partial_cmp(&activation[b as usize])
+                .expect("activation times are not NaN")
                 .then(a.cmp(&b))
         });
-        pending
+        let n = activation.len();
+        EventLoop {
+            alloc,
+            activation,
+            pending,
+            order: Vec::with_capacity(n),
+            bytes: vec![0.0; n],
+            remaining: vec![0.0; n],
+            cur_rate: vec![0.0; n],
+            last_update: vec![0.0; n],
+            finish: vec![f64::INFINITY; n],
+            active: Vec::with_capacity(n),
+        }
     }
 
-    /// The incremental event loop: rate repricing and drain settling touch
-    /// only the repriced component; the next event comes from a linear
-    /// minimum scan over the per-flow predicted finish times (branch-free
-    /// and allocation-free — cheaper in practice than maintaining a heap
-    /// that large components would flood with stale entries).
-    fn run_incremental(&mut self, table: FlowTable) -> RunResult {
-        let FlowTable {
-            mut alloc,
+    /// Runs the flows to which `bytes_of` gives a byte count (the others
+    /// take no part), passes each one's completion time to
+    /// `completed(flow, time)`, and returns the makespan.
+    ///
+    /// Rate repricing and drain settling touch only the repriced
+    /// component; the next event comes from a linear minimum scan over the
+    /// per-flow predicted finish times (branch-free and allocation-free —
+    /// cheaper in practice than maintaining a heap that large components
+    /// would flood with stale entries).
+    pub(crate) fn run(
+        &mut self,
+        mut bytes_of: impl FnMut(usize) -> Option<f64>,
+        mut completed: impl FnMut(usize, f64),
+    ) -> f64 {
+        let EventLoop {
+            alloc,
+            activation,
+            pending,
+            order,
             bytes,
-            activations,
-        } = table;
-        let num_flows = bytes.len();
-        let mut completion_times = vec![0.0_f64; num_flows];
-        let pending = Self::pending_order(&activations);
-        let mut next_pending = 0usize;
-
-        // Per-flow drain state, settled lazily on rate changes; `finish[f]`
-        // is exact while `f`'s rate is unchanged.
-        let mut remaining = bytes.clone();
-        let mut cur_rate = vec![0.0_f64; num_flows];
-        let mut last_update = vec![0.0_f64; num_flows];
-        let mut finish = vec![f64::INFINITY; num_flows];
-        let mut active: Vec<u32> = Vec::new();
-
-        let mut now;
+            remaining,
+            cur_rate,
+            last_update,
+            finish,
+            active,
+        } = self;
+        order.clear();
+        for &idx in pending.iter() {
+            if let Some(b) = bytes_of(idx as usize) {
+                bytes[idx as usize] = b;
+                order.push(idx);
+            }
+        }
+        active.clear();
+        let mut next_pending = 0;
         let mut last_completion = 0.0_f64;
 
         loop {
             // Next event: the earliest predicted finish or activation.
             let mut horizon = f64::INFINITY;
-            for &f in &active {
+            for &f in active.iter() {
                 horizon = horizon.min(finish[f as usize]);
             }
-            let next_act =
-                (next_pending < pending.len()).then(|| activations[pending[next_pending] as usize]);
-            now = match next_act {
-                Some(a) => horizon.min(a),
+            let now = match order.get(next_pending) {
+                Some(&idx) => horizon.min(activation[idx as usize]),
                 None if horizon.is_finite() => horizon,
                 None => break,
             };
-
             let mut changed = false;
 
             // Activations due at or before `now`.
-            while next_pending < pending.len()
-                && activations[pending[next_pending] as usize] <= now + EPS_TIME
-            {
-                let idx = pending[next_pending];
-                next_pending += 1;
+            while let Some(&idx) = order.get(next_pending) {
                 let f = idx as usize;
-                let at = activations[f];
+                let at = activation[f];
+                if at > now + EPS_TIME {
+                    break;
+                }
+                next_pending += 1;
                 if alloc.route_links_of(idx).is_empty() || bytes[f] <= EPS_BYTES {
                     // Local copies and empty flows complete instantly.
-                    completion_times[f] = at.max(now);
-                    last_completion = last_completion.max(completion_times[f]);
+                    let done = at.max(now);
+                    completed(f, done);
+                    last_completion = last_completion.max(done);
                 } else {
                     alloc.activate(idx);
+                    remaining[f] = bytes[f];
                     last_update[f] = now;
                     cur_rate[f] = 0.0;
                     finish[f] = f64::INFINITY;
@@ -235,7 +294,7 @@ impl<'a> NetworkSim<'a> {
                 }
                 active.swap_remove(i);
                 alloc.deactivate(idx);
-                completion_times[f] = now;
+                completed(f, now);
                 last_completion = last_completion.max(now);
                 changed = true;
             }
@@ -254,44 +313,40 @@ impl<'a> NetworkSim<'a> {
                 }
             }
 
-            if active.is_empty() && next_pending >= pending.len() {
+            if active.is_empty() && next_pending >= order.len() {
                 break;
             }
         }
-
-        RunResult {
-            total_time: last_completion,
-            completion_times,
-        }
+        last_completion
     }
 
-    /// The PR-1 reference loop: full water-filling over freshly cloned
-    /// routes, a full horizon scan, and a full per-event drain.
-    fn run_reference(&mut self, table: FlowTable) -> RunResult {
-        let FlowTable {
+    /// The full-recompute reference loop over every flow, with byte counts
+    /// `bytes`: full water-filling over freshly cloned routes, a full
+    /// horizon scan, and a full per-event drain.
+    fn run_reference(&self, bytes: &[f64]) -> RunResult {
+        let EventLoop {
             alloc,
-            bytes,
-            activations,
-        } = table;
-        let num_flows = bytes.len();
-        let mut completion_times = vec![0.0_f64; num_flows];
-        let pending = Self::pending_order(&activations);
+            activation,
+            pending,
+            ..
+        } = self;
+        let mut completion_times = vec![0.0_f64; bytes.len()];
         let mut next_pending = 0usize;
-        let capacities = alloc.capacities().to_vec();
+        let capacities = alloc.capacities();
 
         let mut active: Vec<u32> = Vec::new();
-        let mut remaining = bytes.clone();
+        let mut remaining = bytes.to_vec();
         let mut now = 0.0_f64;
         let mut last_completion = 0.0_f64;
 
         loop {
             while next_pending < pending.len()
-                && activations[pending[next_pending] as usize] <= now + EPS_TIME
+                && activation[pending[next_pending] as usize] <= now + EPS_TIME
             {
                 let idx = pending[next_pending];
                 next_pending += 1;
                 let f = idx as usize;
-                let at = activations[f];
+                let at = activation[f];
                 if alloc.route_links_of(idx).is_empty() || bytes[f] <= EPS_BYTES {
                     completion_times[f] = at.max(now);
                     last_completion = last_completion.max(completion_times[f]);
@@ -304,11 +359,11 @@ impl<'a> NetworkSim<'a> {
                 if next_pending >= pending.len() {
                     break;
                 }
-                now = activations[pending[next_pending] as usize];
+                now = activation[pending[next_pending] as usize];
                 continue;
             }
 
-            // Full recompute over per-event route clones (the PR-1 cost).
+            // Full recompute over per-event route clones.
             let routes: Vec<Vec<usize>> = active
                 .iter()
                 .map(|&f| {
@@ -319,7 +374,7 @@ impl<'a> NetworkSim<'a> {
                         .collect()
                 })
                 .collect();
-            let rates = max_min_rates(&routes, &capacities);
+            let rates = max_min_rates(&routes, capacities);
 
             let mut horizon = f64::INFINITY;
             for (&f, &rate) in active.iter().zip(&rates) {
@@ -331,7 +386,7 @@ impl<'a> NetworkSim<'a> {
                 horizon = horizon.min(t);
             }
             if next_pending < pending.len() {
-                horizon = horizon.min(activations[pending[next_pending] as usize]);
+                horizon = horizon.min(activation[pending[next_pending] as usize]);
             }
             let dt = (horizon - now).max(0.0);
 

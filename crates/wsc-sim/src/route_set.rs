@@ -2,9 +2,8 @@
 
 use wsc_topology::Topology;
 
-use crate::fairshare::IncrementalMaxMin;
 use crate::flow::RoutedTransfer;
-use crate::network::{EPS_BYTES, EPS_TIME};
+use crate::network::EventLoop;
 
 /// The discrete-event simulation of one route set (see [`RoutedTransfer`]),
 /// kept across calls that price it with different volumes.
@@ -12,15 +11,15 @@ use crate::network::{EPS_BYTES, EPS_TIME};
 /// A caller that prices the same routes many times (the engine prices the
 /// dispatch and combine route sets of its layout on every stride layer)
 /// pays for what does not change only once: the routes are registered in
-/// one [`IncrementalMaxMin`], the activation order is sorted from
+/// one allocator, the activation order is sorted from
 /// [`RoutedTransfer::latency`], and every per-flow buffer is kept. A call
 /// takes only the volumes and returns only the makespan.
 ///
-/// [`RouteSetSim::run`] gives the `total_time` of
-/// [`NetworkSim::run_paths`](crate::NetworkSim::run_paths) over the same
-/// transfers (those with a positive volume and a positive byte count, in
-/// route-set order, all submitted at time zero), bit for bit: it runs the
-/// same events in the same order with the same arithmetic.
+/// [`RouteSetSim::run`] runs the event loop of
+/// [`NetworkSim::run_paths`](crate::NetworkSim::run_paths), so it gives the
+/// latter's `total_time` over the same transfers (those with a positive
+/// volume and a positive byte count, in route-set order, all submitted at
+/// time zero) bit for bit.
 ///
 /// # Example
 ///
@@ -44,26 +43,10 @@ use crate::network::{EPS_BYTES, EPS_TIME};
 /// ```
 #[derive(Debug)]
 pub struct RouteSetSim {
-    alloc: IncrementalMaxMin,
+    flows: EventLoop,
     /// Per flow: the index of its volume and its share of it.
     index: Vec<usize>,
     fraction: Vec<f64>,
-    /// Per flow: its activation time, `0.0 + latency`.
-    activation: Vec<f64>,
-    /// Every flow, by activation time, ties by route-set index.
-    pending: Vec<u32>,
-    // Per-call state, kept for its buffers.
-    /// The flows `pending` lists that take part in the call, in its order.
-    order: Vec<u32>,
-    bytes: Vec<f64>,
-    remaining: Vec<f64>,
-    cur_rate: Vec<f64>,
-    last_update: Vec<f64>,
-    /// Predicted finish time of each active flow, exact while its rate is
-    /// unchanged.
-    finish: Vec<f64>,
-    /// The active flows.
-    active: Vec<u32>,
 }
 
 impl RouteSetSim {
@@ -73,38 +56,13 @@ impl RouteSetSim {
     ///
     /// Panics if a route has a link outside `topo`.
     pub fn new(topo: &Topology, routes: &[RoutedTransfer<'_>]) -> Self {
-        let mut alloc = IncrementalMaxMin::new(topo.links().iter().map(|l| l.bandwidth).collect());
-        let mut links = Vec::new();
-        for r in routes {
-            links.clear();
-            links.extend(r.links.iter().map(|l| l.0));
-            alloc.register(&links);
-        }
         // `NetworkSim` activates a flow at its submission time (zero) plus
         // `Topology::path_latency`, which on a non-empty route is
         // bit-equal to `latency`; on an empty one both sums give zero.
-        let activation: Vec<f64> = routes.iter().map(|r| 0.0 + r.latency).collect();
-        let mut pending: Vec<u32> = (0..routes.len() as u32).collect();
-        pending.sort_by(|&a, &b| {
-            activation[a as usize]
-                .partial_cmp(&activation[b as usize])
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-        let n = routes.len();
         RouteSetSim {
-            alloc,
+            flows: EventLoop::new(topo, routes.iter().map(|r| (0.0 + r.latency, r.links))),
             index: routes.iter().map(|r| r.index).collect(),
             fraction: routes.iter().map(|r| r.fraction).collect(),
-            activation,
-            pending,
-            order: Vec::with_capacity(n),
-            bytes: vec![0.0; n],
-            remaining: vec![0.0; n],
-            cur_rate: vec![0.0; n],
-            last_update: vec![0.0; n],
-            finish: vec![f64::INFINITY; n],
-            active: Vec::with_capacity(n),
         }
     }
 
@@ -127,112 +85,18 @@ impl RouteSetSim {
     /// Panics if a transfer's `index` is out of `volume`'s bounds.
     pub fn run(&mut self, volume: &[f64]) -> f64 {
         let RouteSetSim {
-            alloc,
+            flows,
             index,
             fraction,
-            activation,
-            pending,
-            order,
-            bytes,
-            remaining,
-            cur_rate,
-            last_update,
-            finish,
-            active,
         } = self;
-        order.clear();
-        for &idx in pending.iter() {
-            let f = idx as usize;
-            let v = volume[index[f]];
-            let b = v * fraction[f];
-            if v > 0.0 && b > 0.0 {
-                bytes[f] = b;
-                order.push(idx);
-            }
-        }
-        active.clear();
-        let mut next_pending = 0;
-        let mut last_completion = 0.0_f64;
-
-        loop {
-            // Next event: the earliest predicted finish or activation.
-            let mut horizon = f64::INFINITY;
-            for &f in active.iter() {
-                horizon = horizon.min(finish[f as usize]);
-            }
-            let now = match order.get(next_pending) {
-                Some(&idx) => horizon.min(activation[idx as usize]),
-                None if horizon.is_finite() => horizon,
-                None => break,
-            };
-            let mut changed = false;
-
-            // Activations due at or before `now`.
-            while let Some(&idx) = order.get(next_pending) {
-                let f = idx as usize;
-                let at = activation[f];
-                if at > now + EPS_TIME {
-                    break;
-                }
-                next_pending += 1;
-                if alloc.route_links_of(idx).is_empty() || bytes[f] <= EPS_BYTES {
-                    // Local copies and empty flows complete instantly.
-                    last_completion = last_completion.max(at.max(now));
-                } else {
-                    alloc.activate(idx);
-                    remaining[f] = bytes[f];
-                    last_update[f] = now;
-                    cur_rate[f] = 0.0;
-                    finish[f] = f64::INFINITY;
-                    active.push(idx);
-                    changed = true;
-                }
-            }
-
-            // Completions due at or before `now`.
-            let mut i = 0;
-            while i < active.len() {
-                let idx = active[i];
-                let f = idx as usize;
-                if finish[f] > now + EPS_TIME {
-                    i += 1;
-                    continue;
-                }
-                // Settle the drain since the last rate change.
-                let moved = (cur_rate[f] * (now - last_update[f])).min(remaining[f]);
-                remaining[f] -= moved;
-                last_update[f] = now;
-                if remaining[f] > EPS_BYTES {
-                    // Floating-point residue: correct the prediction.
-                    finish[f] = now + remaining[f] / cur_rate[f];
-                    i += 1;
-                    continue;
-                }
-                active.swap_remove(i);
-                alloc.deactivate(idx);
-                last_completion = last_completion.max(now);
-                changed = true;
-            }
-
-            if changed {
-                // Reprice the touched component(s) and refresh exactly the
-                // repriced flows' drain state and predicted finishes.
-                alloc.rebalance();
-                for &idx in alloc.last_component_flows() {
-                    let f = idx as usize;
-                    let moved = (cur_rate[f] * (now - last_update[f])).min(remaining[f]);
-                    remaining[f] -= moved;
-                    last_update[f] = now;
-                    cur_rate[f] = alloc.rate(idx);
-                    finish[f] = now + remaining[f] / cur_rate[f];
-                }
-            }
-
-            if active.is_empty() && next_pending >= order.len() {
-                break;
-            }
-        }
-        last_completion
+        flows.run(
+            |f| {
+                let v = volume[index[f]];
+                let b = v * fraction[f];
+                (v > 0.0 && b > 0.0).then_some(b)
+            },
+            |_, _| {},
+        )
     }
 }
 
@@ -245,9 +109,17 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use wsc_topology::{DeviceId, Mesh, PlatformParams, RouteTable};
 
-    /// `NetworkSim::run_paths` over the transfers a route-set call prices.
-    fn reference(topo: &Topology, routes: &[RoutedTransfer<'_>], volume: &[f64]) -> f64 {
+    /// The `NetworkSim::run_paths` makespan of the transfers a route-set
+    /// call prices, on the incremental loop or on the full-recompute
+    /// reference loop.
+    fn network_time(
+        topo: &Topology,
+        routes: &[RoutedTransfer<'_>],
+        volume: &[f64],
+        reference: bool,
+    ) -> f64 {
         NetworkSim::new(topo)
+            .use_reference_allocator(reference)
             .run_paths(routes.iter().filter_map(|r| {
                 let v = volume[r.index];
                 let bytes = v * r.fraction;
@@ -260,9 +132,10 @@ mod tests {
         /// One simulator per random route set (mixed hop counts, local
         /// transfers, shared volumes) on a 4×4 or 6×6 mesh, called on
         /// several volume vectors in turn, matches a fresh `NetworkSim` on
-        /// every call to the bit. The volumes hold zeros, negatives, values
-        /// whose product with a tiny fraction underflows to zero, and
-        /// byte counts below the drain epsilon.
+        /// every call to the bit, and the full-recompute reference loop at
+        /// 1e-9 relative. The volumes hold zeros, negatives, values whose
+        /// product with a tiny fraction underflows to zero, and byte counts
+        /// below the drain epsilon.
         #[test]
         fn matches_network_sim_bit_for_bit(seed in 0u64..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -295,7 +168,8 @@ mod tests {
                         _ => rng.gen_range(1.0e3..1.0e8),
                     })
                     .collect();
-                let (got, want) = (sim.run(&volume), reference(&topo, &routes, &volume));
+                let got = sim.run(&volume);
+                let want = network_time(&topo, &routes, &volume, false);
                 prop_assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
@@ -304,6 +178,15 @@ mod tests {
                     call,
                     got,
                     want
+                );
+                let oracle = network_time(&topo, &routes, &volume, true);
+                prop_assert!(
+                    (got - oracle).abs() <= 1e-9 * got.abs().max(oracle.abs()),
+                    "seed {}, call {}: route set {} vs reference loop {}",
+                    seed,
+                    call,
+                    got,
+                    oracle
                 );
             }
         }

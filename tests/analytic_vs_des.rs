@@ -72,13 +72,16 @@ fn dispatch_a2a_within_bounded_factor() {
     let a2a = A2aModel::new(&topo, &table, &plan);
     let token_bytes = model.token_bytes(moentwine::model::Precision::Fp16);
     let est = a2a.estimate(&gating, &placement, token_bytes, 256);
-
-    let transfers: Vec<Transfer> = a2a
-        .dispatch_transfers(&gating, &placement, token_bytes)
-        .into_iter()
-        .map(|(s, d, b)| Transfer::new(s, d, b))
-        .collect();
-    let des = des_time(&topo, &all_to_all_concurrent(&topo, &transfers));
+    let des = a2a
+        .estimate_with(
+            &FlowSimBackend::new(&topo),
+            &gating,
+            &placement,
+            token_bytes,
+            256,
+        )
+        .dispatch
+        .total_time;
     let ratio = des / est.dispatch.total_time;
     assert!(
         (0.5..=2.0).contains(&ratio),
