@@ -65,6 +65,12 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
+    /// A fixed batch's `avg_context` must be finite and ≥ 0: attention
+    /// work grows with it, so a negative context would subtract work.
+    AvgContextOutOfRange {
+        /// The rejected value.
+        value: f64,
+    },
     /// The model's gating shape cannot be sampled: it needs at least one
     /// routed expert and at most `num_experts` experts per token.
     TopKOutOfRange {
@@ -247,6 +253,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BatchBudgetZero { field } => write!(f, "batch: {field} must be ≥ 1"),
             ConfigError::IterationPeriodNotPositive { value } => {
                 write!(f, "batch: iteration_period must be positive, got {value}")
+            }
+            ConfigError::AvgContextOutOfRange { value } => {
+                write!(f, "batch: avg_context must be finite and ≥ 0, got {value}")
             }
             ConfigError::TopKOutOfRange {
                 experts_per_token,

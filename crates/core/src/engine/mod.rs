@@ -274,7 +274,8 @@ impl EngineConfig {
     /// `(0, 1]`, at least one schedule-cache entry, a positive
     /// `cold_bandwidth`, a non-negative `trigger_alpha_per_layer` whose
     /// product with the sparse-layer count is finite, non-zero batch
-    /// budgets and a positive `iteration_period`, and a model whose
+    /// budgets, a finite non-negative fixed `avg_context` and a positive
+    /// `iteration_period`, and a model whose
     /// top-k gating can be sampled (at least one sparse layer,
     /// `1 ≤ num_experts`, `experts_per_token ≤ num_experts`,
     /// `num_sparse_layers × num_experts` at most [`MAX_EXPERT_SLOTS`], and
@@ -338,10 +339,15 @@ impl EngineConfig {
         let zero = |field| Err(ConfigError::BatchBudgetZero { field });
         let tokens = match self.batch {
             BatchMode::Fixed {
-                tokens_per_group, ..
+                tokens_per_group,
+                avg_context,
+                ..
             } => {
                 if tokens_per_group == 0 {
                     return zero("tokens_per_group");
+                }
+                if !(avg_context.is_finite() && avg_context >= 0.0) {
+                    return Err(ConfigError::AvgContextOutOfRange { value: avg_context });
                 }
                 u64::from(tokens_per_group)
             }
@@ -1836,6 +1842,27 @@ mod tests {
                 field: "tokens_per_group"
             })
         );
+
+        // A fixed batch's context must be finite and non-negative; an
+        // empty context is fine.
+        let context = |avg_context| {
+            base().with_batch(BatchMode::Fixed {
+                tokens_per_group: 8,
+                avg_context,
+                phase: InferencePhase::Decode,
+            })
+        };
+        assert_eq!(context(0.0).validate(), Ok(()));
+        for value in [-1.0, -1e-300, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                context(value).validate(),
+                Err(ConfigError::AvgContextOutOfRange { value })
+            );
+        }
+        assert!(matches!(
+            context(f64::NAN).validate(),
+            Err(ConfigError::AvgContextOutOfRange { value }) if value.is_nan()
+        ));
         let scheduled = |max_batch_tokens, max_active, iteration_period| {
             base().with_batch(BatchMode::Scheduled {
                 mode: SchedulingMode::Hybrid,

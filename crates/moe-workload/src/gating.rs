@@ -29,11 +29,11 @@ use rand::{Rng, RngCore};
 /// expert draws more selections than there are tokens: under strongly
 /// skewed distributions, or when a batch has only a few tokens. This
 /// function derives the decomposition's conditional probabilities and
-/// cumulative weights on every call and sorts the repair order afresh on
-/// every overflow; a [`TraceGenerator`](crate::TraceGenerator) derives them
-/// once per cached distribution and reuses them for every draw until the
-/// distribution changes. It runs the generator's sampling routine with one
-/// group.
+/// cumulative weights on every call and sorts the repair order afresh
+/// whenever a repair reads it; a [`TraceGenerator`](crate::TraceGenerator)
+/// derives them once per cached distribution and reuses them for every
+/// draw until the distribution changes. It runs the generator's sampling
+/// routine with one group.
 ///
 /// Returns a vector of length `dist.len()` summing to `tokens * top_k`.
 ///
@@ -82,11 +82,13 @@ pub fn sample_gating_counts<R: Rng>(
 /// than on every draw, by a running subtraction of the mass. The exact tail
 /// draws a point on the cumulative weights, also derived here, and finds
 /// its expert by a binary search. The cap repair's expert order is sorted
-/// on the first overflow and kept until the distribution changes. It is a
-/// lazily set cell, so threads drawing different groups from one
-/// distribution share it, and whichever overflows first sorts it; the
-/// sort fills a buffer reserved on [`GatingDist::set`], so it never
-/// allocates.
+/// when a repair first needs it and kept until the distribution changes.
+/// It is a lazily set cell, so threads drawing different groups from one
+/// distribution share it, and whichever needs it first sorts it.
+/// [`GatingDist::set`] keeps the last order as the buffer the next sort
+/// fills, so the sort never allocates, and a distribution that moved
+/// little since that order re-sorts it by insertion in a few shifts rather
+/// than sorting every expert afresh.
 #[derive(Debug, Default)]
 pub(crate) struct GatingDist {
     probs: Vec<f64>,
@@ -102,10 +104,13 @@ pub(crate) struct GatingDist {
     /// expert of zero probability owns none.
     cum: Vec<u64>,
     /// The cap repair's order (experts by descending probability, ties by
-    /// index): unset until the first overflow after [`GatingDist::set`].
+    /// index): unset until a repair first needs it after
+    /// [`GatingDist::set`].
     order: OnceLock<Vec<usize>>,
     /// The buffer the next sort of `order` fills, with room for every
-    /// expert: only the sort takes it, and only `set` puts it back.
+    /// expert: empty, or a permutation of the experts (the last order) for
+    /// the sort to start from. Only the sort takes it, and only `set` puts
+    /// it back.
     spare: Mutex<Vec<usize>>,
 }
 
@@ -164,18 +169,26 @@ impl GatingDist {
             self.cum.push(((sum * to_fixed) as u64).min(CUM_ONE));
         }
         *self.cum.last_mut().expect("one entry past the experts") = CUM_ONE;
+        let experts = self.probs.len();
         let spare = self.spare.get_mut().unwrap_or_else(PoisonError::into_inner);
         if let Some(order) = self.order.take() {
             *spare = order;
         }
-        spare.clear();
-        spare.reserve(self.probs.len());
+        // The last order is the next sort's starting permutation, if it
+        // has one entry per expert.
+        if spare.len() != experts {
+            spare.clear();
+        }
+        spare.reserve(experts - spare.len());
     }
 
     /// The cap repair's order, sorted into the spare buffer on the first
     /// call after [`GatingDist::set`]. Ties break by index, so the
-    /// comparator is a strict total order and the unstable sort yields the
-    /// one permutation a stable sort would.
+    /// comparator is a strict total order and every sort of any starting
+    /// permutation yields the same one. A kept permutation is re-sorted by
+    /// insertion, which shifts each expert past the experts it overtook
+    /// since that order; if more than [`RESORT_SHIFTS`] shifts an expert
+    /// are needed, the rest is left to `sort_unstable_by`.
     fn repair_order(&self) -> &[usize] {
         self.order.get_or_init(|| {
             // Only this initialiser takes the buffer, and a panic in it
@@ -183,7 +196,12 @@ impl GatingDist {
             let mut order =
                 std::mem::take(&mut *self.spare.lock().unwrap_or_else(PoisonError::into_inner));
             let probs = &self.probs;
-            order.extend(0..probs.len());
+            let budget = RESORT_SHIFTS * probs.len();
+            if order.is_empty() {
+                order.extend(0..probs.len());
+            } else if insertion_sort(&mut order, probs, budget) {
+                return order;
+            }
             order.sort_unstable_by(|&a, &b| {
                 probs[b].partial_cmp(&probs[a]).unwrap().then(a.cmp(&b))
             });
@@ -254,6 +272,37 @@ impl<R> GroupStream<R> {
 
 /// The fixed-point cumulative weight of the whole distribution.
 const CUM_ONE: u64 = 1 << 63;
+
+/// Shifts per expert that re-sorting a kept repair order may make before
+/// the rest is left to a full sort. A cycling mix moves its weights by
+/// under 2% an iteration, so its re-sorts shift about one an expert.
+const RESORT_SHIFTS: usize = 8;
+
+/// Sorts the permutation `order` by descending `probs`, ties by index, by
+/// insertion. Returns `false` once the shifts exceed `budget`, leaving
+/// `order` a permutation only partly sorted.
+fn insertion_sort(order: &mut [usize], probs: &[f64], mut budget: usize) -> bool {
+    for i in 1..order.len() {
+        let e = order[i];
+        let p = probs[e];
+        let mut j = i;
+        while j > 0 {
+            let prev = order[j - 1];
+            let q = probs[prev];
+            if !(p > q || (p == q && e < prev)) {
+                break;
+            }
+            order[j] = prev;
+            j -= 1;
+        }
+        order[j] = e;
+        match budget.checked_sub(i - j) {
+            Some(left) => budget = left,
+            None => return false,
+        }
+    }
+    true
+}
 
 /// Trials up to which a group's chain is finished exactly, as categorical
 /// draws; above it, binomials are drawn by the normal approximation.
@@ -363,24 +412,42 @@ fn repair_cap(dist: &GatingDist, tokens: u32, counts: &mut [u32]) {
         return;
     }
     // Round-robin the overflow into experts with spare capacity, preferring
-    // higher-probability ones.
-    let order = dist.repair_order();
-    'outer: loop {
-        let mut progressed = false;
-        for &e in order {
-            if overflow == 0 {
-                break 'outer;
-            }
-            if counts[e] < cap {
-                counts[e] += 1;
-                overflow -= 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
+    // higher-probability ones: each pass over the repair order gives one
+    // selection to every expert still below the cap. Pass `p` reaches the
+    // experts whose count was below `cap - p`, so the passes the overflow
+    // fills whole are counted without the order, added to every count at
+    // once, and only the last, partial pass walks the order.
+    let mut full = 0;
+    while overflow > 0 {
+        // A pass counts only if some expert was open in it, so `full`
+        // never passes `cap`.
+        let below = cap - full;
+        let open: u64 = counts.iter().map(|&c| u64::from(c < below)).sum();
+        if open == 0 {
             panic!("cannot satisfy top-k cap: tokens*top_k exceeds tokens*experts");
         }
+        if overflow < open {
+            break;
+        }
+        overflow -= open;
+        full += 1;
     }
+    for c in counts.iter_mut() {
+        *c += full.min(cap - *c);
+    }
+    if overflow == 0 {
+        return;
+    }
+    for &e in dist.repair_order() {
+        if counts[e] < cap {
+            counts[e] += 1;
+            overflow -= 1;
+            if overflow == 0 {
+                return;
+            }
+        }
+    }
+    unreachable!("the last pass has more open experts than overflow");
 }
 
 /// `2^53`: `gen::<f64>()` is `(next_u64() >> 11) · 2^-53`.
@@ -1052,6 +1119,200 @@ mod tests {
         let c = sample_gating_counts(&mut r, &dist, 10, 2);
         assert_eq!(c.iter().sum::<u32>(), 20);
         assert_eq!(c[0], 10);
+    }
+
+    /// The cap repair as it handed the overflow out before its closed
+    /// form, kept as the reference: one selection at a time, round-robin
+    /// over `order`, pass after pass.
+    fn reference_repair_cap(order: &[usize], cap: u32, counts: &mut [u32]) {
+        let mut overflow: u64 = 0;
+        for c in counts.iter_mut() {
+            if *c > cap {
+                overflow += u64::from(*c - cap);
+                *c = cap;
+            }
+        }
+        if overflow == 0 {
+            return;
+        }
+        'outer: loop {
+            let mut progressed = false;
+            for &e in order {
+                if overflow == 0 {
+                    break 'outer;
+                }
+                if counts[e] < cap {
+                    counts[e] += 1;
+                    overflow -= 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                panic!("cannot satisfy top-k cap: tokens*top_k exceeds tokens*experts");
+            }
+        }
+    }
+
+    /// A cached distribution of `probs`.
+    fn gating_dist(probs: &[f64]) -> GatingDist {
+        let mut dist = GatingDist::default();
+        dist.set(|p| p.extend_from_slice(probs));
+        dist
+    }
+
+    /// The experts of `probs` by descending probability, ties by index,
+    /// sorted afresh.
+    fn fresh_order(probs: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..probs.len()).collect();
+        order.sort_by(|&a, &b| probs[b].partial_cmp(&probs[a]).unwrap().then(a.cmp(&b)));
+        order
+    }
+
+    /// The closed-form repair gives the round-robin loop's counts, and
+    /// panics where it panics: 1–130 experts, caps of 1–600 tokens, random
+    /// counts, random repair orders (random probabilities, half of them on
+    /// a few levels, so that ties break by index), overflows that exactly
+    /// fill one to three passes, and counts no repair can fit under the
+    /// cap.
+    #[test]
+    fn closed_form_repair_matches_round_robin() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut r = rng();
+        let (mut repaired, mut exact_fills, mut unsatisfiable) = (0, 0, 0);
+        for case in 0..6000 {
+            let experts = r.gen_range(1..=130usize);
+            let cap = r.gen_range(1..=600u32);
+            let levels = r.gen_range(1..=6u32);
+            let probs: Vec<f64> = (0..experts)
+                .map(|_| {
+                    if case % 2 == 0 {
+                        r.gen::<f64>() + 1e-3
+                    } else {
+                        f64::from(r.gen_range(1..=levels))
+                    }
+                })
+                .collect();
+            let mut counts: Vec<u32> = (0..experts)
+                .map(|_| {
+                    if r.gen_bool(0.8) {
+                        r.gen_range(0..=cap)
+                    } else {
+                        r.gen_range(cap..=3 * cap)
+                    }
+                })
+                .collect();
+            let room = u64::from(cap) * experts as u64;
+            let total = |counts: &[u32]| counts.iter().map(|&c| u64::from(c)).sum::<u64>();
+            match case % 100 {
+                // One expert overflows by exactly what the first 1–3
+                // passes hand out.
+                0..=19 => {
+                    for c in &mut counts {
+                        *c = (*c).min(cap);
+                    }
+                    let hot = r.gen_range(0..experts);
+                    counts[hot] = cap;
+                    let passes = r.gen_range(1..=3u32);
+                    let fill: usize = (0..passes)
+                        .map(|p| counts.iter().filter(|&&c| c + p < cap).count())
+                        .sum();
+                    counts[hot] += fill as u32;
+                    exact_fills += usize::from(fill > 0);
+                }
+                // One selection more than every expert can take.
+                20 => {
+                    let hot = r.gen_range(0..experts);
+                    counts[hot] += ((room + 1).saturating_sub(total(&counts))) as u32;
+                }
+                _ => {}
+            }
+            let fits = total(&counts) <= room;
+            if !fits && case % 100 != 20 {
+                continue;
+            }
+            let dist = gating_dist(&probs);
+            let mut expect = counts.clone();
+            let reference = catch_unwind(AssertUnwindSafe(|| {
+                reference_repair_cap(&fresh_order(&probs), cap, &mut expect)
+            }));
+            let mut got = counts.clone();
+            let closed = catch_unwind(AssertUnwindSafe(|| repair_cap(&dist, cap, &mut got)));
+            let case = format!("case {case}: {experts} experts, cap {cap}, counts {counts:?}");
+            if fits {
+                assert!(reference.is_ok() && closed.is_ok(), "{case}");
+                assert_eq!(got, expect, "{case}");
+                repaired += usize::from(counts.iter().any(|&c| c > cap));
+            } else {
+                assert!(reference.is_err(), "{case}: the reference fitted it");
+                let message = closed.expect_err(&case);
+                let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert!(message.contains("cannot satisfy top-k cap"), "{case}");
+                unsatisfiable += 1;
+            }
+        }
+        assert!(repaired > 1000, "{repaired} repairs");
+        assert!(exact_fills > 500, "{exact_fills} exact fills");
+        assert!(unsatisfiable > 10, "{unsatisfiable} unsatisfiable cases");
+    }
+
+    /// A distribution's kept order re-sorts to the fresh sort of its next
+    /// distribution: after a small drift (within the shift budget), a
+    /// reversal and an unrelated distribution (past it), a distribution
+    /// of another size, all ties, and a distribution that never repaired
+    /// (whose next sort starts from the order before it).
+    #[test]
+    fn kept_repair_orders_resort_to_a_fresh_sort() {
+        let mut r = rng();
+        for experts in [1, 2, 16, 128, 256] {
+            let budget = RESORT_SHIFTS * experts;
+            let random = |r: &mut rand::rngs::StdRng| -> Vec<f64> {
+                (0..experts).map(|_| r.gen::<f64>() + 1e-3).collect()
+            };
+            let first = random(&mut r);
+            let drifted: Vec<f64> = first
+                .iter()
+                .map(|p| p * (0.99 + 0.02 * r.gen::<f64>()))
+                .collect();
+            let reversed: Vec<f64> = first.iter().map(|p| 2.0 - p).collect();
+            let mut kept = fresh_order(&first);
+            assert!(insertion_sort(&mut kept, &drifted, budget));
+            assert_eq!(kept, fresh_order(&drifted), "{experts} experts, drift");
+            let mut kept = fresh_order(&first);
+            let resorted = insertion_sort(&mut kept, &reversed, budget);
+            let shifts = experts * (experts - 1) / 2;
+            assert_eq!(resorted, shifts <= budget, "{experts} experts, reversal");
+            kept.sort_unstable();
+            assert!(kept.iter().copied().eq(0..experts), "a permutation");
+
+            let mut dist = gating_dist(&first);
+            let bigger = (0..experts + 3)
+                .map(|e| (e % 5) as f64 + 1.0)
+                .collect::<Vec<_>>();
+            let sequence = [
+                (drifted.clone(), true),
+                (reversed, true),
+                (random(&mut r), true),
+                (vec![0.5; experts], true),
+                (random(&mut r), false),
+                (bigger, true),
+                (random(&mut r), true),
+            ];
+            assert_eq!(dist.repair_order(), fresh_order(&first));
+            for (i, (probs, repair)) in sequence.into_iter().enumerate() {
+                dist.set(|p| {
+                    p.clear();
+                    p.extend_from_slice(&probs);
+                });
+                assert!(dist.order().is_empty());
+                if repair {
+                    assert_eq!(
+                        dist.repair_order(),
+                        fresh_order(&probs),
+                        "{experts} experts, step {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

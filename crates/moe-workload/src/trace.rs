@@ -232,10 +232,10 @@ impl TraceGenerator {
     /// when the mix weights change (every iteration for
     /// [`WorkloadMix::Cycling`], once for `Fixed` and `Blend`), so a caller
     /// reusing one trace samples without allocating per layer. Each cached
-    /// distribution also keeps the sampler's conditional probabilities,
-    /// cumulative weights and guide table, and the cap repair's expert
-    /// order, sorted on its first overflow rather than on every
-    /// overflowing group.
+    /// distribution also keeps the sampler's conditional probabilities and
+    /// cumulative weights, and the cap repair's expert order, sorted when
+    /// a repair first needs it rather than on every overflowing group,
+    /// and re-sorted from its last order when the distribution changes.
     pub fn next_iteration_into(&mut self, trace: &mut IterationTrace) {
         self.begin_iteration(trace).sample(usize::MAX, |_| {});
     }

@@ -128,6 +128,34 @@ mod tests {
             .total_time
     }
 
+    /// A transfer with a positive volume whose byte count underflows to
+    /// zero is skipped like one of zero volume. It rides the set's
+    /// longest-latency route, so running it would stretch the makespan to
+    /// that route's latency.
+    #[test]
+    fn skips_a_transfer_whose_bytes_underflow() {
+        let topo = Mesh::new(4, PlatformParams::dojo_like()).build();
+        let table = RouteTable::build(&topo);
+        let at = |x, y| topo.device_at_xy(x, y).unwrap();
+        let short = table.route(at(0, 0), at(1, 0)).links();
+        let routes = [
+            RoutedTransfer::new(&topo, 0, 1.0, short),
+            RoutedTransfer::new(&topo, 1, 1.0e-320, table.route(at(0, 0), at(3, 3)).links()),
+        ];
+        let volume = [1.0e3, 1.0e-4];
+        assert!(volume[1] > 0.0 && volume[1] * routes[1].fraction == 0.0);
+        let makespan = RouteSetSim::new(&topo, &routes).run(&volume);
+        let alone = NetworkSim::new(&topo)
+            .run_paths([(0.0, volume[0], short)])
+            .total_time;
+        assert_eq!(makespan.to_bits(), alone.to_bits());
+        assert!(
+            makespan < routes[1].latency,
+            "{makespan} s against the long route's {} s",
+            routes[1].latency
+        );
+    }
+
     proptest! {
         /// One simulator per random route set (mixed hop counts, local
         /// transfers, shared volumes) on a 4×4 or 6×6 mesh, called on
