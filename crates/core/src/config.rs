@@ -110,6 +110,14 @@ pub enum ConfigError {
         /// The model's `experts_per_token` (top-k).
         experts_per_token: u32,
     },
+    /// A scenario's iteration (or fleet round) count exceeds the scenario
+    /// layer's `MAX_ITERATIONS`.
+    TooManyIterations {
+        /// The scenario's iteration count.
+        iterations: u64,
+        /// The ceiling it exceeds.
+        max: u64,
+    },
     /// A fleet needs at least one replica.
     ReplicasZero,
     /// A fleet's initial replicas plus every scale-up in its timeline
@@ -286,6 +294,10 @@ impl std::fmt::Display for ConfigError {
                  gating selections",
                 u32::MAX
             ),
+            ConfigError::TooManyIterations { iterations, max } => write!(
+                f,
+                "scenario: {iterations} iterations exceed the ceiling of {max}"
+            ),
             ConfigError::ReplicasZero => write!(f, "need at least one replica"),
             ConfigError::TooManyReplicas { replicas, max } => write!(
                 f,
@@ -445,6 +457,14 @@ mod tests {
             }
             .to_string(),
             "batch: 1073741824 tokens per group × top-k 8 exceed 4294967295 gating selections"
+        );
+        assert_eq!(
+            ConfigError::TooManyIterations {
+                iterations: 1_000_000_000_000_000,
+                max: 10_000_000,
+            }
+            .to_string(),
+            "scenario: 1000000000000000 iterations exceed the ceiling of 10000000"
         );
         assert_eq!(
             ConfigError::TooManyReplicas {

@@ -27,7 +27,7 @@ mod sketch;
 pub use metrics::{percentile, ClassServingSummary, IterationMetrics, RunSummary, ServingSummary};
 pub use sketch::{P2Quantile, StreamingSummary, SummaryMode};
 
-use overlap::{sample_overlapped, CallerCells, CoreClaim};
+use overlap::{sample_overlapped, CoreClaim, Helper};
 
 use moe_model::{CostModel, InferencePhase, ModelConfig, Precision};
 use moe_workload::{
@@ -677,14 +677,13 @@ impl<'a> InferenceEngine<'a> {
     /// Executes one iteration and records its metrics.
     pub fn step(&mut self) -> &IterationMetrics {
         let cores = CoreClaim::take(self.overlap_sampling);
-        self.step_with(cores.helper().then_some(CallerCells::WhenWaiting))
+        self.step_with(cores.helper().map(Helper::new))
     }
 
     /// [`InferenceEngine::step`], sampling gating on this thread, or, given
-    /// `shared`, sharing the draw with a helper thread overlapped with the
-    /// layer loop, this thread drawing the cells `shared` says. Every
-    /// driver gives the same bits.
-    fn step_with(&mut self, shared: Option<CallerCells>) -> &IterationMetrics {
+    /// a `helper`, sharing the draw with its worker overlapped with the
+    /// layer loop, as `helper` says. Every driver gives the same bits.
+    fn step_with(&mut self, helper: Option<Helper<'_>>) -> &IterationMetrics {
         let config = &self.config;
         let model = &config.model;
         let tp = self.layout.tp_degree();
@@ -762,8 +761,8 @@ impl<'a> InferenceEngine<'a> {
             next: 0,
         };
         let sampler = self.trace.begin_iteration(&mut self.gating);
-        match shared {
-            Some(split) => sample_overlapped(sampler, split, |gating| layer_loop.layer(gating)),
+        match helper {
+            Some(helper) => sample_overlapped(sampler, helper, |gating| layer_loop.layer(gating)),
             None => sampler.sample(SAMPLING_RUN, |run| {
                 run.iter().for_each(|g| layer_loop.layer(g))
             }),
@@ -1190,6 +1189,7 @@ mod tests {
     use super::*;
     use crate::mapping::{ErMapping, TpShape};
     use moe_workload::Scenario;
+    use overlap::CallerCells;
     use wsc_topology::{Mesh, PlatformParams};
 
     fn small_model() -> ModelConfig {
@@ -1356,39 +1356,57 @@ mod tests {
     }
 
     /// A Qwen3-235B-shaped engine (above the overlap size rule) with the
-    /// NI-Balancer on steps through the serial driver and the shared one
-    /// to the same bits, while cold-link migrations land in the middle of
-    /// the layer loop and change the placements later layers load. The
-    /// shared driver runs with the production claims and with the caller
-    /// forced to draw no cell, every cell, and every other cell.
-    #[test]
-    fn overlapped_sampling_matches_the_serial_driver() {
-        let (topo, table, plan) = fixture();
-        let model = ModelConfig::qwen3_235b();
-        assert!(
-            model.num_sparse_layers as usize * plan.num_groups() * model.num_experts as usize
-                > overlap::MIN_OVERLAPPED_COUNTS
-        );
-        let config = EngineConfig {
+    /// NI-Balancer on, under a cycling mix whose weights move a lot every
+    /// step (so every step's worker mixes every layer ahead), and with
+    /// cold-link migrations landing in the middle of the layer loop and
+    /// changing the placements later layers load.
+    fn overlap_test_config() -> EngineConfig {
+        EngineConfig {
             slots_per_device: 2,
             comm_layer_stride: 8,
-            ..EngineConfig::new(model)
-                .with_workload(WorkloadMix::mixed(6.0))
+            ..EngineConfig::new(ModelConfig::qwen3_235b())
+                .with_workload(WorkloadMix::mixed(3.0))
                 .with_balancer(BalancerKind::NonInvasive)
                 .with_seed(5)
-        };
-        let run = |shared: Option<CallerCells>| {
-            let mut engine = InferenceEngine::new(&topo, &table, &plan, config.clone());
-            for _ in 0..12 {
-                engine.step_with(shared);
-            }
-            (engine.history, engine.placements)
-        };
-        let (serial_history, serial_placements) = run(None);
+        }
+    }
+
+    /// The overlap test engine's history and placements after `steps`
+    /// steps through `helper`'s driver (the serial one for `None`).
+    fn overlap_test_run(
+        helper: Option<Helper<'_>>,
+        steps: usize,
+    ) -> (Vec<IterationMetrics>, Vec<ExpertPlacement>) {
+        let (topo, table, plan) = fixture();
+        let mut engine = InferenceEngine::new(&topo, &table, &plan, overlap_test_config());
+        for _ in 0..steps {
+            engine.step_with(helper);
+        }
+        (engine.history, engine.placements)
+    }
+
+    /// The overlap test engine steps to the same bits through the serial
+    /// driver and the shared one: with the production claims, and with the
+    /// caller forced to draw no cell, every cell, and every other cell;
+    /// each with the worker mixing ahead after every draw and with mixing
+    /// ahead off. One worker serves every run, so its mixing job for one
+    /// run's last step may still run when the next run begins.
+    #[test]
+    fn overlapped_sampling_matches_the_serial_driver() {
+        let model = ModelConfig::qwen3_235b();
         assert!(
-            serial_history.iter().any(|m| m.migrations_completed > 0),
+            model.num_sparse_layers as usize
+                * fixture().2.num_groups()
+                * model.num_experts as usize
+                > overlap::MIN_OVERLAPPED_COUNTS
+        );
+        let steps = 16;
+        let serial = overlap_test_run(None, steps);
+        assert!(
+            serial.0.iter().any(|m| m.migrations_completed > 0),
             "no migration completed inside a layer loop"
         );
+        let worker = overlap::Lease::take().expect("a worker thread starts");
         let splits = [
             CallerCells::WhenWaiting,
             CallerCells::Fixed(|_| false),
@@ -1396,14 +1414,40 @@ mod tests {
             CallerCells::Fixed(|layer| layer % 2 == 0),
         ];
         for split in splits {
-            let (history, placements) = run(Some(split));
-            assert_eq!(
-                format!("{history:?}"),
-                format!("{serial_history:?}"),
-                "{split:?}"
-            );
-            assert_eq!(placements, serial_placements, "{split:?}");
+            for mix_ahead in [true, false] {
+                let helper = Helper {
+                    worker: &worker,
+                    split,
+                    mix_ahead,
+                };
+                let (history, placements) = overlap_test_run(Some(helper), steps);
+                let case = format!("{split:?}, mixing ahead {mix_ahead}");
+                assert_eq!(format!("{history:?}"), format!("{:?}", serial.0), "{case}");
+                assert_eq!(placements, serial.1, "{case}");
+            }
         }
+    }
+
+    /// Dropping an engine while its worker still mixes the next
+    /// iteration's distributions is safe, and the worker then serves a new
+    /// engine to the serial driver's bits. A step returns as soon as its
+    /// last layer is consumed, and mixing 94 layers takes the worker about
+    /// 0.1 ms, so a drop most likely lands mid-mix, but timing decides:
+    /// `moe_workload`'s `mixing_ahead_stops_once_the_generator_is_gone`
+    /// covers the stop deterministically.
+    #[test]
+    fn dropping_an_engine_while_its_worker_mixes_ahead_is_safe() {
+        let (topo, table, plan) = fixture();
+        let worker = overlap::Lease::take().expect("a worker thread starts");
+        let helper = Helper::new(&worker);
+        for _ in 0..4 {
+            let mut engine = InferenceEngine::new(&topo, &table, &plan, overlap_test_config());
+            engine.step_with(Some(helper));
+        }
+        let (history, placements) = overlap_test_run(Some(helper), 3);
+        let serial = overlap_test_run(None, 3);
+        assert_eq!(format!("{history:?}"), format!("{:?}", serial.0));
+        assert_eq!(placements, serial.1);
     }
 
     #[test]

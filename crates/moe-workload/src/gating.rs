@@ -12,7 +12,7 @@
 //! that many categorical draws over the distribution's cached cumulative
 //! weights.
 
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 use rand::{Rng, RngCore};
 
@@ -64,7 +64,7 @@ pub fn sample_gating_counts<R: Rng>(
     let mut counts = [vec![0u32; dist.len()]];
     sample_layer_into(
         &mut [GroupStream::new(rng)],
-        &cached,
+        &mut cached,
         tokens,
         top_k,
         &mut counts,
@@ -83,13 +83,11 @@ pub fn sample_gating_counts<R: Rng>(
 /// draws a point on the cumulative weights, also derived here, and finds
 /// its expert by a binary search. The cap repair's expert order is sorted
 /// when a repair first needs it and kept until the distribution changes.
-/// It is a lazily set cell, so threads drawing different groups from one
-/// distribution share it, and whichever needs it first sorts it.
-/// [`GatingDist::set`] keeps the last order as the buffer the next sort
-/// fills, so the sort never allocates, and a distribution that moved
-/// little since that order re-sorts it by insertion in a few shifts rather
-/// than sorting every expert afresh.
-#[derive(Debug, Default)]
+/// [`GatingDist::set`] keeps the last order as the permutation the next
+/// sort starts from, so the sort never allocates, and a distribution that
+/// moved little since that order re-sorts it by insertion in a few shifts
+/// rather than sorting every expert afresh.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct GatingDist {
     probs: Vec<f64>,
     /// `cond[e]` = `p_e` over the mass of experts `e..`, clamped to
@@ -104,26 +102,13 @@ pub(crate) struct GatingDist {
     /// expert of zero probability owns none.
     cum: Vec<u64>,
     /// The cap repair's order (experts by descending probability, ties by
-    /// index): unset until a repair first needs it after
-    /// [`GatingDist::set`].
-    order: OnceLock<Vec<usize>>,
-    /// The buffer the next sort of `order` fills, with room for every
-    /// expert: empty, or a permutation of the experts (the last order) for
-    /// the sort to start from. Only the sort takes it, and only `set` puts
-    /// it back.
-    spare: Mutex<Vec<usize>>,
-}
-
-impl Clone for GatingDist {
-    fn clone(&self) -> Self {
-        GatingDist {
-            probs: self.probs.clone(),
-            cond: self.cond.clone(),
-            cum: self.cum.clone(),
-            order: self.order.clone(),
-            spare: Mutex::new(Vec::with_capacity(self.probs.len())),
-        }
-    }
+    /// index) if `sorted`. Otherwise, with room for every expert: empty,
+    /// or a permutation of the experts (the last order) for the next sort
+    /// to start from.
+    order: Vec<usize>,
+    /// Whether `order` is sorted for the current distribution: unset by
+    /// [`GatingDist::set`], set by the first repair that needs the order.
+    sorted: bool,
 }
 
 impl GatingDist {
@@ -134,8 +119,8 @@ impl GatingDist {
             probs: Vec::with_capacity(experts),
             cond: Vec::with_capacity(experts),
             cum: Vec::with_capacity(experts + 1),
-            order: OnceLock::new(),
-            spare: Mutex::new(Vec::with_capacity(experts)),
+            order: Vec::with_capacity(experts),
+            sorted: false,
         }
     }
 
@@ -170,43 +155,39 @@ impl GatingDist {
         }
         *self.cum.last_mut().expect("one entry past the experts") = CUM_ONE;
         let experts = self.probs.len();
-        let spare = self.spare.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if let Some(order) = self.order.take() {
-            *spare = order;
-        }
+        self.sorted = false;
         // The last order is the next sort's starting permutation, if it
         // has one entry per expert.
-        if spare.len() != experts {
-            spare.clear();
+        if self.order.len() != experts {
+            self.order.clear();
         }
-        spare.reserve(experts - spare.len());
+        self.order.reserve(experts - self.order.len());
     }
 
-    /// The cap repair's order, sorted into the spare buffer on the first
-    /// call after [`GatingDist::set`]. Ties break by index, so the
+    /// The cap repair's order, sorted in place on the first call after
+    /// [`GatingDist::set`]. Ties break by index, so the
     /// comparator is a strict total order and every sort of any starting
     /// permutation yields the same one. A kept permutation is re-sorted by
     /// insertion, which shifts each expert past the experts it overtook
     /// since that order; if more than [`RESORT_SHIFTS`] shifts an expert
     /// are needed, the rest is left to `sort_unstable_by`.
-    fn repair_order(&self) -> &[usize] {
-        self.order.get_or_init(|| {
-            // Only this initialiser takes the buffer, and a panic in it
-            // leaves the cell unset and the buffer merely empty.
-            let mut order =
-                std::mem::take(&mut *self.spare.lock().unwrap_or_else(PoisonError::into_inner));
-            let probs = &self.probs;
+    fn repair_order(&mut self) -> &[usize] {
+        if !self.sorted {
+            // A panic in a sort leaves `order` a permutation and unsorted.
+            let (order, probs) = (&mut self.order, &self.probs);
             let budget = RESORT_SHIFTS * probs.len();
-            if order.is_empty() {
+            let fresh = order.is_empty();
+            if fresh {
                 order.extend(0..probs.len());
-            } else if insertion_sort(&mut order, probs, budget) {
-                return order;
             }
-            order.sort_unstable_by(|&a, &b| {
-                probs[b].partial_cmp(&probs[a]).unwrap().then(a.cmp(&b))
-            });
-            order
-        })
+            if fresh || !insertion_sort(order, probs, budget) {
+                order.sort_unstable_by(|&a, &b| {
+                    probs[b].partial_cmp(&probs[a]).unwrap().then(a.cmp(&b))
+                });
+            }
+            self.sorted = true;
+        }
+        &self.order
     }
 
     /// One categorical draw over experts `e0..` by their probabilities,
@@ -240,7 +221,11 @@ impl GatingDist {
     /// [`GatingDist::set`].
     #[cfg(test)]
     pub(crate) fn order(&self) -> &[usize] {
-        self.order.get().map_or(&[], Vec::as_slice)
+        if self.sorted {
+            &self.order
+        } else {
+            &[]
+        }
     }
 }
 
@@ -335,7 +320,7 @@ const EXACT_TRIALS: u32 = 64;
 /// `u32::MAX`.
 pub(crate) fn sample_layer_into<R: RngCore>(
     streams: &mut [GroupStream<R>],
-    dist: &GatingDist,
+    dist: &mut GatingDist,
     tokens: u32,
     top_k: u32,
     counts: &mut [Vec<u32>],
@@ -399,7 +384,7 @@ pub(crate) fn sample_layer_into<R: RngCore>(
 
 /// Repairs the top-k-without-replacement cap on one group's `counts`: no
 /// expert can receive more than one selection per token.
-fn repair_cap(dist: &GatingDist, tokens: u32, counts: &mut [u32]) {
+fn repair_cap(dist: &mut GatingDist, tokens: u32, counts: &mut [u32]) {
     let cap = tokens;
     let mut overflow: u64 = 0;
     for c in counts.iter_mut() {
@@ -859,7 +844,7 @@ mod tests {
         let mut layer = vec![vec![0; experts]; groups];
         let mut new = Vec::with_capacity(DRAWS);
         while new.len() < DRAWS {
-            sample_layer_into(&mut streams, &cached, tokens, top_k, &mut layer);
+            sample_layer_into(&mut streams, &mut cached, tokens, top_k, &mut layer);
             new.extend(layer.iter().cloned());
         }
         new.truncate(DRAWS);
@@ -1230,13 +1215,13 @@ mod tests {
             if !fits && case % 100 != 20 {
                 continue;
             }
-            let dist = gating_dist(&probs);
+            let mut dist = gating_dist(&probs);
             let mut expect = counts.clone();
             let reference = catch_unwind(AssertUnwindSafe(|| {
                 reference_repair_cap(&fresh_order(&probs), cap, &mut expect)
             }));
             let mut got = counts.clone();
-            let closed = catch_unwind(AssertUnwindSafe(|| repair_cap(&dist, cap, &mut got)));
+            let closed = catch_unwind(AssertUnwindSafe(|| repair_cap(&mut dist, cap, &mut got)));
             let case = format!("case {case}: {experts} experts, cap {cap}, counts {counts:?}");
             if fits {
                 assert!(reference.is_ok() && closed.is_ok(), "{case}");

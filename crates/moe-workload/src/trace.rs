@@ -1,7 +1,7 @@
 //! Iteration-by-iteration expert-selection traces.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,27 +45,30 @@ impl WorkloadMix {
     /// unnormalised. Consumers that need a distribution (e.g.
     /// [`AffinityModel::mixed_distribution`]) normalise them themselves.
     pub fn weights(&self, iteration: u64) -> Vec<(Scenario, f64)> {
+        let mut weights = Vec::new();
+        self.weights_into(iteration, &mut weights);
+        weights
+    }
+
+    /// [`WorkloadMix::weights`] written into `out`, reusing its allocation.
+    fn weights_into(&self, iteration: u64, out: &mut Vec<(Scenario, f64)>) {
+        out.clear();
         match self {
-            WorkloadMix::Fixed(s) => vec![(*s, 1.0)],
-            WorkloadMix::Blend(weights) => weights.clone(),
+            WorkloadMix::Fixed(s) => out.push((*s, 1.0)),
+            WorkloadMix::Blend(weights) => out.extend_from_slice(weights),
             WorkloadMix::Cycling { period, scenarios } => {
                 let s = scenarios.len() as f64;
                 let phase = iteration as f64 / period;
-                let mut weights: Vec<(Scenario, f64)> = scenarios
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &scenario)| {
-                        let theta = 2.0 * std::f64::consts::PI * (phase - i as f64 / s);
-                        // Raised-cosine bump: smooth, periodic, non-negative.
-                        let w = (0.5 + 0.5 * theta.cos()).powi(2);
-                        (scenario, w)
-                    })
-                    .collect();
-                let total: f64 = weights.iter().map(|(_, w)| w).sum();
-                for (_, w) in &mut weights {
+                out.extend(scenarios.iter().enumerate().map(|(i, &scenario)| {
+                    let theta = 2.0 * std::f64::consts::PI * (phase - i as f64 / s);
+                    // Raised-cosine bump: smooth, periodic, non-negative.
+                    let w = (0.5 + 0.5 * theta.cos()).powi(2);
+                    (scenario, w)
+                }));
+                let total: f64 = out.iter().map(|(_, w)| w).sum();
+                for (_, w) in out.iter_mut() {
                     *w /= total;
                 }
-                weights
             }
         }
     }
@@ -126,21 +129,35 @@ pub struct IterationTrace {
 /// 64-bit arithmetic), so a group's counts depend only on the seed, the
 /// group index and the distributions, and the groups' draws can run
 /// interleaved.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TraceGenerator {
-    affinity: AffinityModel,
     mix: WorkloadMix,
     tokens_per_group: u32,
     top_k: u32,
     /// One random stream per DP group, with that group's place in a draw.
     streams: Vec<GroupStream<StdRng>>,
     iteration: u64,
-    uniform: bool,
-    /// Sampling distributions cached across iterations.
-    dists: LayerDists,
-    /// The cells of a shared draw ([`LayerSampler::share`]), kept for
-    /// their buffers.
-    cells: DrawCells,
+    /// The weights of the iteration being drawn.
+    weights: Vec<(Scenario, f64)>,
+    /// What a draw shares with other threads: behind an `Arc`, so that a
+    /// thread taking part in a shared draw ([`LayerSampler::share`]) may
+    /// outlive it, and the generator too.
+    shared: Arc<SamplerState>,
+}
+
+/// A clone gets its own copy of the shared state.
+impl Clone for TraceGenerator {
+    fn clone(&self) -> Self {
+        TraceGenerator {
+            mix: self.mix.clone(),
+            tokens_per_group: self.tokens_per_group,
+            top_k: self.top_k,
+            streams: self.streams.clone(),
+            iteration: self.iteration,
+            weights: self.weights.clone(),
+            shared: Arc::new(SamplerState::clone(&self.shared)),
+        }
+    }
 }
 
 impl TraceGenerator {
@@ -162,11 +179,6 @@ impl TraceGenerator {
         assert!(num_groups > 0, "need at least one DP group");
         assert!(tokens_per_group > 0, "need at least one token per group");
         TraceGenerator {
-            affinity: AffinityModel::new(
-                config.num_sparse_layers as usize,
-                config.num_experts as usize,
-                seed,
-            ),
             mix,
             tokens_per_group,
             top_k: config.experts_per_token,
@@ -179,16 +191,28 @@ impl TraceGenerator {
                 })
                 .collect(),
             iteration: 0,
-            uniform: false,
-            dists: LayerDists::default(),
-            cells: DrawCells::default(),
+            weights: Vec::new(),
+            shared: Arc::new(SamplerState {
+                affinity: AffinityModel::new(
+                    config.num_sparse_layers as usize,
+                    config.num_experts as usize,
+                    seed,
+                ),
+                uniform: false,
+                dists: OnceLock::new(),
+                began: AtomicU64::new(0),
+                ahead: Mutex::default(),
+                cells: DrawCells::default(),
+            }),
         }
     }
 
     /// Forces perfectly uniform gating probabilities (the balanced-load
     /// ablation used to isolate mapping gains in §VI-B).
     pub fn with_uniform_gating(mut self) -> Self {
-        self.uniform = true;
+        let shared = Arc::make_mut(&mut self.shared);
+        shared.uniform = true;
+        shared.dists = OnceLock::new();
         self
     }
 
@@ -204,7 +228,7 @@ impl TraceGenerator {
 
     /// The affinity model driving generation.
     pub fn affinity(&self) -> &AffinityModel {
-        &self.affinity
+        &self.shared.affinity
     }
 
     /// Current iteration counter.
@@ -228,7 +252,7 @@ impl TraceGenerator {
     /// [`TraceGenerator::next_iteration`] draws, so the two are
     /// interchangeable call for call.
     ///
-    /// The per-layer mixed distributions are cached and recomputed only
+    /// The per-layer mixed distributions are cached and mixed again only
     /// when the mix weights change (every iteration for
     /// [`WorkloadMix::Cycling`], once for `Fixed` and `Blend`), so a caller
     /// reusing one trace samples without allocating per layer. Each cached
@@ -240,51 +264,44 @@ impl TraceGenerator {
         self.begin_iteration(trace).sample(usize::MAX, |_| {});
     }
 
-    /// Starts the next iteration: mixes its weights, marks the cached
-    /// distributions stale if they changed (each is mixed again by the
-    /// first draw of its layer, on whichever thread draws it), sizes
-    /// `trace` for every layer and group and stamps its iteration and
-    /// weights. Every allocation of an
+    /// Starts the next iteration: computes its weights, sizes `trace` for
+    /// every layer and group and stamps its iteration and weights. It
+    /// mixes no distribution: each is mixed for the iteration's weights by
+    /// the first draw of its layer that finds it mixed for other weights,
+    /// on whichever thread draws it, unless a shared draw's helper mixed
+    /// it ahead ([`SharedDraw::mix_ahead`]). Every allocation of an
     /// iteration happens here, on the calling thread (and, on the first
     /// [`LayerSampler::share`], there); the returned [`LayerSampler`] then
     /// draws the counts without allocating, and may share the draw with
-    /// another thread. Together the two are
+    /// other threads. Together the two are
     /// [`TraceGenerator::next_iteration_into`].
     pub fn begin_iteration<'t>(&'t mut self, trace: &'t mut IterationTrace) -> LayerSampler<'t> {
-        let weights = self.mix.weights(self.iteration);
-        let num_dists = if self.uniform {
-            1
-        } else {
-            self.affinity.num_layers()
-        };
-        let num_experts = self.affinity.num_experts();
-        self.dists.update(
-            num_dists,
-            num_experts,
-            (!self.uniform).then_some(&weights[..]),
+        let iteration = self.iteration;
+        self.mix.weights_into(iteration, &mut self.weights);
+        self.shared.began.store(iteration, Ordering::Relaxed);
+        self.shared.dists(self.weights.len());
+        let (num_layers, num_experts) = (
+            self.shared.affinity.num_layers(),
+            self.shared.affinity.num_experts(),
         );
         trace
             .layers
-            .resize_with(self.affinity.num_layers(), || LayerGating {
-                counts: Vec::new(),
-            });
+            .resize_with(num_layers, || LayerGating { counts: Vec::new() });
         for gating in &mut trace.layers {
             gating.counts.resize_with(self.streams.len(), Vec::new);
             for counts in &mut gating.counts {
                 counts.resize(num_experts, 0);
             }
         }
-        trace.iteration = self.iteration;
-        trace.weights = weights;
+        trace.iteration = iteration;
+        trace.weights.clone_from(&self.weights);
         self.iteration += 1;
         LayerSampler {
+            shared: &mut self.shared,
+            mix: &self.mix,
             streams: &mut self.streams,
-            dists: DistsView {
-                dists: &self.dists,
-                affinity: &self.affinity,
-                uniform: self.uniform,
-            },
-            cells: &mut self.cells,
+            weights: &mut self.weights,
+            iteration,
             tokens_per_group: self.tokens_per_group,
             top_k: self.top_k,
             layers: &mut trace.layers,
@@ -292,96 +309,159 @@ impl TraceGenerator {
     }
 }
 
-/// The sampling distributions a generator caches across iterations: one
-/// mixed distribution per layer, or a single uniform one under uniform
-/// gating. Each keeps what the sampler derives from it (conditional
-/// probabilities, cumulative weights, the cap-repair order), refreshed
-/// with the distribution.
-///
-/// When the weights change, every distribution becomes unset, and the first
-/// draw of its layer mixes it again, into the buffers it last used. A
-/// layer is so mixed on the thread that draws it, just before its draw,
-/// rather than all of them on the calling thread before any is drawn.
-#[derive(Debug, Default)]
-struct LayerDists {
-    /// Unset from a change of the weights to the first draw of the layer.
-    dists: Vec<OnceLock<GatingDist>>,
-    /// Per entry of `dists`: the buffers it is mixed into while unset.
-    spares: Vec<Mutex<GatingDist>>,
-    /// The weights `dists` are mixed for (`None` until first use).
-    weights: Option<Vec<(Scenario, f64)>>,
-}
-
-/// A clone keeps the mixed distributions, with fresh spare buffers.
-impl Clone for LayerDists {
-    fn clone(&self) -> Self {
-        LayerDists {
-            dists: self.dists.clone(),
-            spares: self.spares.iter().map(|_| Mutex::default()).collect(),
-            weights: self.weights.clone(),
-        }
-    }
-}
-
-impl LayerDists {
-    /// Keeps `len` distributions of `experts` experts, unsetting them if
-    /// `weights` changed (`None` under uniform gating, whose distribution
-    /// never changes). New ones get buffers here, on the calling thread,
-    /// so that mixing them on another allocates nothing.
-    fn update(&mut self, len: usize, experts: usize, weights: Option<&[(Scenario, f64)]>) {
-        self.dists.resize_with(len, OnceLock::new);
-        self.spares
-            .resize_with(len, || Mutex::new(GatingDist::with_capacity(experts)));
-        let Some(weights) = weights else {
-            return;
-        };
-        // Bitwise, so the cache never hides a change `==` would miss.
-        let unchanged = self.weights.as_deref().is_some_and(|cached| {
-            cached.len() == weights.len()
-                && cached
-                    .iter()
-                    .zip(weights)
-                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
-        });
-        if unchanged {
-            return;
-        }
-        for (dist, spare) in self.dists.iter_mut().zip(&mut self.spares) {
-            if let Some(dist) = dist.take() {
-                *spare.get_mut().unwrap_or_else(PoisonError::into_inner) = dist;
-            }
-        }
-        let cached = self.weights.get_or_insert_with(Vec::new);
-        cached.clear();
-        cached.extend_from_slice(weights);
-    }
-}
-
-/// A generator's distributions as a draw reads them, mixing each on
-/// first use.
-#[derive(Clone, Copy)]
-struct DistsView<'t> {
-    dists: &'t LayerDists,
-    affinity: &'t AffinityModel,
+/// The part of a generator that a shared draw's threads reach: the
+/// affinity model, the cached distributions, the cells of a shared draw,
+/// and the next iteration's weights to mix ahead for.
+#[derive(Debug)]
+struct SamplerState {
+    affinity: AffinityModel,
     uniform: bool,
+    /// One distribution per layer, or a single one under uniform gating,
+    /// made by the first [`TraceGenerator::begin_iteration`].
+    dists: OnceLock<Box<[Mutex<LayerDist>]>>,
+    /// The iteration the generator began last. A helper mixing ahead
+    /// stops once it is past the iteration it mixes for.
+    began: AtomicU64,
+    /// The iteration after the last shared draw's, and its weights: what
+    /// [`SharedDraw::mix_ahead`] mixes for.
+    ahead: Mutex<Ahead>,
+    cells: DrawCells,
 }
 
-impl<'t> DistsView<'t> {
-    /// Layer `layer`'s distribution, mixed into its spare buffers by the
-    /// first call since the weights changed; a concurrent call waits for
-    /// that one.
-    fn get(self, layer: usize) -> &'t GatingDist {
-        let i = if self.uniform { 0 } else { layer };
-        self.dists.dists[i].get_or_init(|| {
-            let mut dist = std::mem::take(&mut *lock(&self.dists.spares[i]));
-            match self.dists.weights.as_deref() {
-                Some(weights) if !self.uniform => {
-                    dist.set(|probs| self.affinity.mixed_distribution_into(i, weights, probs))
-                }
-                _ => dist.set(|probs| *probs = self.affinity.uniform()),
-            }
-            dist
+#[derive(Debug, Default)]
+struct Ahead {
+    iteration: u64,
+    weights: Vec<(Scenario, f64)>,
+}
+
+/// A clone keeps the mixed distributions, with no draw in its cells.
+impl Clone for SamplerState {
+    fn clone(&self) -> Self {
+        let dists = OnceLock::new();
+        if let Some(held) = self.dists.get() {
+            let _ = dists.set(held.iter().map(|d| Mutex::new(lock(d).clone())).collect());
+        }
+        SamplerState {
+            affinity: self.affinity.clone(),
+            uniform: self.uniform,
+            dists,
+            began: AtomicU64::new(self.began.load(Ordering::Relaxed)),
+            ahead: Mutex::default(),
+            cells: DrawCells::default(),
+        }
+    }
+}
+
+impl SamplerState {
+    /// The cached distributions, made on the first call with room for
+    /// every expert and `scenarios` weights, so that mixing them on any
+    /// thread allocates nothing.
+    fn dists(&self, scenarios: usize) -> &[Mutex<LayerDist>] {
+        self.dists.get_or_init(|| {
+            let len = if self.uniform {
+                1
+            } else {
+                self.affinity.num_layers()
+            };
+            let experts = self.affinity.num_experts();
+            (0..len)
+                .map(|_| {
+                    Mutex::new(LayerDist {
+                        dist: GatingDist::with_capacity(experts),
+                        weights: Vec::with_capacity(scenarios),
+                        mixed: false,
+                    })
+                })
+                .collect()
         })
+    }
+
+    /// Runs `f` on `layer`'s distribution, mixed for `weights` first if it
+    /// is mixed for other weights.
+    fn with_dist<R>(
+        &self,
+        layer: usize,
+        weights: &[(Scenario, f64)],
+        f: impl FnOnce(&mut GatingDist) -> R,
+    ) -> R {
+        let (i, weights) = self.slot(layer, weights);
+        let mut dist = lock(&self.dists.get().expect("made by begin_iteration")[i]);
+        f(dist.refresh(&self.affinity, i, weights))
+    }
+
+    /// [`SamplerState::with_dist`] on a thread that holds the state alone,
+    /// which takes no lock.
+    fn with_dist_alone<R>(
+        &mut self,
+        layer: usize,
+        weights: &[(Scenario, f64)],
+        f: impl FnOnce(&mut GatingDist) -> R,
+    ) -> R {
+        let (i, weights) = self.slot(layer, weights);
+        let dists = self.dists.get_mut().expect("made by begin_iteration");
+        let dist = dists[i].get_mut().unwrap_or_else(PoisonError::into_inner);
+        f(dist.refresh(&self.affinity, i, weights))
+    }
+
+    /// Which distribution `layer` draws from, and the weights it is mixed
+    /// for (`None` for the uniform one).
+    fn slot<'w>(
+        &self,
+        layer: usize,
+        weights: &'w [(Scenario, f64)],
+    ) -> (usize, Option<&'w [(Scenario, f64)]>) {
+        if self.uniform {
+            (0, None)
+        } else {
+            (layer, Some(weights))
+        }
+    }
+}
+
+/// One layer's cached distribution and the weights it is mixed for.
+#[derive(Clone, Debug)]
+struct LayerDist {
+    dist: GatingDist,
+    /// The weights `dist` is mixed for, if `mixed`.
+    weights: Vec<(Scenario, f64)>,
+    /// Unset until the first mix, and while a mix runs, so that a mix that
+    /// panics leaves the layer to be mixed again.
+    mixed: bool,
+}
+
+impl LayerDist {
+    /// The distribution of layer `layer` for `weights` (the uniform one
+    /// for `None`), mixed in place unless it already is. Mixing is a pure
+    /// function of the layer, the weights and the affinity model, so it
+    /// gives the same bits on whichever thread, and at whichever time, it
+    /// runs.
+    fn refresh(
+        &mut self,
+        affinity: &AffinityModel,
+        layer: usize,
+        weights: Option<&[(Scenario, f64)]>,
+    ) -> &mut GatingDist {
+        // Bitwise, so the cache never hides a change `==` would miss.
+        let current = self.mixed
+            && weights.is_none_or(|weights| {
+                self.weights.len() == weights.len()
+                    && self
+                        .weights
+                        .iter()
+                        .zip(weights)
+                        .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+            });
+        if !current {
+            self.mixed = false;
+            let weights = weights.unwrap_or_default();
+            // No weights mix to the uniform distribution.
+            self.dist
+                .set(|probs| affinity.mixed_distribution_into(layer, weights, probs));
+            self.weights.clear();
+            self.weights.extend_from_slice(weights);
+            self.mixed = true;
+        }
+        &mut self.dist
     }
 }
 
@@ -393,9 +473,11 @@ impl<'t> DistsView<'t> {
 /// generator's state, whatever a consumer of finished layers does
 /// meanwhile.
 pub struct LayerSampler<'t> {
+    shared: &'t mut Arc<SamplerState>,
+    mix: &'t WorkloadMix,
     streams: &'t mut Vec<GroupStream<StdRng>>,
-    dists: DistsView<'t>,
-    cells: &'t mut DrawCells,
+    weights: &'t mut Vec<(Scenario, f64)>,
+    iteration: u64,
     tokens_per_group: u32,
     top_k: u32,
     layers: &'t mut [LayerGating],
@@ -409,23 +491,29 @@ impl<'t> LayerSampler<'t> {
     /// # Panics
     ///
     /// Panics if `chunk == 0`.
-    pub fn sample(self, chunk: usize, mut emit: impl FnMut(&'t [LayerGating])) {
+    pub fn sample(self, chunk: usize, emit: impl FnMut(&'t [LayerGating])) {
         let LayerSampler {
+            shared,
             streams,
-            dists,
+            weights,
             tokens_per_group,
             top_k,
             layers,
             ..
         } = self;
-        let mut layer = 0;
-        for run in layers.chunks_mut(chunk) {
-            for gating in run.iter_mut() {
-                let dist = dists.get(layer);
-                sample_layer_into(streams, dist, tokens_per_group, top_k, &mut gating.counts);
-                layer += 1;
-            }
-            emit(run);
+        // Unless a worker still holds the state (mixing ahead), no other
+        // thread can reach a layer's lock, and the draw takes none.
+        match Arc::get_mut(shared) {
+            Some(state) => draw_runs(layers, chunk, emit, |layer, counts| {
+                state.with_dist_alone(layer, weights, |dist| {
+                    sample_layer_into(streams, dist, tokens_per_group, top_k, counts)
+                })
+            }),
+            None => draw_runs(layers, chunk, emit, |layer, counts| {
+                shared.with_dist(layer, weights, |dist| {
+                    sample_layer_into(streams, dist, tokens_per_group, top_k, counts)
+                })
+            }),
         }
     }
 
@@ -436,94 +524,119 @@ impl<'t> LayerSampler<'t> {
     /// one thread at a time, because every group's stream is consumed in
     /// that order. So the counts are those of [`LayerSampler::sample`], bit
     /// for bit, whichever thread draws which cell.
-    pub fn share(self) -> (SharedDraw<'t>, LayerOutlet<'t>) {
+    pub fn share(self) -> (SharedDraw, LayerOutlet<'t>) {
         let LayerSampler {
+            shared,
+            mix,
             streams,
-            dists,
-            cells,
+            weights,
+            iteration,
             tokens_per_group,
             top_k,
             layers,
         } = self;
-        cells.load(streams, layers);
-        let cells = &*cells;
+        if !shared.uniform {
+            let mut ahead = lock(&shared.ahead);
+            ahead.iteration = iteration + 1;
+            mix.weights_into(iteration + 1, &mut ahead.weights);
+        }
+        let cells = &shared.cells;
+        {
+            let mut held = lock(&cells.streams);
+            // A thread that panicked drawing the last draw's cell poisoned
+            // the lock; its panic reached the caller, and this draw is new.
+            cells.streams.clear_poison();
+            std::mem::swap(&mut held.streams, streams);
+            std::mem::swap(&mut held.weights, weights);
+            held.iteration = iteration;
+            held.next_layer = 0;
+            held.tokens_per_group = tokens_per_group;
+            held.top_k = top_k;
+            cells.progress.store(0, Ordering::Relaxed);
+            cells.abandoned.store(false, Ordering::Relaxed);
+            let counts = cells
+                .counts
+                .get_or_init(|| layers.iter().map(|_| Mutex::default()).collect());
+            for (cell, gating) in counts.iter().zip(layers.iter_mut()) {
+                std::mem::swap(&mut *lock(cell), &mut gating.counts);
+            }
+        }
         (
             SharedDraw {
-                cells,
-                dists,
-                tokens_per_group,
-                top_k,
+                shared: Arc::clone(shared),
+                iteration,
             },
             LayerOutlet {
-                cells,
+                shared,
                 layers,
                 streams,
+                weights,
                 taken: 0,
             },
         )
     }
 }
 
+/// Fills `layers` in layer order, `draw` writing each layer's count
+/// vectors, and hands each finished run of `chunk` consecutive layers to
+/// `emit`.
+fn draw_runs<'t>(
+    layers: &'t mut [LayerGating],
+    chunk: usize,
+    mut emit: impl FnMut(&'t [LayerGating]),
+    mut draw: impl FnMut(usize, &mut GroupCounts),
+) {
+    let mut layer = 0;
+    for run in layers.chunks_mut(chunk) {
+        for gating in run.iter_mut() {
+            draw(layer, &mut gating.counts);
+            layer += 1;
+        }
+        emit(run);
+    }
+}
+
 /// The cells of a shared draw, kept by the generator across iterations
 /// for their buffers. While a draw is shared they hold the generator's
-/// streams and the trace's count vectors (one cell a layer); the
-/// [`LayerOutlet`] moves both back.
+/// streams and weights and the trace's count vectors (one cell a layer);
+/// the [`LayerOutlet`] moves them back.
 #[derive(Debug, Default)]
 struct DrawCells {
-    /// The streams, and the next layer they draw. A thread holds the lock
-    /// for as long as it draws one cell.
+    /// The streams and what a cell's draw reads with them. A thread holds
+    /// the lock for as long as it draws one cell.
     streams: Mutex<DrawStreams>,
     /// Layers drawn, stored with `Release` after a cell's counts are
     /// written and read with `Acquire` before they are taken (the cell's
     /// lock orders them too).
     progress: AtomicUsize,
     /// Per layer: its count vectors, one per group.
-    counts: Vec<Mutex<Vec<Vec<u32>>>>,
+    counts: OnceLock<Box<[Mutex<GroupCounts>]>>,
     /// Set when a thread panics while taking part in the draw, so that no
     /// other waits for a cell it will never draw. Only a flag: `Relaxed`.
     abandoned: AtomicBool,
 }
 
+/// A layer's count vectors, one per group.
+type GroupCounts = Vec<Vec<u32>>;
+
 #[derive(Debug, Default)]
 struct DrawStreams {
     streams: Vec<GroupStream<StdRng>>,
+    /// The iteration being drawn, and its weights.
+    iteration: u64,
+    weights: Vec<(Scenario, f64)>,
+    tokens_per_group: u32,
+    top_k: u32,
+    /// The next layer to draw; the layer count once the draw is over.
     next_layer: usize,
 }
 
-/// A clone of a generator starts with no cells: they hold nothing between
-/// draws.
-impl Clone for DrawCells {
-    fn clone(&self) -> Self {
-        DrawCells::default()
-    }
-}
-
 /// Locks `mutex`, recovering the guard if a thread panicked holding it.
-/// That thread abandoned the draw first, and after that the cells' data
-/// is only moved back, never read as counts.
+/// A thread that panics drawing a cell abandoned the draw first, and after
+/// that the cells' data is only moved back, never read as counts; a
+/// distribution whose mix panicked is marked unmixed.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl DrawCells {
-    /// Moves the generator's streams and the layers' count vectors into
-    /// the cells, by swapping the vectors. Allocates only on the first
-    /// call for a number of layers.
-    fn load(&mut self, streams: &mut Vec<GroupStream<StdRng>>, layers: &mut [LayerGating]) {
-        let held = self
-            .streams
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        std::mem::swap(&mut held.streams, streams);
-        held.next_layer = 0;
-        *self.progress.get_mut() = 0;
-        self.counts.resize_with(layers.len(), Default::default);
-        for (cell, gating) in self.counts.iter_mut().zip(layers) {
-            let cell = cell.get_mut().unwrap_or_else(PoisonError::into_inner);
-            std::mem::swap(cell, &mut gating.counts);
-        }
-        *self.abandoned.get_mut() = false;
-    }
 }
 
 /// What [`SharedDraw::draw_free_cell`] did.
@@ -534,71 +647,115 @@ pub enum CellDraw {
     /// It drew nothing: another thread is drawing a cell, or the next cell
     /// is not this thread's.
     Busy,
-    /// Every cell is drawn, or the draw was abandoned.
+    /// Every cell is drawn, or the draw was abandoned, or it is over.
     Finished,
 }
 
-/// The cells of a shared draw ([`LayerSampler::share`]), which any number
-/// of threads may draw, one cell at a time, each through
-/// [`SharedDraw::draw_free_cell`].
-#[derive(Clone, Copy)]
-pub struct SharedDraw<'t> {
-    cells: &'t DrawCells,
-    dists: DistsView<'t>,
-    tokens_per_group: u32,
-    top_k: u32,
+/// The cells of one iteration's shared draw ([`LayerSampler::share`]),
+/// which any number of threads may draw, one cell at a time, each through
+/// [`SharedDraw::draw_free_cell`]. It holds the generator's shared state
+/// by reference count, so a thread may keep it past the draw (to mix
+/// ahead) and past the generator; once the draw is over it draws nothing.
+#[derive(Clone, Debug)]
+pub struct SharedDraw {
+    shared: Arc<SamplerState>,
+    iteration: u64,
 }
 
-impl SharedDraw<'_> {
+impl SharedDraw {
     /// Draws the next cell, the first layer not drawn yet, if no other
     /// thread is drawing one and `mine` picks it. `mine` takes the cell's
     /// layer.
     pub fn draw_free_cell(&self, mine: impl Fn(usize) -> bool) -> CellDraw {
+        let cells = &self.shared.cells;
         if self.abandoned() {
             return CellDraw::Finished;
         }
-        let mut streams = match self.cells.streams.try_lock() {
-            Ok(streams) => streams,
+        let mut held = match cells.streams.try_lock() {
+            Ok(held) => held,
             Err(TryLockError::WouldBlock) => return CellDraw::Busy,
             // Its thread abandoned the draw before it released the lock.
             Err(TryLockError::Poisoned(_)) => return CellDraw::Finished,
         };
-        let layer = streams.next_layer;
-        if layer == self.cells.counts.len() {
+        let layer = held.next_layer;
+        let Some(counts) = cells.counts.get() else {
+            return CellDraw::Finished;
+        };
+        if held.iteration != self.iteration || layer == counts.len() {
             return CellDraw::Finished;
         }
         if !mine(layer) {
             return CellDraw::Busy;
         }
-        let mut counts = lock(&self.cells.counts[layer]);
+        let mut counts = lock(&counts[layer]);
         // Dropped before the locks: a panicking draw is abandoned before
         // another thread can take the streams.
         let abandon = self.abandon_on_panic();
-        let dist = self.dists.get(layer);
-        let (tokens, top_k) = (self.tokens_per_group, self.top_k);
-        sample_layer_into(&mut streams.streams, dist, tokens, top_k, &mut counts);
-        streams.next_layer += 1;
+        let DrawStreams {
+            streams,
+            weights,
+            tokens_per_group,
+            top_k,
+            next_layer,
+            ..
+        } = &mut *held;
+        self.shared.with_dist(layer, weights, |dist| {
+            sample_layer_into(streams, dist, *tokens_per_group, *top_k, &mut counts);
+        });
+        *next_layer += 1;
         drop(abandon);
         drop(counts);
-        self.cells.progress.store(layer + 1, Ordering::Release);
+        cells.progress.store(layer + 1, Ordering::Release);
         CellDraw::Drawn
     }
 
     /// Whether `layer` is drawn.
     pub fn layer_drawn(&self, layer: usize) -> bool {
-        self.cells.progress.load(Ordering::Acquire) > layer
+        self.shared.cells.progress.load(Ordering::Acquire) > layer
     }
 
     /// Whether a thread taking part in the draw panicked.
     pub fn abandoned(&self) -> bool {
-        self.cells.abandoned.load(Ordering::Relaxed)
+        self.shared.cells.abandoned.load(Ordering::Relaxed)
     }
 
     /// A guard that abandons the draw if it is dropped while its thread
     /// panics. Every thread taking part holds one, so that none waits for
     /// ever on a layer a panicked thread would have drawn.
     pub fn abandon_on_panic(&self) -> impl Drop + '_ {
-        AbandonOnPanic(&self.cells.abandoned)
+        AbandonOnPanic(&self.shared.cells.abandoned)
+    }
+
+    /// Whether this handle holds the generator's state alone: the generator
+    /// is gone, and no other handle of its draws is left.
+    pub fn generator_gone(&self) -> bool {
+        Arc::strong_count(&self.shared) == 1
+    }
+
+    /// Mixes every layer's distribution, in layer order, for the weights
+    /// of the iteration after this draw's, so that the generator's next
+    /// iteration finds them mixed. A layer a draw already mixed for those
+    /// weights is skipped. It stops before the next layer once `stop`
+    /// says so, once the generator has begun a later iteration or shared
+    /// a later draw, or once this draw holds the generator's state alone
+    /// (the generator is gone). Under uniform gating there is nothing to
+    /// mix. Allocates nothing.
+    pub fn mix_ahead(&self, stop: impl Fn() -> bool) {
+        let shared = &*self.shared;
+        let Some(dists) = shared.dists.get().filter(|_| !shared.uniform) else {
+            return;
+        };
+        let target = self.iteration + 1;
+        for (layer, dist) in dists.iter().enumerate() {
+            if stop() || self.generator_gone() || shared.began.load(Ordering::Relaxed) > target {
+                return;
+            }
+            let ahead = lock(&shared.ahead);
+            if ahead.iteration != target {
+                return;
+            }
+            lock(dist).refresh(&shared.affinity, layer, Some(&ahead.weights));
+        }
     }
 }
 
@@ -614,11 +771,13 @@ impl Drop for AbandonOnPanic<'_> {
 
 /// The drawn layers of a shared draw, on the thread that owns the trace.
 /// Dropping it moves the count vectors of every layer it did not hand out
-/// back into the trace, and the streams back into the generator.
+/// back into the trace, and the streams and weights back into the
+/// generator, and ends the draw.
 pub struct LayerOutlet<'t> {
-    cells: &'t DrawCells,
+    shared: &'t SamplerState,
     layers: &'t mut [LayerGating],
     streams: &'t mut Vec<GroupStream<StdRng>>,
+    weights: &'t mut Vec<(Scenario, f64)>,
     /// Layers handed out so far.
     taken: usize,
 }
@@ -638,7 +797,7 @@ impl LayerOutlet<'_> {
     pub fn next_layer(&mut self) -> &LayerGating {
         let layer = self.taken;
         assert!(
-            self.cells.progress.load(Ordering::Acquire) > layer,
+            self.shared.cells.progress.load(Ordering::Acquire) > layer,
             "layer {layer} is not drawn yet"
         );
         self.put_back(layer);
@@ -648,10 +807,8 @@ impl LayerOutlet<'_> {
 
     /// Swaps `layer`'s count vectors between its cell and the trace.
     fn put_back(&mut self, layer: usize) {
-        std::mem::swap(
-            &mut *lock(&self.cells.counts[layer]),
-            &mut self.layers[layer].counts,
-        );
+        let cells = self.shared.cells.counts.get().expect("made by share");
+        std::mem::swap(&mut *lock(&cells[layer]), &mut self.layers[layer].counts);
     }
 }
 
@@ -660,13 +817,17 @@ impl Drop for LayerOutlet<'_> {
         for layer in self.taken..self.layers.len() {
             self.put_back(layer);
         }
-        std::mem::swap(&mut lock(&self.cells.streams).streams, self.streams);
+        let mut held = lock(&self.shared.cells.streams);
+        std::mem::swap(&mut held.streams, self.streams);
+        std::mem::swap(&mut held.weights, self.weights);
+        held.next_layer = self.layers.len();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     fn config() -> ModelConfig {
         ModelConfig::mixtral_8x22b() // small: 8 experts, top-2, 56 layers
@@ -755,12 +916,13 @@ mod tests {
     /// own stream, through the public one-group sampler.
     fn uncached_iteration(gen: &mut TraceGenerator) -> IterationTrace {
         let weights = gen.mix.weights(gen.iteration);
-        let layers = (0..gen.affinity.num_layers())
+        let affinity = &gen.shared.affinity;
+        let layers = (0..affinity.num_layers())
             .map(|layer| {
-                let dist = if gen.uniform {
-                    gen.affinity.uniform()
+                let dist = if gen.shared.uniform {
+                    affinity.uniform()
                 } else {
-                    gen.affinity.mixed_distribution(layer, &weights)
+                    affinity.mixed_distribution(layer, &weights)
                 };
                 let counts = gen
                     .streams
@@ -840,8 +1002,9 @@ mod tests {
                         assert_eq!(fresh.next_iteration(), expect, "{case}: fresh trace");
                         // Every cached order is the fresh sort of its
                         // distribution as it is now.
-                        let dists = reused.dists.dists.iter().filter_map(OnceLock::get);
-                        for (dist, order) in dists.map(|d| (d.probs(), d.order())) {
+                        let dists = reused.shared.dists.get().unwrap().iter().map(lock);
+                        for layer in dists {
+                            let (dist, order) = (layer.dist.probs(), layer.dist.order());
                             if order.is_empty() {
                                 continue;
                             }
@@ -893,6 +1056,79 @@ mod tests {
                 assert_eq!(got, expect, "{groups} groups, {tokens} tokens");
             }
         }
+    }
+
+    /// A helper mixing ahead stops before the next layer once the generator
+    /// is dropped: here the generator is dropped while the mix waits in
+    /// `stop` after its first layer.
+    #[test]
+    fn mixing_ahead_stops_once_the_generator_is_gone() {
+        let model = ModelConfig {
+            num_layers: 6,
+            num_sparse_layers: 6,
+            ..ModelConfig::qwen3_235b()
+        };
+        let mut gen = TraceGenerator::new(&model, WorkloadMix::mixed(3.0), 2, 4, 8);
+        let mut trace = gen.next_iteration();
+        let (draw, outlet) = gen.begin_iteration(&mut trace).share();
+        while draw.draw_free_cell(|_| true) == CellDraw::Drawn {}
+        drop(outlet);
+        let (paused, resume) = (Barrier::new(2), Barrier::new(2));
+        let stops = std::thread::scope(|s| {
+            let mixer = s.spawn(|| {
+                let stops = AtomicUsize::new(0);
+                draw.mix_ahead(|| {
+                    if stops.fetch_add(1, Ordering::Relaxed) == 1 {
+                        paused.wait();
+                        resume.wait();
+                    }
+                    false
+                });
+                stops.into_inner()
+            });
+            paused.wait();
+            assert!(!draw.generator_gone());
+            drop(gen);
+            resume.wait();
+            mixer.join().expect("the mix does not panic")
+        });
+        assert!(draw.generator_gone());
+        assert_eq!(stops, 2, "asked before layers 0 and 1, then stopped");
+        let ahead = lock(&draw.shared.ahead).weights.clone();
+        let dists = draw.shared.dists.get().expect("made by begin_iteration");
+        let mixed_for_ahead = |layer: usize| {
+            let dist = lock(&dists[layer]);
+            dist.mixed && dist.weights == ahead
+        };
+        assert!(mixed_for_ahead(0));
+        assert!((1..dists.len()).all(|layer| !mixed_for_ahead(layer)));
+    }
+
+    /// The serial draw locks each layer only while another handle (a
+    /// worker's last shared draw) holds the generator's state, and draws
+    /// the same counts with the locks as without them.
+    #[test]
+    fn serial_draw_matches_while_a_shared_draw_is_held() {
+        let model = ModelConfig {
+            num_layers: 6,
+            num_sparse_layers: 6,
+            ..ModelConfig::qwen3_235b()
+        };
+        let mk = || TraceGenerator::new(&model, WorkloadMix::mixed(3.0), 3, 16, 8);
+        let (mut alone, mut held) = (mk(), mk());
+        let mut trace = held.next_iteration();
+        let (draw, outlet) = held.begin_iteration(&mut trace).share();
+        while draw.draw_free_cell(|_| true) == CellDraw::Drawn {}
+        drop(outlet);
+        alone.next_iteration();
+        assert_eq!(alone.next_iteration(), trace);
+        for _ in 0..4 {
+            assert!(Arc::get_mut(&mut held.shared).is_none());
+            assert_eq!(held.next_iteration(), alone.next_iteration());
+        }
+        drop(draw);
+        assert!(Arc::get_mut(&mut held.shared).is_some());
+        assert_eq!(held.next_iteration(), alone.next_iteration());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::engine::{BatchSpec, EngineSpec, ServingSpec};
 use crate::fleet::FleetSpec;
 use crate::model::ModelSpec;
 use crate::platform::{MappingSpec, PlatformSpec};
-use crate::scenario::ScenarioSpec;
+use crate::scenario::{validate_iterations, ScenarioSpec};
 use crate::sweep::SweepSpec;
 use crate::workload::{ArrivalSourceSpec, WorkloadSpec};
 use crate::SCHEMA;
@@ -1137,13 +1137,15 @@ impl ScenarioSpec {
             None | Some(Value::Null) => None,
             Some(v) => Some(SweepSpec::from_json_value(v)?),
         };
+        let iterations = get_usize(value, ctx, "iterations")?;
+        validate_iterations(iterations)?;
         Ok(ScenarioSpec {
             name: get_str(value, ctx, "name")?.to_string(),
             platform: PlatformSpec::from_json_value(get(value, ctx, "platform")?)?,
             mapping: MappingSpec::from_json_value(get(value, ctx, "mapping")?)?,
             model: ModelSpec::from_json_value(get(value, ctx, "model")?)?,
             engine: EngineSpec::from_json_value(get(value, ctx, "engine")?)?,
-            iterations: get_usize(value, ctx, "iterations")?,
+            iterations,
             fleet,
             sweep,
         })
@@ -1681,6 +1683,42 @@ mod tests {
             })
         );
         assert_eq!(parse(fleet(MAX_REPLICAS)), Ok(()));
+    }
+
+    /// An iteration count past `MAX_ITERATIONS` (`1e15` used to parse and
+    /// run until killed) fails at parse and at `build()` with the typed
+    /// error; the ceiling itself parses and builds.
+    #[test]
+    fn iteration_ceiling_is_checked_at_parse_and_build() {
+        use crate::scenario::MAX_ITERATIONS;
+        let parse = |iterations: f64| {
+            let mut json = ScenarioSpec::new("long", PlatformSpec::wsc(4)).to_json();
+            if let Value::Obj(members) = &mut json {
+                for (k, v) in members.iter_mut() {
+                    if k == "iterations" {
+                        *v = Value::Num(iterations);
+                    }
+                }
+            }
+            ScenarioSpec::from_json(&json)
+        };
+        let too_many = |iterations| ConfigError::TooManyIterations {
+            iterations,
+            max: MAX_ITERATIONS as u64,
+        };
+        assert_eq!(
+            parse(1e15).map(|_| ()),
+            Err(too_many(1_000_000_000_000_000))
+        );
+        let ceiling = parse(MAX_ITERATIONS as f64).unwrap();
+        assert_eq!(ceiling.iterations, MAX_ITERATIONS);
+        assert!(ceiling.build().is_ok());
+        let past =
+            ScenarioSpec::new("long", PlatformSpec::wsc(4)).with_iterations(MAX_ITERATIONS + 1);
+        assert_eq!(
+            past.build().map(|_| ()),
+            Err(too_many(MAX_ITERATIONS as u64 + 1))
+        );
     }
 
     /// A platform past `MAX_PLATFORM_DEVICES`, primary or decode tier,

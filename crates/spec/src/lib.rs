@@ -64,7 +64,7 @@ pub use fleet::FleetSpec;
 pub use model::ModelSpec;
 pub use moentwine_core::ConfigError;
 pub use platform::{MappingSpec, PlatformSpec, MAX_PLATFORM_DEVICES};
-pub use scenario::{Layout, Scenario, ScenarioOutcome, ScenarioSpec};
+pub use scenario::{Layout, Scenario, ScenarioOutcome, ScenarioSpec, MAX_ITERATIONS};
 pub use sweep::SweepSpec;
 pub use workload::{
     load_trace, parse_trace, trace_to_json, ArrivalSourceSpec, WorkloadSpec, TRACE_SCHEMA,

@@ -37,6 +37,24 @@ pub struct ScenarioSpec {
     pub iterations: usize,
 }
 
+/// The most iterations (or fleet rounds) a scenario may run: over 30×
+/// the largest shipped scenario (`mega_fleet`, 300,000 rounds). A count
+/// such as `1e15` would otherwise parse and run until killed, so a larger
+/// one is rejected as [`ConfigError::TooManyIterations`] at parse and by
+/// [`ScenarioSpec::build`].
+pub const MAX_ITERATIONS: usize = 10_000_000;
+
+/// Checks an iteration count against [`MAX_ITERATIONS`].
+pub(crate) fn validate_iterations(iterations: usize) -> Result<(), ConfigError> {
+    if iterations > MAX_ITERATIONS {
+        return Err(ConfigError::TooManyIterations {
+            iterations: iterations as u64,
+            max: MAX_ITERATIONS as u64,
+        });
+    }
+    Ok(())
+}
+
 impl ScenarioSpec {
     /// A scenario named `name` on `platform`, with ER mapping at TP=4, the
     /// tiny model, default engine knobs, and 100 iterations — override
@@ -226,6 +244,7 @@ impl ScenarioSpec {
                  (the `scenario` bin does this automatically)",
             ));
         }
+        validate_iterations(self.iterations)?;
         let (topo, table) = self.platform.materialize()?;
         let layout = self.mapping.layout(&topo)?;
         let model = self.model.resolve()?;

@@ -7,7 +7,9 @@
 //! `black_box`, and the `criterion_group!` / `criterion_main!` macros — as a
 //! plain wall-clock harness: each benchmark is calibrated to a short target
 //! duration, then timed over a handful of samples, and the median per-call
-//! time is printed beside the fastest sample's. On a shared host the
+//! time is printed beside the fastest sample's. As with the real crate, the
+//! first argument that is not a flag filters benchmarks by substring of
+//! their id (`cargo bench --bench gating -- gating_qwen3_4g_cycling`). On a shared host the
 //! minimum is the steadier figure for a before/after: compare minima over
 //! alternating runs of the two binaries. No statistics, plots, or
 //! baselines; swap the path dependency for the real criterion to get those
@@ -169,7 +171,12 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
-fn run_one(full_id: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
+/// Runs and reports one benchmark, unless `filter` is set and not a
+/// substring of its id.
+fn run_one(full_id: &str, filter: Option<&str>, samples: usize, f: impl FnOnce(&mut Bencher)) {
+    if filter.is_some_and(|filter| !full_id.contains(filter)) {
+        return;
+    }
     let mut b = Bencher::new(samples);
     f(&mut b);
     match b.last_estimate {
@@ -185,12 +192,24 @@ fn run_one(full_id: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
 /// Top-level benchmark registry/driver.
 pub struct Criterion {
     sample_size: usize,
+    /// Runs only the benchmarks whose id contains it.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 10 }
+        Criterion {
+            sample_size: 10,
+            filter: None,
+        }
     }
+}
+
+/// The benchmark-id filter in a bench binary's arguments (program name
+/// excluded): the first one that is not a flag. Cargo passes `--bench`
+/// itself; the shim takes no flag with a value.
+fn filter_from(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|arg| !arg.starts_with('-'))
 }
 
 impl Criterion {
@@ -200,14 +219,16 @@ impl Criterion {
         self
     }
 
-    /// No-op CLI integration (the real crate parses criterion flags).
-    pub fn configure_from_args(self) -> Self {
+    /// Reads the benchmark-id filter from the command line; other
+    /// criterion flags are ignored.
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = filter_from(std::env::args().skip(1));
         self
     }
 
     /// Runs a single named benchmark.
     pub fn bench_function(&mut self, id: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_one(id, self.sample_size, f);
+        run_one(id, self.filter.as_deref(), self.sample_size, f);
         self
     }
 
@@ -218,7 +239,9 @@ impl Criterion {
         input: &I,
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
-        run_one(&id.id, self.sample_size, |b| f(b, input));
+        run_one(&id.id, self.filter.as_deref(), self.sample_size, |b| {
+            f(b, input)
+        });
         self
     }
 
@@ -227,7 +250,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size: self.sample_size,
-            _parent: self,
+            parent: self,
         }
     }
 }
@@ -236,7 +259,7 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -258,7 +281,7 @@ impl BenchmarkGroup<'_> {
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let id = id.into();
-        run_one(&format!("{}/{}", self.name, id.id), self.sample_size, f);
+        self.run(&id, f);
         self
     }
 
@@ -269,10 +292,19 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
-        run_one(&format!("{}/{}", self.name, id.id), self.sample_size, |b| {
-            f(b, input)
-        });
+        self.run(&id, |b| f(b, input));
         self
+    }
+
+    /// Runs the group's benchmark `id`.
+    fn run(&self, id: &BenchmarkId, f: impl FnOnce(&mut Bencher)) {
+        let filter = self.parent.filter.as_deref();
+        run_one(
+            &format!("{}/{}", self.name, id.id),
+            filter,
+            self.sample_size,
+            f,
+        );
     }
 
     /// Closes the group.
@@ -290,7 +322,7 @@ macro_rules! criterion_group {
     };
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -321,5 +353,45 @@ mod tests {
             b.iter_batched(|| n, |x| x * 2, BatchSize::SmallInput)
         });
         group.finish();
+    }
+
+    /// The first argument that is not a flag filters benchmark ids by
+    /// substring, in groups too; without one every benchmark runs.
+    #[test]
+    fn the_first_non_flag_argument_filters_benchmark_ids() {
+        let args = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(filter_from(args(&["--bench"])), None);
+        assert_eq!(
+            filter_from(args(&["--bench", "cycling", "other"])),
+            Some("cycling".to_string())
+        );
+        let ran = |filter: Option<&str>| {
+            let mut c = Criterion {
+                filter: filter.map(str::to_string),
+                ..Criterion::default()
+            };
+            c.sample_size(3);
+            let mut ran = Vec::new();
+            c.bench_function("solo", |b| {
+                ran.push("solo");
+                b.iter(|| 1)
+            });
+            let mut group = c.benchmark_group("gating");
+            for id in ["qwen3_4g", "qwen3_4g_cycling"] {
+                group.bench_function(id, |b| {
+                    ran.push(id);
+                    b.iter(|| 1)
+                });
+            }
+            group.finish();
+            ran
+        };
+        assert_eq!(ran(None), ["solo", "qwen3_4g", "qwen3_4g_cycling"]);
+        assert_eq!(ran(Some("cycling")), ["qwen3_4g_cycling"]);
+        assert_eq!(
+            ran(Some("gating/qwen3_4g")),
+            ["qwen3_4g", "qwen3_4g_cycling"]
+        );
+        assert!(ran(Some("absent")).is_empty());
     }
 }
